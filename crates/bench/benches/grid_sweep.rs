@@ -1,34 +1,32 @@
-//! Serial vs intra-sweep parallel dense-grid coverage — on both the
-//! flat-chunk and the tiled execution paths — plus an allocation audit of
-//! each hot path and a relative regression gate against the committed
-//! `BENCH_sweep.json`.
+//! Serial vs intra-sweep parallel dense-grid coverage, plus an
+//! allocation audit of the tiled hot path and gates computed from the
+//! current run's own medians.
 //!
-//! Three claims are measured:
+//! Four claims are measured:
 //!
 //! 1. **Zero allocation per point.** After one warm-up sweep grows the
-//!    [`GridEvaluator`]'s scratch buffer (and, on the tiled path, the
-//!    [`TileCursor`]'s candidate pin) to the local camera density, a full
-//!    grid sweep must perform no heap allocation at all (counted by a
-//!    wrapping global allocator; the audit runs before the timings and
-//!    aborts the bench on regression).
-//! 2. **Tiled vs flat.** `serial` / `parallel/N` run the engine-selected
-//!    tiled path; `serial_flat` / `parallel_flat/N` pin the legacy
-//!    flat-chunk path. The regression gate compares the tiled/flat *ratio*
-//!    against the committed baseline's ratio (machine-independent), failing
-//!    on a >25% relative regression. Set `FULLVIEW_BENCH_GATE=off` to skip.
+//!    [`GridEvaluator`]'s scratch buffer and the [`TileCursor`]'s
+//!    candidate pin to the local camera density, a full tiled grid sweep
+//!    must perform no heap allocation at all (counted by a wrapping global
+//!    allocator; the audit runs before the timings and aborts the bench on
+//!    regression).
+//! 2. **Mask screen vs exact.** `mask_cold` / `exact_cold` time the
+//!    two-stage sector-mask sweep against the pinned exact analyzer; the
+//!    gate requires at least [`MIN_MASK_SPEEDUP`]×.
 //! 3. **Parallel scaling.** 1/2/4 threads vs serial. On a single-core host
 //!    the parallel variants only show claiming overhead; speedups require
 //!    real cores.
 //! 4. **Incremental resweep.** After a single-camera move, re-evaluating
 //!    only the dirty tiles ([`IncrementalSweep::resweep_dirty`]) must be at
 //!    least [`MIN_INCREMENTAL_SPEEDUP`]× faster than a cold sweep on the
-//!    same grid — and bit-identical to it (asserted before timing). This
-//!    gate runs on the current measurements alone, so it holds on any
-//!    host regardless of the committed baseline.
+//!    same grid — and bit-identical to it (asserted before timing).
 //!
-//! Set `FULLVIEW_BENCH_SWEEP_TABLE=1` to additionally print the
-//! tile-vs-flat timing table across grid sides (the EXPERIMENTS.md
-//! appendix) before the criterion runs.
+//! The hierarchical prover is gated likewise against the mask kernel on a
+//! large grid ([`MIN_HIER_SPEEDUP`]). Every gate compares numbers from the
+//! same run, so it holds on any host; set `FULLVIEW_BENCH_GATE=off` to
+//! skip them.
+//!
+//! [`TileCursor`]: fullview_model::TileCursor
 
 use criterion::{BenchmarkId, Criterion};
 use fullview_bench::bench_network;
@@ -39,7 +37,7 @@ use fullview_core::{
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
 use fullview_hier::sweep_flags_range_hier;
 use fullview_model::{Camera, CameraNetwork, GroupId, SensorSpec};
-use fullview_sim::{evaluate_grid_parallel, evaluate_grid_parallel_flat};
+use fullview_sim::evaluate_grid_parallel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::f64::consts::PI;
 use std::hint::black_box;
@@ -81,46 +79,31 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Verifies the zero-allocation claim on both execution paths: a warmed
-/// evaluator sweeps the whole grid without touching the heap.
+/// Verifies the zero-allocation claim: a warmed evaluator sweeps every
+/// tile of the grid without touching the heap.
 fn allocation_audit() {
     let theta = EffectiveAngle::new(PI / 4.0).expect("valid θ");
     let net = bench_network(1000, 0.05, 7);
     let grid = UnitGrid::new(Torus::unit(), 50); // 2500 points
-    let mut evaluator = GridEvaluator::new(theta, Angle::ZERO);
-
-    // Flat path: warm-up grows the direction scratch buffer.
-    let warm = evaluator.evaluate_range(&net, &grid, 0..grid.len());
-    let before = allocations();
-    let hot = evaluator.evaluate_range(&net, &grid, 0..grid.len());
-    let flat_allocated = allocations() - before;
-    assert_eq!(warm, hot, "warm-up and hot sweeps must agree");
-
-    // Tiled path: warm-up additionally grows the cursor's candidate pin.
     assert!(use_tiled(&net, &grid), "audit must exercise the tiled path");
     let tiling = GridTiling::new(net.index(), &grid);
     let mut cursor = net.tile_cursor();
     let tiles = tiling.tile_count();
-    let warm_tiled = evaluator.evaluate_tiles(&mut cursor, &tiling, &grid, 0..tiles);
+    let mut evaluator = GridEvaluator::new(theta, Angle::ZERO);
+    // Warm-up grows the direction scratch buffer and the cursor's pin.
+    let warm = evaluator.evaluate_tiles(&mut cursor, &tiling, &grid, 0..tiles);
     let before = allocations();
-    let hot_tiled = evaluator.evaluate_tiles(&mut cursor, &tiling, &grid, 0..tiles);
-    let tiled_allocated = allocations() - before;
-    assert_eq!(warm_tiled, hot_tiled, "warmed tiled sweeps must agree");
-    assert_eq!(warm, warm_tiled, "tiled and flat sweeps must agree");
+    let hot = evaluator.evaluate_tiles(&mut cursor, &tiling, &grid, 0..tiles);
+    let allocated = allocations() - before;
+    assert_eq!(warm, hot, "warmed tiled sweeps must agree");
 
     println!(
-        "allocation audit: flat {} / tiled {} heap allocations across {} points (warmed)",
-        flat_allocated,
-        tiled_allocated,
+        "allocation audit: {allocated} heap allocations across {} points (warmed)",
         grid.len()
     );
     assert_eq!(
-        flat_allocated, 0,
-        "flat hot path regressed: {flat_allocated} allocations in a warmed sweep"
-    );
-    assert_eq!(
-        tiled_allocated, 0,
-        "tiled hot path regressed: {tiled_allocated} allocations in a warmed sweep"
+        allocated, 0,
+        "tiled hot path regressed: {allocated} allocations in a warmed sweep"
     );
 }
 
@@ -137,24 +120,8 @@ fn bench_sweep(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("grid_sweep");
     group.sample_size(10);
-    // Engine-selected (tiled) vs pinned legacy flat path.
     group.bench_function("serial", |b| {
         b.iter(|| black_box(evaluate_grid(&net, theta, &grid, Angle::ZERO)));
-    });
-    assert_eq!(
-        evaluate_grid_parallel_flat(&net, theta, &grid, Angle::ZERO, 1),
-        serial_report
-    );
-    group.bench_function("serial_flat", |b| {
-        b.iter(|| {
-            black_box(evaluate_grid_parallel_flat(
-                &net,
-                theta,
-                &grid,
-                Angle::ZERO,
-                1,
-            ))
-        });
     });
     // Two-stage mask screen vs pinned exact analyzer, both cold (fresh
     // evaluator per iteration) on the tiled path: the sector-mask
@@ -189,30 +156,13 @@ fn bench_sweep(c: &mut Criterion) {
         });
     }
     for &threads in &[1usize, 2, 4] {
-        // Bit-identity across backends is part of the contract benchmarked.
+        // Bit-identity across thread counts is part of the contract benchmarked.
         let par: GridCoverageReport =
             evaluate_grid_parallel(&net, theta, &grid, Angle::ZERO, threads);
-        assert_eq!(par, serial_report, "tiled threads={threads}");
-        let par_flat = evaluate_grid_parallel_flat(&net, theta, &grid, Angle::ZERO, threads);
-        assert_eq!(par_flat, serial_report, "flat threads={threads}");
+        assert_eq!(par, serial_report, "threads={threads}");
         group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
             b.iter(|| black_box(evaluate_grid_parallel(&net, theta, &grid, Angle::ZERO, t)));
         });
-        group.bench_with_input(
-            BenchmarkId::new("parallel_flat", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    black_box(evaluate_grid_parallel_flat(
-                        &net,
-                        theta,
-                        &grid,
-                        Angle::ZERO,
-                        t,
-                    ))
-                });
-            },
-        );
     }
     group.finish();
 }
@@ -352,92 +302,25 @@ fn bench_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-/// Extracts `(id, median_ns)` pairs from the committed baseline without a
-/// JSON dependency: the vendored harness writes one object per line with
-/// fixed key order.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(id_start) = line.find("\"id\": \"") else {
-            continue;
-        };
-        let rest = &line[id_start + 7..];
-        let Some(id_end) = rest.find('"') else {
-            continue;
-        };
-        let id = rest[..id_end].to_string();
-        let Some(med_start) = line.find("\"median_ns\": ") else {
-            continue;
-        };
-        let med_rest = &line[med_start + 13..];
-        let med_end = med_rest.find(',').unwrap_or(med_rest.len());
-        if let Ok(median) = med_rest[..med_end].trim().parse::<f64>() {
-            out.push((id, median));
-        }
-    }
-    out
-}
-
 fn lookup(results: &[(String, f64)], id: &str) -> Option<f64> {
     results.iter().find(|(i, _)| i == id).map(|(_, m)| *m)
 }
 
-/// Fails the bench on a >25% regression of the tiled path relative to the
-/// flat path, compared against the committed baseline's ratio. Comparing
-/// ratios instead of absolute medians keeps the gate meaningful across
-/// hosts of different speeds.
+/// Fails the bench when a tier stops paying for itself: each gate
+/// compares two medians of the current run, so it is host-independent
+/// and needs no committed baseline.
 fn regression_gate(criterion: &Criterion) {
     if std::env::var("FULLVIEW_BENCH_GATE").as_deref() == Ok("off") {
         println!("bench gate: FULLVIEW_BENCH_GATE=off, skipping");
         return;
     }
-    let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
-        println!("bench gate: no baseline at {baseline_path}, skipping");
-        return;
-    };
-    let baseline = parse_baseline(&text);
     let current: Vec<(String, f64)> = criterion
         .results()
         .iter()
         .map(|r| (r.id.clone(), r.median_ns))
         .collect();
 
-    const TOLERANCE: f64 = 1.25;
-    let mut gated = 0usize;
-    for (tiled_id, flat_id) in [
-        ("grid_sweep/serial", "grid_sweep/serial_flat"),
-        ("grid_sweep/parallel/2", "grid_sweep/parallel_flat/2"),
-    ] {
-        let (Some(bt), Some(bf)) = (lookup(&baseline, tiled_id), lookup(&baseline, flat_id)) else {
-            println!(
-                "bench gate: baseline lacks {tiled_id}/{flat_id} (old format?), skipping pair"
-            );
-            continue;
-        };
-        let (Some(ct), Some(cf)) = (lookup(&current, tiled_id), lookup(&current, flat_id)) else {
-            println!("bench gate: current run lacks {tiled_id}/{flat_id}, skipping pair");
-            continue;
-        };
-        let baseline_ratio = bt / bf;
-        let current_ratio = ct / cf;
-        println!(
-            "bench gate: {tiled_id} vs {flat_id}: ratio {current_ratio:.3} \
-             (baseline {baseline_ratio:.3}, limit {:.3})",
-            baseline_ratio * TOLERANCE
-        );
-        assert!(
-            current_ratio <= baseline_ratio * TOLERANCE,
-            "tiled path regressed >25% vs flat relative to BENCH_sweep.json: \
-             {tiled_id} ratio {current_ratio:.3} > {:.3}",
-            baseline_ratio * TOLERANCE
-        );
-        gated += 1;
-    }
-    println!("bench gate: {gated} tiled/flat pairs within tolerance");
-
-    // Incremental gate: compares the *current* run's cold and resweep
-    // medians, so it is host-independent and needs no baseline entry.
+    // Incremental gate: the cold sweep vs the dirty-tile resweep.
     match (
         lookup(&current, "incremental/cold"),
         lookup(&current, "incremental/resweep"),
@@ -457,8 +340,7 @@ fn regression_gate(criterion: &Criterion) {
         _ => println!("bench gate: incremental ids missing from current run, skipping"),
     }
 
-    // Mask-kernel gate: like the incremental gate, compares the current
-    // run's own medians (exact vs mask-screened cold sweeps).
+    // Mask-kernel gate: exact vs mask-screened cold sweeps.
     match (
         lookup(&current, "grid_sweep/mask_cold"),
         lookup(&current, "grid_sweep/exact_cold"),
@@ -478,8 +360,8 @@ fn regression_gate(criterion: &Criterion) {
         _ => println!("bench gate: mask/exact ids missing from current run, skipping"),
     }
 
-    // Hierarchical-prover gate: current-run medians again (mask kernel
-    // vs quadtree prover on the large dense-omni grid).
+    // Hierarchical-prover gate: mask kernel vs quadtree prover on the
+    // large dense-omni grid.
     match (
         lookup(&current, "grid_sweep/hier_cold"),
         lookup(&current, "grid_sweep/mask_cold_large"),
@@ -512,33 +394,6 @@ fn time_median_ns<F: FnMut() -> GridCoverageReport>(runs: usize, mut f: F) -> f6
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
-}
-
-/// Prints the tiled-vs-flat sweep table across grid sides (points per tile
-/// varies with grid density at fixed camera count). Enabled with
-/// `FULLVIEW_BENCH_SWEEP_TABLE=1`; output feeds the EXPERIMENTS.md
-/// appendix.
-fn sweep_table(net: &CameraNetwork, theta: EffectiveAngle) {
-    println!("\n| grid side | points | tiles | pts/tile | flat ms | tiled ms | tiled/flat |");
-    println!("|-----------|--------|-------|----------|---------|----------|------------|");
-    for side in [48usize, 96, 144, 192] {
-        let grid = UnitGrid::new(Torus::unit(), side);
-        let tiling = GridTiling::new(net.index(), &grid);
-        let tiles = tiling.tile_count();
-        let flat = time_median_ns(5, || {
-            evaluate_grid_parallel_flat(net, theta, &grid, Angle::ZERO, 1)
-        });
-        let tiled = time_median_ns(5, || evaluate_grid(net, theta, &grid, Angle::ZERO));
-        println!(
-            "| {side} | {} | {tiles} | {:.1} | {:.1} | {:.1} | {:.3} |",
-            grid.len(),
-            grid.len() as f64 / tiles as f64,
-            flat / 1e6,
-            tiled / 1e6,
-            tiled / flat
-        );
-    }
-    println!();
 }
 
 /// Prints the stage-1 screen rate and cold-sweep timings per effective
@@ -584,11 +439,6 @@ fn screen_rate_table(net: &CameraNetwork) {
 
 fn main() {
     allocation_audit();
-    if std::env::var("FULLVIEW_BENCH_SWEEP_TABLE").as_deref() == Ok("1") {
-        let theta = EffectiveAngle::new(PI / 4.0).expect("valid θ");
-        let net = bench_network(1000, 0.05, 7);
-        sweep_table(&net, theta);
-    }
     if std::env::var("FULLVIEW_BENCH_SCREEN_TABLE").as_deref() == Ok("1") {
         let net = bench_network(1000, 0.05, 7);
         screen_rate_table(&net);

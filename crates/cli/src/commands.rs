@@ -11,24 +11,24 @@ use fullview_bench::loadgen::{
 };
 use fullview_cluster::{ClusterConfig, Coordinator};
 use fullview_core::{
-    analyze_point, barrier_full_view, classify_csa, critical_esr, csa_necessary, csa_one_coverage,
-    csa_sufficient, dense_grid, find_holes, is_full_view_covered, max_cameras_below_necessary,
-    min_cameras_for_guarantee, prob_point_full_view_poisson, prob_point_full_view_uniform,
-    prob_point_meets_necessary_poisson, prob_point_meets_sufficient_poisson,
-    required_area_for_expected_fraction, sweep_grid, unsafe_directions, EffectiveAngle,
-    SectorPartition,
+    analyze_point, barrier_full_view, classify_csa, coverage_map_from_glyphs, critical_esr,
+    csa_necessary, csa_one_coverage, csa_sufficient, dense_grid, hole_report_text, holes_from_mask,
+    is_full_view_covered, max_cameras_below_necessary, min_cameras_for_guarantee,
+    prob_point_full_view_poisson, prob_point_full_view_uniform, prob_point_meets_necessary_poisson,
+    prob_point_meets_sufficient_poisson, required_area_for_expected_fraction, unsafe_directions,
+    EffectiveAngle,
 };
 use fullview_core::{evaluate_path, Path};
 use fullview_deploy::{deploy_poisson, deploy_uniform};
-use fullview_geom::{Angle, Point, Torus, UnitGrid};
-use fullview_hier::{coverage_glyphs_range_hier, evaluate_grid_hier, find_holes_hier};
+use fullview_geom::{Angle, Point, Torus};
+use fullview_hier::{ProverStats, Tier};
 use fullview_model::{
     empirical_profile, network_from_text, network_to_text, profile_from_text, CameraNetwork,
     NetworkProfile, SensorSpec,
 };
 use fullview_plan::{greedy_place, optimize_orientations, GreedyPlacer, OrientationPlanner};
 use fullview_service::{Client, Response, Server, ServiceConfig};
-use fullview_sim::evaluate_dense_grid_parallel;
+use fullview_sim::{evaluate_dense_grid_parallel, evaluate_grid_parallel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::error::Error;
@@ -349,6 +349,21 @@ fn theta_of(cli: &Cli) -> Result<EffectiveAngle, Box<dyn Error>> {
     Ok(EffectiveAngle::new(deg.to_radians())?)
 }
 
+/// The evaluation tier of the dense-grid commands, read once from
+/// `--hier`.
+fn tier_of(cli: &Cli) -> Tier {
+    Tier::from_hier(cli.flag("hier"))
+}
+
+/// Passes a tiered answer through, reporting the prover's work on stderr
+/// (a screened sweep has none to report).
+fn note_prover<T>((answer, stats): (T, ProverStats)) -> T {
+    if stats != ProverStats::default() {
+        eprintln!("hier: {stats}");
+    }
+    answer
+}
+
 /// Worker threads for dense-grid sweeps: `--threads N` (`0` = one per
 /// available CPU, the default). Bit-identical results for every value.
 fn threads_of(cli: &Cli) -> Result<usize, Box<dyn Error>> {
@@ -488,15 +503,11 @@ fn cmd_check(cli: &Cli) -> Result<(), Box<dyn Error>> {
         net.len(),
         classify_csa(s_c, net.len().max(3), theta)
     );
-    // `--hier` sweeps the same dense grid through the hierarchical
-    // prover: identical report bytes on stdout, prover stats on stderr.
-    let report = if cli.flag("hier") {
-        let grid = dense_grid(*net.torus(), net.len());
-        let (report, stats) = evaluate_grid_hier(&net, theta, &grid, Angle::ZERO);
-        eprintln!("hier: {stats}");
-        report
-    } else {
-        evaluate_dense_grid_parallel(&net, theta, Angle::ZERO, threads_of(cli)?)
+    let grid = dense_grid(*net.torus(), net.len());
+    // The prover sweeps serially; --threads parallelises the screened walk.
+    let report = match tier_of(cli) {
+        Tier::Screened => evaluate_grid_parallel(&net, theta, &grid, Angle::ZERO, threads_of(cli)?),
+        tier => note_prover(tier.report(&net, &grid, theta, Angle::ZERO)),
     };
     println!("{report}");
     println!(
@@ -535,40 +546,8 @@ fn cmd_map(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
     let (_, net) = network_of(cli)?;
     let side: usize = cli.get("side", 48)?;
-    let grid = UnitGrid::new(Torus::unit(), side);
-    let necessary = SectorPartition::necessary(theta, Angle::ZERO);
-    let sufficient = SectorPartition::sufficient(theta, Angle::ZERO);
-    println!("legend: '#' sufficient, 'F' full-view, 'n' necessary, '.' covered, ' ' bare\n");
-    // Tile-coherent sweep through the shared engine; points arrive in tile
-    // order, so render into an index-keyed buffer before printing rows.
-    // `--hier` routes the sweep through the hierarchical prover instead
-    // (identical glyph bytes; prover stats go to stderr), which is what
-    // makes sides in the tens of thousands practical.
-    let cells: Vec<char> = if cli.flag("hier") {
-        let (glyphs, stats) = coverage_glyphs_range_hier(&net, theta, side, 0, side * side);
-        eprintln!("hier: {stats}");
-        glyphs.chars().collect()
-    } else {
-        let mut cells = vec![' '; grid.len()];
-        sweep_grid(&net, &grid, |idx, _, view| {
-            cells[idx] = if sufficient.is_satisfied_view(view) {
-                '#'
-            } else if view.is_full_view(theta) {
-                'F'
-            } else if necessary.is_satisfied_view(view) {
-                'n'
-            } else if view.covering_cameras > 0 {
-                '.'
-            } else {
-                ' '
-            };
-        });
-        cells
-    };
-    for j in (0..side).rev() {
-        let row: String = cells[j * side..(j + 1) * side].iter().collect();
-        println!("|{row}|");
-    }
+    let glyphs = note_prover(tier_of(cli).glyphs(&net, theta, side, 0, side * side));
+    print!("{}", coverage_map_from_glyphs(side, &glyphs));
     Ok(())
 }
 
@@ -576,28 +555,11 @@ fn cmd_holes(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
     let (_, net) = network_of(cli)?;
     let grid: usize = cli.get("grid", 24)?;
-    // `--hier`: same mask (hence the same report bytes) through the
-    // hierarchical prover; prover stats go to stderr.
-    let report = if cli.flag("hier") {
-        let (report, stats) = find_holes_hier(&net, theta, grid);
-        eprintln!("hier: {stats}");
-        report
-    } else {
-        find_holes(&net, theta, grid)
-    };
-    println!("{report}");
-    for (i, hole) in report.holes.iter().take(10).enumerate() {
-        println!(
-            "  hole {}: {} cells (~{:.4} area) around {}",
-            i + 1,
-            hole.cells,
-            hole.area,
-            hole.centroid
-        );
-    }
-    if report.hole_count() > 10 {
-        println!("  … and {} more", report.hole_count() - 10);
-    }
+    let mask = note_prover(tier_of(cli).mask(&net, theta, grid, 0, grid * grid));
+    print!(
+        "{}",
+        hole_report_text(&holes_from_mask(*net.torus(), grid, &mask))
+    );
     Ok(())
 }
 

@@ -54,7 +54,7 @@ use crate::shard::{is_overload, ShardError, ShardState, DEFAULT_BREAKER_THRESHOL
 use fullview_core::{coverage_map_from_glyphs, hole_report_text, holes_from_mask, kfull_text};
 use fullview_geom::Torus;
 use fullview_service::protocol::{self, Request};
-use fullview_service::Metrics;
+use fullview_service::{verbs, Metrics};
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -296,7 +296,8 @@ impl Coordinator {
             loads,
             authority: Mutex::new(None),
             rr: AtomicUsize::new(0),
-            metrics: Metrics::new(),
+            // The daemon's verbs plus the coordinator's own `shards`.
+            metrics: Metrics::with_endpoints(verbs::names().chain(["shards"]).collect()),
             shutdown: AtomicBool::new(false),
             addr,
         });

@@ -572,3 +572,57 @@ fn coordinator_max_cells_budget_rejects_before_scattering() {
     let again = client.request_ok("map side=12").expect("map after rejects");
     assert_eq!(again, within, "served bytes changed after budget rejects");
 }
+
+#[test]
+fn coordinator_stats_count_every_served_verb_once_and_total_their_samples() {
+    let (_shards, addrs) = spawn_shards(2);
+    let coordinator = Coordinator::start(fast_config(addrs, None)).expect("coordinator");
+    let mut client = connect(coordinator.local_addr());
+
+    // `watch` retires its connection, so it goes first on its own.
+    let mut watcher = connect(coordinator.local_addr());
+    watcher.request_ok("watch grid=8").expect("watch");
+    let requests = [
+        "check",
+        "map side=8",
+        "holes grid=8",
+        "kfull k=1 grid=8",
+        "prob density=100",
+        "barrier grid=8",
+        "stats",
+        "shards",
+        "fingerprint",
+        "fail id=0",
+        "move id=1 x=0.5 y=0.5",
+        "reseed seed=3",
+        "hello client=probe",
+        "ping",
+    ];
+    for request in requests {
+        client.request_ok(request).expect(request);
+    }
+
+    let stats = client.request_ok("stats").expect("stats");
+    let field = |line: &str, key: &str| -> String {
+        let line = stats
+            .lines()
+            .find(|l| l.starts_with(line))
+            .unwrap_or_else(|| panic!("no '{line}' line in:\n{stats}"));
+        line.split_whitespace()
+            .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
+            .unwrap_or_else(|| panic!("no '{key}=' in '{line}'"))
+            .to_string()
+    };
+    for verb in requests
+        .iter()
+        .map(|r| r.split_whitespace().next().unwrap())
+        .chain(["watch"])
+    {
+        assert_eq!(field("requests:", verb), "1", "'{verb}' in:\n{stats}");
+    }
+    assert_eq!(
+        field("requests:", "total"),
+        field("latency_ms:", "samples"),
+        "every timed request is counted:\n{stats}"
+    );
+}

@@ -9,7 +9,7 @@
 //! per grid point.
 
 use crate::conditions::SectorPartition;
-use crate::engine::{use_tiled, GridTiling};
+use crate::engine::{walk, GridTiling, SweepUnit};
 use crate::fullview::PointAnalyzer;
 use crate::mask::{PointVerdict, ScreenMode, ScreenStats, SectorMaskKernel};
 use crate::theta::EffectiveAngle;
@@ -236,8 +236,8 @@ impl fmt::Display for GridCoverageReport {
 /// Holds the sector partitions (built once from `θ` and the start line)
 /// and a [`PointAnalyzer`] scratch buffer. A serial sweep uses one
 /// evaluator for the whole grid; a parallel sweep gives each worker its
-/// own evaluator, has each evaluate disjoint index ranges via
-/// [`evaluate_range`](Self::evaluate_range), and merges the partial
+/// own evaluator, has each evaluate disjoint tiles via
+/// [`evaluate_tiles`](Self::evaluate_tiles), and merges the partial
 /// reports with [`GridCoverageReport::merge`] — the result is
 /// bit-identical to the serial sweep for any chunking.
 #[derive(Debug, Clone)]
@@ -263,8 +263,8 @@ impl GridEvaluator {
     /// choice). Tiled evaluation screens each tile through the
     /// [`SectorMaskKernel`] first and only runs the exact sort+gap
     /// analyzer on the points the screen cannot decide; the per-point
-    /// paths ([`evaluate_range`](Self::evaluate_range),
-    /// [`point_flags_with`](Self::point_flags_with)) are always exact.
+    /// unit of the walk and
+    /// [`point_flags_with`](Self::point_flags_with) are always exact.
     #[must_use]
     pub fn new(theta: EffectiveAngle, start_line: Angle) -> Self {
         let mut ev = Self::new_exact(theta, start_line);
@@ -321,110 +321,76 @@ impl GridEvaluator {
         }
     }
 
-    /// Analyses one point through `provider` and folds every predicate
-    /// into `report` — the single tally shared by the per-point and tiled
-    /// evaluation paths, which is what makes their reports bit-identical.
-    /// Returns whether the point is full-view covered, so mask-building
-    /// callers share the exact same analysis.
-    fn tally<P: CoverageProvider>(
-        &mut self,
-        provider: &P,
-        point: Point,
-        report: &mut GridCoverageReport,
-    ) -> bool {
-        let flags = self.point_flags_with(provider, point);
-        report.record(&flags);
-        flags.full_view
-    }
-
-    /// Produces every point's [`PointFlags`] for tile `t`, in
-    /// [`GridTiling::for_each_point_in_tile`] order: screens the whole
-    /// tile through the mask kernel when one is configured, then decides
-    /// each point from its verdict or falls back to the exact analyzer.
-    /// Empty tiles call `f` zero times without pinning the cursor.
+    /// Produces the [`PointFlags`] of tile `t`'s points inside `lo..hi`,
+    /// in [`GridTiling::for_each_point_in_tile`] order: pins `cursor`,
+    /// screens the whole tile through the mask kernel when one is
+    /// configured, then decides each in-range point from its verdict or
+    /// falls back to the exact analyzer. Out-of-range points never reach
+    /// the exact analyzer or `f`. Empty tiles and tiles wholly outside the
+    /// range call `f` zero times without pinning the cursor.
     ///
     /// Every tiled evaluation funnels through here, so the kernel
     /// integration (and its bit-identity obligations) live in exactly
     /// one place. Public so out-of-crate hierarchical sweeps can route
     /// their `Boundary` tiles through the very same funnel.
+    #[allow(clippy::too_many_arguments)]
     pub fn for_each_point_flags_in_tile(
         &mut self,
         cursor: &mut TileCursor<'_>,
         tiling: &GridTiling,
         grid: &UnitGrid,
         t: usize,
+        lo: usize,
+        hi: usize,
         f: &mut dyn FnMut(usize, PointFlags),
     ) {
-        if tiling.tile_point_count(t) == 0 {
-            return;
-        }
-        let (cx, cy) = tiling.tile_cell(t);
-        cursor.pin(cx, cy);
-        // Take the kernel out of `self` so the exact fallback can borrow
-        // `self` mutably while the kernel's verdicts are being read.
-        if let Some(mut kernel) = self.kernel.take() {
-            kernel.screen_tile(cursor, tiling, grid, t, ScreenMode::Report);
-            let mut local = 0usize;
-            tiling.for_each_point_in_tile(t, |idx| {
-                let flags = match kernel.verdict(local) {
-                    PointVerdict::Decided {
-                        count,
-                        suf_full,
-                        nec_full,
-                    } => {
-                        self.stats.screened += 1;
-                        PointFlags {
-                            covered: count >= 1,
-                            k_covered: count as usize >= self.k,
-                            necessary: nec_full,
-                            full_view: suf_full,
-                            sufficient: suf_full,
-                        }
-                    }
-                    PointVerdict::Undecided => {
-                        self.stats.exact += 1;
-                        self.point_flags_with(&*cursor, grid.point(idx))
-                    }
-                };
-                local += 1;
-                f(idx, flags);
-            });
-            self.kernel = Some(kernel);
-        } else {
-            tiling.for_each_point_in_tile(t, |idx| {
-                let flags = self.point_flags_with(&*cursor, grid.point(idx));
-                f(idx, flags);
-            });
+        if let Some(unit) = SweepUnit::tile(cursor, tiling, grid, t, lo, hi) {
+            self.unit_flags(&unit, f);
         }
     }
 
-    /// Evaluates every predicate at the grid points with indices in
-    /// `range`, returning the partial tallies. This is the legacy
-    /// per-point path (one spatial-index walk per point); the tile engine
-    /// ([`evaluate_tiles`](Self::evaluate_tiles)) produces bit-identical
-    /// reports and is faster when grid points share index cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range.end > grid.len()`.
-    #[must_use]
-    pub fn evaluate_range(
+    /// The flags of one walk unit's in-range points: screened verdicts
+    /// where the unit is a tile and a kernel is configured, the exact
+    /// analyzer through the unit's backend everywhere else.
+    pub(crate) fn unit_flags(
         &mut self,
-        net: &CameraNetwork,
-        grid: &UnitGrid,
-        range: Range<usize>,
-    ) -> GridCoverageReport {
-        assert!(
-            range.end <= grid.len(),
-            "range end {} exceeds grid size {}",
-            range.end,
-            grid.len()
-        );
-        let mut report = GridCoverageReport::default();
-        for idx in range {
-            self.tally(net, grid.point(idx), &mut report);
-        }
-        report
+        unit: &SweepUnit<'_>,
+        f: &mut dyn FnMut(usize, PointFlags),
+    ) {
+        // Take the kernel out of `self` so the exact fallback can borrow
+        // `self` mutably while the kernel's verdicts are being read.
+        let mut kernel = self.kernel.take();
+        let screened = kernel
+            .as_mut()
+            .is_some_and(|k| unit.screen(k, ScreenMode::Report));
+        unit.for_each_point(|local, idx| {
+            let verdict = match &kernel {
+                Some(k) if screened => k.verdict(local),
+                _ => PointVerdict::Undecided,
+            };
+            let flags = match verdict {
+                PointVerdict::Decided {
+                    count,
+                    suf_full,
+                    nec_full,
+                } => {
+                    self.stats.screened += 1;
+                    PointFlags {
+                        covered: count >= 1,
+                        k_covered: count as usize >= self.k,
+                        necessary: nec_full,
+                        full_view: suf_full,
+                        sufficient: suf_full,
+                    }
+                }
+                PointVerdict::Undecided => {
+                    self.stats.exact += u64::from(screened);
+                    self.point_flags_with(unit, unit.point(idx))
+                }
+            };
+            f(idx, flags);
+        });
+        self.kernel = kernel;
     }
 
     /// Evaluates every predicate over the grid points of the tiles with
@@ -432,8 +398,7 @@ impl GridEvaluator {
     /// `cursor` — the batch path of the tile engine.
     ///
     /// Reports over disjoint tile ranges merge to exactly the full-grid
-    /// report (tiles partition the grid), and the result is bit-identical
-    /// to [`evaluate_range`](Self::evaluate_range) over the same points.
+    /// report (tiles partition the grid).
     ///
     /// # Panics
     ///
@@ -460,68 +425,29 @@ impl GridEvaluator {
         );
         let mut report = GridCoverageReport::default();
         for t in tiles {
-            self.for_each_point_flags_in_tile(cursor, tiling, grid, t, &mut |_idx, flags| {
-                report.record(&flags);
-            });
+            self.for_each_point_flags_in_tile(
+                cursor,
+                tiling,
+                grid,
+                t,
+                0,
+                grid.len(),
+                &mut |_idx, flags| report.record(&flags),
+            );
         }
         report
     }
 
-    /// Evaluates every predicate over the grid points of the single tile
-    /// `t`, additionally recording each point's full-view verdict in
-    /// `mask` (indexed by row-major grid index). This is the re-evaluation
-    /// unit of the incremental dirty-tile engine
-    /// ([`IncrementalSweep`](crate::IncrementalSweep)): it runs the exact
-    /// same per-point tally as [`evaluate_tiles`](Self::evaluate_tiles),
-    /// so per-tile reports merge to a total bit-identical to a cold
-    /// whole-grid sweep.
-    ///
-    /// Empty tiles return the empty report without pinning the cursor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= tiling.tile_count()`, the tiling does not match
-    /// `grid`, or `mask` is shorter than the grid.
-    #[must_use]
-    pub fn evaluate_tile_masked(
-        &mut self,
-        cursor: &mut TileCursor<'_>,
-        tiling: &GridTiling,
-        grid: &UnitGrid,
-        t: usize,
-        mask: &mut [bool],
-    ) -> GridCoverageReport {
-        assert_eq!(
-            tiling.grid_len(),
-            grid.len(),
-            "tiling does not match the grid"
-        );
-        assert!(
-            mask.len() >= grid.len(),
-            "mask of {} entries is shorter than the {}-point grid",
-            mask.len(),
-            grid.len()
-        );
-        let mut report = GridCoverageReport::default();
-        self.for_each_point_flags_in_tile(cursor, tiling, grid, t, &mut |idx, flags| {
-            mask[idx] = flags.full_view;
-            report.record(&flags);
-        });
-        report
-    }
-
-    /// Evaluates the whole grid, automatically choosing the tiled path
-    /// when it is profitable ([`use_tiled`]) and the per-point path
+    /// Evaluates the whole grid through the dense-grid walk: tiles when
+    /// they pay off ([`use_tiled`](crate::use_tiled)), the per-point unit
     /// otherwise. Both produce bit-identical reports.
     #[must_use]
     pub fn evaluate_grid(&mut self, net: &CameraNetwork, grid: &UnitGrid) -> GridCoverageReport {
-        if use_tiled(net, grid) {
-            let tiling = GridTiling::new(net.index(), grid);
-            let mut cursor = net.tile_cursor();
-            self.evaluate_tiles(&mut cursor, &tiling, grid, 0..tiling.tile_count())
-        } else {
-            self.evaluate_range(net, grid, 0..grid.len())
-        }
+        let mut report = GridCoverageReport::default();
+        walk(net, grid, 0, grid.len(), |unit| {
+            self.unit_flags(unit, &mut |_idx, flags| report.record(&flags));
+        });
+        report
     }
 }
 
@@ -694,38 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_evaluation_merges_to_serial_report() {
-        let torus = Torus::unit();
-        let spec = SensorSpec::new(0.2, PI).unwrap();
-        let mut cams = Vec::new();
-        for i in 0..80 {
-            let x = (i as f64 * 0.618_033_98) % 1.0;
-            let y = (i as f64 * 0.414_213_56) % 1.0;
-            cams.push(Camera::new(
-                Point::new(x, y),
-                Angle::new((i as f64 * 2.399_963) % (2.0 * PI)),
-                spec,
-                GroupId(0),
-            ));
-        }
-        let net = CameraNetwork::new(torus, cams);
-        let grid = UnitGrid::new(torus, 13); // 169 points, awkward chunk sizes
-        let th = theta(PI / 3.0);
-        let serial = evaluate_grid(&net, th, &grid, Angle::ZERO);
-        for chunk in [1usize, 7, 64, 169, 500] {
-            let mut merged = GridCoverageReport::default();
-            let mut ev = GridEvaluator::new(th, Angle::ZERO);
-            let mut lo = 0;
-            while lo < grid.len() {
-                let hi = (lo + chunk).min(grid.len());
-                merged += ev.evaluate_range(&net, &grid, lo..hi);
-                lo = hi;
-            }
-            assert_eq!(merged, serial, "chunk size {chunk}");
-        }
-    }
-
-    #[test]
     fn tiled_evaluation_is_bit_identical_to_per_point() {
         let torus = Torus::unit();
         let mut cams = Vec::new();
@@ -750,8 +644,12 @@ mod tests {
         let th = theta(PI / 3.0);
         for side in [1usize, 9, 24] {
             let grid = UnitGrid::new(torus, side);
-            let per_point =
-                GridEvaluator::new(th, Angle::ZERO).evaluate_range(&net, &grid, 0..grid.len());
+            // The reference: every point analysed through the whole network.
+            let mut exact = GridEvaluator::new_exact(th, Angle::ZERO);
+            let mut per_point = GridCoverageReport::default();
+            for idx in 0..grid.len() {
+                per_point.record(&exact.point_flags_with(&net, grid.point(idx)));
+            }
             let tiling = GridTiling::new(net.index(), &grid);
             let mut cursor = net.tile_cursor();
             let mut ev = GridEvaluator::new(th, Angle::ZERO);
@@ -775,6 +673,48 @@ mod tests {
     }
 
     #[test]
+    fn split_tile_range_sends_no_outside_point_to_the_exact_analyzer() {
+        // Sparse directional cameras: most covered points fall through
+        // the screen to the exact analyzer.
+        let cams = (0..60)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033_98) % 1.0;
+                let y = (i as f64 * 0.414_213_56) % 1.0;
+                let spec = SensorSpec::new(0.2, PI / 2.0).unwrap();
+                Camera::new(Point::new(x, y), Angle::new(i as f64), spec, GroupId(0))
+            })
+            .collect();
+        let net = CameraNetwork::new(Torus::unit(), cams);
+        let grid = UnitGrid::new(Torus::unit(), 40);
+        let tiling = GridTiling::new(net.index(), &grid);
+        let t = (0..tiling.tile_count())
+            .max_by_key(|&t| tiling.tile_point_count(t))
+            .unwrap();
+        let (min_idx, max_idx) = tiling.tile_index_span(t).unwrap();
+        // Start inside the tile's second row: the range splits the tile.
+        let (lo, hi) = (min_idx + grid.side_count() + 1, max_idx + 1);
+        let mut in_range = 0;
+        tiling.for_each_point_in_tile(t, |idx| in_range += usize::from(idx >= lo && idx < hi));
+        assert!(in_range > 0 && in_range < tiling.tile_point_count(t));
+
+        let mut ev = GridEvaluator::new(theta(PI / 4.0), Angle::ZERO);
+        let mut cursor = net.tile_cursor();
+        let mut emitted = 0;
+        ev.for_each_point_flags_in_tile(&mut cursor, &tiling, &grid, t, lo, hi, &mut |idx, _| {
+            assert!(idx >= lo && idx < hi, "out-of-range index {idx} emitted");
+            emitted += 1;
+        });
+        let stats = ev.screen_stats();
+        assert_eq!(emitted, in_range);
+        assert!(stats.exact > 0, "the screen decided every point: {stats:?}");
+        assert_eq!(
+            (stats.screened + stats.exact) as usize,
+            in_range,
+            "only in-range points may be decided: {stats:?}"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds tile count")]
     fn evaluate_tiles_rejects_out_of_bounds() {
         let net = CameraNetwork::new(
@@ -795,14 +735,6 @@ mod tests {
             &grid,
             0..tiling.tile_count() + 1,
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds grid size")]
-    fn evaluate_range_rejects_out_of_bounds() {
-        let net = CameraNetwork::new(Torus::unit(), Vec::new());
-        let grid = UnitGrid::new(Torus::unit(), 3);
-        let _ = GridEvaluator::new(theta(PI / 2.0), Angle::ZERO).evaluate_range(&net, &grid, 0..10);
     }
 
     #[test]

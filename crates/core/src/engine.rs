@@ -11,7 +11,11 @@
 //! query with only the exact distance/sector filter over a contiguous
 //! candidate snapshot.
 //!
-//! Invariants the engine maintains (and the differential tests assert):
+//! Every sweep over a grid index range — views, flags, k-counts — runs
+//! through one walk (`walk`): it decides between tiles and the
+//! per-point unit, skips tiles outside the range, pins the cursor, and
+//! filters each unit's points to the range. Invariants it maintains (and
+//! the differential tests assert):
 //!
 //! * **Exact partition** — [`GridTiling`] assigns every grid index to
 //!   exactly one tile, so tile-order tallies merge to precisely the
@@ -22,12 +26,14 @@
 //!   candidate order is erased by the analyzer's direction sort, so
 //!   analyses are bit-identical.
 //! * **Adaptive traversal** — tiles only pay off when several grid points
-//!   share a cell. [`use_tiled`] falls back to the per-point path when the
+//!   share a cell. [`use_tiled`] sends the walk down the per-point unit —
+//!   the whole range, unscreened, backed by the whole network — when the
 //!   index has more cells than the grid has points (e.g. an empty network,
 //!   whose index floors at 256×256 cells).
 
 use crate::densegrid::{GridCoverageReport, GridEvaluator, PointFlags};
 use crate::fullview::{CoverageView, PointAnalyzer};
+use crate::mask::{ScreenMode, SectorMaskKernel};
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, SpatialGrid, Torus, UnitGrid};
 use fullview_model::{Camera, CameraNetwork, CoverageProvider, TileCursor};
@@ -217,120 +223,112 @@ pub fn use_tiled(net: &CameraNetwork, grid: &UnitGrid) -> bool {
     cells * cells <= grid.len()
 }
 
-/// A borrowed coverage-query backend handed to sweep callbacks: either the
-/// whole network (per-point spatial walk) or a tile cursor pinned to the
-/// cell containing the current point. Implements [`CoverageProvider`], so
-/// callbacks stay backend-agnostic.
-#[derive(Debug, Clone, Copy)]
-pub struct CoverageQuery<'a> {
-    inner: QueryInner<'a>,
+/// One unit of the dense-grid walk: a tile whose cursor is pinned to its
+/// cell, or — when tiles do not pay off — the whole range as a single
+/// unscreened unit backed by the whole network. Either way a consumer
+/// writes one loop: screen the unit if it can, then visit its in-range
+/// points with the unit itself as the [`CoverageProvider`].
+pub(crate) struct SweepUnit<'a> {
+    net: &'a CameraNetwork,
+    /// The pinned cursor, the tiling and the tile id; `None` for the
+    /// whole-network unit.
+    tile: Option<(&'a TileCursor<'a>, &'a GridTiling, usize)>,
+    grid: &'a UnitGrid,
+    lo: usize,
+    hi: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum QueryInner<'a> {
-    Whole(&'a CameraNetwork),
-    Tile(&'a TileCursor<'a>),
-}
+impl<'a> SweepUnit<'a> {
+    /// Pins `cursor` to tile `t` and wraps it as the unit of the in-range
+    /// points `lo..hi`. `None` (cursor untouched) when the tile is empty or
+    /// wholly outside the range.
+    pub(crate) fn tile(
+        cursor: &'a mut TileCursor<'_>,
+        tiling: &'a GridTiling,
+        grid: &'a UnitGrid,
+        t: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Option<Self> {
+        let (min_idx, max_idx) = tiling.tile_index_span(t)?;
+        if max_idx < lo || min_idx >= hi {
+            return None;
+        }
+        let (cx, cy) = tiling.tile_cell(t);
+        cursor.pin(cx, cy);
+        Some(SweepUnit {
+            net: cursor.network(),
+            tile: Some((cursor, tiling, t)),
+            grid,
+            lo,
+            hi,
+        })
+    }
 
-impl<'a> CoverageQuery<'a> {
-    /// Wraps the whole-network backend.
-    #[must_use]
-    pub fn whole(net: &'a CameraNetwork) -> Self {
-        CoverageQuery {
-            inner: QueryInner::Whole(net),
+    /// Screens the unit's tile through `kernel`, whose verdicts are then
+    /// indexed by the `local` position [`for_each_point`](Self::for_each_point)
+    /// reports. Returns `false` — nothing screened — for the whole-network
+    /// unit.
+    pub(crate) fn screen(&self, kernel: &mut SectorMaskKernel, mode: ScreenMode) -> bool {
+        let Some((cursor, tiling, t)) = self.tile else {
+            return false;
+        };
+        kernel.screen_tile(cursor, tiling, self.grid, t, mode);
+        true
+    }
+
+    /// Calls `f(local, index)` for every point of the unit inside
+    /// `lo..hi`: tile order within a tile, row-major for the whole-network
+    /// unit. `local` is the point's position in the unit's full traversal
+    /// (out-of-range tile points included), the index of its screen
+    /// verdict.
+    pub(crate) fn for_each_point<F: FnMut(usize, usize)>(&self, mut f: F) {
+        let (lo, hi) = (self.lo, self.hi);
+        match self.tile {
+            Some((_, tiling, t)) => {
+                let mut local = 0usize;
+                tiling.for_each_point_in_tile(t, |idx| {
+                    if idx >= lo && idx < hi {
+                        f(local, idx);
+                    }
+                    local += 1;
+                });
+            }
+            None => (lo..hi).for_each(|idx| f(idx - lo, idx)),
         }
     }
 
-    /// Wraps a pinned tile cursor.
-    #[must_use]
-    pub fn tile(cursor: &'a TileCursor<'a>) -> Self {
-        CoverageQuery {
-            inner: QueryInner::Tile(cursor),
-        }
+    /// The coordinates of grid index `idx` — computed only for the points
+    /// a consumer analyses, since screened points never need them.
+    pub(crate) fn point(&self, idx: usize) -> Point {
+        self.grid.point(idx)
     }
 }
 
-impl CoverageProvider for CoverageQuery<'_> {
-    fn torus(&self) -> &fullview_geom::Torus {
-        match self.inner {
-            QueryInner::Whole(net) => net.torus(),
-            QueryInner::Tile(cursor) => cursor.network().torus(),
-        }
+impl CoverageProvider for SweepUnit<'_> {
+    fn torus(&self) -> &Torus {
+        self.net.torus()
     }
 
     fn for_each_covering<F: FnMut(&Camera)>(&self, target: Point, f: F) {
-        match self.inner {
-            QueryInner::Whole(net) => net.for_each_covering(target, f),
-            QueryInner::Tile(cursor) => cursor.for_each_covering(target, f),
+        match self.tile {
+            Some((cursor, ..)) => cursor.for_each_covering(target, f),
+            None => self.net.for_each_covering(target, f),
         }
     }
 }
 
-/// Visits every grid point with a ready-to-use coverage backend, choosing
-/// the tile path when [`use_tiled`] says it pays off.
-///
-/// The callback receives `(query, index, point)`; tile traversal visits
-/// points in tile order (still deterministic, but not row-major), so
-/// callbacks must key results by `index` rather than call order.
-pub fn for_each_grid_point<F>(net: &CameraNetwork, grid: &UnitGrid, mut f: F)
-where
-    F: FnMut(&CoverageQuery<'_>, usize, Point),
-{
-    if use_tiled(net, grid) {
-        let tiling = GridTiling::new(net.index(), grid);
-        let mut cursor = net.tile_cursor();
-        for t in 0..tiling.tile_count() {
-            if tiling.tile_point_count(t) == 0 {
-                continue;
-            }
-            let (cx, cy) = tiling.tile_cell(t);
-            cursor.pin(cx, cy);
-            let query = CoverageQuery::tile(&cursor);
-            tiling.for_each_point_in_tile(t, |idx| f(&query, idx, grid.point(idx)));
-        }
-    } else {
-        let query = CoverageQuery::whole(net);
-        for idx in 0..grid.len() {
-            f(&query, idx, grid.point(idx));
-        }
-    }
-}
-
-/// Sweeps the grid with a shared [`PointAnalyzer`], handing each point's
-/// [`CoverageView`] to the callback — the one-stop entry point for
-/// consumers that need the full per-point analysis (full-view predicates,
-/// gap statistics, multiplicities).
-///
-/// Allocation-free once the analyzer and cursor buffers are warm; visits
-/// points in tile order (key results by the `usize` grid index).
-pub fn sweep_grid<F>(net: &CameraNetwork, grid: &UnitGrid, mut f: F)
-where
-    F: FnMut(usize, Point, &CoverageView<'_>),
-{
-    let mut analyzer = PointAnalyzer::new();
-    for_each_grid_point(net, grid, |query, idx, point| {
-        let view = analyzer.analyze_point_with(query, point);
-        f(idx, point, &view);
-    });
-}
-
-/// [`sweep_grid`] restricted to the contiguous row-major index range
-/// `lo..hi` — the scatter unit of the sharded cluster layer, where each
-/// daemon evaluates only its assigned slice of the grid.
-///
-/// Per-point analyses are bit-identical to the full sweep (the same
-/// backend-equivalence invariant the differential tests pin down), so
-/// concatenating range results over a partition of `0..grid.len()`
-/// reproduces the full sweep exactly. Tiles wholly outside the range are
-/// skipped before their cell is pinned, so a `1/S` slice costs roughly
-/// `1/S` of the full sweep.
+/// The one dense-grid walk every sweep runs: chooses tiles or the
+/// per-point unit ([`use_tiled`]), skips tiles wholly outside `lo..hi`,
+/// pins the cursor, and hands each remaining [`SweepUnit`] to `visit`.
+/// Units arrive in tile order, so consumers key results by grid index.
 ///
 /// # Panics
 ///
 /// Panics if `lo > hi` or `hi > grid.len()`.
-pub fn sweep_grid_range<F>(net: &CameraNetwork, grid: &UnitGrid, lo: usize, hi: usize, mut f: F)
+pub(crate) fn walk<F>(net: &CameraNetwork, grid: &UnitGrid, lo: usize, hi: usize, mut visit: F)
 where
-    F: FnMut(usize, Point, &CoverageView<'_>),
+    F: FnMut(&SweepUnit<'_>),
 {
     assert!(
         lo <= hi && hi <= grid.len(),
@@ -340,52 +338,89 @@ where
     if lo == hi {
         return;
     }
-    let mut analyzer = PointAnalyzer::new();
-    if use_tiled(net, grid) {
-        let tiling = GridTiling::new(net.index(), grid);
-        let mut cursor = net.tile_cursor();
-        for t in 0..tiling.tile_count() {
-            let Some((min_idx, max_idx)) = tiling.tile_index_span(t) else {
-                continue;
-            };
-            if max_idx < lo || min_idx >= hi {
-                continue;
-            }
-            let (cx, cy) = tiling.tile_cell(t);
-            cursor.pin(cx, cy);
-            let query = CoverageQuery::tile(&cursor);
-            tiling.for_each_point_in_tile(t, |idx| {
-                if idx >= lo && idx < hi {
-                    let point = grid.point(idx);
-                    let view = analyzer.analyze_point_with(&query, point);
-                    f(idx, point, &view);
-                }
-            });
-        }
-    } else {
-        let query = CoverageQuery::whole(net);
-        for idx in lo..hi {
-            let point = grid.point(idx);
-            let view = analyzer.analyze_point_with(&query, point);
-            f(idx, point, &view);
+    if !use_tiled(net, grid) {
+        visit(&SweepUnit {
+            net,
+            tile: None,
+            grid,
+            lo,
+            hi,
+        });
+        return;
+    }
+    let tiling = GridTiling::new(net.index(), grid);
+    let mut cursor = net.tile_cursor();
+    for t in 0..tiling.tile_count() {
+        if let Some(unit) = SweepUnit::tile(&mut cursor, &tiling, grid, t, lo, hi) {
+            visit(&unit);
         }
     }
 }
 
-/// Sweeps the row-major index range `lo..hi`, handing each point's
-/// [`PointFlags`] to the callback — the flags-level counterpart of
-/// [`sweep_grid_range`] for consumers that only need the five predicate
-/// verdicts (hole masks, glyph maps) rather than the raw
-/// [`CoverageView`].
+/// Visits every grid point with a ready-to-use coverage backend. Points
+/// arrive in tile order, so callbacks key results by `index`.
+pub(crate) fn for_each_grid_point<F>(net: &CameraNetwork, grid: &UnitGrid, mut f: F)
+where
+    F: FnMut(&SweepUnit<'_>, usize, Point),
+{
+    walk(net, grid, 0, grid.len(), |unit| {
+        unit.for_each_point(|_, idx| f(unit, idx, unit.point(idx)));
+    });
+}
+
+/// Sweeps the grid with a shared [`PointAnalyzer`], handing each point's
+/// [`CoverageView`] to the callback — the one-stop entry point for
+/// consumers that need the full per-point analysis (full-view predicates,
+/// gap statistics, multiplicities).
 ///
-/// Because only verdicts are exposed, this entry point may run the
-/// two-stage engine: each tile is screened through the
-/// [`SectorMaskKernel`](crate::SectorMaskKernel) and only
-/// screen-undecided points pay for the exact analysis. Verdicts are
-/// bit-identical to evaluating [`sweep_grid_range`]'s views (that is the
-/// kernel's contract, pinned by the differential tests), so
+/// Allocation-free once the analyzer and cursor buffers are warm; visits
+/// points in tile order (key results by the `usize` grid index).
+pub fn sweep_grid<F>(net: &CameraNetwork, grid: &UnitGrid, f: F)
+where
+    F: FnMut(usize, Point, &CoverageView<'_>),
+{
+    sweep_grid_range(net, grid, 0, grid.len(), f);
+}
+
+/// [`sweep_grid`] restricted to the contiguous row-major index range
+/// `lo..hi`. Per-point analyses are bit-identical to the full sweep, so
 /// concatenating range results over a partition of `0..grid.len()`
-/// reproduces a full exact sweep.
+/// reproduces the full sweep exactly.
+///
+/// # Panics
+///
+/// Panics if `lo > hi` or `hi > grid.len()`.
+pub(crate) fn sweep_grid_range<F>(
+    net: &CameraNetwork,
+    grid: &UnitGrid,
+    lo: usize,
+    hi: usize,
+    mut f: F,
+) where
+    F: FnMut(usize, Point, &CoverageView<'_>),
+{
+    let mut analyzer = PointAnalyzer::new();
+    walk(net, grid, lo, hi, |unit| {
+        unit.for_each_point(|_, idx| {
+            let point = unit.point(idx);
+            let view = analyzer.analyze_point_with(unit, point);
+            f(idx, point, &view);
+        });
+    });
+}
+
+/// Sweeps the row-major index range `lo..hi`, handing each point's
+/// [`PointFlags`] to the callback — the flags-level sweep behind hole
+/// masks, glyph maps and grid reports, and the scatter unit of the
+/// sharded cluster layer.
+///
+/// Because only verdicts are exposed, this entry point runs the
+/// two-stage engine: each tile is screened through the
+/// [`SectorMaskKernel`] and only screen-undecided in-range points pay
+/// for the exact analysis. Verdicts are bit-identical to the exact
+/// per-point analysis (that is the kernel's contract, pinned by the
+/// differential tests), so concatenating range results over a partition
+/// of `0..grid.len()` reproduces a full exact sweep.
 ///
 /// The sector conditions use `start_line` for their constructions
 /// ([`Angle::ZERO`] is the conventional choice). Visits points in tile
@@ -405,43 +440,8 @@ pub fn sweep_flags_range<F>(
 ) where
     F: FnMut(usize, PointFlags),
 {
-    assert!(
-        lo <= hi && hi <= grid.len(),
-        "range {lo}..{hi} out of bounds for a grid of {} points",
-        grid.len()
-    );
-    if lo == hi {
-        return;
-    }
     let mut evaluator = GridEvaluator::new(theta, start_line);
-    if use_tiled(net, grid) {
-        let tiling = GridTiling::new(net.index(), grid);
-        let mut cursor = net.tile_cursor();
-        for t in 0..tiling.tile_count() {
-            let Some((min_idx, max_idx)) = tiling.tile_index_span(t) else {
-                continue;
-            };
-            if max_idx < lo || min_idx >= hi {
-                continue;
-            }
-            evaluator.for_each_point_flags_in_tile(
-                &mut cursor,
-                &tiling,
-                grid,
-                t,
-                &mut |idx, flags| {
-                    if idx >= lo && idx < hi {
-                        f(idx, flags);
-                    }
-                },
-            );
-        }
-    } else {
-        for idx in lo..hi {
-            let flags = evaluator.point_flags_with(net, grid.point(idx));
-            f(idx, flags);
-        }
-    }
+    walk(net, grid, lo, hi, |unit| evaluator.unit_flags(unit, &mut f));
 }
 
 /// A bitset over the tile ids of a [`GridTiling`] recording which tiles a
@@ -543,6 +543,21 @@ impl DirtySet {
     }
 }
 
+/// A whole-grid flags sweep feeding an [`IncrementalSweep`] cold build:
+/// `cold(net, grid, emit)` must call `emit(index, flags)` exactly once per
+/// grid index, with verdicts bit-identical to [`sweep_flags_range`] at the
+/// state's θ and start line (the hierarchical prover is one such sweep).
+pub type ColdSweep<'s> =
+    dyn FnMut(&CameraNetwork, &UnitGrid, &mut dyn FnMut(usize, PointFlags)) + 's;
+
+/// The default cold sweep: the core flags walk.
+fn screened_cold(
+    theta: EffectiveAngle,
+    start_line: Angle,
+) -> impl FnMut(&CameraNetwork, &UnitGrid, &mut dyn FnMut(usize, PointFlags)) {
+    move |net, grid, emit| sweep_flags_range(net, grid, theta, start_line, 0, grid.len(), emit)
+}
+
 /// What one [`IncrementalSweep::resweep_dirty`] repair changed — the raw
 /// material of the service layer's `watch` delta frames.
 #[derive(Debug, Clone, Default)]
@@ -613,7 +628,8 @@ pub struct IncrementalSweep {
 
 impl IncrementalSweep {
     /// Cold-builds the state for `net` over a `grid_side × grid_side`
-    /// grid: every tile evaluated once, mask and per-tile reports stored.
+    /// grid: every point evaluated once through [`sweep_flags_range`],
+    /// mask and per-tile reports stored.
     ///
     /// # Panics
     ///
@@ -624,6 +640,30 @@ impl IncrementalSweep {
         theta: EffectiveAngle,
         start_line: Angle,
         grid_side: usize,
+    ) -> Self {
+        Self::with_cold_sweep(
+            net,
+            theta,
+            start_line,
+            grid_side,
+            &mut screened_cold(theta, start_line),
+        )
+    }
+
+    /// [`new`](Self::new) with the verdicts of the cold build taken from
+    /// `cold` instead of the core flags walk. Repairs still run the core
+    /// tile funnel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid_side == 0`.
+    #[must_use]
+    pub fn with_cold_sweep(
+        net: &CameraNetwork,
+        theta: EffectiveAngle,
+        start_line: Angle,
+        grid_side: usize,
+        cold: &mut ColdSweep<'_>,
     ) -> Self {
         assert!(grid_side > 0, "grid side must be positive");
         let torus = *net.torus();
@@ -645,26 +685,32 @@ impl IncrementalSweep {
             tiling,
             needs_rebuild: false,
         };
-        state.cold_sweep(net);
+        state.cold_sweep(net, cold);
         state
     }
 
-    /// Evaluates every tile from scratch into the stored reports/mask.
-    fn cold_sweep(&mut self, net: &CameraNetwork) {
-        let mut cursor = net.tile_cursor();
+    /// Evaluates every point through `cold` into the freshly allocated
+    /// (all-zero) per-tile reports and mask.
+    fn cold_sweep(&mut self, net: &CameraNetwork, cold: &mut ColdSweep<'_>) {
+        let (cells, side) = (self.cells, self.grid.side_count());
+        // Grid column (equally, row) → the index-cell coordinate owning it.
+        let cell_of: Vec<usize> = (0..cells)
+            .flat_map(|c| self.tiling.cell_axis_range(c).map(move |_| c))
+            .collect();
+        let (reports, mask) = (&mut self.tile_reports, &mut self.mask);
+        cold(net, &self.grid, &mut |idx, flags| {
+            reports[cell_of[idx / side] * cells + cell_of[idx % side]].record(&flags);
+            mask[idx] = flags.full_view;
+        });
         self.total = GridCoverageReport::default();
-        self.mask.fill(false);
-        for t in 0..self.tiling.tile_count() {
-            let report = self.evaluator.evaluate_tile_masked(
-                &mut cursor,
-                &self.tiling,
-                &self.grid,
-                t,
-                &mut self.mask,
-            );
-            self.total.merge(&report);
-            self.tile_reports[t] = report;
+        for report in &self.tile_reports {
+            self.total.merge(report);
         }
+        assert_eq!(
+            self.total.total_points,
+            self.grid.len(),
+            "cold sweep must emit every grid index once"
+        );
         self.dirty.clear();
         self.needs_rebuild = false;
     }
@@ -779,8 +825,20 @@ impl IncrementalSweep {
     /// bit-identical to a cold [`IncrementalSweep::new`] over `net` — the
     /// invariant the differential tests pin down.
     pub fn resweep_dirty(&mut self, net: &CameraNetwork) -> SweepDelta {
+        self.resweep_dirty_with(net, &mut screened_cold(self.theta, self.start_line))
+    }
+
+    /// [`resweep_dirty`](Self::resweep_dirty) with a full rebuild's
+    /// verdicts taken from `cold` (see
+    /// [`with_cold_sweep`](Self::with_cold_sweep)); dirty tiles are still
+    /// repaired through the core tile funnel.
+    pub fn resweep_dirty_with(
+        &mut self,
+        net: &CameraNetwork,
+        cold: &mut ColdSweep<'_>,
+    ) -> SweepDelta {
         if self.needs_rebuild || !self.geometry_matches(net.index()) {
-            return self.rebuild(net);
+            return self.rebuild(net, cold);
         }
         let mut delta = SweepDelta {
             before: self.total.clone(),
@@ -794,31 +852,30 @@ impl IncrementalSweep {
         self.dirty.for_each_marked(|t| dirty_tiles.push(t));
         self.dirty.clear();
         let mut cursor = net.tile_cursor();
-        let mut old_bits: Vec<bool> = Vec::new();
+        let (mask, len) = (&mut self.mask, self.grid.len());
         for &t in &dirty_tiles {
-            old_bits.clear();
-            self.tiling
-                .for_each_point_in_tile(t, |idx| old_bits.push(self.mask[idx]));
-            let new_report = self.evaluator.evaluate_tile_masked(
+            let mut report = GridCoverageReport::default();
+            self.evaluator.for_each_point_flags_in_tile(
                 &mut cursor,
                 &self.tiling,
                 &self.grid,
                 t,
-                &mut self.mask,
+                0,
+                len,
+                &mut |idx, flags| {
+                    match (mask[idx], flags.full_view) {
+                        (false, true) => delta.flipped_on.push(idx),
+                        (true, false) => delta.flipped_off.push(idx),
+                        _ => {}
+                    }
+                    mask[idx] = flags.full_view;
+                    report.record(&flags);
+                },
             );
-            let old_report = std::mem::replace(&mut self.tile_reports[t], new_report.clone());
-            self.total.subtract(&old_report);
-            self.total.merge(&new_report);
-            delta.points_resweeped += new_report.total_points;
-            let mut i = 0;
-            self.tiling.for_each_point_in_tile(t, |idx| {
-                match (old_bits[i], self.mask[idx]) {
-                    (false, true) => delta.flipped_on.push(idx),
-                    (true, false) => delta.flipped_off.push(idx),
-                    _ => {}
-                }
-                i += 1;
-            });
+            delta.points_resweeped += report.total_points;
+            self.total.merge(&report);
+            self.total
+                .subtract(&std::mem::replace(&mut self.tile_reports[t], report));
         }
         delta.tiles_resweeped = dirty_tiles.len();
         delta.after = self.total.clone();
@@ -827,7 +884,7 @@ impl IncrementalSweep {
 
     /// Full rebuild: re-derives the tiling from the network's current
     /// index and cold-sweeps, diffing the old mask for the delta.
-    fn rebuild(&mut self, net: &CameraNetwork) -> SweepDelta {
+    fn rebuild(&mut self, net: &CameraNetwork, cold: &mut ColdSweep<'_>) -> SweepDelta {
         let mut delta = SweepDelta {
             before: self.total.clone(),
             rebuilt: true,
@@ -843,7 +900,7 @@ impl IncrementalSweep {
         self.tile_reports = vec![GridCoverageReport::default(); self.tiling.tile_count()];
         self.mask = vec![false; self.grid.len()];
         self.dirty = DirtySet::new(self.tiling.tile_count());
-        self.cold_sweep(net);
+        self.cold_sweep(net, cold);
         for (idx, (&old, &new)) in old_mask.iter().zip(self.mask.iter()).enumerate() {
             match (old, new) {
                 (false, true) => delta.flipped_on.push(idx),
@@ -928,64 +985,82 @@ mod tests {
         assert!(visited.iter().all(|&v| v));
     }
 
-    #[test]
-    fn per_point_fallback_when_cells_outnumber_grid() {
-        // Empty network: index floors at 256×256 cells, far more than the
-        // grid's 64 points — the engine must fall back to per-point mode
-        // (and still visit everything).
-        let net = CameraNetwork::new(Torus::unit(), Vec::new());
-        let grid = UnitGrid::new(Torus::unit(), 8);
-        assert!(!use_tiled(&net, &grid));
-        let mut count = 0;
-        sweep_grid(&net, &grid, |_, _, view| {
-            assert_eq!(view.covering_cameras, 0);
-            count += 1;
-        });
-        assert_eq!(count, grid.len());
+    /// Every partition of `0..len` — including cuts inside tiles — must
+    /// reassemble the full sweep's views, flags and k-counts exactly.
+    fn assert_partitions_reassemble(net: &CameraNetwork, side: usize) {
+        let grid = UnitGrid::new(Torus::unit(), side);
+        let len = grid.len();
+        let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+        let mut full = vec![None; len];
+        sweep_grid(net, &grid, |idx, _, view| full[idx] = Some(view.to_owned()));
+        let mut exact = GridEvaluator::new_exact(theta, Angle::ZERO);
+
+        for cuts in [
+            vec![0, len],
+            vec![0, len / 5 + 3, len],
+            vec![0, 1, len / 2, len / 2 - 1, len],
+        ] {
+            let mut sorted = cuts.clone();
+            sorted.sort_unstable();
+            let mut seen = vec![false; len];
+            let mut flagged = vec![false; len];
+            let mut k2 = 0;
+            for pair in sorted.windows(2) {
+                let (lo, hi) = (pair[0], pair[1]);
+                sweep_grid_range(net, &grid, lo, hi, |idx, point, view| {
+                    assert!(
+                        idx >= lo && idx < hi && !seen[idx],
+                        "index {idx} in {lo}..{hi}"
+                    );
+                    seen[idx] = true;
+                    assert_eq!(view.to_owned(), analyze_point(net, point));
+                    assert_eq!(Some(view.to_owned()), full[idx], "idx {idx}");
+                });
+                sweep_flags_range(net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
+                    assert!(
+                        idx >= lo && idx < hi && !flagged[idx],
+                        "index {idx} in {lo}..{hi}"
+                    );
+                    flagged[idx] = true;
+                    assert_eq!(
+                        flags,
+                        exact.point_flags_with(net, grid.point(idx)),
+                        "idx {idx}"
+                    );
+                });
+                let count = crate::count_k_view_range(net, &grid, theta, 2, lo, hi);
+                let brute = (lo..hi)
+                    .filter(|&i| crate::view_multiplicity(net, grid.point(i), theta) >= 2)
+                    .count();
+                assert_eq!(count, brute, "k-count over {lo}..{hi}");
+                k2 += count;
+            }
+            assert!(seen.iter().all(|&v| v), "partition {cuts:?} missed views");
+            assert!(
+                flagged.iter().all(|&v| v),
+                "partition {cuts:?} missed flags"
+            );
+            assert_eq!(k2, crate::count_k_view_range(net, &grid, theta, 2, 0, len));
+        }
+
+        // Empty and degenerate ranges are fine.
+        sweep_grid_range(net, &grid, 7, 7, |_, _, _| panic!("empty range"));
     }
 
     #[test]
     fn range_sweep_partitions_concatenate_to_the_full_sweep() {
+        // Tiles, cut mid-tile by the partitions.
         let net = pseudo_random_net(100, 0.07);
-        let grid = UnitGrid::new(Torus::unit(), 21);
-        assert!(use_tiled(&net, &grid));
-        let mut full = vec![None; grid.len()];
-        sweep_grid(&net, &grid, |idx, _, view| {
-            full[idx] = Some(view.to_owned())
-        });
-
-        // Any partition of 0..len must reproduce the full sweep exactly.
-        for cuts in [vec![0, 441], vec![0, 100, 441], vec![0, 1, 220, 219, 441]] {
-            let mut sorted = cuts.clone();
-            sorted.sort_unstable();
-            let mut seen = vec![false; grid.len()];
-            for pair in sorted.windows(2) {
-                sweep_grid_range(&net, &grid, pair[0], pair[1], |idx, point, view| {
-                    assert!(!seen[idx], "index {idx} visited twice");
-                    seen[idx] = true;
-                    assert_eq!(view.to_owned(), analyze_point(&net, point));
-                    assert_eq!(Some(view.to_owned()), full[idx], "idx {idx}");
-                });
-            }
-            assert!(seen.iter().all(|&v| v), "partition {cuts:?} missed points");
+        assert!(use_tiled(&net, &UnitGrid::new(Torus::unit(), 21)));
+        assert_partitions_reassemble(&net, 21);
+        // The per-point unit: an empty network, and radii below the grid
+        // spacing (more index cells than grid points).
+        let empty = CameraNetwork::new(Torus::unit(), Vec::new());
+        let tiny = pseudo_random_net(100, 0.004);
+        for (net, side) in [(&empty, 8), (&tiny, 21)] {
+            assert!(!use_tiled(net, &UnitGrid::new(Torus::unit(), side)));
+            assert_partitions_reassemble(net, side);
         }
-
-        // Empty and degenerate ranges are fine.
-        sweep_grid_range(&net, &grid, 7, 7, |_, _, _| panic!("empty range"));
-    }
-
-    #[test]
-    fn range_sweep_per_point_fallback() {
-        let net = CameraNetwork::new(Torus::unit(), Vec::new());
-        let grid = UnitGrid::new(Torus::unit(), 8);
-        assert!(!use_tiled(&net, &grid));
-        let mut count = 0;
-        sweep_grid_range(&net, &grid, 10, 30, |idx, _, view| {
-            assert!((10..30).contains(&idx));
-            assert_eq!(view.covering_cameras, 0);
-            count += 1;
-        });
-        assert_eq!(count, 20);
     }
 
     #[test]
@@ -1060,6 +1135,18 @@ mod tests {
         });
         assert_eq!(state.mask(), &mask[..]);
         assert!(state.is_clean());
+    }
+
+    #[test]
+    #[should_panic(expected = "cold sweep must emit every grid index once")]
+    fn cold_sweep_that_skips_points_is_rejected() {
+        let net = pseudo_random_net(120, 0.07);
+        let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+        let mut skip_last =
+            |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, PointFlags)| {
+                sweep_flags_range(net, grid, theta, Angle::ZERO, 0, grid.len() - 1, emit);
+            };
+        let _ = IncrementalSweep::with_cold_sweep(&net, theta, Angle::ZERO, 25, &mut skip_last);
     }
 
     #[test]

@@ -93,13 +93,9 @@ pub fn full_view_mask_range(
 ) -> Vec<bool> {
     assert!(grid_side > 0, "grid side must be positive");
     let grid = UnitGrid::new(*net.torus(), grid_side);
-    let mut covered = vec![false; hi - lo];
-    // Flags-level sweep: only the full-view verdict is needed, so the
-    // two-stage mask-screened engine applies (bit-identical by contract).
-    sweep_flags_range(net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
-        covered[idx - lo] = flags.full_view;
-    });
-    covered
+    full_view_mask_range_with(lo, hi, |emit| {
+        sweep_flags_range(net, &grid, theta, Angle::ZERO, lo, hi, emit);
+    })
 }
 
 /// [`full_view_mask_range`] with the flags sweep supplied by the caller:
@@ -200,23 +196,8 @@ pub fn holes_from_mask(torus: Torus, grid_side: usize, covered: &[bool]) -> Hole
 /// Panics if `grid_side == 0`.
 #[must_use]
 pub fn find_holes(net: &CameraNetwork, theta: EffectiveAngle, grid_side: usize) -> HoleReport {
-    assert!(grid_side > 0, "grid side must be positive");
-    let grid = UnitGrid::new(*net.torus(), grid_side);
-    // Tile-coherent flags sweep through the two-stage engine (visits
-    // points in tile order, hence indexed writes instead of a collect).
-    let mut covered = vec![false; grid.len()];
-    sweep_flags_range(
-        net,
-        &grid,
-        theta,
-        Angle::ZERO,
-        0,
-        grid.len(),
-        |idx, flags| {
-            covered[idx] = flags.full_view;
-        },
-    );
-    holes_from_mask(*net.torus(), grid_side, &covered)
+    let mask = full_view_mask_range(net, theta, grid_side, 0, grid_side * grid_side);
+    holes_from_mask(*net.torus(), grid_side, &mask)
 }
 
 #[cfg(test)]

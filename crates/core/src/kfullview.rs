@@ -12,8 +12,9 @@
 //! circle is computed by a circular sweep over arc endpoints; the point
 //! is k-full-view covered iff that minimum is at least `k`.
 
-use crate::engine::{sweep_grid, sweep_grid_range};
-use crate::fullview::analyze_point;
+use crate::engine::{sweep_grid, walk};
+use crate::fullview::{analyze_point, PointAnalyzer};
+use crate::mask::{ScreenMode, SectorMaskKernel};
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, UnitGrid, ANGLE_EPS};
 use fullview_model::CameraNetwork;
@@ -77,31 +78,38 @@ pub fn count_k_view_range(
     lo: usize,
     hi: usize,
 ) -> usize {
-    assert!(
-        lo <= hi && hi <= grid.len(),
-        "range {lo}..{hi} out of bounds for a grid of {} points",
-        grid.len()
-    );
     if k == 0 {
+        assert!(
+            lo <= hi && hi <= grid.len(),
+            "range {lo}..{hi} out of bounds for a grid of {} points",
+            grid.len()
+        );
         return hi - lo;
     }
-    let mut analyzer = crate::fullview::PointAnalyzer::new();
-    let mut exact = |cursor: &fullview_model::TileCursor<'_>, point: Point, want: usize| {
-        let view = analyzer.analyze_point_with(cursor, point);
-        let colocated_bonus = usize::from(view.has_colocated_camera);
-        min_arc_depth(view.viewed_directions, theta.radians()) + colocated_bonus >= want
-    };
-    if let Some(meeting) =
-        crate::mask::count_k_screened_range(net, grid, theta, k, lo, hi, &mut exact)
-    {
-        return meeting;
-    }
+    // The depth screen's start line is arbitrary: the strict-depth
+    // argument holds for any partition, and certainty is what routes to
+    // the exact sweep. Its depth counters saturate at `u8::MAX`.
+    let mut screen = u8::try_from(k)
+        .ok()
+        .and_then(|k8| Some((SectorMaskKernel::new(theta, Angle::ZERO)?, k8)));
+    let mut analyzer = PointAnalyzer::new();
     let mut meeting = 0usize;
-    sweep_grid_range(net, grid, lo, hi, |_, _, view| {
-        let colocated_bonus = usize::from(view.has_colocated_camera);
-        if min_arc_depth(view.viewed_directions, theta.radians()) + colocated_bonus >= k {
-            meeting += 1;
-        }
+    walk(net, grid, lo, hi, |unit| {
+        let screened = screen
+            .as_mut()
+            .is_some_and(|(kernel, k8)| unit.screen(kernel, ScreenMode::Depth { k: *k8 }));
+        unit.for_each_point(|local, idx| {
+            let verdict = match &screen {
+                Some((kernel, k8)) if screened => kernel.k_verdict(local, *k8),
+                _ => None,
+            };
+            let met = verdict.unwrap_or_else(|| {
+                let view = analyzer.analyze_point_with(unit, unit.point(idx));
+                let colocated_bonus = usize::from(view.has_colocated_camera);
+                min_arc_depth(view.viewed_directions, theta.radians()) + colocated_bonus >= k
+            });
+            meeting += usize::from(met);
+        });
     });
     meeting
 }

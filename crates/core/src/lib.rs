@@ -94,8 +94,8 @@ pub use design::{
     max_cameras_below_necessary, min_cameras_for_guarantee, required_area_for_expected_fraction,
 };
 pub use engine::{
-    for_each_grid_point, sweep_flags_range, sweep_grid, sweep_grid_range, use_tiled, CoverageQuery,
-    DirtySet, GridTiling, IncrementalSweep, SweepDelta,
+    sweep_flags_range, sweep_grid, use_tiled, ColdSweep, DirtySet, GridTiling, IncrementalSweep,
+    SweepDelta,
 };
 pub use error::CoreError;
 pub use exact::{

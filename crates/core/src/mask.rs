@@ -53,7 +53,7 @@ use crate::conditions::SectorPartition;
 use crate::numeric::tolerant_floor;
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Arc, Point, Torus, UnitGrid, ANGLE_EPS};
-use fullview_model::{Camera, CameraNetwork, TileCursor};
+use fullview_model::{Camera, TileCursor};
 use std::f64::consts::{PI, TAU};
 
 use crate::engine::GridTiling;
@@ -691,61 +691,11 @@ impl SectorMaskKernel {
     }
 }
 
-/// Counts the points of `lo..hi` with view multiplicity ≥ `k` using the
-/// depth screen, falling back to the exact sweep per point (or wholesale
-/// when the kernel cannot engage). Bit-identical to the exact
-/// [`count_k_view_range`](crate::count_k_view_range) computation by
-/// construction — this *is* its fast path.
-pub(crate) fn count_k_screened_range(
-    net: &CameraNetwork,
-    grid: &UnitGrid,
-    theta: EffectiveAngle,
-    k: usize,
-    lo: usize,
-    hi: usize,
-    exact_multiplicity_at_least: &mut dyn FnMut(&TileCursor<'_>, Point, usize) -> bool,
-) -> Option<usize> {
-    use crate::engine::use_tiled;
-    if k == 0 || k > usize::from(u8::MAX) || !use_tiled(net, grid) {
-        return None;
-    }
-    // The screen's start line is arbitrary: the strict-depth argument
-    // holds for any partition, and certainty is what routes to exact.
-    let mut kernel = SectorMaskKernel::new(theta, Angle::ZERO)?;
-    let k8 = k as u8;
-    let tiling = GridTiling::new(net.index(), grid);
-    let mut cursor = net.tile_cursor();
-    let mut meeting = 0usize;
-    for t in 0..tiling.tile_count() {
-        let Some((min_idx, max_idx)) = tiling.tile_index_span(t) else {
-            continue;
-        };
-        if max_idx < lo || min_idx >= hi {
-            continue;
-        }
-        let (cx, cy) = tiling.tile_cell(t);
-        cursor.pin(cx, cy);
-        kernel.screen_tile(&cursor, &tiling, grid, t, ScreenMode::Depth { k: k8 });
-        let mut local = 0usize;
-        tiling.for_each_point_in_tile(t, |idx| {
-            if idx >= lo && idx < hi {
-                let met = match kernel.k_verdict(local, k8) {
-                    Some(m) => m,
-                    None => exact_multiplicity_at_least(&cursor, grid.point(idx), k),
-                };
-                meeting += usize::from(met);
-            }
-            local += 1;
-        });
-    }
-    Some(meeting)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fullview::PointAnalyzer;
-    use fullview_model::{GroupId, SensorSpec};
+    use fullview_model::{CameraNetwork, GroupId, SensorSpec};
 
     fn theta(t: f64) -> EffectiveAngle {
         EffectiveAngle::new(t).unwrap()

@@ -52,15 +52,9 @@ pub fn coverage_glyphs_range(
 ) -> String {
     assert!(side > 0, "map side must be positive");
     let grid = UnitGrid::new(*net.torus(), side);
-    // Range sweeps visit points in tile order within the range, so render
-    // into an index-keyed buffer before flattening. The flags sweep runs
-    // the two-stage mask-screened engine; its verdicts (and hence the
-    // glyphs) are bit-identical to the exact per-view rendering.
-    let mut cells = vec![' '; hi - lo];
-    sweep_flags_range(net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
-        cells[idx - lo] = glyph_of(&flags);
-    });
-    cells.into_iter().collect()
+    coverage_glyphs_range_with(lo, hi, |emit| {
+        sweep_flags_range(net, &grid, theta, Angle::ZERO, lo, hi, emit);
+    })
 }
 
 /// [`coverage_glyphs_range`] with the flags sweep supplied by the caller:
@@ -79,6 +73,8 @@ where
     F: FnOnce(&mut dyn FnMut(usize, PointFlags)),
 {
     assert!(lo <= hi, "inverted range {lo}..{hi}");
+    // Sweeps visit points in tile order, so render into an index-keyed
+    // buffer before flattening.
     let mut cells = vec![' '; hi - lo];
     sweep(&mut |idx, flags| {
         cells[idx - lo] = glyph_of(&flags);

@@ -13,7 +13,7 @@
 
 use fullview_core::{
     count_k_view_range, largest_circular_gap, min_arc_depth, sweep_flags_range, view_multiplicity,
-    EffectiveAngle, GridEvaluator, GridTiling,
+    EffectiveAngle, GridCoverageReport, GridEvaluator, GridTiling,
 };
 use fullview_geom::{Angle, Point, Torus, UnitGrid, ANGLE_EPS};
 use fullview_model::{Camera, CameraNetwork, GroupId, SensorSpec};
@@ -179,6 +179,28 @@ fn boundary_theta_strategy() -> impl Strategy<Value = EffectiveAngle> {
     })
 }
 
+/// Mostly the heterogeneous mix; one case in five is an input the
+/// dense-grid walk answers with its per-point unit (more index cells than
+/// grid points): the empty network, or the same cameras with radii below
+/// the grid spacing.
+fn range_network_strategy(max: usize) -> impl Strategy<Value = CameraNetwork> {
+    (0usize..10, hetero_network_strategy(max), 0.002..0.02f64).prop_map(|(sel, net, r)| {
+        let cams = match sel {
+            0..=7 => return net,
+            8 => Vec::new(),
+            _ => net
+                .cameras()
+                .iter()
+                .map(|c| {
+                    let spec = SensorSpec::new(r, c.spec().angle_of_view()).unwrap();
+                    Camera::new(c.position(), c.orientation(), spec, c.group())
+                })
+                .collect(),
+        };
+        CameraNetwork::new(Torus::unit(), cams)
+    })
+}
+
 // ---------- properties ----------
 
 proptest! {
@@ -221,8 +243,12 @@ proptest! {
     ) {
         let grid = UnitGrid::new(Torus::unit(), side);
         let start = Angle::new(start);
-        let exact = GridEvaluator::new_exact(theta, start)
-            .evaluate_range(&net, &grid, 0..grid.len());
+        // The reference: every point analysed through the whole network.
+        let mut exact_ev = GridEvaluator::new_exact(theta, start);
+        let mut exact = GridCoverageReport::default();
+        for idx in 0..grid.len() {
+            exact.record(&exact_ev.point_flags_with(&net, grid.point(idx)));
+        }
         let tiling = GridTiling::new(net.index(), &grid);
         let mut cursor = net.tile_cursor();
         let masked = GridEvaluator::new(theta, start)
@@ -235,7 +261,7 @@ proptest! {
     /// rejection and in-tile range filtering too).
     #[test]
     fn flags_sweep_matches_exact_flags(
-        net in hetero_network_strategy(40),
+        net in range_network_strategy(40),
         theta in boundary_theta_strategy(),
         side in 2usize..16,
         a in 0.0..1.0f64,
@@ -261,19 +287,28 @@ proptest! {
         }
     }
 
-    /// The depth-screened k-count against per-point exact multiplicities.
+    /// The depth-screened k-count against per-point exact multiplicities,
+    /// over the whole grid and an arbitrary sub-range (tile splits and the
+    /// per-point unit included).
     #[test]
     fn k_count_matches_per_point_multiplicity(
-        net in hetero_network_strategy(40),
+        net in range_network_strategy(40),
         theta in boundary_theta_strategy(),
         k in 0usize..5,
         side in 2usize..14,
+        a in 0.0..1.0f64,
+        b in 0.0..1.0f64,
     ) {
         let grid = UnitGrid::new(Torus::unit(), side);
-        let counted = count_k_view_range(&net, &grid, theta, k, 0, grid.len());
-        let brute = (0..grid.len())
-            .filter(|&i| view_multiplicity(&net, grid.point(i), theta) >= k)
-            .count();
-        prop_assert_eq!(counted, brute, "k={} side={}", k, side);
+        let (fa, fb) = if a <= b { (a, b) } else { (b, a) };
+        let lo = (fa * grid.len() as f64) as usize;
+        let hi = ((fb * grid.len() as f64) as usize).min(grid.len());
+        for (lo, hi) in [(0, grid.len()), (lo, hi)] {
+            let counted = count_k_view_range(&net, &grid, theta, k, lo, hi);
+            let brute = (lo..hi)
+                .filter(|&i| view_multiplicity(&net, grid.point(i), theta) >= k)
+                .count();
+            prop_assert_eq!(counted, brute, "k={} side={} range={}..{}", k, side, lo, hi);
+        }
     }
 }

@@ -22,11 +22,14 @@
 //! engine stays the oracle (differential tests pin this). What the
 //! prover decided is reported as [`ProverStats`].
 //!
+//! [`Tier`] is the one switch between the prover and the core's
+//! mask-screened walk; the CLI and the daemon sweep through it.
+//!
 //! ```
 //! use fullview_core::EffectiveAngle;
 //! use fullview_geom::{Angle, Point, Torus};
 //! use fullview_model::{Camera, CameraNetwork, GroupId, SensorSpec};
-//! use fullview_hier::full_view_mask_range_hier;
+//! use fullview_hier::Tier;
 //! use std::f64::consts::PI;
 //!
 //! let torus = Torus::unit();
@@ -41,7 +44,7 @@
 //!     .collect();
 //! let net = CameraNetwork::new(torus, cams);
 //! let theta = EffectiveAngle::new(PI / 3.0)?;
-//! let (mask, stats) = full_view_mask_range_hier(&net, theta, 48, 0, 48 * 48);
+//! let (mask, stats) = Tier::Hier.mask(&net, theta, 48, 0, 48 * 48);
 //! assert_eq!(mask.len(), 48 * 48);
 //! assert_eq!(stats.points_proved + stats.points_visited, 48 * 48);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -56,36 +59,154 @@ mod prover;
 pub use prover::{count_k_view_range_hier, sweep_flags_range_hier, ProverStats};
 
 use fullview_core::{
-    coverage_glyphs_range_with, coverage_map_from_glyphs, holes_from_mask, EffectiveAngle,
-    GridCoverageReport, HoleReport,
+    count_k_view_range, coverage_glyphs_range_with, coverage_map_from_glyphs,
+    full_view_mask_range_with, sweep_flags_range, EffectiveAngle, GridCoverageReport, PointFlags,
 };
 use fullview_geom::{Angle, UnitGrid};
 use fullview_model::CameraNetwork;
 
-/// Hier-backed counterpart of [`fullview_core::coverage_glyphs_range`]:
-/// the glyph row for grid indices `lo..hi` of a `side × side` grid,
-/// byte-identical to the exact engine's, plus the prover stats.
-///
-/// # Panics
-///
-/// Panics if `side == 0`, `lo > hi`, or `hi > side²`.
-#[must_use]
-pub fn coverage_glyphs_range_hier(
-    net: &CameraNetwork,
-    theta: EffectiveAngle,
-    side: usize,
-    lo: usize,
-    hi: usize,
-) -> (String, ProverStats) {
-    assert!(side > 0, "grid side must be positive");
-    let grid = UnitGrid::new(*net.torus(), side);
-    let mut stats = ProverStats::default();
-    let glyphs = coverage_glyphs_range_with(lo, hi, |emit| {
-        stats = sweep_flags_range_hier(net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
-            emit(idx, flags);
+/// The evaluation tier of a dense-grid query — the one switch between
+/// the core's mask-screened walk and the hierarchical prover. Both
+/// answer bit-identically; they differ in cost and in the
+/// [`ProverStats`] they report (all zero for [`Tier::Screened`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// The core tile walk: sector-mask screen, exact fallback.
+    Screened,
+    /// The quadtree certificate prover above the same tile funnel.
+    Hier,
+}
+
+impl Tier {
+    /// [`Tier::Hier`] when `hier` is set (the `--hier` switch), else
+    /// [`Tier::Screened`].
+    #[must_use]
+    pub fn from_hier(hier: bool) -> Self {
+        if hier {
+            Tier::Hier
+        } else {
+            Tier::Screened
+        }
+    }
+
+    /// Calls `f(index, flags)` exactly once for every grid index in
+    /// `lo..hi` (tile order — key results by index), with the flags of
+    /// [`fullview_core::sweep_flags_range`], and returns what the prover
+    /// decided.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi > grid.len()`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sweep_flags(
+        self,
+        net: &CameraNetwork,
+        grid: &UnitGrid,
+        theta: EffectiveAngle,
+        start_line: Angle,
+        lo: usize,
+        hi: usize,
+        f: &mut dyn FnMut(usize, PointFlags),
+    ) -> ProverStats {
+        match self {
+            Tier::Screened => {
+                sweep_flags_range(net, grid, theta, start_line, lo, hi, f);
+                ProverStats::default()
+            }
+            Tier::Hier => sweep_flags_range_hier(net, grid, theta, start_line, lo, hi, f),
+        }
+    }
+
+    /// Counts the points of `lo..hi` with view multiplicity at least `k`
+    /// — [`fullview_core::count_k_view_range`] — and returns what the
+    /// prover decided.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi > grid.len()`.
+    #[must_use]
+    pub fn count_k(
+        self,
+        net: &CameraNetwork,
+        grid: &UnitGrid,
+        theta: EffectiveAngle,
+        k: usize,
+        lo: usize,
+        hi: usize,
+    ) -> (usize, ProverStats) {
+        match self {
+            Tier::Screened => (
+                count_k_view_range(net, grid, theta, k, lo, hi),
+                ProverStats::default(),
+            ),
+            Tier::Hier => count_k_view_range_hier(net, grid, theta, k, lo, hi),
+        }
+    }
+
+    /// The coverage-map glyphs of grid indices `lo..hi` on a `side × side`
+    /// grid, byte-identical to [`fullview_core::coverage_glyphs_range`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `side == 0`, `lo > hi`, or `hi > side²`.
+    #[must_use]
+    pub fn glyphs(
+        self,
+        net: &CameraNetwork,
+        theta: EffectiveAngle,
+        side: usize,
+        lo: usize,
+        hi: usize,
+    ) -> (String, ProverStats) {
+        assert!(side > 0, "map side must be positive");
+        let grid = UnitGrid::new(*net.torus(), side);
+        let mut stats = ProverStats::default();
+        let glyphs = coverage_glyphs_range_with(lo, hi, |emit| {
+            stats = self.sweep_flags(net, &grid, theta, Angle::ZERO, lo, hi, emit);
         });
-    });
-    (glyphs, stats)
+        (glyphs, stats)
+    }
+
+    /// The full-view mask of grid indices `lo..hi` on a `side × side`
+    /// grid, identical to [`fullview_core::full_view_mask_range`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `side == 0`, `lo > hi`, or `hi > side²`.
+    #[must_use]
+    pub fn mask(
+        self,
+        net: &CameraNetwork,
+        theta: EffectiveAngle,
+        side: usize,
+        lo: usize,
+        hi: usize,
+    ) -> (Vec<bool>, ProverStats) {
+        assert!(side > 0, "grid side must be positive");
+        let grid = UnitGrid::new(*net.torus(), side);
+        let mut stats = ProverStats::default();
+        let mask = full_view_mask_range_with(lo, hi, |emit| {
+            stats = self.sweep_flags(net, &grid, theta, Angle::ZERO, lo, hi, emit);
+        });
+        (mask, stats)
+    }
+
+    /// The whole-grid [`GridCoverageReport`] of `grid`, identical to
+    /// [`fullview_core::evaluate_grid`].
+    #[must_use]
+    pub fn report(
+        self,
+        net: &CameraNetwork,
+        grid: &UnitGrid,
+        theta: EffectiveAngle,
+        start_line: Angle,
+    ) -> (GridCoverageReport, ProverStats) {
+        let mut report = GridCoverageReport::default();
+        let stats = self.sweep_flags(net, grid, theta, start_line, 0, grid.len(), &mut |_, f| {
+            report.record(&f);
+        });
+        (report, stats)
+    }
 }
 
 /// Hier-backed counterpart of [`fullview_core::coverage_map_text`]: the
@@ -101,50 +222,8 @@ pub fn coverage_map_text_hier(
     theta: EffectiveAngle,
     side: usize,
 ) -> (String, ProverStats) {
-    let (glyphs, stats) = coverage_glyphs_range_hier(net, theta, side, 0, side * side);
+    let (glyphs, stats) = Tier::Hier.glyphs(net, theta, side, 0, side * side);
     (coverage_map_from_glyphs(side, &glyphs), stats)
-}
-
-/// Hier-backed counterpart of [`fullview_core::full_view_mask_range`]:
-/// `covered[idx - lo]` is the exact full-view verdict at grid index
-/// `idx`, plus the prover stats.
-///
-/// # Panics
-///
-/// Panics if `grid_side == 0`, `lo > hi`, or `hi > grid_side²`.
-#[must_use]
-pub fn full_view_mask_range_hier(
-    net: &CameraNetwork,
-    theta: EffectiveAngle,
-    grid_side: usize,
-    lo: usize,
-    hi: usize,
-) -> (Vec<bool>, ProverStats) {
-    assert!(grid_side > 0, "grid side must be positive");
-    let grid = UnitGrid::new(*net.torus(), grid_side);
-    let mut stats = ProverStats::default();
-    let mask = fullview_core::full_view_mask_range_with(lo, hi, |emit| {
-        stats = sweep_flags_range_hier(net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
-            emit(idx, flags);
-        });
-    });
-    (mask, stats)
-}
-
-/// Hier-backed counterpart of [`fullview_core::find_holes`]: the same
-/// [`HoleReport`] (identical `Display` bytes), plus the prover stats.
-///
-/// # Panics
-///
-/// Panics if `grid_side == 0`.
-#[must_use]
-pub fn find_holes_hier(
-    net: &CameraNetwork,
-    theta: EffectiveAngle,
-    grid_side: usize,
-) -> (HoleReport, ProverStats) {
-    let (mask, stats) = full_view_mask_range_hier(net, theta, grid_side, 0, grid_side * grid_side);
-    (holes_from_mask(*net.torus(), grid_side, &mask), stats)
 }
 
 /// Hier-backed counterpart of [`fullview_core::evaluate_grid`]: the
@@ -157,9 +236,5 @@ pub fn evaluate_grid_hier(
     grid: &UnitGrid,
     start_line: Angle,
 ) -> (GridCoverageReport, ProverStats) {
-    let mut report = GridCoverageReport::default();
-    let stats = sweep_flags_range_hier(net, grid, theta, start_line, 0, grid.len(), |_, flags| {
-        report.record(&flags);
-    });
-    (report, stats)
+    Tier::Hier.report(net, grid, theta, start_line)
 }

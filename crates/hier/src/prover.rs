@@ -599,13 +599,8 @@ impl HierSink for FlagsSink<'_> {
         lo: usize,
         hi: usize,
     ) {
-        let f = &mut self.f;
         self.evaluator
-            .for_each_point_flags_in_tile(cursor, tiling, grid, t, &mut |idx, flags| {
-                if idx >= lo && idx < hi {
-                    (*f)(idx, flags);
-                }
-            });
+            .for_each_point_flags_in_tile(cursor, tiling, grid, t, lo, hi, self.f);
     }
 }
 
@@ -708,6 +703,46 @@ impl HierSink for CountSink {
     }
 }
 
+/// The prover entry both sweeps share: proves the points of `lo..hi`
+/// into `sink` and returns what it decided — or `None`, touching nothing,
+/// when tiles do not pay off on this grid and the caller's core sweep
+/// answers instead.
+///
+/// # Panics
+///
+/// Panics if `lo > hi` or `hi > grid.len()`.
+fn prove<S: HierSink>(
+    net: &CameraNetwork,
+    grid: &UnitGrid,
+    theta: EffectiveAngle,
+    start_line: Angle,
+    lo: usize,
+    hi: usize,
+    sink: &mut S,
+) -> Option<ProverStats> {
+    assert!(
+        lo <= hi && hi <= grid.len(),
+        "range {lo}..{hi} out of bounds for a grid of {} points",
+        grid.len()
+    );
+    if !use_tiled(net, grid) {
+        return None;
+    }
+    let mut prover = Prover::new(net, grid, theta, start_line, lo, hi);
+    let cells = prover.cells;
+    let all: Vec<u32> = (0..u32::try_from(net.len()).expect("camera count fits u32")).collect();
+    prover.visit_tiles(0, cells, 0, cells, &all, sink);
+    Some(prover.stats)
+}
+
+/// What a core sweep of `lo..hi` visited, in prover terms.
+fn visited(lo: usize, hi: usize) -> ProverStats {
+    ProverStats {
+        points_visited: hi - lo,
+        ..ProverStats::default()
+    }
+}
+
 /// The hierarchical counterpart of [`fullview_core::sweep_flags_range`]:
 /// calls `f(index, flags)` exactly once for every grid index in
 /// `lo..hi` (order unspecified, as with the tile engine — key results
@@ -729,31 +764,14 @@ pub fn sweep_flags_range_hier<F: FnMut(usize, PointFlags)>(
     hi: usize,
     mut f: F,
 ) -> ProverStats {
-    assert!(
-        lo <= hi && hi <= grid.len(),
-        "range {lo}..{hi} out of bounds for a grid of {} points",
-        grid.len()
-    );
-    let mut stats = ProverStats::default();
-    if lo == hi {
-        return stats;
-    }
-    if !use_tiled(net, grid) {
-        sweep_flags_range(net, grid, theta, start_line, lo, hi, |idx, flags| {
-            f(idx, flags);
-        });
-        stats.points_visited = hi - lo;
-        return stats;
-    }
-    let mut prover = Prover::new(net, grid, theta, start_line, lo, hi);
     let mut sink = FlagsSink {
         evaluator: GridEvaluator::new(theta, start_line),
         f: &mut f,
     };
-    let cells = prover.cells;
-    let all: Vec<u32> = (0..u32::try_from(net.len()).expect("camera count fits u32")).collect();
-    prover.visit_tiles(0, cells, 0, cells, &all, &mut sink);
-    prover.stats
+    prove(net, grid, theta, start_line, lo, hi, &mut sink).unwrap_or_else(|| {
+        sweep_flags_range(net, grid, theta, start_line, lo, hi, &mut f);
+        visited(lo, hi)
+    })
 }
 
 /// The hierarchical counterpart of [`fullview_core::count_k_view_range`]:
@@ -773,34 +791,24 @@ pub fn count_k_view_range_hier(
     lo: usize,
     hi: usize,
 ) -> (usize, ProverStats) {
-    assert!(
-        lo <= hi && hi <= grid.len(),
-        "range {lo}..{hi} out of bounds for a grid of {} points",
-        grid.len()
-    );
-    let mut stats = ProverStats::default();
     if k == 0 {
-        return (hi - lo, stats);
-    }
-    if lo == hi {
-        return (0, stats);
-    }
-    if !use_tiled(net, grid) {
-        stats.points_visited = hi - lo;
+        // Every point qualifies; the core count checks the range.
         return (
-            fullview_core::count_k_view_range(net, grid, theta, k, lo, hi),
-            stats,
+            fullview_core::count_k_view_range(net, grid, theta, 0, lo, hi),
+            ProverStats::default(),
         );
     }
-    let mut prover = Prover::new(net, grid, theta, Angle::ZERO, lo, hi);
     let mut sink = CountSink {
         analyzer: PointAnalyzer::new(),
         theta_radians: theta.radians(),
         k,
         count: 0,
     };
-    let cells = prover.cells;
-    let all: Vec<u32> = (0..u32::try_from(net.len()).expect("camera count fits u32")).collect();
-    prover.visit_tiles(0, cells, 0, cells, &all, &mut sink);
-    (sink.count, prover.stats)
+    match prove(net, grid, theta, Angle::ZERO, lo, hi, &mut sink) {
+        Some(stats) => (sink.count, stats),
+        None => (
+            fullview_core::count_k_view_range(net, grid, theta, k, lo, hi),
+            visited(lo, hi),
+        ),
+    }
 }

@@ -16,13 +16,11 @@
 
 use fullview_core::{
     count_k_view_range, coverage_glyphs_range, evaluate_grid, find_holes, full_view_mask_range,
-    sweep_flags_range, EffectiveAngle, GridEvaluator,
+    holes_from_mask, sweep_flags_range, EffectiveAngle, GridEvaluator, IncrementalSweep,
+    PointFlags,
 };
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
-use fullview_hier::{
-    count_k_view_range_hier, coverage_glyphs_range_hier, evaluate_grid_hier, find_holes_hier,
-    full_view_mask_range_hier, sweep_flags_range_hier,
-};
+use fullview_hier::{count_k_view_range_hier, evaluate_grid_hier, sweep_flags_range_hier, Tier};
 use fullview_model::{Camera, CameraNetwork, GroupId, SensorSpec};
 use proptest::prelude::*;
 use std::f64::consts::{PI, TAU};
@@ -122,6 +120,28 @@ fn hier_flags(
     (flags, stats)
 }
 
+/// Mostly the heterogeneous mix; one case in five is an input the
+/// dense-grid walk answers with its per-point unit (more index cells than
+/// grid points): the empty network, or the same cameras with radii below
+/// the grid spacing.
+fn range_network_strategy(max: usize) -> impl Strategy<Value = CameraNetwork> {
+    (0usize..10, hetero_network_strategy(max), 0.002..0.02f64).prop_map(|(sel, net, r)| {
+        let cams = match sel {
+            0..=7 => return net,
+            8 => Vec::new(),
+            _ => net
+                .cameras()
+                .iter()
+                .map(|c| {
+                    let spec = SensorSpec::new(r, c.spec().angle_of_view()).unwrap();
+                    Camera::new(c.position(), c.orientation(), spec, c.group())
+                })
+                .collect(),
+        };
+        CameraNetwork::new(Torus::unit(), cams)
+    })
+}
+
 // ---------- properties ----------
 
 proptest! {
@@ -132,7 +152,7 @@ proptest! {
     /// in-range point either proven or visited (exactly once).
     #[test]
     fn hier_flags_sweep_matches_exact(
-        net in hetero_network_strategy(40),
+        net in range_network_strategy(40),
         theta in boundary_theta_strategy(),
         side in 2usize..24,
         a in 0.0..1.0f64,
@@ -159,7 +179,7 @@ proptest! {
     /// trivial 0 and values above any multiplicity present.
     #[test]
     fn hier_kcount_matches_core(
-        net in hetero_network_strategy(40),
+        net in range_network_strategy(40),
         theta in boundary_theta_strategy(),
         k in 0usize..5,
         side in 2usize..16,
@@ -182,7 +202,7 @@ proptest! {
     /// byte-identical to the core renderers the daemon verbs serve.
     #[test]
     fn hier_wrappers_match_core_bytes(
-        net in hetero_network_strategy(32),
+        net in range_network_strategy(32),
         theta in boundary_theta_strategy(),
         side in 2usize..16,
         a in 0.0..1.0f64,
@@ -192,9 +212,9 @@ proptest! {
         let (fa, fb) = if a <= b { (a, b) } else { (b, a) };
         let lo = (fa * len as f64) as usize;
         let hi = ((fb * len as f64) as usize).min(len);
-        let (glyphs, _) = coverage_glyphs_range_hier(&net, theta, side, lo, hi);
+        let (glyphs, _) = Tier::Hier.glyphs(&net, theta, side, lo, hi);
         prop_assert_eq!(glyphs, coverage_glyphs_range(&net, theta, side, lo, hi));
-        let (mask, _) = full_view_mask_range_hier(&net, theta, side, lo, hi);
+        let (mask, _) = Tier::Hier.mask(&net, theta, side, lo, hi);
         prop_assert_eq!(mask, full_view_mask_range(&net, theta, side, lo, hi));
     }
 }
@@ -270,7 +290,8 @@ fn dense_reports_and_holes_match_core() {
     let grid = UnitGrid::new(Torus::unit(), side);
     let (report, _) = evaluate_grid_hier(&net, theta, &grid, Angle::ZERO);
     assert_eq!(report, evaluate_grid(&net, theta, &grid, Angle::ZERO));
-    let (holes, _) = find_holes_hier(&net, theta, side);
+    let (mask, _) = Tier::Hier.mask(&net, theta, side, 0, side * side);
+    let holes = holes_from_mask(*net.torus(), side, &mask);
     assert_eq!(holes.to_string(), find_holes(&net, theta, side).to_string());
 }
 
@@ -319,4 +340,39 @@ fn stats_merge_and_display() {
         b.to_string(),
         "nodes 3 (full 1, empty 1), points proved 90 / visited 10, exact tiles 1"
     );
+}
+
+/// The composed tier: an incremental state whose cold builds come from
+/// the prover matches the core-built state — cold, after a move repaired
+/// through the core funnel, and after a rebuild.
+#[test]
+fn incremental_state_built_by_the_prover_matches_the_core_walk() {
+    let mut net = dense_network(420, 0.12, TAU);
+    let theta = EffectiveAngle::new(PI / 3.0).unwrap();
+    let side = 160;
+    let mut nodes = 0;
+    let mut cold =
+        |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, PointFlags)| {
+            nodes += Tier::Hier
+                .sweep_flags(net, grid, theta, Angle::ZERO, 0, grid.len(), emit)
+                .nodes;
+        };
+    let mut state = IncrementalSweep::with_cold_sweep(&net, theta, Angle::ZERO, side, &mut cold);
+    let core = |net: &CameraNetwork| IncrementalSweep::new(net, theta, Angle::ZERO, side);
+    assert_eq!(state.report(), core(&net).report());
+    assert_eq!(state.mask(), core(&net).mask());
+
+    let cam = net.cameras()[7];
+    let to = Point::new(0.52, 0.31);
+    assert!(net.move_camera(7, to));
+    state.mark_disk(cam.position(), cam.spec().radius());
+    state.mark_disk(to, cam.spec().radius());
+    assert!(!state.resweep_dirty_with(&net, &mut cold).rebuilt);
+    assert_eq!(state.mask(), core(&net).mask(), "after the repair");
+
+    state.invalidate();
+    assert!(state.resweep_dirty_with(&net, &mut cold).rebuilt);
+    assert_eq!(state.report(), core(&net).report(), "after the rebuild");
+    assert_eq!(state.mask(), core(&net).mask(), "after the rebuild");
+    assert!(nodes > 0, "the prover never ran");
 }

@@ -49,6 +49,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 pub mod snapshot;
+pub mod verbs;
 pub mod wal;
 
 pub use admission::{AdmissionControl, AdmissionSnapshot, ANON_CLIENT};

@@ -26,29 +26,6 @@ const LATENCY_BUCKETS: usize = 2_000;
 /// that a handful of handler threads rarely collide, cheap to merge.
 const STRIPES: usize = 8;
 
-/// The endpoint names tracked by [`Metrics`], in reporting order.
-pub const ENDPOINTS: &[&str] = &[
-    "check",
-    "map",
-    "holes",
-    "kfull",
-    "prob",
-    "cells",
-    "mask",
-    "kcount",
-    "stats",
-    "fingerprint",
-    "snapshot",
-    "restore",
-    "fail",
-    "move",
-    "reseed",
-    "shards",
-    "hello",
-    "ping",
-    "shutdown",
-];
-
 #[derive(Debug)]
 struct Stripe {
     counts: Vec<u64>,
@@ -56,9 +33,9 @@ struct Stripe {
 }
 
 impl Stripe {
-    fn new() -> Self {
+    fn new(endpoints: usize) -> Self {
         Stripe {
-            counts: vec![0; ENDPOINTS.len()],
+            counts: vec![0; endpoints],
             latency: Histogram::new(0.0, LATENCY_MAX_MS, LATENCY_BUCKETS),
         }
     }
@@ -68,6 +45,8 @@ impl Stripe {
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
+    /// The counted endpoints, in reporting order.
+    endpoints: Vec<&'static str>,
     stripes: Vec<Mutex<Stripe>>,
     rejected: AtomicU64,
     busy: AtomicU64,
@@ -78,7 +57,7 @@ pub struct Metrics {
 pub struct MetricsSnapshot {
     /// Seconds since the server started.
     pub uptime_s: f64,
-    /// `(endpoint, requests)` in [`ENDPOINTS`] order.
+    /// `(endpoint, requests)` in the sink's endpoint order.
     pub counts: Vec<(&'static str, u64)>,
     /// Requests rejected before dispatch (unknown verb, parse error,
     /// queue full).
@@ -111,12 +90,23 @@ fn stripe_of() -> usize {
 }
 
 impl Metrics {
-    /// A fresh sink with zeroed counters.
+    /// A fresh sink with zeroed counters for every verb the daemon serves
+    /// ([`crate::verbs::VERBS`]).
     #[must_use]
     pub fn new() -> Self {
+        Self::with_endpoints(crate::verbs::names().collect())
+    }
+
+    /// A fresh sink counting `endpoints`, in that reporting order — for a
+    /// front end serving verbs beyond the daemon's.
+    #[must_use]
+    pub fn with_endpoints(endpoints: Vec<&'static str>) -> Self {
         Metrics {
             started: Instant::now(),
-            stripes: (0..STRIPES).map(|_| Mutex::new(Stripe::new())).collect(),
+            stripes: (0..STRIPES)
+                .map(|_| Mutex::new(Stripe::new(endpoints.len())))
+                .collect(),
+            endpoints,
             rejected: AtomicU64::new(0),
             busy: AtomicU64::new(0),
         }
@@ -126,7 +116,7 @@ impl Metrics {
     /// end-to-end (parse to response ready).
     pub fn record(&self, endpoint: &str, latency_ms: f64) {
         let mut stripe = self.stripes[stripe_of()].lock().expect("metrics lock");
-        if let Some(i) = ENDPOINTS.iter().position(|e| *e == endpoint) {
+        if let Some(i) = self.endpoints.iter().position(|e| *e == endpoint) {
             stripe.counts[i] += 1;
         }
         // Guard against non-finite timings rather than panicking the
@@ -150,7 +140,7 @@ impl Metrics {
     /// recording stripes sample-exactly.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counts = vec![0u64; ENDPOINTS.len()];
+        let mut counts = vec![0u64; self.endpoints.len()];
         let mut latency = Histogram::new(0.0, LATENCY_MAX_MS, LATENCY_BUCKETS);
         for stripe in &self.stripes {
             let stripe = stripe.lock().expect("metrics lock");
@@ -159,8 +149,7 @@ impl Metrics {
             }
             latency.merge(&stripe.latency);
         }
-        let counts: Vec<(&'static str, u64)> =
-            ENDPOINTS.iter().zip(counts).map(|(e, c)| (*e, c)).collect();
+        let counts: Vec<(&'static str, u64)> = self.endpoints.iter().copied().zip(counts).collect();
         MetricsSnapshot {
             uptime_s: self.started.elapsed().as_secs_f64(),
             total: counts.iter().map(|(_, c)| c).sum(),

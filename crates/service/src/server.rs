@@ -14,7 +14,8 @@
 //! re-evaluates exactly those tiles — bit-identical to a cold sweep (the
 //! invariant is differential-tested in `fullview-core`). `watch`
 //! subscribers receive a delta frame per mutation built from the same
-//! repair.
+//! repair. The daemon's [`Tier`] (`--hier`) chooses who answers the
+//! remaining sweeps and the warm states' cold builds.
 //!
 //! Locking discipline (lock order: `watches` → `fleet` → `sweeps`; the
 //! cache lock is only ever held alone): a mutation applies the change,
@@ -31,16 +32,18 @@ use crate::metrics::Metrics;
 use crate::protocol::{self, Request};
 use crate::queue::JobQueue;
 use crate::snapshot::{read_snapshot, write_snapshot};
+use crate::verbs;
 use crate::wal::{self, WalOp, WalRecord, WalWriter};
 use fullview_core::canon::{network_fingerprint, profile_fingerprint, CanonicalHasher};
 use fullview_core::{
-    barrier_full_view, count_k_view_range, coverage_glyphs_range, coverage_map_text, dense_grid,
-    hole_report_text, holes_from_mask, kfull_text, prob_point_full_view_poisson,
-    prob_point_meets_necessary_poisson, prob_point_meets_sufficient_poisson, EffectiveAngle,
-    IncrementalSweep,
+    barrier_full_view, coverage_map_from_glyphs, dense_grid, hole_report_text, holes_from_mask,
+    kfull_text, prob_point_full_view_poisson, prob_point_meets_necessary_poisson,
+    prob_point_meets_sufficient_poisson, ColdSweep, EffectiveAngle, IncrementalSweep, PointFlags,
+    SweepDelta,
 };
 use fullview_deploy::deploy_uniform;
 use fullview_geom::{Angle, Point, UnitGrid};
+use fullview_hier::{ProverStats, Tier};
 use fullview_model::{CameraNetwork, NetworkProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,9 +87,10 @@ pub struct ServiceConfig {
     pub admit_rate: f64,
     /// Admission-control bucket capacity (burst allowance, clamped ≥ 1).
     pub admit_burst: f64,
-    /// Serve dense-sweep queries (`check`, `map`, `holes`, `cells`,
-    /// `mask`, `kfull`, `kcount`) through the hierarchical certificate
-    /// prover instead of the flat engine. Answers are bit-identical
+    /// Sweep through the hierarchical certificate prover: `map`,
+    /// `cells`, `kfull` and `kcount` directly, `check`, `holes` and
+    /// `mask` for the cold builds of their warm incremental states (their
+    /// repairs stay on the core tile funnel). Answers are bit-identical
     /// either way (differential-tested); the prover pays off at large
     /// grid sides. Prover counters surface through `stats`.
     pub hier: bool,
@@ -216,15 +220,16 @@ impl SweepRegistry {
         }
     }
 
-    /// The warm state for `(theta, side)`, building it cold on first
-    /// use. Evicts the least-recently-used unpinned slot when full; when
-    /// every slot is pinned the pool grows past the cap rather than
-    /// breaking a watcher.
+    /// The warm state for `(theta, side)`, building it on first use with
+    /// the verdicts of `cold`. Evicts the least-recently-used unpinned
+    /// slot when full; when every slot is pinned the pool grows past the
+    /// cap rather than breaking a watcher.
     fn get_or_build(
         &mut self,
         net: &CameraNetwork,
         theta: EffectiveAngle,
         side: usize,
+        cold: &mut ColdSweep<'_>,
     ) -> &mut IncrementalSweep {
         self.tick += 1;
         let key = sweep_key(theta, side);
@@ -244,7 +249,7 @@ impl SweepRegistry {
                 self.slots.swap_remove(i);
             }
         }
-        let state = IncrementalSweep::new(net, theta, Angle::ZERO, side);
+        let state = IncrementalSweep::with_cold_sweep(net, theta, Angle::ZERO, side, cold);
         self.slots.push(SweepSlot {
             key,
             state,
@@ -253,6 +258,31 @@ impl SweepRegistry {
         });
         &mut self.slots.last_mut().expect("just pushed").state
     }
+}
+
+/// The warm sweep state for `(theta, side)`, repaired against `net`.
+/// Cold builds — the first use, and the rebuild after `reseed`/`restore`
+/// — take their verdicts from the daemon's tier; dirty tiles are repaired
+/// through the core tile funnel.
+fn warm_sweep<'s>(
+    ctx: &ServerCtx,
+    sweeps: &'s mut SweepRegistry,
+    net: &CameraNetwork,
+    theta: EffectiveAngle,
+    side: usize,
+) -> (&'s mut IncrementalSweep, SweepDelta) {
+    let mut prover = ProverStats::default();
+    let mut cold =
+        |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, PointFlags)| {
+            let stats = ctx
+                .tier
+                .sweep_flags(net, grid, theta, Angle::ZERO, 0, grid.len(), emit);
+            prover.merge(&stats);
+        };
+    let state = sweeps.get_or_build(net, theta, side, &mut cold);
+    let delta = state.resweep_dirty_with(net, &mut cold);
+    ctx.note_prover(prover);
+    (state, delta)
 }
 
 /// One `watch` subscriber: a cloned connection the hub writes delta
@@ -311,17 +341,27 @@ struct ServerCtx {
     admission: AdmissionControl,
     /// Write-ahead journal (`--wal`); `None` runs without durability.
     wal: Option<WalState>,
-    /// Route dense sweeps through the hierarchical prover (`--hier`).
-    hier: bool,
+    /// Who answers dense sweeps (`--hier`).
+    tier: Tier,
     /// Discretization budget in total cells (`--max-cells`; 0 = off).
     max_cells: usize,
-    /// Prover counters accumulated across every hier-backed compute,
-    /// reported by the `stats` verb.
-    hier_stats: Mutex<fullview_hier::ProverStats>,
+    /// Prover counters accumulated across every sweep, reported by the
+    /// `stats` verb (a screened sweep adds nothing).
+    hier_stats: Mutex<ProverStats>,
     theta_default: EffectiveAngle,
     reseed_n: usize,
     shutdown: AtomicBool,
     addr: SocketAddr,
+}
+
+impl ServerCtx {
+    /// Folds one sweep's prover counters into the totals `stats` reports.
+    fn note_prover(&self, stats: ProverStats) {
+        self.hier_stats
+            .lock()
+            .expect("hier stats lock")
+            .merge(&stats);
+    }
 }
 
 /// A running daemon. Dropping it (or calling [`Server::wait`] after a
@@ -399,9 +439,9 @@ impl Server {
             queue: JobQueue::new(config.workers, config.queue_capacity),
             admission: AdmissionControl::new(config.admit_rate, config.admit_burst),
             wal,
-            hier: config.hier,
+            tier: Tier::from_hier(config.hier),
             max_cells: config.max_cells,
-            hier_stats: Mutex::new(fullview_hier::ProverStats::default()),
+            hier_stats: Mutex::new(ProverStats::default()),
             theta_default: config.theta,
             reseed_n: config.n.max(1),
             shutdown: AtomicBool::new(false),
@@ -475,16 +515,6 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<ServerCtx>) {
     }
     ctx.queue.shutdown();
 }
-
-/// The verbs that consume worker or mutation capacity and therefore
-/// pass through the admission gate. Administrative verbs (`ping`,
-/// `stats`, `hello`, `shutdown`) and the coordinator's resync verbs
-/// (`fingerprint`, `snapshot`, `restore`) are never shed — a throttled
-/// client must still be able to observe its own throttling.
-const ADMISSION_GATED: &[&str] = &[
-    "check", "map", "holes", "kfull", "prob", "cells", "mask", "kcount", "barrier", "fail", "move",
-    "reseed",
-];
 
 fn handle_connection(ctx: &Arc<ServerCtx>, stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
@@ -560,7 +590,7 @@ fn handle_connection(ctx: &Arc<ServerCtx>, stream: &TcpStream) {
             }
             Ok(req) => {
                 let verb = req.verb().to_string();
-                if ADMISSION_GATED.contains(&verb.as_str()) {
+                if verbs::is_gated(&verb) {
                     if let Err(retry_ms) = ctx.admission.admit(&client) {
                         ctx.metrics.record_busy();
                         if protocol::write_err(&mut writer, &format!("busy retry_after={retry_ms}"))
@@ -805,131 +835,56 @@ fn fp_for(fleet: &Fleet, kind: QueryKind) -> u64 {
 
 /// Computes a query answer. `check`, `holes`, and `mask` are served
 /// from the warm incremental engine (repairing only tiles dirtied since
-/// the last sweep); every other kind computes cold. Callers hold the
-/// fleet read lock; the sweeps lock is taken briefly inside (lock order
-/// `fleet` → `sweeps`).
+/// the last sweep); `map`, `cells`, `kfull` and `kcount` sweep cold
+/// through the daemon's tier. Callers hold the fleet read lock; the
+/// sweeps lock is taken briefly inside (lock order `fleet` → `sweeps`).
 fn compute(ctx: &ServerCtx, fleet: &Fleet, kind: QueryKind, params: &QueryParams) -> String {
-    let theta = params.theta;
-    // Fold one hier sweep's prover counters into the daemon totals the
-    // `stats` verb reports.
-    let note = |stats: fullview_hier::ProverStats| {
-        ctx.hier_stats
-            .lock()
-            .expect("hier stats lock")
-            .merge(&stats);
-    };
+    let (theta, tier, net) = (params.theta, ctx.tier, &fleet.net);
     match kind {
         QueryKind::Check => {
-            let side = dense_grid(*fleet.net.torus(), fleet.net.len()).side_count();
-            let report = if ctx.hier {
-                let grid = UnitGrid::new(*fleet.net.torus(), side);
-                let (report, stats) =
-                    fullview_hier::evaluate_grid_hier(&fleet.net, theta, &grid, Angle::ZERO);
-                note(stats);
-                report
-            } else {
-                let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-                let state = sweeps.get_or_build(&fleet.net, theta, side);
-                state.resweep_dirty(&fleet.net);
-                state.report().clone()
-            };
+            let side = dense_grid(*net.torus(), net.len()).side_count();
+            let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
+            let report = warm_sweep(ctx, &mut sweeps, net, theta, side).0.report();
             format!(
                 "{} cameras\n{report}\nfull-view fraction {:.4}\n",
-                fleet.net.len(),
+                net.len(),
                 report.full_view_fraction()
             )
         }
         QueryKind::Map => {
-            if ctx.hier {
-                let (text, stats) =
-                    fullview_hier::coverage_map_text_hier(&fleet.net, theta, params.side);
-                note(stats);
-                text
-            } else {
-                coverage_map_text(&fleet.net, theta, params.side)
-            }
+            let side = params.side;
+            let (glyphs, stats) = tier.glyphs(net, theta, side, 0, side * side);
+            ctx.note_prover(stats);
+            coverage_map_from_glyphs(side, &glyphs)
         }
         QueryKind::Holes => {
-            let report = if ctx.hier {
-                let (report, stats) =
-                    fullview_hier::find_holes_hier(&fleet.net, theta, params.grid);
-                note(stats);
-                report
-            } else {
-                let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-                let state = sweeps.get_or_build(&fleet.net, theta, params.grid);
-                state.resweep_dirty(&fleet.net);
-                holes_from_mask(*fleet.net.torus(), params.grid, state.mask())
-            };
-            hole_report_text(&report)
+            let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
+            let (state, _) = warm_sweep(ctx, &mut sweeps, net, theta, params.grid);
+            hole_report_text(&holes_from_mask(*net.torus(), params.grid, state.mask()))
         }
         QueryKind::Kfull => {
-            let grid = UnitGrid::new(*fleet.net.torus(), params.grid);
-            let meeting = if ctx.hier {
-                let (meeting, stats) = fullview_hier::count_k_view_range_hier(
-                    &fleet.net,
-                    &grid,
-                    theta,
-                    params.k,
-                    0,
-                    grid.len(),
-                );
-                note(stats);
-                meeting
-            } else {
-                count_k_view_range(&fleet.net, &grid, theta, params.k, 0, grid.len())
-            };
+            let grid = UnitGrid::new(*net.torus(), params.grid);
+            let (meeting, stats) = tier.count_k(net, &grid, theta, params.k, 0, grid.len());
+            ctx.note_prover(stats);
             kfull_text(params.k, params.grid, meeting, grid.len())
         }
         QueryKind::Cells => {
-            if ctx.hier {
-                let (glyphs, stats) = fullview_hier::coverage_glyphs_range_hier(
-                    &fleet.net,
-                    theta,
-                    params.side,
-                    params.lo,
-                    params.hi,
-                );
-                note(stats);
-                glyphs
-            } else {
-                coverage_glyphs_range(&fleet.net, theta, params.side, params.lo, params.hi)
-            }
+            let (glyphs, stats) = tier.glyphs(net, theta, params.side, params.lo, params.hi);
+            ctx.note_prover(stats);
+            glyphs
         }
         QueryKind::Mask => {
-            if ctx.hier {
-                let (mask, stats) = fullview_hier::full_view_mask_range_hier(
-                    &fleet.net,
-                    theta,
-                    params.grid,
-                    params.lo,
-                    params.hi,
-                );
-                note(stats);
-                mask.iter()
-                    .map(|&covered| if covered { '1' } else { '0' })
-                    .collect()
-            } else {
-                let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-                let state = sweeps.get_or_build(&fleet.net, theta, params.grid);
-                state.resweep_dirty(&fleet.net);
-                state.mask()[params.lo..params.hi]
-                    .iter()
-                    .map(|&covered| if covered { '1' } else { '0' })
-                    .collect()
-            }
+            let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
+            let (state, _) = warm_sweep(ctx, &mut sweeps, net, theta, params.grid);
+            state.mask()[params.lo..params.hi]
+                .iter()
+                .map(|&covered| if covered { '1' } else { '0' })
+                .collect()
         }
         QueryKind::Kcount => {
-            let grid = UnitGrid::new(*fleet.net.torus(), params.grid);
-            let meeting = if ctx.hier {
-                let (meeting, stats) = fullview_hier::count_k_view_range_hier(
-                    &fleet.net, &grid, theta, params.k, params.lo, params.hi,
-                );
-                note(stats);
-                meeting
-            } else {
-                count_k_view_range(&fleet.net, &grid, theta, params.k, params.lo, params.hi)
-            };
+            let grid = UnitGrid::new(*net.torus(), params.grid);
+            let (meeting, stats) = tier.count_k(net, &grid, theta, params.k, params.lo, params.hi);
+            ctx.note_prover(stats);
             format!("{meeting}\n")
         }
         QueryKind::Barrier => {
@@ -1055,8 +1010,7 @@ fn watch_frames(
     let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
     let mut frames = Vec::new();
     for (key, theta, grid) in watches.watched_configs() {
-        let state = sweeps.get_or_build(&fleet.net, theta, grid);
-        let delta = state.resweep_dirty(&fleet.net);
+        let (state, delta) = warm_sweep(ctx, &mut sweeps, &fleet.net, theta, grid);
         let fraction = state.report().full_view_fraction();
         let holes = holes_from_mask(*fleet.net.torus(), grid, state.mask())
             .holes
@@ -1344,8 +1298,7 @@ fn run_watch(ctx: &ServerCtx, req: &Request<'_>, stream: &TcpStream) -> Result<(
     let (fraction, holes) = {
         let fleet = ctx.fleet.read().expect("fleet lock");
         let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-        let state = sweeps.get_or_build(&fleet.net, theta, grid);
-        state.resweep_dirty(&fleet.net);
+        let (state, _) = warm_sweep(ctx, &mut sweeps, &fleet.net, theta, grid);
         let fraction = state.report().full_view_fraction();
         let holes = holes_from_mask(*fleet.net.torus(), grid, state.mask())
             .holes
@@ -1438,7 +1391,7 @@ fn render_stats(ctx: &ServerCtx) -> String {
         );
     }
     let hier_stats = *ctx.hier_stats.lock().expect("hier stats lock");
-    let _ = writeln!(out, "hier: enabled={} {hier_stats}", ctx.hier);
+    let _ = writeln!(out, "hier: enabled={} {hier_stats}", ctx.tier == Tier::Hier);
     let fmt_q = |q: Option<f64>| q.map_or_else(|| "na".to_string(), |v| format!("{v:.3}"));
     let _ = writeln!(
         out,
@@ -1484,8 +1437,6 @@ fn dispatch(ctx: &Arc<ServerCtx>, req: &Request<'_>, client: &str) -> Result<Str
         // non-connection context.
         "hello" => Err("hello applies to a client connection".to_string()),
         "watch" => Err("watch requires a dedicated client connection".to_string()),
-        other => Err(format!(
-            "unknown request '{other}' (known: check, map, holes, kfull, prob, cells, mask, kcount, barrier, stats, fingerprint, snapshot, restore, fail, move, reseed, watch, hello, ping, shutdown)"
-        )),
+        other => Err(verbs::unknown_verb(other)),
     }
 }

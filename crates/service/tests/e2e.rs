@@ -773,3 +773,56 @@ fn deadline_sheds_queued_work_but_serves_fresh_hits_and_generous_budgets() {
     let hit = client.request_ok("check deadline_ms=1").unwrap();
     assert_eq!(hit, ok, "fresh cache hits are free and never shed");
 }
+
+#[test]
+fn stats_counts_every_served_verb_once_and_totals_its_samples() {
+    let server = Server::start(small_config()).expect("start");
+    let mut client = connect(&server);
+    let dir = std::env::temp_dir().join(format!("fvc-service-verbs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let snap = dir.join("verbs.snap");
+    let snap = snap.display();
+
+    // `watch` retires its connection, so it goes first on its own.
+    let mut watcher = connect(&server);
+    watcher.request_ok("watch grid=8").expect("watch");
+    let requests = [
+        "check".to_string(),
+        "map side=8".to_string(),
+        "holes grid=8".to_string(),
+        "kfull k=1 grid=8".to_string(),
+        "prob density=100".to_string(),
+        "cells side=8".to_string(),
+        "mask grid=8".to_string(),
+        "kcount k=1 grid=8".to_string(),
+        "barrier grid=8".to_string(),
+        "stats".to_string(),
+        "fingerprint".to_string(),
+        format!("snapshot path={snap}"),
+        format!("restore path={snap}"),
+        "fail id=0".to_string(),
+        "move id=1 x=0.5 y=0.5".to_string(),
+        "reseed seed=3".to_string(),
+        "hello client=probe".to_string(),
+        "ping".to_string(),
+    ];
+    for request in &requests {
+        client.request_ok(request).expect(request);
+    }
+
+    let stats = client.request_ok("stats").expect("stats");
+    let counts = stats_line(&stats, "requests:");
+    for verb in requests
+        .iter()
+        .map(|r| r.split_whitespace().next().unwrap())
+        .chain(["watch"])
+    {
+        assert_eq!(counts.get(verb), Some(&"1"), "'{verb}' in:\n{stats}");
+    }
+    assert_eq!(
+        counts["total"],
+        stats_line(&stats, "latency_ms:")["samples"],
+        "every timed request is counted:\n{stats}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

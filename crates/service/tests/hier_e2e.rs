@@ -145,3 +145,52 @@ fn max_cells_budget_rejects_oversized_grids_and_daemon_keeps_serving() {
     let again = client.request_ok("map side=20").expect("map after rejects");
     assert_eq!(again, within, "served bytes changed after budget rejects");
 }
+
+/// The prover's `nodes` counter from a daemon's `hier:` stats line.
+fn prover_nodes(client: &mut Client) -> u64 {
+    let stats = client.request_ok("stats").expect("stats");
+    let line = stats
+        .lines()
+        .find(|l| l.starts_with("hier: "))
+        .unwrap_or_else(|| panic!("no 'hier:' line in:\n{stats}"));
+    let mut tokens = line.split_whitespace().skip_while(|t| *t != "nodes");
+    tokens
+        .nth(1)
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no node count in: {line}"))
+}
+
+#[test]
+fn hier_daemon_repairs_its_warm_sweeps_after_a_move() {
+    let exact = Server::start(config_with(false, 0)).expect("exact daemon");
+    let hier = Server::start(config_with(true, 0)).expect("hier daemon");
+    let mut exact_client = connect(&exact);
+    let mut hier_client = connect(&hier);
+    let reads = ["check", "holes grid=16", "mask grid=20 lo=0 hi=400"];
+
+    // First reads build the warm states cold — through the prover.
+    for query in reads {
+        let want = exact_client.request_ok(query).expect(query);
+        let got = hier_client.request_ok(query).expect(query);
+        assert_eq!(got, want, "'{query}' bytes differ before the move");
+    }
+    let cold_nodes = prover_nodes(&mut hier_client);
+    assert!(cold_nodes > 0, "the cold builds never ran the prover");
+
+    for client in [&mut exact_client, &mut hier_client] {
+        let moved = client.request_ok("move id=3 x=0.41 y=0.27").expect("move");
+        assert!(moved.starts_with("moved camera 3"), "{moved}");
+    }
+    // After the move every answer is an incremental repair: the same
+    // bytes as the default daemon, and no prover work.
+    for query in reads {
+        let want = exact_client.request_ok(query).expect(query);
+        let got = hier_client.request_ok(query).expect(query);
+        assert_eq!(got, want, "'{query}' bytes differ after the move");
+    }
+    assert_eq!(
+        prover_nodes(&mut hier_client),
+        cold_nodes,
+        "a repair re-ran the prover"
+    );
+}

@@ -1,21 +1,19 @@
 //! Intra-sweep parallel dense-grid coverage evaluation.
 //!
 //! The Monte-Carlo runner ([`crate::run_trials_map`]) parallelises *across*
-//! trials; this module parallelises *within* one trial: the `m = ⌈n ln n⌉`
-//! grid points of a single dense-grid sweep (§III-A) are split into work
-//! units that workers claim dynamically, each evaluating with its own
-//! [`GridEvaluator`] scratch state (no per-point allocation), and the
-//! partial [`GridCoverageReport`]s are merged in work-unit order.
+//! trials; this module parallelises *within* one trial: the tiles of a
+//! single dense-grid sweep (§III-A) — one spatial-index cell's worth of
+//! grid points sharing a pinned candidate list — are claimed dynamically
+//! by workers, each evaluating with its own [`GridEvaluator`] scratch
+//! state (no per-point allocation), and the partial
+//! [`GridCoverageReport`]s are merged in tile order. Every report field is
+//! a plain integer sum over disjoint point sets, so merging is exact and
+//! order-independent: the parallel sweep is **bit-identical** to
+//! [`evaluate_grid`] for every thread count.
 //!
-//! Two work-unit shapes exist. When the tiled engine is profitable
-//! ([`use_tiled`]) the unit is one *tile* — a spatial-index cell's worth of
-//! grid points sharing a pinned candidate list — giving cache-coherent
-//! candidate reuse and a finer tail than the flat path's fixed 1024-point
-//! chunks. Otherwise [`evaluate_grid_parallel_flat`] splits the flat index
-//! range. Every report field is a plain integer sum over disjoint point
-//! sets, so merging is exact and order-independent: both parallel sweeps
-//! are **bit-identical** to [`evaluate_grid`] (and to each other) for every
-//! thread count and chunking.
+//! When tiles do not pay off ([`use_tiled`]) the grid is small — the index
+//! has at most 256 cells per axis, so such a grid holds at most 65,536
+//! points — and the serial sweep answers it.
 
 use fullview_core::{
     dense_grid, evaluate_grid, use_tiled, EffectiveAngle, GridCoverageReport, GridEvaluator,
@@ -25,14 +23,7 @@ use fullview_geom::{Angle, UnitGrid};
 use fullview_model::CameraNetwork;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Grid points per dynamically-claimed work unit.
-///
-/// Large enough that the atomic claim is negligible against the per-point
-/// analysis, small enough that uneven camera density still balances
-/// (a 10⁴-camera dense grid has ~92k points ≈ 90 chunks).
-const CHUNK_POINTS: usize = 1024;
-
-fn effective_threads(threads: usize, chunks: usize) -> usize {
+fn effective_threads(threads: usize, units: usize) -> usize {
     let n = if threads == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -40,18 +31,18 @@ fn effective_threads(threads: usize, chunks: usize) -> usize {
     } else {
         threads
     };
-    n.max(1).min(chunks.max(1))
+    n.max(1).min(units.max(1))
 }
 
 /// Sweeps `grid` with `threads` workers (`0` = one per available CPU),
 /// evaluating every coverage predicate at each point.
 ///
-/// Dispatches to tile-claiming workers when the tiled engine is
-/// profitable ([`use_tiled`]) and to [`evaluate_grid_parallel_flat`]
-/// otherwise. Produces a report bit-identical to
+/// Workers claim tiles from an atomic counter when the tiled engine is
+/// profitable ([`use_tiled`]); otherwise the grid is small and the serial
+/// sweep answers it. Produces a report bit-identical to
 /// [`evaluate_grid`]`(net, theta, grid, start_line)` for every thread
-/// count and either backend: workers tally disjoint point sets and the
-/// integer tallies are merged, which is exact regardless of scheduling.
+/// count: workers tally disjoint point sets and the integer tallies are
+/// merged, which is exact regardless of scheduling.
 ///
 /// # Panics
 ///
@@ -64,24 +55,9 @@ pub fn evaluate_grid_parallel(
     start_line: Angle,
     threads: usize,
 ) -> GridCoverageReport {
-    if use_tiled(net, grid) {
-        evaluate_grid_parallel_tiled(net, theta, grid, start_line, threads)
-    } else {
-        evaluate_grid_parallel_flat(net, theta, grid, start_line, threads)
+    if !use_tiled(net, grid) {
+        return evaluate_grid(net, theta, grid, start_line);
     }
-}
-
-/// Tile-claiming parallel sweep: each work unit is one spatial-index cell
-/// (pinned candidate list shared by all its grid points), claimed from an
-/// atomic counter. Finer tail granularity than the flat 1024-point chunks
-/// and better cache locality — candidates are fetched once per tile.
-fn evaluate_grid_parallel_tiled(
-    net: &CameraNetwork,
-    theta: EffectiveAngle,
-    grid: &UnitGrid,
-    start_line: Angle,
-    threads: usize,
-) -> GridCoverageReport {
     let tiling = GridTiling::new(net.index(), grid);
     let tiles = tiling.tile_count();
     let threads = effective_threads(threads, tiles);
@@ -136,78 +112,6 @@ fn evaluate_grid_parallel_tiled(
     report
 }
 
-/// Flat-chunk parallel sweep: workers claim fixed 1024-point index ranges.
-///
-/// This is the legacy execution shape, kept as an explicit backend for
-/// differential tests and benchmarks; [`evaluate_grid_parallel`] chooses
-/// between it and tile claiming automatically. Bit-identical to the serial
-/// and tiled paths for every thread count.
-///
-/// # Panics
-///
-/// Propagates panics from worker threads.
-#[must_use]
-pub fn evaluate_grid_parallel_flat(
-    net: &CameraNetwork,
-    theta: EffectiveAngle,
-    grid: &UnitGrid,
-    start_line: Angle,
-    threads: usize,
-) -> GridCoverageReport {
-    let total = grid.len();
-    let chunks = total.div_ceil(CHUNK_POINTS);
-    let threads = effective_threads(threads, chunks);
-    if threads == 1 {
-        // Truly flat serial sweep (no tile dispatch) so the explicit
-        // backend stays uniform across thread counts.
-        return GridEvaluator::new(theta, start_line).evaluate_range(net, grid, 0..total);
-    }
-
-    // Dynamic work distribution (the `run_trials_map` pattern): workers
-    // claim chunk indices from an atomic counter, evaluate them with their
-    // own scratch state, and record (chunk, partial) pairs.
-    let next = AtomicUsize::new(0);
-    let mut per_worker: Vec<Vec<(usize, GridCoverageReport)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut evaluator = GridEvaluator::new(theta, start_line);
-                    let mut out = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= chunks {
-                            break out;
-                        }
-                        let lo = c * CHUNK_POINTS;
-                        let hi = (lo + CHUNK_POINTS).min(total);
-                        out.push((c, evaluator.evaluate_range(net, grid, lo..hi)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("grid sweep worker panicked"))
-            .collect()
-    });
-
-    // Merge in chunk order. Integer sums are exact either way; the sort
-    // just makes the merge sequence (and any future non-commutative
-    // fields) independent of scheduling.
-    let mut indexed: Vec<(usize, GridCoverageReport)> = Vec::with_capacity(chunks);
-    for chunk in per_worker.drain(..) {
-        indexed.extend(chunk);
-    }
-    indexed.sort_by_key(|(c, _)| *c);
-    debug_assert_eq!(indexed.len(), chunks);
-    let mut report = GridCoverageReport::default();
-    for (_, partial) in indexed {
-        report += partial;
-    }
-    report
-}
-
 /// Parallel variant of [`fullview_core::evaluate_dense_grid`]: sweeps the
 /// paper's dense grid (`m = ⌈n ln n⌉` with `n = net.len()`) over the
 /// network's torus using `threads` workers (`0` = one per available CPU).
@@ -247,7 +151,7 @@ mod tests {
         let th = theta(PI / 3.0);
         for seed in [1u64, 99, 0xFEED] {
             let net = random_network(120, seed);
-            let grid = UnitGrid::new(Torus::unit(), 60); // 3600 points, 4 chunks
+            let grid = UnitGrid::new(Torus::unit(), 60); // 3600 points
             let serial = evaluate_grid(&net, th, &grid, Angle::ZERO);
             for threads in [1usize, 2, 4, 7] {
                 let par = evaluate_grid_parallel(&net, th, &grid, Angle::ZERO, threads);
@@ -259,7 +163,7 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one_worker_minimum() {
         // `effective_threads` never resolves to zero, whatever mix of
-        // zero threads / zero chunks it is handed.
+        // zero threads / zero work units it is handed.
         assert!(effective_threads(0, 16) >= 1);
         assert_eq!(effective_threads(3, 0), 1);
         assert_eq!(effective_threads(0, 0), 1);
@@ -270,10 +174,6 @@ mod tests {
         let serial = evaluate_grid(&net, th, &grid, Angle::ZERO);
         assert_eq!(
             evaluate_grid_parallel(&net, th, &grid, Angle::ZERO, 0),
-            serial
-        );
-        assert_eq!(
-            evaluate_grid_parallel_flat(&net, th, &grid, Angle::ZERO, 0),
             serial
         );
     }
@@ -289,7 +189,7 @@ mod tests {
 
     #[test]
     fn small_grid_single_chunk_short_circuits() {
-        // 25 points < one chunk: must take the serial path and still agree.
+        // A 25-point grid with more threads than it has tiles must agree.
         let net = random_network(20, 3);
         let grid = UnitGrid::new(Torus::unit(), 5);
         let th = theta(PI / 2.0);

@@ -56,9 +56,7 @@ mod table;
 
 pub use estimate::{MeanEstimate, ProportionEstimate};
 pub use failure::with_random_failures;
-pub use gridsweep::{
-    evaluate_dense_grid_parallel, evaluate_grid_parallel, evaluate_grid_parallel_flat,
-};
+pub use gridsweep::{evaluate_dense_grid_parallel, evaluate_grid_parallel};
 pub use histogram::Histogram;
 pub use runner::{run_mean, run_proportion, run_trials_map, RunConfig};
 pub use stats::{erf, standard_normal_cdf, two_proportion_test, TwoProportionTest};

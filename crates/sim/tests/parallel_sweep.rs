@@ -6,7 +6,7 @@
 //! scheduling. Thread counts deliberately include 7 (doesn't divide the
 //! chunk count) and more threads than chunks.
 
-use fullview_core::{dense_grid, evaluate_grid, EffectiveAngle};
+use fullview_core::{dense_grid, evaluate_grid, EffectiveAngle, GridCoverageReport, GridEvaluator};
 use fullview_deploy::deploy_uniform;
 use fullview_geom::{Angle, Torus, UnitGrid};
 use fullview_model::{CameraNetwork, NetworkProfile, SensorSpec};
@@ -50,11 +50,11 @@ fn mask_screened_parallel_matches_wholesale_exact() {
     for (seed, phi) in [(1u64, PI), (9, 2.0 * PI), (77, PI / 6.0)] {
         let net = network(120, seed, 0.15, phi);
         let grid = UnitGrid::new(Torus::unit(), 48); // 2304 points
-        let exact = fullview_core::GridEvaluator::new_exact(theta, Angle::ZERO).evaluate_range(
-            &net,
-            &grid,
-            0..grid.len(),
-        );
+        let mut exact_ev = GridEvaluator::new_exact(theta, Angle::ZERO);
+        let mut exact = GridCoverageReport::default();
+        for idx in 0..grid.len() {
+            exact.record(&exact_ev.point_flags_with(&net, grid.point(idx)));
+        }
         for threads in [1usize, 2, 4] {
             let par = evaluate_grid_parallel(&net, theta, &grid, Angle::ZERO, threads);
             assert_eq!(par, exact, "threads={threads} seed={seed} phi={phi}");

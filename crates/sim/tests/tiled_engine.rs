@@ -1,17 +1,17 @@
 //! Differential test for the tiled evaluation engine: the tile-claiming
-//! sweep, the flat-chunk sweep, and the serial per-point path must produce
-//! bit-identical [`fullview_core::GridCoverageReport`]s.
+//! parallel sweep and the serial walk (tiles or the per-point unit) must
+//! produce bit-identical [`fullview_core::GridCoverageReport`]s.
 //!
 //! Every report field is an integer tally over a disjoint partition of the
 //! grid, so equality must be exact (`==` on every field) for any execution
-//! shape: serial vs parallel, tiled vs flat, and any thread count —
-//! including 7, which divides neither the chunk count nor the tile count.
+//! shape: serial vs parallel, tiled vs per-point, and any thread count —
+//! including 7, which does not divide the tile count.
 
 use fullview_core::{evaluate_grid, use_tiled, EffectiveAngle, GridCoverageReport};
 use fullview_deploy::deploy_uniform;
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
 use fullview_model::{Camera, CameraNetwork, GroupId, NetworkProfile, SensorSpec};
-use fullview_sim::{evaluate_grid_parallel, evaluate_grid_parallel_flat};
+use fullview_sim::evaluate_grid_parallel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::f64::consts::PI;
@@ -29,16 +29,14 @@ fn assert_all_backends_agree(
     let start = Angle::new(0.37);
     let reference = evaluate_grid(net, theta, grid, start);
     for threads in THREADS {
-        let tiled = evaluate_grid_parallel(net, theta, grid, start, threads);
-        assert_eq!(tiled, reference, "{label}: auto/tiled threads={threads}");
-        let flat = evaluate_grid_parallel_flat(net, theta, grid, start, threads);
-        assert_eq!(flat, reference, "{label}: flat threads={threads}");
+        let parallel = evaluate_grid_parallel(net, theta, grid, start, threads);
+        assert_eq!(parallel, reference, "{label}: threads={threads}");
     }
     reference
 }
 
 #[test]
-fn tiled_and_flat_agree_across_seeds() {
+fn parallel_and_serial_agree_across_seeds() {
     let theta = EffectiveAngle::new(PI / 3.0).unwrap();
     let profile = NetworkProfile::homogeneous(SensorSpec::new(0.15, PI).unwrap());
     for seed in [3u64, 77, 0xC0FFEE] {
