@@ -40,7 +40,6 @@ fn start_daemon() -> Server {
     let mut config = ServiceConfig::new(bench_profile());
     config.n = FLEET;
     config.cache_capacity = 0;
-    config.eval_threads = 1;
     config.workers = 1;
     Server::start(config).expect("start daemon")
 }

@@ -27,7 +27,7 @@ use fullview_model::{
     NetworkProfile, SensorSpec,
 };
 use fullview_plan::{greedy_place, optimize_orientations, GreedyPlacer, OrientationPlanner};
-use fullview_service::{Client, Response, Server, ServiceConfig};
+use fullview_service::{verbs, Client, Response, Server, ServiceConfig};
 use fullview_sim::{evaluate_dense_grid_parallel, evaluate_grid_parallel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -203,7 +203,6 @@ fn allowed_options(sub: &str, action: Option<&str>) -> Option<&'static [&'static
             "profile",
             "load",
             "addr",
-            "threads",
             "workers",
             "queue",
             "cache",
@@ -690,7 +689,6 @@ fn serve_config(cli: &Cli) -> Result<ServiceConfig, Box<dyn Error>> {
     config.n = cli.get("n", 400)?;
     config.seed = cli.get("seed", 0)?;
     config.theta = theta_of(cli)?;
-    config.eval_threads = threads_of(cli)?;
     config.workers = cli.get("workers", 2usize)?;
     config.queue_capacity = cli.get("queue", 64usize)?;
     config.cache_capacity = cli.get("cache", 128usize)?;
@@ -738,26 +736,15 @@ fn cmd_query(cli: &Cli) -> Result<(), Box<dyn Error>> {
     if window == 0 {
         return Err(Box::new(ArgError("--window must be positive".into())));
     }
-    // `--deadline-ms` decorates the query verbs only: budgets mean
-    // nothing to mutations, stats, or control verbs, and the server
-    // would reject the unknown parameter there.
+    // `--deadline-ms` decorates only the verbs whose table row accepts
+    // `deadline_ms`: budgets mean nothing to mutations, stats, or control
+    // verbs, and the server would reject the unknown parameter there.
     let deadline_ms: u64 = cli.get("deadline-ms", u64::MAX)?;
     let reqs: Vec<String> = reqs
         .iter()
         .map(|r| {
             let verb = r.split_whitespace().next().unwrap_or("");
-            let budgeted = matches!(
-                verb,
-                "check"
-                    | "prob"
-                    | "map"
-                    | "holes"
-                    | "kfull"
-                    | "cells"
-                    | "mask"
-                    | "kcount"
-                    | "barrier"
-            );
+            let budgeted = verbs::lookup(verb).is_some_and(|v| v.keys.contains(&"deadline_ms"));
             if deadline_ms != u64::MAX && budgeted {
                 format!("{r} deadline_ms={deadline_ms}")
             } else {
@@ -1241,14 +1228,12 @@ mod tests {
             "7",
             "--cache",
             "5",
-            "--threads",
-            "2",
         ]))
         .unwrap();
         assert_eq!(config.addr, "0.0.0.0:0");
         assert_eq!((config.n, config.seed), (55, 9));
         assert_eq!((config.workers, config.queue_capacity), (3, 7));
-        assert_eq!((config.cache_capacity, config.eval_threads), (5, 2));
+        assert_eq!(config.cache_capacity, 5);
         assert!(config.preloaded.is_none());
     }
 

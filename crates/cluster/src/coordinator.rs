@@ -5,16 +5,20 @@
 //! ## Sharding model
 //!
 //! Every shard holds the **full fleet** (replicas of the same
-//! network/profile); the coordinator shards *query work*, not state:
+//! network/profile); the coordinator shards *query work*, not state.
+//! Each verb's route comes from its row in
+//! [`fullview_service::verbs::VERBS`], and every request is validated
+//! with the daemon's own validator before anything leaves the
+//! coordinator:
 //!
-//! * `map` / `holes` / `kfull` — the grid index space `0..total` is cut
-//!   into contiguous row-major chunks ([`crate::merge::chunk_ranges`]),
-//!   each served by a shard through the daemon's ranged verbs (`cells`,
-//!   `mask`, `kcount`) and reassembled in chunk order. The engine's
-//!   backend-equivalence invariant makes each range bit-identical to the
-//!   same slice of a full sweep, so the merged answer is byte-identical
-//!   to a single daemon's.
-//! * `check` / `prob` — replica fan-out: any shard answers the whole
+//! * `map` / `holes` / `kfull` — scatter: the grid index space
+//!   `0..total` is cut into contiguous row-major chunks
+//!   ([`crate::merge::chunk_ranges`]), each served by a shard through the
+//!   row's ranged unit verb (`cells`, `mask`, `kcount`) and merged in
+//!   chunk order. The engine's backend-equivalence invariant makes each
+//!   range bit-identical to the same slice of a full sweep, so the
+//!   merged answer is byte-identical to a single daemon's.
+//! * `check` / `prob` / `barrier` — forward: any shard answers the whole
 //!   query; the coordinator routes to the least-loaded live replica.
 //! * `fail` / `move` / `reseed` — broadcast to every live shard, first
 //!   shard first (its rejection aborts the broadcast before divergence),
@@ -53,15 +57,16 @@ use crate::merge::{aggregate, chunk_ranges, parse_shard_stats, ShardStats};
 use crate::shard::{is_overload, ShardError, ShardState, DEFAULT_BREAKER_THRESHOLD};
 use fullview_core::{coverage_map_from_glyphs, hole_report_text, holes_from_mask, kfull_text};
 use fullview_geom::Torus;
+use fullview_service::frontend::{Call, Frontend, Running};
 use fullview_service::protocol::{self, Request};
-use fullview_service::{verbs, Metrics};
+use fullview_service::verbs::{self, Front, Kind, Merge, Route};
+use fullview_service::Metrics;
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How the coordinator is assembled.
@@ -208,8 +213,6 @@ struct ClusterCtx {
     /// Rotation cursor breaking least-loaded ties between equal replicas.
     rr: AtomicUsize,
     metrics: Metrics,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
 }
 
 impl ClusterCtx {
@@ -251,18 +254,9 @@ impl ClusterCtx {
 
 /// A running coordinator. Shuts down its listener on drop; the shard
 /// daemons are independent processes and are left running.
+#[derive(Debug)]
 pub struct Coordinator {
-    ctx: Arc<ClusterCtx>,
-    acceptor: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Coordinator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Coordinator")
-            .field("addr", &self.ctx.addr)
-            .field("shards", &self.ctx.shards.len())
-            .finish()
-    }
+    running: Running,
 }
 
 impl Coordinator {
@@ -283,7 +277,6 @@ impl Coordinator {
             ));
         }
         let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
         let shards: Vec<Mutex<ShardState>> = cfg
             .shard_addrs
             .iter()
@@ -296,53 +289,71 @@ impl Coordinator {
             loads,
             authority: Mutex::new(None),
             rr: AtomicUsize::new(0),
-            // The daemon's verbs plus the coordinator's own `shards`.
-            metrics: Metrics::with_endpoints(verbs::names().chain(["shards"]).collect()),
-            shutdown: AtomicBool::new(false),
-            addr,
+            // Every verb in the table: the daemon's plus its own `shards`.
+            metrics: Metrics::with_endpoints(verbs::VERBS.iter().map(|v| v.name).collect()),
         });
         initial_sync(&ctx).map_err(|m| io::Error::new(io::ErrorKind::InvalidInput, m))?;
-        let acceptor_ctx = Arc::clone(&ctx);
-        let acceptor = std::thread::spawn(move || accept_loop(&listener, &acceptor_ctx));
         Ok(Coordinator {
-            ctx,
-            acceptor: Some(acceptor),
+            running: Running::spawn(listener, ctx)?,
         })
     }
 
     /// The bound client-facing address.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.ctx.addr
+        self.running.local_addr()
     }
 
     /// Initiates shutdown (equivalent to a client `shutdown` request).
     pub fn shutdown(&self) {
-        initiate_shutdown(&self.ctx);
+        self.running.shutdown();
     }
 
     /// Blocks until the coordinator has fully stopped.
-    pub fn wait(mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            handle.join().expect("acceptor thread panicked");
-        }
+    pub fn wait(self) {
+        self.running.wait();
     }
 }
 
-impl Drop for Coordinator {
-    fn drop(&mut self) {
-        initiate_shutdown(&self.ctx);
-        if let Some(handle) = self.acceptor.take() {
-            handle.join().expect("acceptor thread panicked");
+impl Frontend for ClusterCtx {
+    const FRONT: Front = Front::Coordinator;
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn max_cells(&self) -> usize {
+        self.cfg.max_cells
+    }
+
+    fn dispatch(self: &Arc<Self>, call: &Call<'_>) -> Result<String, String> {
+        let deadline = call.params.deadline(call.received);
+        let line = || forward_line(call.verb.name, call.req);
+        match (call.verb.route, call.verb.kind) {
+            (Route::Scatter { unit, merge }, _) => scatter_query(self, call, unit, merge, deadline),
+            (Route::Forward, _) => forward_one(self, &line(), deadline),
+            (Route::Broadcast, _) => broadcast_mutation(self, &line()),
+            (_, Kind::Stats) => Ok(render_cluster_stats(self)),
+            (_, Kind::Shards) => Ok(render_shards(self)),
+            (_, Kind::Fingerprint) => fingerprint_text(self),
+            (_, Kind::Ping) => Ok("pong\n".to_string()),
+            (_, Kind::Shutdown) => {
+                Ok("shutting down coordinator (shards keep running)\n".to_string())
+            }
+            _ => Err(verbs::unknown_verb(Front::Coordinator, call.verb.name)),
         }
     }
-}
 
-fn initiate_shutdown(ctx: &ClusterCtx) {
-    if ctx.shutdown.swap(true, Ordering::SeqCst) {
-        return;
+    fn watch(
+        &self,
+        call: &Call<'_>,
+        stream: &TcpStream,
+        stopping: &AtomicBool,
+        subscribed: &dyn Fn(),
+    ) -> Result<(), String> {
+        let line = forward_line(call.verb.name, call.req);
+        relay_watch(self, &line, stream, stopping, subscribed)
     }
-    let _ = TcpStream::connect(ctx.addr);
 }
 
 /// Startup: connect everywhere, adopt the first reachable shard's
@@ -864,121 +875,68 @@ fn render_shards(ctx: &ClusterCtx) -> String {
     out
 }
 
-/// Raw parameter pass-through: the coordinator forwards the client's
-/// token verbatim so the shards parse the identical value.
-fn raw_suffix(req: &Request<'_>, key: &str) -> Result<String, String> {
-    let raw: String = req.get(key, String::new())?;
-    if raw.is_empty() {
-        Ok(String::new())
-    } else {
-        Ok(format!(" {key}={raw}"))
+/// The request as a shard should see it, sent as `verb`: the client's
+/// tokens verbatim (so the shards parse the identical values), minus
+/// `deadline_ms=` — each leg carries the budget that is left instead.
+fn forward_line(verb: &str, req: &Request<'_>) -> String {
+    let mut line = verb.to_string();
+    for &(key, value) in req.params() {
+        if key != "deadline_ms" {
+            let _ = write!(line, " {key}={value}");
+        }
     }
+    line
 }
 
-fn theta_suffix(req: &Request<'_>) -> Result<String, String> {
-    raw_suffix(req, "theta-deg")
-}
-
-/// The optional `deadline_ms=` budget as an absolute deadline anchored
-/// at `received` (when the coordinator read the request line), so queue
-/// and retry time spent inside the coordinator counts against it.
-fn parse_deadline(req: &Request<'_>, received: Instant) -> Result<Option<Instant>, String> {
-    // u64::MAX ms ≈ 584 My: the sentinel for "no deadline given".
-    let ms: u64 = req.get("deadline_ms", u64::MAX)?;
-    if ms == u64::MAX {
-        return Ok(None);
-    }
-    Ok(Some(received + Duration::from_millis(ms)))
-}
-
-/// Enforces the coordinator's [`ClusterConfig::max_cells`] budget on a
-/// `side × side` request, mirroring the daemon's own named `err` frame
-/// so a budget rejection reads identically from either tier.
-fn check_cell_budget(ctx: &ClusterCtx, side: usize) -> Result<(), String> {
-    if ctx.cfg.max_cells == 0 {
-        return Ok(());
-    }
-    if side.checked_mul(side).is_none_or(|c| c > ctx.cfg.max_cells) {
-        return Err(format!(
-            "max-cells exceeded: {side}×{side} grid is over the {}-cell budget",
-            ctx.cfg.max_cells
-        ));
-    }
-    Ok(())
-}
-
-fn run_map(ctx: &ClusterCtx, req: &Request<'_>, received: Instant) -> Result<String, String> {
-    req.allow_only(&["theta-deg", "side", "deadline_ms"])?;
-    let side: usize = req.get("side", 48)?;
-    if side == 0 {
-        return Err("side/grid must be positive".to_string());
-    }
-    check_cell_budget(ctx, side)?;
-    let deadline = parse_deadline(req, received)?;
-    let theta = theta_suffix(req)?;
-    let glyphs = scatter(ctx, side * side, deadline, |lo, hi| {
-        format!("cells side={side} lo={lo} hi={hi}{theta}")
-    })?
-    .concat();
-    Ok(coverage_map_from_glyphs(side, &glyphs))
-}
-
-fn run_holes(ctx: &ClusterCtx, req: &Request<'_>, received: Instant) -> Result<String, String> {
-    req.allow_only(&["theta-deg", "grid", "deadline_ms"])?;
-    let grid: usize = req.get("grid", 24)?;
-    if grid == 0 {
-        return Err("side/grid must be positive".to_string());
-    }
-    check_cell_budget(ctx, grid)?;
-    let deadline = parse_deadline(req, received)?;
-    let theta = theta_suffix(req)?;
-    let torus_side = ctx
-        .authority
-        .lock()
-        .expect("authority lock")
-        .ok_or("cluster has no authority state")?
-        .torus_side;
-    let mask_text = scatter(ctx, grid * grid, deadline, |lo, hi| {
-        format!("mask grid={grid} lo={lo} hi={hi}{theta}")
-    })?
-    .concat();
-    let covered: Vec<bool> = mask_text.chars().map(|c| c == '1').collect();
-    if covered.len() != grid * grid {
-        return Err(format!(
-            "gathered mask holds {} cells, want {}",
-            covered.len(),
-            grid * grid
-        ));
-    }
-    let report = holes_from_mask(Torus::with_side(torus_side), grid, &covered);
-    Ok(hole_report_text(&report))
-}
-
-fn run_kfull(ctx: &ClusterCtx, req: &Request<'_>, received: Instant) -> Result<String, String> {
-    req.allow_only(&["theta-deg", "k", "grid", "deadline_ms"])?;
-    let grid: usize = req.get("grid", 24)?;
-    let k: usize = req.get("k", 2)?;
-    if grid == 0 {
-        return Err("side/grid must be positive".to_string());
-    }
-    check_cell_budget(ctx, grid)?;
-    let deadline = parse_deadline(req, received)?;
-    let theta = theta_suffix(req)?;
-    let counts = scatter(ctx, grid * grid, deadline, |lo, hi| {
-        format!("kcount k={k} grid={grid} lo={lo} hi={hi}{theta}")
+/// Scatter-gathers one grid query: the grid's index space is cut into
+/// chunks, each chunk goes to a shard as the table's ranged `unit` verb
+/// carrying the client's tokens, and the answers merge into the bytes a
+/// single daemon renders.
+fn scatter_query(
+    ctx: &ClusterCtx,
+    call: &Call<'_>,
+    unit: &str,
+    merge: Merge,
+    deadline: Option<Instant>,
+) -> Result<String, String> {
+    let (side, total) = (call.params.extent, call.params.cells());
+    let unit_line = forward_line(unit, call.req);
+    let parts = scatter(ctx, total, deadline, |lo, hi| {
+        format!("{unit_line} lo={lo} hi={hi}")
     })?;
-    let mut meeting = 0usize;
-    for payload in counts {
-        meeting += payload
-            .trim()
-            .parse::<usize>()
-            .map_err(|e| format!("bad kcount payload {payload:?}: {e}"))?;
+    match merge {
+        Merge::Glyphs => Ok(coverage_map_from_glyphs(side, &parts.concat())),
+        Merge::Mask => {
+            let torus_side = ctx
+                .authority
+                .lock()
+                .expect("authority lock")
+                .ok_or("cluster has no authority state")?
+                .torus_side;
+            let covered: Vec<bool> = parts.concat().chars().map(|c| c == '1').collect();
+            if covered.len() != total {
+                return Err(format!(
+                    "gathered mask holds {} cells, want {total}",
+                    covered.len()
+                ));
+            }
+            let report = holes_from_mask(Torus::with_side(torus_side), side, &covered);
+            Ok(hole_report_text(&report))
+        }
+        Merge::Counts => {
+            let mut meeting = 0usize;
+            for payload in parts {
+                meeting += payload
+                    .trim()
+                    .parse::<usize>()
+                    .map_err(|e| format!("bad kcount payload {payload:?}: {e}"))?;
+            }
+            Ok(kfull_text(call.params.k, side, meeting, total))
+        }
     }
-    Ok(kfull_text(k, grid, meeting, grid * grid))
 }
 
-fn run_fingerprint(ctx: &ClusterCtx, req: &Request<'_>) -> Result<String, String> {
-    req.allow_only(&[])?;
+fn fingerprint_text(ctx: &ClusterCtx) -> Result<String, String> {
     let auth = ctx
         .authority
         .lock()
@@ -1003,255 +961,52 @@ fn run_fingerprint(ctx: &ClusterCtx, req: &Request<'_>) -> Result<String, String
 /// read timeout inside [`protocol::read_framed_response`] keeps the
 /// relay responsive to shutdown, so the acceptor's join cannot hang.
 ///
-/// Returns `true` when the downstream connection is consumed (the
-/// subscription ran, or the socket broke) and the handler must retire;
-/// `false` when the subscription was rejected cleanly and the
-/// connection can keep serving ordinary requests.
-fn relay_watch(ctx: &ClusterCtx, line: &str, downstream: &TcpStream) -> bool {
-    let mut writer = downstream;
+/// Returns `Ok` once the downstream connection is consumed (the
+/// subscription ran, or the socket broke) and an error when the
+/// subscription was rejected before its baseline frame.
+fn relay_watch(
+    ctx: &ClusterCtx,
+    line: &str,
+    downstream: &TcpStream,
+    stopping: &AtomicBool,
+    subscribed: &dyn Fn(),
+) -> Result<(), String> {
     let live = live_shards(ctx);
-    let Some(&first) = live.first() else {
-        ctx.metrics.record_rejected();
-        return protocol::write_err(&mut writer, "no live shards").is_err();
-    };
+    let &first = live.first().ok_or("no live shards")?;
     // A fresh upstream connection: the pooled shard connection keeps
     // serving queries while this one carries the subscription.
     let addr = &ctx.cfg.shard_addrs[first];
-    let upstream = match TcpStream::connect(addr) {
-        Ok(stream) => stream,
-        Err(e) => {
-            ctx.metrics.record_rejected();
-            let msg = format!("shard {addr}: {e}");
-            return protocol::write_err(&mut writer, &msg).is_err();
-        }
-    };
+    let upstream = TcpStream::connect(addr).map_err(|e| format!("shard {addr}: {e}"))?;
     let _ = upstream.set_nodelay(true);
     let _ = upstream.set_read_timeout(Some(Duration::from_millis(200)));
-    let send = |stream: &TcpStream| -> io::Result<()> {
-        let mut w = stream;
-        use io::Write as _;
-        writeln!(w, "{line}")?;
-        w.flush()
-    };
-    if send(&upstream).is_err() {
-        ctx.metrics.record_rejected();
-        let msg = format!("shard {addr}: connection failed");
-        return protocol::write_err(&mut writer, &msg).is_err();
-    }
+    let mut w = &upstream;
+    use io::Write as _;
+    writeln!(w, "{line}")
+        .and_then(|()| w.flush())
+        .map_err(|_| format!("shard {addr}: connection failed"))?;
     let mut carry: Vec<u8> = Vec::new();
-    // Baseline frame: forwarded verbatim; a shard rejection (bad grid,
-    // bad theta) is relayed as an err and the connection goes back to
-    // normal request/response service, matching the daemon's behavior.
-    match protocol::read_framed_response(&upstream, &mut carry, &ctx.shutdown) {
+    let mut writer = downstream;
+    // Baseline frame: forwarded verbatim; a shard rejection is relayed
+    // as an err and the connection goes back to normal request/response
+    // service, matching the daemon's behavior.
+    match protocol::read_framed_response(&upstream, &mut carry, stopping) {
         Some(fullview_service::Response::Ok(payload)) => {
             if protocol::write_ok(&mut writer, &payload).is_err() {
-                return true;
+                return Ok(());
             }
         }
-        Some(fullview_service::Response::Err(message)) => {
-            ctx.metrics.record_rejected();
-            return protocol::write_err(&mut writer, &message).is_err();
-        }
-        None => {
-            ctx.metrics.record_rejected();
-            let msg = format!("shard {addr}: closed during watch setup");
-            return protocol::write_err(&mut writer, &msg).is_err();
-        }
+        Some(fullview_service::Response::Err(message)) => return Err(message),
+        None => return Err(format!("shard {addr}: closed during watch setup")),
     }
-    ctx.metrics.record("watch", 0.0);
-    while let Some(resp) = protocol::read_framed_response(&upstream, &mut carry, &ctx.shutdown) {
-        match resp {
-            fullview_service::Response::Ok(payload) => {
-                if protocol::write_ok(&mut writer, &payload).is_err() {
-                    return true;
-                }
-            }
-            fullview_service::Response::Err(_) => return true,
-        }
-    }
-    true
-}
-
-fn dispatch(
-    ctx: &ClusterCtx,
-    line: &str,
-    req: &Request<'_>,
-    received: Instant,
-) -> Result<String, String> {
-    match req.verb() {
-        "ping" => {
-            req.allow_only(&[])?;
-            Ok("pong\n".to_string())
-        }
-        "stats" => {
-            req.allow_only(&[])?;
-            Ok(render_cluster_stats(ctx))
-        }
-        "shards" => {
-            req.allow_only(&[])?;
-            Ok(render_shards(ctx))
-        }
-        "shutdown" => {
-            req.allow_only(&[])?;
-            Ok("shutting down coordinator (shards keep running)\n".to_string())
-        }
-        // Load-generator clients introduce themselves to daemons with
-        // `hello client=`; the coordinator accepts it too (stateless —
-        // admission control lives on the daemons) so the same client
-        // code targets either.
-        "hello" => {
-            req.allow_only(&["client"])?;
-            let client: String = req.get("client", "anon".to_string())?;
-            Ok(format!("hello {client}\n"))
-        }
-        "fingerprint" => run_fingerprint(ctx, req),
-        "map" => run_map(ctx, req, received),
-        "holes" => run_holes(ctx, req, received),
-        "kfull" => run_kfull(ctx, req, received),
-        // check/prob rebuild the forwarded line from the parsed tokens
-        // (instead of forwarding `line` verbatim) so the client's
-        // `deadline_ms=` is replaced by the remaining budget per attempt.
-        "check" => {
-            req.allow_only(&["theta-deg", "deadline_ms"])?;
-            let deadline = parse_deadline(req, received)?;
-            let theta = theta_suffix(req)?;
-            forward_one(ctx, &format!("check{theta}"), deadline)
-        }
-        "prob" => {
-            req.allow_only(&["theta-deg", "density", "deadline_ms"])?;
-            let deadline = parse_deadline(req, received)?;
-            let theta = theta_suffix(req)?;
-            let density = raw_suffix(req, "density")?;
-            forward_one(ctx, &format!("prob{theta}{density}"), deadline)
-        }
-        // Barrier coverage is a whole-grid sweep with a connectivity
-        // pass on top — it does not decompose into index ranges, so it
-        // is forwarded whole to a single replica like check/prob.
-        "barrier" => {
-            req.allow_only(&["theta-deg", "grid", "deadline_ms"])?;
-            let grid: usize = req.get("grid", 24)?;
-            if grid == 0 {
-                return Err("side/grid must be positive".to_string());
-            }
-            check_cell_budget(ctx, grid)?;
-            let deadline = parse_deadline(req, received)?;
-            let theta = theta_suffix(req)?;
-            let grid_arg = raw_suffix(req, "grid")?;
-            forward_one(ctx, &format!("barrier{theta}{grid_arg}"), deadline)
-        }
-        "fail" => {
-            req.allow_only(&["id"])?;
-            broadcast_mutation(ctx, line)
-        }
-        "move" => {
-            req.allow_only(&["id", "x", "y"])?;
-            broadcast_mutation(ctx, line)
-        }
-        "reseed" => {
-            req.allow_only(&["seed", "n"])?;
-            broadcast_mutation(ctx, line)
-        }
-        // `watch` is intercepted in `handle_connection` (it needs the
-        // stream); reaching here means a non-connection context.
-        "watch" => Err("watch requires a dedicated client connection".to_string()),
-        other => Err(format!(
-            "unknown request '{other}' (known: check, map, holes, kfull, prob, barrier, stats, shards, fingerprint, fail, move, reseed, watch, hello, ping, shutdown)"
-        )),
-    }
-}
-
-fn accept_loop(listener: &TcpListener, ctx: &Arc<ClusterCtx>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    for conn in listener.incoming() {
-        if ctx.shutdown.load(Ordering::SeqCst) {
+    subscribed();
+    while let Some(fullview_service::Response::Ok(payload)) =
+        protocol::read_framed_response(&upstream, &mut carry, stopping)
+    {
+        if protocol::write_ok(&mut writer, &payload).is_err() {
             break;
         }
-        match conn {
-            Ok(stream) => {
-                let ctx = Arc::clone(ctx);
-                handlers.push(std::thread::spawn(move || handle_connection(&ctx, &stream)));
-            }
-            Err(_) => continue,
-        }
     }
-    for handle in handlers {
-        handle.join().expect("connection handler panicked");
-    }
-}
-
-fn handle_connection(ctx: &Arc<ClusterCtx>, stream: &TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut carry: Vec<u8> = Vec::new();
-    loop {
-        let read = protocol::read_request_line_checked(stream, &mut carry, &ctx.shutdown);
-        let line = match read {
-            protocol::LineRead::Line(line) => line,
-            protocol::LineRead::Closed => return,
-            rejected => {
-                // Oversized or non-UTF-8: the framing is lost, so answer
-                // with a distinct err and drop the connection — exactly
-                // like the daemons do.
-                ctx.metrics.record_rejected();
-                if let Some(message) = protocol::line_read_error(&rejected) {
-                    let mut writer = stream;
-                    let _ = protocol::write_err(&mut writer, &message);
-                }
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let started = Instant::now();
-        let mut writer = stream;
-        match Request::parse(&line) {
-            Err(message) => {
-                ctx.metrics.record_rejected();
-                if protocol::write_err(&mut writer, &message).is_err() {
-                    return;
-                }
-            }
-            Ok(req) if req.verb() == "watch" => {
-                // The relay owns the connection until it ends; validate
-                // the parameter set here so typos fail fast instead of
-                // tying up an upstream connection.
-                if let Err(message) = req.allow_only(&["theta-deg", "grid"]) {
-                    ctx.metrics.record_rejected();
-                    if protocol::write_err(&mut writer, &message).is_err() {
-                        return;
-                    }
-                } else if relay_watch(ctx, &line, stream) {
-                    return;
-                }
-            }
-            Ok(req) => {
-                let verb = req.verb().to_string();
-                match dispatch(ctx, &line, &req, started) {
-                    Ok(payload) => {
-                        ctx.metrics
-                            .record(&verb, started.elapsed().as_secs_f64() * 1e3);
-                        if protocol::write_ok(&mut writer, &payload).is_err() {
-                            return;
-                        }
-                        if verb == "shutdown" {
-                            initiate_shutdown(ctx);
-                            return;
-                        }
-                    }
-                    Err(message) => {
-                        ctx.metrics.record_rejected();
-                        if protocol::write_err(&mut writer, &message).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-    }
+    Ok(())
 }
 
 #[cfg(test)]

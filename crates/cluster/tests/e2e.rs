@@ -357,13 +357,21 @@ fn coordinator_rejects_bad_requests_like_a_daemon() {
     let coordinator = Coordinator::start(fast_config(addrs, None)).expect("coordinator");
     let mut client = connect(coordinator.local_addr());
 
+    let huge = 1usize << 32;
     for (request, needle) in [
-        ("bogus", "unknown request"),
-        ("map sidr=16", "unknown parameter 'sidr'"),
-        ("map side=0", "side/grid must be positive"),
-        ("fail", "missing required parameter 'id'"),
-        ("fail id=999", "no camera with id 999"),
+        ("bogus".to_string(), "unknown request"),
+        ("map sidr=16".to_string(), "unknown parameter 'sidr'"),
+        ("map side=0".to_string(), "side/grid must be positive"),
+        ("fail".to_string(), "missing required parameter 'id'"),
+        ("fail id=999".to_string(), "no camera with id 999"),
+        (format!("map side={huge}"), "overflows"),
+        (format!("holes grid={huge}"), "overflows"),
+        (format!("kfull k=1 grid={huge}"), "overflows"),
+        (format!("barrier grid={huge}"), "overflows"),
+        (format!("watch grid={huge}"), "overflows"),
+        ("check theta-deg=0.0000001".to_string(), "too fine"),
     ] {
+        let request = request.as_str();
         match client.request(request).expect(request) {
             fullview_service::Response::Err(message) => {
                 assert!(message.contains(needle), "{request}: {message}");
@@ -373,8 +381,12 @@ fn coordinator_rejects_bad_requests_like_a_daemon() {
             }
         }
     }
-    // The connection survives rejections, like the daemon's.
+    // The connection survives rejections, like the daemon's, and the
+    // shard behind it still answers a scatter.
     assert_eq!(client.request_ok("ping").unwrap(), "pong\n");
+    client
+        .request_ok("map side=12")
+        .expect("the shard survived every rejected request");
 }
 
 #[test]
@@ -556,6 +568,7 @@ fn coordinator_max_cells_budget_rejects_before_scattering() {
         "holes grid=17",
         "kfull k=1 grid=17",
         "barrier grid=17",
+        "watch grid=17",
     ] {
         match client.request(query).expect("send") {
             fullview_service::Response::Err(message) => assert!(

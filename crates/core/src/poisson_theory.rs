@@ -119,7 +119,10 @@ pub fn prob_point_meets(
         );
         all_groups_miss *= 1.0 - q;
     }
-    (1.0 - all_groups_miss).powi(condition.sector_count(theta) as i32)
+    // More than i32::MAX sectors (θ below ~3e-9 rad) saturates the
+    // exponent instead of wrapping it negative, which would print `inf`.
+    let sectors = i32::try_from(condition.sector_count(theta)).unwrap_or(i32::MAX);
+    (1.0 - all_groups_miss).powi(sectors)
 }
 
 /// Theorem 3 (`P_N`): probability an arbitrary point meets the necessary
@@ -226,6 +229,28 @@ mod tests {
                 assert!((0.0..=1.0).contains(&ps));
             }
         }
+    }
+
+    #[test]
+    fn sector_counts_past_i32_saturate_instead_of_wrapping() {
+        let profile = NetworkProfile::homogeneous(SensorSpec::new(0.1, PI / 2.0).unwrap());
+        // θ = 1e-7°: ⌈2π/θ⌉ ≈ 3.6e9 sufficient sectors, past i32::MAX.
+        let tiny = theta(1e-7f64.to_radians());
+        assert!(tiny.sufficient_sector_count() > i32::MAX as usize);
+        for density in [10.0, 800.0, 1e9] {
+            let ps = prob_point_meets_sufficient_poisson(&profile, density, tiny);
+            let pn = prob_point_meets_necessary_poisson(&profile, density, tiny);
+            assert!((0.0..=1.0).contains(&ps), "density {density}: P_S={ps}");
+            assert!((0.0..=1.0).contains(&pn), "density {density}: P_N={pn}");
+        }
+        // A count that fits in i32 keeps its exact power.
+        let th = theta(PI / 4.0);
+        let q = q_closed_form(Condition::Sufficient, th, 800.0, 0.1, PI / 2.0);
+        let want = (1.0 - (1.0 - q)).powi(th.sufficient_sector_count() as i32);
+        assert_eq!(
+            prob_point_meets_sufficient_poisson(&profile, 800.0, th),
+            want
+        );
     }
 
     #[test]

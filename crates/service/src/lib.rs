@@ -21,7 +21,10 @@
 //!   the `stats` endpoint.
 //! * [`snapshot`] — warm-state persistence: the fleet serialized with
 //!   exact bit patterns and verified canonical fingerprints.
-//! * [`server`] — the daemon: acceptor, connection handlers, dispatch.
+//! * [`verbs`] — the verb table and the one request validator.
+//! * [`frontend`] — the accept and connection loops the daemon and the
+//!   cluster coordinator share.
+//! * [`server`] — the daemon: fleet, sweeps, cache, mutations, dispatch.
 //! * [`client`] — the blocking client used by `fvc query`, the cluster
 //!   coordinator, and tests (supports bounded-window pipelining).
 //!
@@ -44,6 +47,7 @@
 pub mod admission;
 pub mod cache;
 pub mod client;
+pub mod frontend;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;

@@ -94,7 +94,7 @@ impl Metrics {
     /// ([`crate::verbs::VERBS`]).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_endpoints(crate::verbs::names().collect())
+        Self::with_endpoints(crate::verbs::names(crate::verbs::Front::Daemon).collect())
     }
 
     /// A fresh sink counting `endpoints`, in that reporting order — for a

@@ -14,7 +14,6 @@
 //! requests before closing. See `DESIGN.md` §"Service layer" for the
 //! full grammar.
 
-use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,6 +76,18 @@ impl<'a> Request<'a> {
         self.verb
     }
 
+    /// The `key=value` parameters, in request order.
+    #[must_use]
+    pub fn params(&self) -> &[(&'a str, &'a str)] {
+        &self.params
+    }
+
+    /// The raw text of parameter `key`, if present.
+    #[must_use]
+    pub fn raw(&self, key: &str) -> Option<&'a str> {
+        self.params.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
+
     /// Rejects any parameter key outside `allowed`.
     ///
     /// # Errors
@@ -94,36 +105,6 @@ impl<'a> Request<'a> {
             }
         }
         Ok(())
-    }
-
-    /// A typed parameter with default.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the value is present but unparseable.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
-    where
-        T::Err: fmt::Display,
-    {
-        match self.params.iter().find(|(k, _)| *k == key) {
-            None => Ok(default),
-            Some((_, v)) => v.parse().map_err(|e| format!("bad value for {key}: {e}")),
-        }
-    }
-
-    /// A required typed parameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the key is missing or unparseable.
-    pub fn require<T: std::str::FromStr>(&self, key: &str) -> Result<T, String>
-    where
-        T::Err: fmt::Display,
-    {
-        match self.params.iter().find(|(k, _)| *k == key) {
-            None => Err(format!("missing required parameter '{key}'")),
-            Some((_, v)) => v.parse().map_err(|e| format!("bad value for {key}: {e}")),
-        }
     }
 }
 
@@ -357,9 +338,10 @@ mod tests {
     fn parses_verb_and_params() {
         let req = Request::parse("map side=24 theta-deg=45").unwrap();
         assert_eq!(req.verb(), "map");
-        assert_eq!(req.get("side", 0usize).unwrap(), 24);
-        assert!((req.get("theta-deg", 0.0f64).unwrap() - 45.0).abs() < 1e-12);
-        assert_eq!(req.get("absent", 7usize).unwrap(), 7);
+        assert_eq!(req.raw("side"), Some("24"));
+        assert_eq!(req.raw("theta-deg"), Some("45"));
+        assert_eq!(req.raw("absent"), None);
+        assert_eq!(req.params(), &[("side", "24"), ("theta-deg", "45")]);
     }
 
     #[test]
@@ -379,22 +361,6 @@ mod tests {
         assert!(err.contains("thets-deg"), "{err}");
         assert!(err.contains("theta-deg"), "{err}");
         assert!(req.allow_only(&["side", "thets-deg"]).is_ok());
-    }
-
-    #[test]
-    fn require_distinguishes_missing_from_bad() {
-        let req = Request::parse("fail id=3").unwrap();
-        assert_eq!(req.require::<usize>("id").unwrap(), 3);
-        assert!(Request::parse("fail")
-            .unwrap()
-            .require::<usize>("id")
-            .unwrap_err()
-            .contains("missing"));
-        assert!(Request::parse("fail id=x")
-            .unwrap()
-            .require::<usize>("id")
-            .unwrap_err()
-            .contains("bad value"));
     }
 
     #[test]

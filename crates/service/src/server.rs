@@ -1,4 +1,4 @@
-//! The daemon: TCP acceptor, connection handlers, query dispatch.
+//! The daemon: fleet state, warm sweeps, cache, mutations and dispatch.
 //!
 //! One process owns one fleet. The [`CameraNetwork`] (and with it the
 //! warm `SpatialGrid`/tile structures) is loaded or generated once at
@@ -26,13 +26,14 @@
 //! mutation may insert a payload under the pre-mutation fingerprint,
 //! which later lookups simply report as stale and recompute.
 
-use crate::admission::{AdmissionControl, ANON_CLIENT};
+use crate::admission::AdmissionControl;
 use crate::cache::{Lookup, ResultCache};
+use crate::frontend::{Call, Frontend, Running};
 use crate::metrics::Metrics;
-use crate::protocol::{self, Request};
+use crate::protocol;
 use crate::queue::JobQueue;
 use crate::snapshot::{read_snapshot, write_snapshot};
-use crate::verbs;
+use crate::verbs::{self, Front, Kind, Params, Query};
 use crate::wal::{self, WalOp, WalRecord, WalWriter};
 use fullview_core::canon::{network_fingerprint, profile_fingerprint, CanonicalHasher};
 use fullview_core::{
@@ -51,10 +52,9 @@ use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How the daemon is assembled: fleet provenance, default effective
 /// angle, and the sizing of the worker pool, queue, and cache.
@@ -71,11 +71,6 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Default effective angle θ; per-request `theta-deg` overrides it.
     pub theta: EffectiveAngle,
-    /// Threads per dense-grid sweep. Retained for configuration
-    /// compatibility: dense sweeps are now served from the warm
-    /// incremental engine, whose repairs are cheap enough that a thread
-    /// pool per sweep no longer pays for itself.
-    pub eval_threads: usize,
     /// Worker pool size (`0` = one per CPU, never zero).
     pub workers: usize,
     /// Job queue bound (clamped to ≥ 1).
@@ -115,7 +110,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A config with the documented defaults: ephemeral loopback port,
-    /// 400 cameras from seed 0, θ = 45°, auto eval threads, 2 workers,
+    /// 400 cameras from seed 0, θ = 45°, 2 workers,
     /// queue bound 64, cache capacity 128.
     #[must_use]
     pub fn new(profile: NetworkProfile) -> Self {
@@ -125,7 +120,6 @@ impl ServiceConfig {
             n: 400,
             seed: 0,
             theta: EffectiveAngle::new(std::f64::consts::FRAC_PI_4).expect("45° is valid"),
-            eval_threads: 0,
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 128,
@@ -350,8 +344,6 @@ struct ServerCtx {
     hier_stats: Mutex<ProverStats>,
     theta_default: EffectiveAngle,
     reseed_n: usize,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
 }
 
 impl ServerCtx {
@@ -366,17 +358,9 @@ impl ServerCtx {
 
 /// A running daemon. Dropping it (or calling [`Server::wait`] after a
 /// client sent `shutdown`) drains in-flight jobs before returning.
+#[derive(Debug)]
 pub struct Server {
-    ctx: Arc<ServerCtx>,
-    acceptor: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Server {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Server")
-            .field("addr", &self.ctx.addr)
-            .finish()
-    }
+    running: Running,
 }
 
 impl Server {
@@ -422,7 +406,6 @@ impl Server {
             }
         };
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let net_fp = network_fingerprint(&net);
         let profile_fp = profile_fingerprint(&profile);
         let ctx = Arc::new(ServerCtx {
@@ -444,392 +427,114 @@ impl Server {
             hier_stats: Mutex::new(ProverStats::default()),
             theta_default: config.theta,
             reseed_n: config.n.max(1),
-            shutdown: AtomicBool::new(false),
-            addr,
         });
-        let acceptor_ctx = Arc::clone(&ctx);
-        let acceptor = std::thread::spawn(move || accept_loop(&listener, &acceptor_ctx));
         Ok(Server {
-            ctx,
-            acceptor: Some(acceptor),
+            running: Running::spawn(listener, ctx)?,
         })
     }
 
     /// The bound address (useful with an ephemeral port request).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.ctx.addr
+        self.running.local_addr()
     }
 
     /// Initiates shutdown programmatically (equivalent to a client
     /// `shutdown` request). Returns without waiting; see
     /// [`wait`](Self::wait).
     pub fn shutdown(&self) {
-        initiate_shutdown(&self.ctx);
+        self.running.shutdown();
     }
 
     /// Blocks until the daemon has fully stopped: acceptor exited, every
     /// connection handler finished, and the job queue drained.
-    pub fn wait(mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            handle.join().expect("acceptor thread panicked");
-        }
+    pub fn wait(self) {
+        self.running.wait();
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        initiate_shutdown(&self.ctx);
-        if let Some(handle) = self.acceptor.take() {
-            handle.join().expect("acceptor thread panicked");
-        }
-    }
-}
+impl Frontend for ServerCtx {
+    const FRONT: Front = Front::Daemon;
 
-fn initiate_shutdown(ctx: &ServerCtx) {
-    if ctx.shutdown.swap(true, Ordering::SeqCst) {
-        return; // already shutting down
-    }
-    // Wake the acceptor out of its blocking accept.
-    let _ = TcpStream::connect(ctx.addr);
-}
-
-fn accept_loop(listener: &TcpListener, ctx: &Arc<ServerCtx>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    for conn in listener.incoming() {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match conn {
-            Ok(stream) => {
-                let ctx = Arc::clone(ctx);
-                handlers.push(std::thread::spawn(move || handle_connection(&ctx, &stream)));
-            }
-            Err(_) => continue,
-        }
-    }
-    // Graceful drain: handlers notice the flag within one read timeout;
-    // any job they already submitted completes before the pool stops.
-    for handle in handlers {
-        handle.join().expect("connection handler panicked");
-    }
-    ctx.queue.shutdown();
-}
-
-fn handle_connection(ctx: &Arc<ServerCtx>, stream: &TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut carry: Vec<u8> = Vec::new();
-    // The connection's declared identity; `hello client=NAME` replaces
-    // it, everything before (or without) a hello shares the anon bucket.
-    let mut client = ANON_CLIENT.to_string();
-    loop {
-        let outcome = protocol::read_request_line_checked(stream, &mut carry, &ctx.shutdown);
-        let line = match outcome {
-            protocol::LineRead::Line(line) => line,
-            protocol::LineRead::Closed => return,
-            ref bad => {
-                // Oversized / non-UTF-8: answer with an err frame so the
-                // peer learns why, then drop the connection.
-                ctx.metrics.record_rejected();
-                let mut writer = stream;
-                let message = protocol::line_read_error(bad).expect("oversized or invalid");
-                let _ = protocol::write_err(&mut writer, &message);
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let started = Instant::now();
-        let mut writer = stream;
-        match Request::parse(&line) {
-            Err(message) => {
-                ctx.metrics.record_rejected();
-                if protocol::write_err(&mut writer, &message).is_err() {
-                    return;
-                }
-            }
-            Ok(req) if req.verb() == "hello" => {
-                match req.allow_only(&["client"]).and_then(|()| {
-                    let name: String = req.get("client", ANON_CLIENT.to_string())?;
-                    Ok(name)
-                }) {
-                    Ok(name) => {
-                        client = name;
-                        ctx.metrics
-                            .record("hello", started.elapsed().as_secs_f64() * 1e3);
-                        if protocol::write_ok(&mut writer, &format!("hello {client}\n")).is_err() {
-                            return;
-                        }
-                    }
-                    Err(message) => {
-                        ctx.metrics.record_rejected();
-                        if protocol::write_err(&mut writer, &message).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-            Ok(req) if req.verb() == "watch" => {
-                // `watch` takes over the connection: on success the hub
-                // owns a clone of the stream and this handler retires.
-                match run_watch(ctx, &req, stream) {
-                    Ok(()) => {
-                        ctx.metrics
-                            .record("watch", started.elapsed().as_secs_f64() * 1e3);
-                        return;
-                    }
-                    Err(message) => {
-                        ctx.metrics.record_rejected();
-                        if protocol::write_err(&mut writer, &message).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-            Ok(req) => {
-                let verb = req.verb().to_string();
-                if verbs::is_gated(&verb) {
-                    if let Err(retry_ms) = ctx.admission.admit(&client) {
-                        ctx.metrics.record_busy();
-                        if protocol::write_err(&mut writer, &format!("busy retry_after={retry_ms}"))
-                            .is_err()
-                        {
-                            return;
-                        }
-                        continue;
-                    }
-                }
-                match dispatch(ctx, &req, &client) {
-                    Ok(payload) => {
-                        ctx.metrics
-                            .record(&verb, started.elapsed().as_secs_f64() * 1e3);
-                        if protocol::write_ok(&mut writer, &payload).is_err() {
-                            return;
-                        }
-                        if verb == "shutdown" {
-                            initiate_shutdown(ctx);
-                            return;
-                        }
-                    }
-                    Err(message) => {
-                        ctx.metrics.record_rejected();
-                        if protocol::write_err(&mut writer, &message).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
-/// Which cached query a request resolves to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueryKind {
-    Check,
-    Map,
-    Holes,
-    Kfull,
-    Prob,
-    /// Raw coverage-map glyphs of a grid-index range — the cluster
-    /// coordinator's scatter unit for `map`.
-    Cells,
-    /// Full-view coverage mask (`'1'`/`'0'` per cell) of a grid-index
-    /// range — the scatter unit for `holes`.
-    Mask,
-    /// Count of k-full-view-covered points in a grid-index range — the
-    /// scatter unit for `kfull`.
-    Kcount,
-    /// §VIII barrier full-view coverage: whether a chain of full-view
-    /// covered cells spans the region.
-    Barrier,
-}
-
-impl QueryKind {
-    fn name(self) -> &'static str {
-        match self {
-            QueryKind::Check => "check",
-            QueryKind::Map => "map",
-            QueryKind::Holes => "holes",
-            QueryKind::Kfull => "kfull",
-            QueryKind::Prob => "prob",
-            QueryKind::Cells => "cells",
-            QueryKind::Mask => "mask",
-            QueryKind::Kcount => "kcount",
-            QueryKind::Barrier => "barrier",
-        }
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
-    /// Whether answers depend on the deployed network (vs profile only).
-    fn network_dependent(self) -> bool {
-        !matches!(self, QueryKind::Prob)
+    fn max_cells(&self) -> usize {
+        self.max_cells
     }
 
-    /// Whether the query takes `lo`/`hi` grid-index range parameters.
-    fn ranged(self) -> bool {
-        matches!(self, QueryKind::Cells | QueryKind::Mask | QueryKind::Kcount)
+    fn admit(&self, client: &str) -> Result<(), u64> {
+        self.admission.admit(client)
     }
 
-    /// Total grid points of the discretization a range indexes into.
-    /// `None` when the squared side overflows `usize` — the request is
-    /// bogus and must be answered with an `err` frame, not a panic (in
-    /// release the raw multiply would wrap and admit nonsense ranges).
-    fn range_total(self, params: &QueryParams) -> Option<usize> {
-        let side = match self {
-            QueryKind::Cells => params.side,
-            _ => params.grid,
-        };
-        side.checked_mul(side)
-    }
-}
-
-/// Resolved, validated query parameters — everything the digest and the
-/// compute step need.
-#[derive(Debug, Clone, Copy)]
-struct QueryParams {
-    theta: EffectiveAngle,
-    side: usize,
-    grid: usize,
-    k: usize,
-    density: f64,
-    /// Range start for ranged kinds (inclusive).
-    lo: usize,
-    /// Range end for ranged kinds (exclusive).
-    hi: usize,
-    /// Optional latency budget (`deadline_ms=`). Deliberately *not*
-    /// part of the digest — the answer doesn't depend on it; it only
-    /// governs whether the work is shed with an `err deadline` frame.
-    deadline: Option<Duration>,
-}
-
-fn theta_of(ctx: &ServerCtx, req: &Request<'_>) -> Result<EffectiveAngle, String> {
-    let deg: f64 = req.get("theta-deg", f64::NAN)?;
-    if deg.is_nan() {
-        return Ok(ctx.theta_default);
-    }
-    EffectiveAngle::new(deg.to_radians()).map_err(|e| e.to_string())
-}
-
-fn parse_query(ctx: &ServerCtx, req: &Request<'_>, kind: QueryKind) -> Result<QueryParams, String> {
-    match kind {
-        QueryKind::Check => req.allow_only(&["theta-deg", "deadline_ms"])?,
-        QueryKind::Map => req.allow_only(&["theta-deg", "side", "deadline_ms"])?,
-        QueryKind::Holes => req.allow_only(&["theta-deg", "grid", "deadline_ms"])?,
-        QueryKind::Kfull => req.allow_only(&["theta-deg", "k", "grid", "deadline_ms"])?,
-        QueryKind::Prob => req.allow_only(&["theta-deg", "density", "deadline_ms"])?,
-        QueryKind::Cells => req.allow_only(&["theta-deg", "side", "lo", "hi", "deadline_ms"])?,
-        QueryKind::Mask => req.allow_only(&["theta-deg", "grid", "lo", "hi", "deadline_ms"])?,
-        QueryKind::Kcount => {
-            req.allow_only(&["theta-deg", "k", "grid", "lo", "hi", "deadline_ms"])?;
-        }
-        QueryKind::Barrier => req.allow_only(&["theta-deg", "grid", "deadline_ms"])?,
-    }
-    let deadline_ms: u64 = req.get("deadline_ms", u64::MAX)?;
-    let mut params = QueryParams {
-        theta: theta_of(ctx, req)?,
-        side: req.get("side", 48usize)?,
-        grid: req.get("grid", 24usize)?,
-        k: req.get("k", 2usize)?,
-        density: req.get("density", 800.0f64)?,
-        lo: req.get("lo", 0usize)?,
-        hi: req.get("hi", usize::MAX)?,
-        deadline: (deadline_ms != u64::MAX).then(|| Duration::from_millis(deadline_ms)),
-    };
-    if params.side == 0 || params.grid == 0 {
-        return Err("side/grid must be positive".to_string());
-    }
-    if !params.density.is_finite() || params.density <= 0.0 {
-        return Err(format!(
-            "density must be finite and positive, got {}",
-            params.density
-        ));
-    }
-    // The discretization budget: reject up front, before any grid
-    // allocation, with a *named* err frame the client can match on.
-    // Overflowing `side²` is over any finite budget by definition.
-    let dim = match kind {
-        QueryKind::Check | QueryKind::Prob => None,
-        QueryKind::Map | QueryKind::Cells => Some(params.side),
-        _ => Some(params.grid),
-    };
-    if ctx.max_cells > 0 {
-        if let Some(side) = dim {
-            if side.checked_mul(side).is_none_or(|c| c > ctx.max_cells) {
-                return Err(format!(
-                    "max-cells exceeded: {side}×{side} grid is over the {}-cell budget",
-                    ctx.max_cells
-                ));
+    fn dispatch(self: &Arc<Self>, call: &Call<'_>) -> Result<String, String> {
+        match call.verb.kind {
+            Kind::Query(query) => run_query(self, query, call),
+            Kind::Mutation(mutation) => run_mutation(
+                self,
+                call.verb.name,
+                mutation.op(&call.params, self.reseed_n),
+            ),
+            Kind::Stats => Ok(render_stats(self)),
+            Kind::Fingerprint => Ok(fingerprint_text(self)),
+            Kind::Snapshot => run_snapshot(self, call.req.raw("path")),
+            Kind::Restore => run_restore(self, call.req.raw("path").unwrap_or_default()),
+            Kind::Ping => Ok("pong\n".to_string()),
+            Kind::Shutdown => Ok("shutting down: draining in-flight jobs\n".to_string()),
+            // The connection loop answers `hello` and `watch` itself, and
+            // `validate` never admits the coordinator's `shards` here.
+            Kind::Hello | Kind::Watch | Kind::Shards => {
+                Err(verbs::unknown_verb(Front::Daemon, call.verb.name))
             }
         }
     }
-    if kind.ranged() {
-        let total = kind.range_total(&params).ok_or_else(|| {
-            format!(
-                "side/grid {} is too large: the squared point count overflows",
-                match kind {
-                    QueryKind::Cells => params.side,
-                    _ => params.grid,
-                }
-            )
-        })?;
-        if params.hi == usize::MAX {
-            params.hi = total;
-        }
-        if params.lo >= params.hi || params.hi > total {
-            return Err(format!(
-                "range [{}, {}) must be non-empty within the {total}-point grid",
-                params.lo, params.hi
-            ));
-        }
+
+    fn watch(
+        &self,
+        call: &Call<'_>,
+        stream: &TcpStream,
+        _stopping: &AtomicBool,
+        subscribed: &dyn Fn(),
+    ) -> Result<(), String> {
+        run_watch(self, &call.params, stream)?;
+        subscribed();
+        Ok(())
     }
-    Ok(params)
+
+    fn drained(&self) {
+        // Any job a handler already submitted completes before the pool
+        // stops.
+        self.queue.shutdown();
+    }
 }
 
-/// The canonical cache key of a query: kind plus answer-affecting
-/// parameters. The fleet fingerprint is deliberately *not* part of the
-/// key — it rides on the cache entry instead (see [`crate::cache`]), so
-/// a mutation downgrades entries to stale rather than stranding them
-/// under unreachable keys, and a `restore` back to a previous
-/// fingerprint revives them.
-fn digest(kind: QueryKind, params: &QueryParams) -> u64 {
+/// The canonical cache key of a query: the verb name plus every resolved
+/// parameter that can change the answer (a field the verb does not take
+/// always holds its default, so the key stays exact). The fleet
+/// fingerprint is deliberately *not* part of the key — it rides on the
+/// cache entry instead (see [`crate::cache`]), so a mutation downgrades
+/// entries to stale rather than stranding them under unreachable keys,
+/// and a `restore` back to a previous fingerprint revives them. Neither
+/// is `deadline_ms`: a budget never changes an answer.
+fn digest(name: &str, theta: EffectiveAngle, p: &Params) -> u64 {
     let mut h = CanonicalHasher::new();
-    h.write_str(kind.name());
-    h.write_f64(params.theta.radians());
-    match kind {
-        QueryKind::Check => {}
-        QueryKind::Map => h.write_usize(params.side),
-        QueryKind::Holes => h.write_usize(params.grid),
-        QueryKind::Kfull => {
-            h.write_usize(params.k);
-            h.write_usize(params.grid);
-        }
-        QueryKind::Prob => h.write_f64(params.density),
-        QueryKind::Cells => h.write_usize(params.side),
-        QueryKind::Mask => h.write_usize(params.grid),
-        QueryKind::Kcount => {
-            h.write_usize(params.k);
-            h.write_usize(params.grid);
-        }
-        QueryKind::Barrier => h.write_usize(params.grid),
+    h.write_str(name);
+    h.write_f64(theta.radians());
+    for n in [p.extent, p.k, p.lo, p.hi] {
+        h.write_usize(n);
     }
-    if kind.ranged() {
-        h.write_usize(params.lo);
-        h.write_usize(params.hi);
-    }
+    h.write_f64(p.density);
     h.finish()
 }
 
-/// The fingerprint a query kind's answers depend on.
-fn fp_for(fleet: &Fleet, kind: QueryKind) -> u64 {
-    if kind.network_dependent() {
-        fleet.net_fp
-    } else {
+/// The fingerprint a query's answers depend on: the profile alone for
+/// the theory verb, the deployed network for every sweep.
+fn fp_for(fleet: &Fleet, query: Query) -> u64 {
+    if query == Query::Prob {
         fleet.profile_fp
+    } else {
+        fleet.net_fp
     }
 }
 
@@ -838,10 +543,16 @@ fn fp_for(fleet: &Fleet, kind: QueryKind) -> u64 {
 /// the last sweep); `map`, `cells`, `kfull` and `kcount` sweep cold
 /// through the daemon's tier. Callers hold the fleet read lock; the
 /// sweeps lock is taken briefly inside (lock order `fleet` → `sweeps`).
-fn compute(ctx: &ServerCtx, fleet: &Fleet, kind: QueryKind, params: &QueryParams) -> String {
-    let (theta, tier, net) = (params.theta, ctx.tier, &fleet.net);
-    match kind {
-        QueryKind::Check => {
+fn compute(
+    ctx: &ServerCtx,
+    fleet: &Fleet,
+    query: Query,
+    theta: EffectiveAngle,
+    params: &Params,
+) -> String {
+    let (side, tier, net) = (params.extent, ctx.tier, &fleet.net);
+    match query {
+        Query::Check => {
             let side = dense_grid(*net.torus(), net.len()).side_count();
             let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
             let report = warm_sweep(ctx, &mut sweeps, net, theta, side).0.report();
@@ -851,63 +562,63 @@ fn compute(ctx: &ServerCtx, fleet: &Fleet, kind: QueryKind, params: &QueryParams
                 report.full_view_fraction()
             )
         }
-        QueryKind::Map => {
-            let side = params.side;
-            let (glyphs, stats) = tier.glyphs(net, theta, side, 0, side * side);
+        Query::Map => {
+            let (glyphs, stats) = tier.glyphs(net, theta, side, 0, params.cells());
             ctx.note_prover(stats);
             coverage_map_from_glyphs(side, &glyphs)
         }
-        QueryKind::Holes => {
+        Query::Holes => {
             let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-            let (state, _) = warm_sweep(ctx, &mut sweeps, net, theta, params.grid);
-            hole_report_text(&holes_from_mask(*net.torus(), params.grid, state.mask()))
+            let (state, _) = warm_sweep(ctx, &mut sweeps, net, theta, side);
+            hole_report_text(&holes_from_mask(*net.torus(), side, state.mask()))
         }
-        QueryKind::Kfull => {
-            let grid = UnitGrid::new(*net.torus(), params.grid);
+        Query::Kfull => {
+            let grid = UnitGrid::new(*net.torus(), side);
             let (meeting, stats) = tier.count_k(net, &grid, theta, params.k, 0, grid.len());
             ctx.note_prover(stats);
-            kfull_text(params.k, params.grid, meeting, grid.len())
+            kfull_text(params.k, side, meeting, grid.len())
         }
-        QueryKind::Cells => {
-            let (glyphs, stats) = tier.glyphs(net, theta, params.side, params.lo, params.hi);
+        Query::Cells => {
+            let (glyphs, stats) = tier.glyphs(net, theta, side, params.lo, params.hi);
             ctx.note_prover(stats);
             glyphs
         }
-        QueryKind::Mask => {
+        Query::Mask => {
             let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-            let (state, _) = warm_sweep(ctx, &mut sweeps, net, theta, params.grid);
+            let (state, _) = warm_sweep(ctx, &mut sweeps, net, theta, side);
             state.mask()[params.lo..params.hi]
                 .iter()
                 .map(|&covered| if covered { '1' } else { '0' })
                 .collect()
         }
-        QueryKind::Kcount => {
-            let grid = UnitGrid::new(*net.torus(), params.grid);
+        Query::Kcount => {
+            let grid = UnitGrid::new(*net.torus(), side);
             let (meeting, stats) = tier.count_k(net, &grid, theta, params.k, params.lo, params.hi);
             ctx.note_prover(stats);
             format!("{meeting}\n")
         }
-        QueryKind::Barrier => {
-            let report = barrier_full_view(&fleet.net, theta, params.grid);
+        Query::Barrier => {
+            let report = barrier_full_view(net, theta, side);
             format!("{report}\n")
         }
-        QueryKind::Prob => {
+        Query::Prob => {
+            let density = params.density;
             let mut out = String::new();
-            let _ = writeln!(out, "density {}, {theta}", params.density);
+            let _ = writeln!(out, "density {density}, {theta}");
             let _ = writeln!(
                 out,
                 "P_N (Theorem 3) = {:.4}",
-                prob_point_meets_necessary_poisson(&fleet.profile, params.density, theta)
+                prob_point_meets_necessary_poisson(&fleet.profile, density, theta)
             );
             let _ = writeln!(
                 out,
                 "P_S (Theorem 4) = {:.4}",
-                prob_point_meets_sufficient_poisson(&fleet.profile, params.density, theta)
+                prob_point_meets_sufficient_poisson(&fleet.profile, density, theta)
             );
             let _ = writeln!(
                 out,
                 "exact P(full-view) = {:.4}",
-                prob_point_full_view_poisson(&fleet.profile, params.density, theta)
+                prob_point_full_view_poisson(&fleet.profile, density, theta)
             );
             out
         }
@@ -918,23 +629,18 @@ fn compute(ctx: &ServerCtx, fleet: &Fleet, kind: QueryKind, params: &QueryParams
 /// digest, same fingerprint) is served directly; a stale or absent one
 /// recomputes through the job queue and repairs the cache entry in
 /// place.
-fn run_query(
-    ctx: &Arc<ServerCtx>,
-    req: &Request<'_>,
-    kind: QueryKind,
-    client: &str,
-) -> Result<String, String> {
-    let received = Instant::now();
-    let params = parse_query(ctx, req, kind)?;
+fn run_query(ctx: &Arc<ServerCtx>, query: Query, call: &Call<'_>) -> Result<String, String> {
+    let (received, params) = (call.received, call.params);
+    let theta = params.theta.unwrap_or(ctx.theta_default);
     // The deadline is absolute from receipt; a fresh cache hit is free
     // and is served even with an exhausted budget — only queued compute
     // is shed.
-    let deadline_at = params.deadline.map(|budget| received + budget);
-    let budget_ms = params.deadline.map_or(0, |d| d.as_millis() as u64);
-    let key = digest(kind, &params);
+    let deadline_at = params.deadline(received);
+    let budget_ms = params.deadline_ms.unwrap_or(0);
+    let key = digest(call.verb.name, theta, &params);
     let current_fp = {
         let fleet = ctx.fleet.read().expect("fleet lock");
-        fp_for(&fleet, kind)
+        fp_for(&fleet, query)
     };
     if let Lookup::Fresh(hit) = ctx.cache.lock().expect("cache lock").get(key, current_fp) {
         return Ok(hit);
@@ -943,7 +649,7 @@ fn run_query(
     let job_ctx = Arc::clone(ctx);
     ctx.queue
         .submit(
-            client,
+            call.client,
             Box::new(move || {
                 // Shed the job if its budget expired while it sat in the
                 // queue: computing an answer nobody is waiting for would
@@ -965,14 +671,14 @@ fn run_query(
                 let (fp, payload) = {
                     let fleet = job_ctx.fleet.read().expect("fleet lock");
                     (
-                        fp_for(&fleet, kind),
-                        compute(&job_ctx, &fleet, kind, &params),
+                        fp_for(&fleet, query),
+                        compute(&job_ctx, &fleet, query, theta, &params),
                     )
                 };
                 job_ctx.cache.lock().expect("cache lock").insert(
                     key,
                     payload.clone(),
-                    kind.network_dependent(),
+                    query != Query::Prob,
                     fp,
                 );
                 let _ = tx.send(Ok(payload));
@@ -1071,101 +777,57 @@ fn journal(ctx: &ServerCtx, pre_fp: u64, op: WalOp) -> Result<(), String> {
         .map_err(|e| format!("journal append failed, mutation rejected: {e}"))
 }
 
-fn run_fail(ctx: &ServerCtx, req: &Request<'_>) -> Result<String, String> {
-    req.allow_only(&["id"])?;
-    let id: usize = req.require("id")?;
+/// The one live mutation path. The op is checked against the fleet
+/// ([`wal::prepare_op`]: id in range, finite target, a deployment that
+/// succeeds), journaled, then committed with [`wal::commit_op`] — the two
+/// halves of the [`wal::apply_op`] replay runs — so nothing can fail once
+/// the record is on disk. Dirt is marked from the op: the old and new
+/// sensing disks of a `fail`/`move`, everything for a `reseed`.
+fn run_mutation(ctx: &ServerCtx, cause: &str, op: WalOp) -> Result<String, String> {
     let mut watches = ctx.watches.lock().expect("watch lock");
-    let (remaining, net_fp, frames) = {
+    let (summary, net_fp, frames) = {
         let mut fleet = ctx.fleet.write().expect("fleet lock");
-        let Some(&victim) = fleet.net.cameras().get(id) else {
-            return Err(format!(
-                "no camera with id {id} (fleet has {})",
-                fleet.net.len()
-            ));
+        let prepared = wal::prepare_op(&fleet.profile, &fleet.net, &op)?;
+        journal(ctx, fleet.net_fp, op)?;
+        let departed = match op {
+            WalOp::Fail { id } | WalOp::Move { id, .. } => Some(fleet.net.cameras()[id]),
+            WalOp::Reseed { .. } => None,
         };
-        journal(ctx, fleet.net_fp, WalOp::Fail { id })?;
-        assert!(fleet.net.remove_camera(id), "id was just bounds-checked");
+        wal::commit_op(&mut fleet.net, prepared);
         fleet.net_fp = network_fingerprint(&fleet.net);
-        ctx.sweeps
-            .lock()
-            .expect("sweep lock")
-            .mark_disk_all(victim.position(), victim.spec().radius());
-        let frames = watch_frames(ctx, &mut watches, &fleet, "fail");
-        (fleet.net.len(), fleet.net_fp, frames)
-    };
-    let invalidated = ctx.cache.lock().expect("cache lock").note_mutation(net_fp);
-    deliver_frames(ctx, &mut watches, &frames);
-    Ok(format!(
-        "failed camera {id}; {remaining} cameras remain; invalidated {invalidated} cached results\n"
-    ))
-}
-
-fn run_move(ctx: &ServerCtx, req: &Request<'_>) -> Result<String, String> {
-    req.allow_only(&["id", "x", "y"])?;
-    let id: usize = req.require("id")?;
-    let x: f64 = req.require("x")?;
-    let y: f64 = req.require("y")?;
-    if !x.is_finite() || !y.is_finite() {
-        return Err("x and y must be finite".to_string());
-    }
-    let mut watches = ctx.watches.lock().expect("watch lock");
-    let (position, net_fp, frames) = {
-        let mut fleet = ctx.fleet.write().expect("fleet lock");
-        let Some(&before) = fleet.net.cameras().get(id) else {
-            return Err(format!(
-                "no camera with id {id} (fleet has {})",
-                fleet.net.len()
-            ));
+        let net = &fleet.net;
+        let summary = match op {
+            WalOp::Fail { id } => format!("failed camera {id}; {} cameras remain", net.len()),
+            WalOp::Move { id, .. } => {
+                format!("moved camera {id} to {}", net.cameras()[id].position())
+            }
+            WalOp::Reseed { seed, .. } => {
+                format!("reseeded fleet: {} cameras from seed {seed}", net.len())
+            }
         };
-        journal(ctx, fleet.net_fp, WalOp::Move { id, x, y })?;
-        assert!(
-            fleet.net.move_camera(id, Point::new(x, y)),
-            "id was just bounds-checked"
-        );
-        fleet.net_fp = network_fingerprint(&fleet.net);
-        let after = fleet.net.cameras()[id].position();
         {
             let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-            sweeps.mark_disk_all(before.position(), before.spec().radius());
-            sweeps.mark_disk_all(after, before.spec().radius());
+            match departed {
+                // Wholesale replacement: the fleet size (and with it the
+                // dense grid and spatial-index geometry) may have changed,
+                // so every warm state rebuilds rather than repairs.
+                None => sweeps.invalidate_all(),
+                Some(camera) => {
+                    let radius = camera.spec().radius();
+                    sweeps.mark_disk_all(camera.position(), radius);
+                    if let WalOp::Move { id, .. } = op {
+                        sweeps.mark_disk_all(net.cameras()[id].position(), radius);
+                    }
+                }
+            }
         }
-        let frames = watch_frames(ctx, &mut watches, &fleet, "move");
-        (after, fleet.net_fp, frames)
+        let frames = watch_frames(ctx, &mut watches, &fleet, cause);
+        (summary, fleet.net_fp, frames)
     };
     let invalidated = ctx.cache.lock().expect("cache lock").note_mutation(net_fp);
     deliver_frames(ctx, &mut watches, &frames);
     Ok(format!(
-        "moved camera {id} to {position}; invalidated {invalidated} cached results\n"
-    ))
-}
-
-fn run_reseed(ctx: &ServerCtx, req: &Request<'_>) -> Result<String, String> {
-    req.allow_only(&["seed", "n"])?;
-    let seed: u64 = req.require("seed")?;
-    let n: usize = req.get("n", ctx.reseed_n)?;
-    if n == 0 {
-        return Err("n must be positive".to_string());
-    }
-    let mut watches = ctx.watches.lock().expect("watch lock");
-    let (deployed, net_fp, frames) = {
-        let mut fleet = ctx.fleet.write().expect("fleet lock");
-        let torus = *fleet.net.torus();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = deploy_uniform(torus, &fleet.profile, n, &mut rng).map_err(|e| e.to_string())?;
-        journal(ctx, fleet.net_fp, WalOp::Reseed { seed, n })?;
-        fleet.net_fp = network_fingerprint(&net);
-        fleet.net = net;
-        // Wholesale replacement: the fleet size (and with it the dense
-        // grid and spatial-index geometry) may have changed, so every
-        // warm state rebuilds rather than repairs.
-        ctx.sweeps.lock().expect("sweep lock").invalidate_all();
-        let frames = watch_frames(ctx, &mut watches, &fleet, "reseed");
-        (fleet.net.len(), fleet.net_fp, frames)
-    };
-    let invalidated = ctx.cache.lock().expect("cache lock").note_mutation(net_fp);
-    deliver_frames(ctx, &mut watches, &frames);
-    Ok(format!(
-        "reseeded fleet: {deployed} cameras from seed {seed}; invalidated {invalidated} cached results\n"
+        "{summary}; invalidated {invalidated} cached results\n"
     ))
 }
 
@@ -1173,16 +835,15 @@ fn run_reseed(ctx: &ServerCtx, req: &Request<'_>) -> Result<String, String> {
 /// used by the cluster coordinator to detect shard divergence. The torus
 /// side rides along as exact bits so the coordinator can reconstruct
 /// grid geometry (hole centroids) without guessing the region.
-fn run_fingerprint(ctx: &ServerCtx, req: &Request<'_>) -> Result<String, String> {
-    req.allow_only(&[])?;
+fn fingerprint_text(ctx: &ServerCtx) -> String {
     let fleet = ctx.fleet.read().expect("fleet lock");
-    Ok(format!(
+    format!(
         "net_fp={} profile_fp={} cameras={} torus=0x{:016x}\n",
         fleet.net_fp,
         fleet.profile_fp,
         fleet.net.len(),
         fleet.net.torus().side().to_bits()
-    ))
+    )
 }
 
 /// The `snapshot` verb: persist the warm fleet to disk. With `--wal`,
@@ -1192,11 +853,11 @@ fn run_fingerprint(ctx: &ServerCtx, req: &Request<'_>) -> Result<String, String>
 /// mutation can slip between them; a crash in the window between them
 /// is healed on recovery by the replay chain skipping records the
 /// snapshot already contains.
-fn run_snapshot(ctx: &ServerCtx, req: &Request<'_>) -> Result<String, String> {
-    req.allow_only(&["path"])?;
-    let path: String = match &ctx.wal {
-        Some(state) => req.get("path", state.base.display().to_string())?,
-        None => req.require("path")?,
+fn run_snapshot(ctx: &ServerCtx, path: Option<&str>) -> Result<String, String> {
+    let path = match (path, &ctx.wal) {
+        (Some(path), _) => path.to_string(),
+        (None, Some(state)) => state.base.display().to_string(),
+        (None, None) => return Err("missing required parameter 'path'".to_string()),
     };
     let is_checkpoint = ctx.wal.as_ref().is_some_and(|w| Path::new(&path) == w.base);
     let (net_fp, profile_fp, truncated) = {
@@ -1232,10 +893,8 @@ fn run_snapshot(ctx: &ServerCtx, req: &Request<'_>) -> Result<String, String> {
 /// holds touches nothing. Cache entries are never removed — entries
 /// computed against the restored fingerprint become fresh again, and
 /// the mutation accounting counts only entries this restore staled.
-fn run_restore(ctx: &ServerCtx, req: &Request<'_>) -> Result<String, String> {
-    req.allow_only(&["path"])?;
-    let path: String = req.require("path")?;
-    let snap = read_snapshot(Path::new(&path)).map_err(|e| format!("restore from {path}: {e}"))?;
+fn run_restore(ctx: &ServerCtx, path: &str) -> Result<String, String> {
+    let snap = read_snapshot(Path::new(path)).map_err(|e| format!("restore from {path}: {e}"))?;
     let mut watches = ctx.watches.lock().expect("watch lock");
     let (cameras, changed, frames) = {
         let mut fleet = ctx.fleet.write().expect("fleet lock");
@@ -1285,13 +944,9 @@ fn run_restore(ctx: &ServerCtx, req: &Request<'_>) -> Result<String, String> {
 /// held, so no mutation can slip between the baseline and the first
 /// delta. On success the connection belongs to the hub — the handler
 /// must stop reading from it and return.
-fn run_watch(ctx: &ServerCtx, req: &Request<'_>, stream: &TcpStream) -> Result<(), String> {
-    req.allow_only(&["theta-deg", "grid"])?;
-    let theta = theta_of(ctx, req)?;
-    let grid: usize = req.get("grid", 24usize)?;
-    if grid == 0 {
-        return Err("side/grid must be positive".to_string());
-    }
+fn run_watch(ctx: &ServerCtx, params: &Params, stream: &TcpStream) -> Result<(), String> {
+    let theta = params.theta.unwrap_or(ctx.theta_default);
+    let grid = params.extent;
     let sub_stream = stream.try_clone().map_err(|e| e.to_string())?;
     let mut watches = ctx.watches.lock().expect("watch lock");
     let key = sweep_key(theta, grid);
@@ -1401,42 +1056,4 @@ fn render_stats(ctx: &ServerCtx) -> String {
         snap.samples
     );
     out
-}
-
-fn dispatch(ctx: &Arc<ServerCtx>, req: &Request<'_>, client: &str) -> Result<String, String> {
-    match req.verb() {
-        "ping" => {
-            req.allow_only(&[])?;
-            Ok("pong\n".to_string())
-        }
-        "stats" => {
-            req.allow_only(&[])?;
-            Ok(render_stats(ctx))
-        }
-        "shutdown" => {
-            req.allow_only(&[])?;
-            Ok("shutting down: draining in-flight jobs\n".to_string())
-        }
-        "check" => run_query(ctx, req, QueryKind::Check, client),
-        "map" => run_query(ctx, req, QueryKind::Map, client),
-        "holes" => run_query(ctx, req, QueryKind::Holes, client),
-        "kfull" => run_query(ctx, req, QueryKind::Kfull, client),
-        "prob" => run_query(ctx, req, QueryKind::Prob, client),
-        "cells" => run_query(ctx, req, QueryKind::Cells, client),
-        "mask" => run_query(ctx, req, QueryKind::Mask, client),
-        "kcount" => run_query(ctx, req, QueryKind::Kcount, client),
-        "barrier" => run_query(ctx, req, QueryKind::Barrier, client),
-        "fail" => run_fail(ctx, req),
-        "move" => run_move(ctx, req),
-        "reseed" => run_reseed(ctx, req),
-        "fingerprint" => run_fingerprint(ctx, req),
-        "snapshot" => run_snapshot(ctx, req),
-        "restore" => run_restore(ctx, req),
-        // `hello` and `watch` are intercepted in `handle_connection`
-        // (they need the connection); reaching here means a
-        // non-connection context.
-        "hello" => Err("hello applies to a client connection".to_string()),
-        "watch" => Err("watch requires a dedicated client connection".to_string()),
-        other => Err(verbs::unknown_verb(other)),
-    }
 }

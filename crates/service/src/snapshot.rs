@@ -191,7 +191,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
 }
 
 /// Parses a float written as an exact `0x`-prefixed bit pattern.
-fn parse_exact_f64(s: &str) -> Result<f64, String> {
+pub(crate) fn parse_exact_f64(s: &str) -> Result<f64, String> {
     let hex = s
         .strip_prefix("0x")
         .ok_or_else(|| format!("want 0x-prefixed bit pattern, got '{s}'"))?;

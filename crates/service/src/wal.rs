@@ -32,6 +32,7 @@
 //! after every step. Float coordinates use the exact `0x` bit-pattern
 //! discipline of `model::io`, so replay is bit-identical.
 
+use crate::snapshot::parse_exact_f64;
 use fullview_core::canon::{network_fingerprint, CanonicalHasher};
 use fullview_deploy::deploy_uniform;
 use fullview_geom::Point;
@@ -46,7 +47,7 @@ use std::path::{Path, PathBuf};
 pub const WAL_MAGIC: &str = "# fullview wal v1";
 
 /// The mutation a journal record re-applies on replay.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WalOp {
     /// `fail id=…` — remove one camera.
     Fail {
@@ -136,16 +137,6 @@ impl WalRecord {
         };
         Ok(WalRecord { pre_fp, op })
     }
-}
-
-/// Parses a float written as an exact `0x`-prefixed bit pattern.
-fn parse_exact_f64(s: &str) -> Result<f64, String> {
-    let hex = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("want 0x-prefixed bit pattern, got '{s}'"))?;
-    u64::from_str_radix(hex, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad bit pattern '{s}': {e}"))
 }
 
 /// The pinned FNV-1a checksum of a record payload.
@@ -266,8 +257,70 @@ pub fn read_wal(path: &Path) -> Result<WalScan, String> {
     scan_wal_text(&text)
 }
 
-/// Applies one journal op to a network, exactly as the daemon's
-/// mutation handlers do.
+/// A journal op checked against the fleet it will mutate:
+/// [`commit_op`] applies it without any way left to fail.
+#[derive(Debug)]
+pub(crate) enum Prepared {
+    /// Remove the camera at this (in-range) index.
+    Fail(usize),
+    /// Relocate the camera at this (in-range) index.
+    Move(usize, Point),
+    /// Replace the fleet with this freshly deployed one.
+    Reseed(CameraNetwork),
+}
+
+/// The fallible half of [`apply_op`]: checks the op against `net` (the
+/// camera id is in range, the target finite, the fleet size positive)
+/// and runs a reseed's deployment, without mutating anything. The daemon
+/// journals an op only after this succeeds.
+///
+/// # Errors
+///
+/// The message naming why the op cannot apply.
+pub(crate) fn prepare_op(
+    profile: &NetworkProfile,
+    net: &CameraNetwork,
+    op: &WalOp,
+) -> Result<Prepared, String> {
+    let in_range = |id: usize| {
+        if id < net.len() {
+            Ok(id)
+        } else {
+            Err(format!("no camera with id {id} (fleet has {})", net.len()))
+        }
+    };
+    match *op {
+        WalOp::Fail { id } => Ok(Prepared::Fail(in_range(id)?)),
+        WalOp::Move { x, y, .. } if !x.is_finite() || !y.is_finite() => {
+            Err("x and y must be finite".to_string())
+        }
+        WalOp::Move { id, x, y } => Ok(Prepared::Move(in_range(id)?, Point::new(x, y))),
+        WalOp::Reseed { n: 0, .. } => Err("n must be positive".to_string()),
+        WalOp::Reseed { seed, n } => {
+            let mut rng = StdRng::seed_from_u64(seed);
+            deploy_uniform(*net.torus(), profile, n, &mut rng)
+                .map(Prepared::Reseed)
+                .map_err(|e| e.to_string())
+        }
+    }
+}
+
+/// The infallible half of [`apply_op`]: mutates `net` as prepared
+/// against it.
+pub(crate) fn commit_op(net: &mut CameraNetwork, prepared: Prepared) {
+    match prepared {
+        Prepared::Fail(id) => {
+            net.remove_camera(id);
+        }
+        Prepared::Move(id, to) => {
+            net.move_camera(id, to);
+        }
+        Prepared::Reseed(fresh) => *net = fresh,
+    }
+}
+
+/// Applies one journal op to a network: `prepare_op` then `commit_op`,
+/// the two halves a live mutation runs around its journal append.
 ///
 /// # Errors
 ///
@@ -278,23 +331,8 @@ pub fn apply_op(
     net: &mut CameraNetwork,
     op: &WalOp,
 ) -> Result<(), String> {
-    match *op {
-        WalOp::Fail { id } => {
-            if !net.remove_camera(id) {
-                return Err(format!("fail: no camera with id {id}"));
-            }
-        }
-        WalOp::Move { id, x, y } => {
-            if !net.move_camera(id, Point::new(x, y)) {
-                return Err(format!("move: no camera with id {id}"));
-            }
-        }
-        WalOp::Reseed { seed, n } => {
-            let torus = *net.torus();
-            let mut rng = StdRng::seed_from_u64(seed);
-            *net = deploy_uniform(torus, profile, n, &mut rng).map_err(|e| e.to_string())?;
-        }
-    }
+    let prepared = prepare_op(profile, net, op)?;
+    commit_op(net, prepared);
     Ok(())
 }
 
@@ -610,6 +648,33 @@ mod tests {
         let stats = replay_onto(&profile(), &mut done, &records2).unwrap();
         assert_eq!(stats.applied, 0);
         assert_eq!(stats.skipped, records2.len());
+    }
+
+    #[test]
+    fn prepare_rejects_what_cannot_apply_and_leaves_the_fleet_alone() {
+        let base = net(7, 10);
+        let fp = network_fingerprint(&base);
+        for (op, needle) in [
+            (
+                WalOp::Fail { id: 10 },
+                "no camera with id 10 (fleet has 10)",
+            ),
+            (
+                WalOp::Move {
+                    id: 0,
+                    x: f64::NAN,
+                    y: 0.5,
+                },
+                "x and y must be finite",
+            ),
+            (WalOp::Reseed { seed: 1, n: 0 }, "n must be positive"),
+        ] {
+            let err = prepare_op(&profile(), &base, &op).unwrap_err();
+            assert!(err.contains(needle), "{op:?}: {err}");
+            let mut live = base.clone();
+            assert!(apply_op(&profile(), &mut live, &op).is_err());
+            assert_eq!(network_fingerprint(&live), fp, "{op:?} mutated the fleet");
+        }
     }
 
     #[test]

@@ -216,6 +216,7 @@ fn errors_are_reported_not_fatal() {
         ("fail id=999", "no camera with id 999"),
         ("move id=0 x=nan y=0.5", "finite"),
         ("prob density=-3", "density must be finite and positive"),
+        ("check theta-deg=0.0000001", "too fine"),
     ];
     for (request, needle) in cases {
         match client.request(request).expect(request) {
@@ -298,6 +299,11 @@ fn bad_ranges_get_err_frames_and_leave_the_daemon_serving() {
         (format!("cells side={huge} lo=0 hi=10"), "overflows"),
         (format!("mask grid={huge} lo=0 hi=10"), "overflows"),
         (format!("kcount k=1 grid={huge} lo=0 hi=10"), "overflows"),
+        (format!("map side={huge}"), "overflows"),
+        (format!("holes grid={huge}"), "overflows"),
+        (format!("kfull k=1 grid={huge}"), "overflows"),
+        (format!("barrier grid={huge}"), "overflows"),
+        (format!("watch grid={huge}"), "overflows"),
         ("cells side=12 lo=9 hi=5".to_string(), "must be non-empty"),
         ("mask grid=10 lo=0 hi=101".to_string(), "must be non-empty"),
         (
@@ -323,6 +329,9 @@ fn bad_ranges_get_err_frames_and_leave_the_daemon_serving() {
     let mut fresh = connect(&server);
     let mask = fresh.request_ok("mask grid=10 lo=0 hi=100").unwrap();
     assert_eq!(mask.len(), 100);
+    // The fleet and sweep locks survived too: a mutation still applies.
+    let moved = fresh.request_ok("move id=0 x=0.5 y=0.5").unwrap();
+    assert!(moved.starts_with("moved camera 0"), "{moved}");
 }
 
 #[test]

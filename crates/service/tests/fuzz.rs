@@ -136,6 +136,7 @@ fn shuffled_verbs_and_hostile_parameters_always_get_a_frame() {
         "cells",
         "mask",
         "kcount",
+        "barrier",
         "fail",
         "move",
         "reseed",
@@ -155,6 +156,9 @@ fn shuffled_verbs_and_hostile_parameters_always_get_a_frame() {
         "side=-3",
         "grid=1",
         "grid=999999999999999999999999",
+        "side=4294967296",
+        "grid=4294967296",
+        "theta-deg=0.0000001",
         "k=0",
         "k=99",
         "id=0",

@@ -130,6 +130,7 @@ fn max_cells_budget_rejects_oversized_grids_and_daemon_keeps_serving() {
         "holes grid=40",
         "kfull k=1 grid=40",
         "barrier grid=40",
+        "watch grid=40",
     ] {
         match client.request(query).expect("send") {
             Response::Err(message) => assert!(
