@@ -12,7 +12,7 @@
 //!
 //! The gap between the two is the amortization a long-running fleet
 //! gets from the result cache (ISSUE 3); the committed medians live in
-//! `BENCH_sweep.json` alongside the `grid_sweep` baselines.
+//! `BENCH_sweep.json`.
 
 use criterion::Criterion;
 use fullview_model::{NetworkProfile, SensorSpec};

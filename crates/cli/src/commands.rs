@@ -42,7 +42,7 @@ use std::io::{self, Write as _};
 pub fn run(cli: &Cli) -> Result<(), Box<dyn Error>> {
     if let Some(sub) = cli.subcommand() {
         if let Some(allowed) = allowed_options(sub, cli.action()) {
-            cli.reject_unknown(allowed)?;
+            cli.reject_unknown(&allowed)?;
         }
     }
     match cli.subcommand() {
@@ -78,7 +78,9 @@ pub fn run(cli: &Cli) -> Result<(), Box<dyn Error>> {
 /// like `cluster`, each `sub action` pair) accepts; anything else is
 /// rejected up front with a "did you mean" hint. `None` for a subcommand
 /// or action we do not know (its own error message follows in `run`).
-fn allowed_options(sub: &str, action: Option<&str>) -> Option<&'static [&'static str]> {
+fn allowed_options(sub: &str, action: Option<&str>) -> Option<Vec<&'static str>> {
+    /// The network-building options of every command that deploys or
+    /// loads a fleet.
     const NETWORK: &[&str] = &[
         "theta-deg",
         "radius",
@@ -88,171 +90,96 @@ fn allowed_options(sub: &str, action: Option<&str>) -> Option<&'static [&'static
         "profile",
         "load",
     ];
-    // Per-command extras on top of the shared network-building options.
-    let allowed: &'static [&'static str] = match sub {
-        "csa" => &["n", "theta-deg", "area"],
-        "check" => &[
-            "theta-deg",
-            "radius",
-            "aov-deg",
-            "n",
-            "seed",
-            "profile",
-            "load",
-            "threads",
-            "hier",
-        ],
-        "poisson" => &[
-            "density",
-            "theta-deg",
-            "radius",
-            "aov-deg",
-            "seed",
-            "profile",
-            "threads",
-        ],
-        "map" => &[
-            "theta-deg",
-            "radius",
-            "aov-deg",
-            "n",
-            "seed",
-            "profile",
-            "load",
-            "side",
-            "hier",
-        ],
-        "holes" => &[
-            "theta-deg",
-            "radius",
-            "aov-deg",
-            "n",
-            "seed",
-            "profile",
-            "load",
-            "grid",
-            "hier",
-        ],
-        "barrier" => &[
-            "theta-deg",
-            "radius",
-            "aov-deg",
-            "n",
-            "seed",
-            "profile",
-            "load",
-            "grid",
-            "addr",
-        ],
-        "plan" => &["theta-deg", "radius", "aov-deg", "grid", "budget"],
-        "aim" => &[
-            "theta-deg",
-            "radius",
-            "aov-deg",
-            "n",
-            "seed",
-            "profile",
-            "load",
-            "grid",
-            "candidates",
-            "rounds",
-        ],
-        "point" => &[
-            "theta-deg",
-            "radius",
-            "aov-deg",
-            "n",
-            "seed",
-            "profile",
-            "load",
-            "x",
-            "y",
-            "verbose",
-        ],
-        "size" => &["theta-deg", "radius", "aov-deg", "n", "fraction", "profile"],
-        "route" => &[
-            "theta-deg",
-            "radius",
-            "aov-deg",
-            "n",
-            "seed",
-            "profile",
-            "load",
-            "route",
-            "step",
-        ],
-        "failures" => &[
-            "theta-deg",
-            "radius",
-            "aov-deg",
-            "n",
-            "seed",
-            "profile",
-            "load",
-            "p",
-            "fail-seed",
-            "threads",
-        ],
-        "save" => &["radius", "aov-deg", "n", "seed", "profile", "load", "out"],
-        "serve" => &[
-            "theta-deg",
-            "radius",
-            "aov-deg",
-            "n",
-            "seed",
-            "profile",
-            "load",
-            "addr",
-            "workers",
-            "queue",
-            "cache",
-            "admit-rate",
-            "admit-burst",
-            "wal",
-            "hier",
-            "max-cells",
-        ],
-        "query" => &["addr", "req", "window", "deadline-ms"],
-        "watch" => &["addr", "grid", "theta-deg", "count"],
-        "cluster" => match action {
-            Some("serve") => &[
+    // Per-command extras, after the shared network options where the
+    // command builds a network.
+    let (network, extras): (&[&str], &[&str]) = match sub {
+        "csa" => (&[], &["n", "theta-deg", "area"]),
+        "check" => (NETWORK, &["threads", "hier"]),
+        "poisson" => (
+            &[],
+            &[
+                "density",
+                "theta-deg",
+                "radius",
+                "aov-deg",
+                "seed",
+                "profile",
+                "threads",
+            ],
+        ),
+        "map" => (NETWORK, &["side", "hier"]),
+        "holes" => (NETWORK, &["grid", "hier"]),
+        "barrier" => (NETWORK, &["grid", "addr"]),
+        "plan" => (&[], &["theta-deg", "radius", "aov-deg", "grid", "budget"]),
+        "aim" => (NETWORK, &["grid", "candidates", "rounds"]),
+        "point" => (NETWORK, &["x", "y", "verbose"]),
+        "size" => (
+            &[],
+            &["theta-deg", "radius", "aov-deg", "n", "fraction", "profile"],
+        ),
+        "route" => (NETWORK, &["route", "step"]),
+        "failures" => (NETWORK, &["p", "fail-seed", "threads"]),
+        "save" => (
+            &[],
+            &["radius", "aov-deg", "n", "seed", "profile", "load", "out"],
+        ),
+        "serve" => (
+            NETWORK,
+            &[
                 "addr",
-                "shards",
-                "chunks",
-                "inflight",
-                "retries",
-                "backoff-ms",
-                "backoff-cap-ms",
-                "breaker-threshold",
-                "snapshot-dir",
-                "replicas",
+                "workers",
+                "queue",
+                "cache",
+                "admit-rate",
+                "admit-burst",
+                "wal",
+                "hier",
                 "max-cells",
             ],
-            Some("status") => &["addr"],
+        ),
+        "query" => (&[], &["addr", "req", "window", "deadline-ms"]),
+        "watch" => (&[], &["addr", "grid", "theta-deg", "count"]),
+        "cluster" => match action {
+            Some("serve") => (
+                &[],
+                &[
+                    "addr",
+                    "shards",
+                    "chunks",
+                    "inflight",
+                    "retries",
+                    "backoff-ms",
+                    "backoff-cap-ms",
+                    "breaker-threshold",
+                    "snapshot-dir",
+                    "replicas",
+                    "max-cells",
+                ],
+            ),
+            Some("status") => (&[], &["addr"]),
             _ => return None,
         },
         "bench" => match action {
-            Some("load") => &[
-                "addr",
-                "clients",
-                "rate",
-                "duration-ms",
-                "mix",
-                "sweep",
-                "growth",
-                "max-steps",
-                "out",
-                "id",
-            ],
+            Some("load") => (
+                &[],
+                &[
+                    "addr",
+                    "clients",
+                    "rate",
+                    "duration-ms",
+                    "mix",
+                    "sweep",
+                    "growth",
+                    "max-steps",
+                    "out",
+                    "id",
+                ],
+            ),
             _ => return None,
         },
         _ => return None,
     };
-    debug_assert!(
-        NETWORK.is_empty() || !allowed.is_empty(),
-        "every table entry lists its options"
-    );
-    Some(allowed)
+    Some(network.iter().chain(extras).copied().collect())
 }
 
 /// Top-level usage text.
@@ -343,9 +270,28 @@ the hierarchical coverage prover: byte-identical output, large grids
 (sides in the tens of thousands) become practical, prover tallies print
 on stderr.";
 
+/// `--theta-deg` (default 45) under the daemon's θ rule.
 fn theta_of(cli: &Cli) -> Result<EffectiveAngle, Box<dyn Error>> {
-    let deg: f64 = cli.get("theta-deg", 45.0)?;
-    Ok(EffectiveAngle::new(deg.to_radians())?)
+    let raw: String = cli.get("theta-deg", "45".to_string())?;
+    Ok(verbs::theta_of(&raw).map_err(ArgError)?)
+}
+
+/// A `--side`/`--grid` size under the daemon's extent rule.
+fn extent_of(cli: &Cli, key: &str, default: usize) -> Result<usize, Box<dyn Error>> {
+    let side = cli.get(key, default)?;
+    verbs::extent_cells(side, 0).map_err(ArgError)?;
+    Ok(side)
+}
+
+/// A finite `--key` value (default `default`).
+fn finite_of(cli: &Cli, key: &str, default: f64) -> Result<f64, Box<dyn Error>> {
+    let value: f64 = cli.get(key, default)?;
+    if !value.is_finite() {
+        return Err(Box::new(ArgError(format!(
+            "--{key} must be finite, got {value}"
+        ))));
+    }
+    Ok(value)
 }
 
 /// The evaluation tier of the dense-grid commands, read once from
@@ -409,7 +355,14 @@ fn parse_route(raw: &str) -> Result<Path, Box<dyn Error>> {
         let (x, y) = part
             .split_once(',')
             .ok_or_else(|| ArgError(format!("waypoint {} '{part}' is not 'x,y'", i + 1)))?;
-        waypoints.push(Point::new(x.trim().parse()?, y.trim().parse()?));
+        let (x, y): (f64, f64) = (x.trim().parse()?, y.trim().parse()?);
+        if !(x.is_finite() && y.is_finite()) {
+            return Err(Box::new(ArgError(format!(
+                "waypoint {} '{part}' is not finite",
+                i + 1
+            ))));
+        }
+        waypoints.push(Point::new(x, y));
     }
     if waypoints.len() < 2 {
         return Err(Box::new(ArgError(
@@ -421,10 +374,15 @@ fn parse_route(raw: &str) -> Result<Path, Box<dyn Error>> {
 
 fn cmd_route(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
-    let (_, net) = network_of(cli)?;
     let raw: String = cli.get("route", "0.1,0.1:0.9,0.9".to_string())?;
     let step: f64 = cli.get("step", 0.01)?;
+    if !(step.is_finite() && step > 0.0) {
+        return Err(Box::new(ArgError(format!(
+            "--step must be finite and positive, got {step}"
+        ))));
+    }
     let path = parse_route(&raw)?;
+    let (_, net) = network_of(cli)?;
     let report = evaluate_path(&net, &path, theta, step);
     println!("{report}");
     for (i, stretch) in report.exposed.iter().take(10).enumerate() {
@@ -442,9 +400,14 @@ fn cmd_route(cli: &Cli) -> Result<(), Box<dyn Error>> {
 fn cmd_failures(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
     let threads = threads_of(cli)?;
-    let (_, net) = network_of(cli)?;
     let p: f64 = cli.get("p", 0.3)?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(Box::new(ArgError(format!(
+            "--p must lie in [0, 1], got {p}"
+        ))));
+    }
     let seed: u64 = cli.get("fail-seed", 1)?;
+    let (_, net) = network_of(cli)?;
     let before = evaluate_dense_grid_parallel(&net, theta, Angle::ZERO, threads);
     let mut rng = StdRng::seed_from_u64(seed);
     let failed = fullview_sim::with_random_failures(&net, p, &mut rng);
@@ -519,6 +482,7 @@ fn cmd_check(cli: &Cli) -> Result<(), Box<dyn Error>> {
 fn cmd_poisson(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
     let density: f64 = cli.get("density", 800.0)?;
+    verbs::check_density(density).map_err(ArgError)?;
     let seed: u64 = cli.get("seed", 0)?;
     let profile = profile_of(cli)?;
     println!("density {density}, {theta}");
@@ -543,8 +507,8 @@ fn cmd_poisson(cli: &Cli) -> Result<(), Box<dyn Error>> {
 
 fn cmd_map(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
+    let side = extent_of(cli, "side", 48)?;
     let (_, net) = network_of(cli)?;
-    let side: usize = cli.get("side", 48)?;
     let glyphs = note_prover(tier_of(cli).glyphs(&net, theta, side, 0, side * side));
     print!("{}", coverage_map_from_glyphs(side, &glyphs));
     Ok(())
@@ -552,8 +516,8 @@ fn cmd_map(cli: &Cli) -> Result<(), Box<dyn Error>> {
 
 fn cmd_holes(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
+    let grid = extent_of(cli, "grid", 24)?;
     let (_, net) = network_of(cli)?;
-    let grid: usize = cli.get("grid", 24)?;
     let mask = note_prover(tier_of(cli).mask(&net, theta, grid, 0, grid * grid));
     print!(
         "{}",
@@ -567,16 +531,15 @@ fn cmd_holes(cli: &Cli) -> Result<(), Box<dyn Error>> {
 /// generated/loaded network, or — with `--addr` — asks a running daemon
 /// or cluster coordinator and prints the identical bytes.
 fn cmd_barrier(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let grid: usize = cli.get("grid", 24)?;
+    let grid = extent_of(cli, "grid", 24)?;
     let addr: String = cli.get("addr", String::new())?;
     if !addr.is_empty() {
         // Daemon mode: only theta and grid travel; the fleet lives
-        // server-side. Forward theta verbatim so both sides parse the
-        // identical token.
-        let theta_deg: f64 = cli.get("theta-deg", f64::NAN)?;
+        // server-side. The θ token travels as given, so the daemon's
+        // validator answers it.
         let mut line = format!("barrier grid={grid}");
-        if theta_deg.is_finite() {
-            line.push_str(&format!(" theta-deg={theta_deg}"));
+        if let Some(raw) = cli.get_all("theta-deg").last() {
+            line.push_str(&format!(" theta-deg={raw}"));
         }
         let mut client = Client::connect(&addr)?;
         return match client.request(&line)? {
@@ -598,7 +561,7 @@ fn cmd_plan(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
     let spec = spec_of(cli)?;
     let mut placer = GreedyPlacer::for_spec(spec);
-    placer.grid_side = cli.get("grid", 16)?;
+    placer.grid_side = extent_of(cli, "grid", 16)?;
     placer.max_cameras = cli.get("budget", 2000)?;
     let outcome = greedy_place(Torus::unit(), theta, placer);
     println!("{outcome}");
@@ -610,7 +573,7 @@ fn cmd_aim(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
     let (_, net) = network_of(cli)?;
     let planner = OrientationPlanner {
-        grid_side: cli.get("grid", 20)?,
+        grid_side: extent_of(cli, "grid", 20)?,
         candidates: cli.get("candidates", 16)?,
         max_rounds: cli.get("rounds", 3)?,
     };
@@ -652,10 +615,8 @@ fn cmd_size(cli: &Cli) -> Result<(), Box<dyn Error>> {
 
 fn cmd_point(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
+    let p = Point::new(finite_of(cli, "x", 0.5)?, finite_of(cli, "y", 0.5)?);
     let (_, net) = network_of(cli)?;
-    let x: f64 = cli.get("x", 0.5)?;
-    let y: f64 = cli.get("y", 0.5)?;
-    let p = Point::new(x, y);
     let analysis = analyze_point(&net, p);
     println!(
         "point {p}: {} covering cameras, largest gap {:.4} rad",
@@ -783,10 +744,10 @@ fn cmd_watch(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let addr: String = cli.get("addr", "127.0.0.1:7411".to_string())?;
     let grid: usize = cli.get("grid", 24usize)?;
     let count: usize = cli.get("count", 0usize)?;
-    let theta_deg: f64 = cli.get("theta-deg", f64::NAN)?;
+    // The θ token travels as given, so the daemon's validator answers it.
     let mut line = format!("watch grid={grid}");
-    if !theta_deg.is_nan() {
-        line.push_str(&format!(" theta-deg={theta_deg}"));
+    if let Some(raw) = cli.get_all("theta-deg").last() {
+        line.push_str(&format!(" theta-deg={raw}"));
     }
     let mut client = Client::connect(&addr)?;
     match client.request(&line)? {
@@ -1084,6 +1045,8 @@ mod tests {
             "60",
         ]))
         .unwrap();
+        // A θ the daemon rejects is an error, not a silent default.
+        assert!(run(&cli(&["barrier", "--addr", &addr, "--theta-deg", "nan"])).is_err());
         // Misspelled options keep the did-you-mean policy.
         let err = run(&cli(&["barrier", "--gird", "8"])).unwrap_err();
         assert!(err.to_string().contains("did you mean --grid?"), "{err}");
@@ -1171,6 +1134,50 @@ mod tests {
     fn bad_route_is_error() {
         assert!(run(&cli(&["route", "--n", "10", "--route", "0.5"])).is_err());
         assert!(run(&cli(&["route", "--n", "10", "--route", "nope,0:0.2,0.3"])).is_err());
+        assert!(run(&cli(&["route", "--n", "10", "--route", "nan,0:0.2,0.3"])).is_err());
+        assert!(run(&cli(&["route", "--n", "10", "--step", "0"])).is_err());
+    }
+
+    #[test]
+    fn inputs_a_library_would_reject_get_a_named_error() {
+        let profile = NetworkProfile::homogeneous(SensorSpec::new(0.15, 2.0).unwrap());
+        let mut config = ServiceConfig::new(profile);
+        config.n = 40;
+        let server = Server::start(config).expect("start daemon");
+        let addr = server.local_addr().to_string();
+        let (huge, fine) = ("4294967296", "0.0000001");
+        let positive = "side/grid must be positive";
+        let density = "density must be finite and positive";
+        let cases: &[(&[&str], &str)] = &[
+            (&["map", "--side", "0"], positive),
+            (&["holes", "--grid", "0"], positive),
+            (&["barrier", "--grid", "0"], positive),
+            (&["plan", "--grid", "0"], positive),
+            (&["aim", "--grid", "0"], positive),
+            (&["map", "--side", huge], "overflows"),
+            (&["holes", "--grid", huge], "overflows"),
+            (&["barrier", "--grid", huge], "overflows"),
+            (&["map", "--theta-deg", fine], "too fine"),
+            (&["holes", "--theta-deg", fine], "too fine"),
+            (&["check", "--theta-deg", fine], "too fine"),
+            (
+                &["watch", "--addr", addr.as_str(), "--theta-deg", "nan"],
+                "effective angle must lie in",
+            ),
+            (&["poisson", "--density", "nan"], density),
+            (&["poisson", "--density", "0"], density),
+            (&["failures", "--p", "2"], "--p must lie in [0, 1]"),
+            (&["point", "--x", "nan"], "--x must be finite"),
+            (&["point", "--y", "nan"], "--y must be finite"),
+        ];
+        for (args, phrase) in cases {
+            let err = run(&cli(args)).unwrap_err().to_string();
+            assert!(err.contains(phrase), "{args:?}: {err}");
+        }
+        // `serve` binds and blocks once its options pass, so its θ is
+        // checked through the option mapping.
+        let err = serve_config(&cli(&["serve", "--theta-deg", fine])).unwrap_err();
+        assert!(err.to_string().contains("too fine"), "{err}");
     }
 
     #[test]

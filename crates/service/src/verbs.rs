@@ -445,7 +445,13 @@ where
     raw.parse().map_err(|e| format!("bad value for {key}: {e}"))
 }
 
-fn theta_of(raw: &str) -> Result<EffectiveAngle, String> {
+/// The θ rule: a `theta-deg` token parses, lies in (0°, 180°], and its
+/// sufficient partition needs at most [`MAX_THETA_SECTORS`] sectors.
+///
+/// # Errors
+///
+/// The `err` frame text naming the violation.
+pub fn theta_of(raw: &str) -> Result<EffectiveAngle, String> {
     let deg: f64 = value("theta-deg", raw)?;
     let theta = EffectiveAngle::new(deg.to_radians()).map_err(|e| e.to_string())?;
     let sectors = theta.sufficient_sector_count();
@@ -455,6 +461,44 @@ fn theta_of(raw: &str) -> Result<EffectiveAngle, String> {
         ));
     }
     Ok(theta)
+}
+
+/// The extent rule: a `side`/`grid` is positive, its square does not
+/// overflow, and it fits the `max_cells` budget (`0` = no budget).
+/// Returns the grid's point count, `side²`.
+///
+/// # Errors
+///
+/// The `err` frame text naming the violation.
+pub fn extent_cells(side: usize, max_cells: usize) -> Result<usize, String> {
+    if side == 0 {
+        return Err("side/grid must be positive".to_string());
+    }
+    // The discretization budget rejects up front, before any grid
+    // allocation, with a named frame. An overflowing `side²` is over any
+    // finite budget.
+    let total = side.checked_mul(side);
+    if max_cells > 0 && total.is_none_or(|c| c > max_cells) {
+        return Err(format!(
+            "max-cells exceeded: {side}×{side} grid is over the {max_cells}-cell budget"
+        ));
+    }
+    total.ok_or_else(|| format!("side/grid {side} is too large: the squared point count overflows"))
+}
+
+/// The density rule of `prob`: a camera density is finite and positive.
+///
+/// # Errors
+///
+/// The `err` frame text naming the violation.
+pub fn check_density(density: f64) -> Result<(), String> {
+    if density.is_finite() && density > 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "density must be finite and positive, got {density}"
+        ))
+    }
 }
 
 /// Validates one request for `front`: the verb is served there, every
@@ -500,31 +544,11 @@ pub fn validate(
     if let Some(key) = verb.required.iter().find(|k| req.raw(k).is_none()) {
         return Err(format!("missing required parameter '{key}'"));
     }
-    if !p.density.is_finite() || p.density <= 0.0 {
-        return Err(format!(
-            "density must be finite and positive, got {}",
-            p.density
-        ));
-    }
+    check_density(p.density)?;
     if verb.extent.is_none() {
         return Ok((verb, p));
     }
-    let side = p.extent;
-    if side == 0 {
-        return Err("side/grid must be positive".to_string());
-    }
-    // The discretization budget rejects up front, before any grid
-    // allocation, with a named frame. An overflowing `side²` is over any
-    // finite budget.
-    let total = side.checked_mul(side);
-    if max_cells > 0 && total.is_none_or(|c| c > max_cells) {
-        return Err(format!(
-            "max-cells exceeded: {side}×{side} grid is over the {max_cells}-cell budget"
-        ));
-    }
-    let total = total.ok_or_else(|| {
-        format!("side/grid {side} is too large: the squared point count overflows")
-    })?;
+    let total = extent_cells(p.extent, max_cells)?;
     if verb.ranged {
         if p.hi == usize::MAX {
             p.hi = total;
