@@ -55,13 +55,8 @@ impl fmt::Display for BarrierReport {
 }
 
 /// Analyses barrier full-view coverage on a `grid_side × grid_side`
-/// discretization of the network's region.
-///
-/// A cell is covered when its centre is full-view covered for `theta`.
-/// The barrier search is a BFS from every covered cell in the leftmost
-/// column, moving through 4-connected covered cells (with vertical
-/// wrap-around, honouring the torus), succeeding if any rightmost-column
-/// cell is reached.
+/// discretization of the network's region — [`barrier_from_mask`] over
+/// the full-view mask of that grid.
 ///
 /// # Panics
 ///
@@ -72,10 +67,33 @@ pub fn barrier_full_view(
     theta: EffectiveAngle,
     grid_side: usize,
 ) -> BarrierReport {
+    let mask = full_view_mask_range(net, theta, grid_side, 0, grid_side * grid_side);
+    barrier_from_mask(grid_side, &mask)
+}
+
+/// The barrier analysis of a precomputed full-view coverage mask
+/// (row-major, `covered[j * grid_side + i]` for column `i`, row `j`) —
+/// the search half of [`barrier_full_view`], split out so a daemon can
+/// run it on the mask of a warm sweep.
+///
+/// A cell is covered when its centre is full-view covered. The barrier
+/// search is a BFS from every covered cell in the leftmost column, moving
+/// through 4-connected covered cells (with vertical wrap-around,
+/// honouring the torus), succeeding if any rightmost-column cell is
+/// reached.
+///
+/// # Panics
+///
+/// Panics if `grid_side == 0` or `covered.len() != grid_side²`.
+#[must_use]
+pub fn barrier_from_mask(grid_side: usize, covered: &[bool]) -> BarrierReport {
+    assert!(grid_side > 0, "grid side must be positive");
+    assert_eq!(
+        covered.len(),
+        grid_side * grid_side,
+        "mask must hold grid_side² cells"
+    );
     let k = grid_side;
-    // covered[j * k + i] for column i, row j (UnitGrid is row-major with
-    // index = j * k + i).
-    let covered = full_view_mask_range(net, theta, k, 0, k * k);
     let covered_cells = covered.iter().filter(|c| **c).count();
 
     // BFS from all covered cells in column 0 towards column k-1.

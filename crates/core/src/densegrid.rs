@@ -321,20 +321,13 @@ impl GridEvaluator {
         }
     }
 
-    /// Produces the [`PointFlags`] of tile `t`'s points inside `lo..hi`,
-    /// in [`GridTiling::for_each_point_in_tile`] order: pins `cursor`,
-    /// screens the whole tile through the mask kernel when one is
-    /// configured, then decides each in-range point from its verdict or
-    /// falls back to the exact analyzer. Out-of-range points never reach
-    /// the exact analyzer or `f`. Empty tiles and tiles wholly outside the
+    /// Produces the [`PointFlags`] of tile `t`'s points inside `lo..hi`:
+    /// pins `cursor` and runs
+    /// [`for_each_point_flags_in_rect`](Self::for_each_point_flags_in_rect)
+    /// on the tile's rectangle. Empty tiles and tiles wholly outside the
     /// range call `f` zero times without pinning the cursor.
-    ///
-    /// Every tiled evaluation funnels through here, so the kernel
-    /// integration (and its bit-identity obligations) live in exactly
-    /// one place. Public so out-of-crate hierarchical sweeps can route
-    /// their `Boundary` tiles through the very same funnel.
     #[allow(clippy::too_many_arguments)]
-    pub fn for_each_point_flags_in_tile(
+    pub(crate) fn for_each_point_flags_in_tile(
         &mut self,
         cursor: &mut TileCursor<'_>,
         tiling: &GridTiling,
@@ -349,8 +342,57 @@ impl GridEvaluator {
         }
     }
 
+    /// The flags funnel: produces the [`PointFlags`] of the points inside
+    /// `lo..hi` among grid columns `cols` × rows `rows`, a rectangle of the
+    /// cell `cursor` is pinned to (rows outer, columns inner). Screens the
+    /// whole rectangle through the mask kernel when one is configured, then
+    /// decides each in-range point from its verdict or falls back to the
+    /// exact analyzer. Out-of-range points never reach the exact analyzer
+    /// or `f`.
+    ///
+    /// Every tiled flags evaluation — the walk's tiles, incremental
+    /// repairs, the hierarchical prover's residual rectangles — funnels
+    /// through here, so the kernel integration (and its bit-identity
+    /// obligations) live in exactly one place.
+    #[allow(clippy::too_many_arguments)]
+    pub fn for_each_point_flags_in_rect(
+        &mut self,
+        cursor: &TileCursor<'_>,
+        grid: &UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        lo: usize,
+        hi: usize,
+        f: &mut dyn FnMut(usize, PointFlags),
+    ) {
+        self.unit_flags(&SweepUnit::rect(cursor, grid, cols, rows, lo, hi), f);
+    }
+
+    /// The k-count funnel: how many points inside `lo..hi` among grid
+    /// columns `cols` × rows `rows`, a rectangle of the cell `cursor` is
+    /// pinned to, have view multiplicity at least `k`
+    /// ([`CoverageView::view_multiplicity`](crate::CoverageView::view_multiplicity)).
+    /// Screens the rectangle through the kernel's per-sector depth counters
+    /// ([`ScreenMode::Depth`]) and runs the exact arc sweep only on the
+    /// points the screen leaves undecided; the count is bit-identical to
+    /// the exact sweep either way.
+    #[allow(clippy::too_many_arguments)]
+    #[must_use]
+    pub fn count_k_in_rect(
+        &mut self,
+        cursor: &TileCursor<'_>,
+        grid: &UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        lo: usize,
+        hi: usize,
+        k: usize,
+    ) -> usize {
+        self.unit_count_k(&SweepUnit::rect(cursor, grid, cols, rows, lo, hi), k)
+    }
+
     /// The flags of one walk unit's in-range points: screened verdicts
-    /// where the unit is a tile and a kernel is configured, the exact
+    /// where the unit is a rectangle and a kernel is configured, the exact
     /// analyzer through the unit's backend everywhere else.
     pub(crate) fn unit_flags(
         &mut self,
@@ -391,6 +433,41 @@ impl GridEvaluator {
             f(idx, flags);
         });
         self.kernel = kernel;
+    }
+
+    /// How many of one walk unit's in-range points have view multiplicity
+    /// at least `k`: depth-screened verdicts where the unit is a rectangle,
+    /// a kernel is configured and `k` fits the counters, the exact arc
+    /// sweep through the unit's backend everywhere else.
+    pub(crate) fn unit_count_k(&mut self, unit: &SweepUnit<'_>, k: usize) -> usize {
+        let mut kernel = self.kernel.take();
+        // The depth counters saturate at `u8::MAX`: larger `k` run exact.
+        let depth = u8::try_from(k).ok().filter(|&k8| {
+            kernel
+                .as_mut()
+                .is_some_and(|kern| unit.screen(kern, ScreenMode::Depth { k: k8 }))
+        });
+        let mut meeting = 0usize;
+        unit.for_each_point(|local, idx| {
+            let verdict = match (&kernel, depth) {
+                (Some(kern), Some(k8)) => kern.k_verdict(local, k8),
+                _ => None,
+            };
+            let met = match verdict {
+                Some(met) => {
+                    self.stats.screened += 1;
+                    met
+                }
+                None => {
+                    self.stats.exact += u64::from(depth.is_some());
+                    let view = self.analyzer.analyze_point_with(unit, unit.point(idx));
+                    view.view_multiplicity(self.theta) >= k
+                }
+            };
+            meeting += usize::from(met);
+        });
+        self.kernel = kernel;
+        meeting
     }
 
     /// Evaluates every predicate over the grid points of the tiles with
@@ -710,6 +787,88 @@ mod tests {
         assert_eq!(
             (stats.screened + stats.exact) as usize,
             in_range,
+            "only in-range points may be decided: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn rect_funnels_emit_exactly_the_in_range_points_of_a_sub_rectangle() {
+        // Sparse directional cameras: a mix of screened and exact points.
+        let cams = (0..60)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033_98) % 1.0;
+                let y = (i as f64 * 0.414_213_56) % 1.0;
+                let spec = SensorSpec::new(0.2, PI / 2.0).unwrap();
+                Camera::new(Point::new(x, y), Angle::new(i as f64), spec, GroupId(0))
+            })
+            .collect();
+        let net = CameraNetwork::new(Torus::unit(), cams);
+        let grid = UnitGrid::new(Torus::unit(), 60);
+        let side = grid.side_count();
+        let tiling = GridTiling::new(net.index(), &grid);
+        let t = (0..tiling.tile_count())
+            .max_by_key(|&t| tiling.tile_point_count(t))
+            .unwrap();
+        let (cols, rows) = (tiling.tile_col_range(t), tiling.tile_row_range(t));
+        // A sub-rectangle strictly inside the tile, cut by the range.
+        let sub_cols = cols.start + 1..cols.end - 2;
+        let sub_rows = rows.start + 2..rows.end - 1;
+        let lo = (sub_rows.start + 1) * side + sub_cols.start + 3;
+        let hi = (sub_rows.end - 2) * side + sub_cols.start + 1;
+        let in_range: Vec<usize> = sub_rows
+            .clone()
+            .flat_map(|r| sub_cols.clone().map(move |c| r * side + c))
+            .filter(|&idx| idx >= lo && idx < hi)
+            .collect();
+        let mut cursor = net.tile_cursor();
+        let (cx, cy) = tiling.tile_cell(t);
+        cursor.pin(cx, cy);
+
+        let th = theta(PI / 4.0);
+        let mut ev = GridEvaluator::new(th, Angle::ZERO);
+        let mut exact = GridEvaluator::new_exact(th, Angle::ZERO);
+        let mut emitted = Vec::new();
+        ev.for_each_point_flags_in_rect(
+            &cursor,
+            &grid,
+            sub_cols.clone(),
+            sub_rows.clone(),
+            lo,
+            hi,
+            &mut |idx, flags| {
+                assert_eq!(
+                    flags,
+                    exact.point_flags_with(&net, grid.point(idx)),
+                    "idx {idx}"
+                );
+                emitted.push(idx);
+            },
+        );
+        assert_eq!(
+            emitted, in_range,
+            "rows outer, columns inner, in range only"
+        );
+        for k in 1..4 {
+            let want = in_range
+                .iter()
+                .filter(|&&idx| crate::view_multiplicity(&net, grid.point(idx), th) >= k)
+                .count();
+            let got = ev.count_k_in_rect(
+                &cursor,
+                &grid,
+                sub_cols.clone(),
+                sub_rows.clone(),
+                lo,
+                hi,
+                k,
+            );
+            assert_eq!(got, want, "k={k}");
+        }
+        let stats = ev.screen_stats();
+        assert!(stats.screened > 0 && stats.exact > 0, "{stats:?}");
+        assert_eq!(
+            (stats.screened + stats.exact) as usize,
+            4 * in_range.len(),
             "only in-range points may be decided: {stats:?}"
         );
     }

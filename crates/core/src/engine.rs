@@ -37,6 +37,7 @@ use crate::mask::{ScreenMode, SectorMaskKernel};
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, SpatialGrid, Torus, UnitGrid};
 use fullview_model::{Camera, CameraNetwork, CoverageProvider, TileCursor};
+use std::ops::Range;
 
 /// Maps a [`UnitGrid`] onto the cells of a [`SpatialGrid`]: every grid
 /// point belongs to exactly one tile (the index cell containing it), and
@@ -223,28 +224,29 @@ pub fn use_tiled(net: &CameraNetwork, grid: &UnitGrid) -> bool {
     cells * cells <= grid.len()
 }
 
-/// One unit of the dense-grid walk: a tile whose cursor is pinned to its
-/// cell, or — when tiles do not pay off — the whole range as a single
+/// One unit of the dense-grid walk: a rectangle of grid points inside the
+/// cell a cursor is pinned to — a whole tile, or any sub-rectangle of one
+/// — or, when tiles do not pay off, the whole range as a single
 /// unscreened unit backed by the whole network. Either way a consumer
 /// writes one loop: screen the unit if it can, then visit its in-range
 /// points with the unit itself as the [`CoverageProvider`].
 pub(crate) struct SweepUnit<'a> {
     net: &'a CameraNetwork,
-    /// The pinned cursor, the tiling and the tile id; `None` for the
-    /// whole-network unit.
-    tile: Option<(&'a TileCursor<'a>, &'a GridTiling, usize)>,
+    /// The pinned cursor and the unit's grid columns × rows; `None` for
+    /// the whole-network unit.
+    rect: Option<(&'a TileCursor<'a>, Range<usize>, Range<usize>)>,
     grid: &'a UnitGrid,
     lo: usize,
     hi: usize,
 }
 
 impl<'a> SweepUnit<'a> {
-    /// Pins `cursor` to tile `t` and wraps it as the unit of the in-range
-    /// points `lo..hi`. `None` (cursor untouched) when the tile is empty or
-    /// wholly outside the range.
+    /// Pins `cursor` to tile `t` and wraps the tile's rectangle as the
+    /// unit of the in-range points `lo..hi`. `None` (cursor untouched) when
+    /// the tile is empty or wholly outside the range.
     pub(crate) fn tile(
         cursor: &'a mut TileCursor<'_>,
-        tiling: &'a GridTiling,
+        tiling: &GridTiling,
         grid: &'a UnitGrid,
         t: usize,
         lo: usize,
@@ -256,43 +258,60 @@ impl<'a> SweepUnit<'a> {
         }
         let (cx, cy) = tiling.tile_cell(t);
         cursor.pin(cx, cy);
-        Some(SweepUnit {
+        let (cols, rows) = (tiling.tile_col_range(t), tiling.tile_row_range(t));
+        Some(Self::rect(cursor, grid, cols, rows, lo, hi))
+    }
+
+    /// The unit of the in-range points `lo..hi` among grid columns `cols`
+    /// × rows `rows`, a rectangle of the cell `cursor` is pinned to.
+    pub(crate) fn rect(
+        cursor: &'a TileCursor<'a>,
+        grid: &'a UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        lo: usize,
+        hi: usize,
+    ) -> Self {
+        SweepUnit {
             net: cursor.network(),
-            tile: Some((cursor, tiling, t)),
+            rect: Some((cursor, cols, rows)),
             grid,
             lo,
             hi,
-        })
+        }
     }
 
-    /// Screens the unit's tile through `kernel`, whose verdicts are then
-    /// indexed by the `local` position [`for_each_point`](Self::for_each_point)
-    /// reports. Returns `false` — nothing screened — for the whole-network
-    /// unit.
+    /// Screens the unit's rectangle through `kernel`, whose verdicts are
+    /// then indexed by the `local` position
+    /// [`for_each_point`](Self::for_each_point) reports. Returns `false` —
+    /// nothing screened — for the whole-network unit.
     pub(crate) fn screen(&self, kernel: &mut SectorMaskKernel, mode: ScreenMode) -> bool {
-        let Some((cursor, tiling, t)) = self.tile else {
+        let Some((cursor, cols, rows)) = &self.rect else {
             return false;
         };
-        kernel.screen_tile(cursor, tiling, self.grid, t, mode);
+        kernel.screen_tile(cursor, self.grid, cols.clone(), rows.clone(), mode);
         true
     }
 
     /// Calls `f(local, index)` for every point of the unit inside
-    /// `lo..hi`: tile order within a tile, row-major for the whole-network
-    /// unit. `local` is the point's position in the unit's full traversal
-    /// (out-of-range tile points included), the index of its screen
-    /// verdict.
+    /// `lo..hi`: rows outer, columns inner within a rectangle, row-major
+    /// for the whole-network unit. `local` is the point's position in the
+    /// unit's full traversal (out-of-range points included), the index of
+    /// its screen verdict.
     pub(crate) fn for_each_point<F: FnMut(usize, usize)>(&self, mut f: F) {
         let (lo, hi) = (self.lo, self.hi);
-        match self.tile {
-            Some((_, tiling, t)) => {
+        match &self.rect {
+            Some((_, cols, rows)) => {
+                let side = self.grid.side_count();
                 let mut local = 0usize;
-                tiling.for_each_point_in_tile(t, |idx| {
-                    if idx >= lo && idx < hi {
-                        f(local, idx);
+                for r in rows.clone() {
+                    for idx in r * side + cols.start..r * side + cols.end {
+                        if idx >= lo && idx < hi {
+                            f(local, idx);
+                        }
+                        local += 1;
                     }
-                    local += 1;
-                });
+                }
             }
             None => (lo..hi).for_each(|idx| f(idx - lo, idx)),
         }
@@ -311,7 +330,7 @@ impl CoverageProvider for SweepUnit<'_> {
     }
 
     fn for_each_covering<F: FnMut(&Camera)>(&self, target: Point, f: F) {
-        match self.tile {
+        match &self.rect {
             Some((cursor, ..)) => cursor.for_each_covering(target, f),
             None => self.net.for_each_covering(target, f),
         }
@@ -341,7 +360,7 @@ where
     if !use_tiled(net, grid) {
         visit(&SweepUnit {
             net,
-            tile: None,
+            rect: None,
             grid,
             lo,
             hi,

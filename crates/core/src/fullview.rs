@@ -111,6 +111,16 @@ impl CoverageView<'_> {
         Some(self.largest_gap / 2.0)
     }
 
+    /// The view multiplicity at effective angle `theta`: the minimum, over
+    /// all facing directions, of the number of covering cameras watching
+    /// the direction within `θ` (see [`crate::view_multiplicity`]). Every
+    /// co-located camera watches every direction, so each counts one.
+    #[must_use]
+    pub fn view_multiplicity(&self, theta: EffectiveAngle) -> usize {
+        let colocated = self.covering_cameras - self.viewed_directions.len();
+        crate::kfullview::min_arc_depth(self.viewed_directions, theta.radians()) + colocated
+    }
+
     /// Copies the borrowed analysis into an owned [`PointCoverage`].
     #[must_use]
     pub fn to_owned(&self) -> PointCoverage {

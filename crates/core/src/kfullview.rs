@@ -8,13 +8,15 @@
 //!
 //! Algorithm: the view multiplicity of a facing direction `d` is the
 //! number of viewed directions within `θ` of `d`, i.e. the depth of `d`
-//! under the arcs `[β_i − θ, β_i + θ]`. The minimum depth over the
-//! circle is computed by a circular sweep over arc endpoints; the point
-//! is k-full-view covered iff that minimum is at least `k`.
+//! under the arcs `[β_i − θ, β_i + θ]`, plus one for each camera
+//! co-located with the point (it watches every direction). The minimum
+//! depth over the circle is computed by a circular sweep over arc
+//! endpoints; the point is k-full-view covered iff the multiplicity is at
+//! least `k`.
 
+use crate::densegrid::GridEvaluator;
 use crate::engine::{sweep_grid, walk};
-use crate::fullview::{analyze_point, PointAnalyzer};
-use crate::mask::{ScreenMode, SectorMaskKernel};
+use crate::fullview::analyze_point;
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, UnitGrid, ANGLE_EPS};
 use fullview_model::CameraNetwork;
@@ -25,13 +27,11 @@ use std::f64::consts::TAU;
 /// multiplicity* of the point.
 ///
 /// `0` means some facing direction is unwatched (not full-view covered);
-/// `k` means the point survives any `k − 1` failures. A camera
+/// `k` means the point survives any `k − 1` failures. Each camera
 /// co-located with the point counts towards every direction.
 #[must_use]
 pub fn view_multiplicity(net: &CameraNetwork, point: Point, theta: EffectiveAngle) -> usize {
-    let coverage = analyze_point(net, point);
-    let colocated_bonus = usize::from(coverage.has_colocated_camera);
-    min_arc_depth(&coverage.viewed_directions, theta.radians()) + colocated_bonus
+    analyze_point(net, point).as_view().view_multiplicity(theta)
 }
 
 /// Calls `f(index, multiplicity)` with the view multiplicity of every
@@ -45,11 +45,7 @@ pub fn for_each_view_multiplicity<F: FnMut(usize, usize)>(
     mut f: F,
 ) {
     sweep_grid(net, grid, |idx, _, view| {
-        let colocated_bonus = usize::from(view.has_colocated_camera);
-        f(
-            idx,
-            min_arc_depth(view.viewed_directions, theta.radians()) + colocated_bonus,
-        );
+        f(idx, view.view_multiplicity(theta))
     });
 }
 
@@ -59,11 +55,12 @@ pub fn for_each_view_multiplicity<F: FnMut(usize, usize)>(
 /// `0..grid.len()` equals the full-grid count, since each point's
 /// multiplicity depends only on the network.
 ///
-/// `k = 0` counts every point in the range. For supported
-/// configurations the count runs through the
-/// [`SectorMaskKernel`](crate::SectorMaskKernel)'s per-sector depth
-/// screen, paying for the exact arc sweep only on screen-undecided
-/// points; the answer is bit-identical to the wholesale exact sweep
+/// `k = 0` counts every point in the range. Otherwise the walk hands
+/// each tile to the k-count funnel behind
+/// [`GridEvaluator::count_k_in_rect`], which pays for the exact arc sweep
+/// only on points the
+/// [`SectorMaskKernel`](crate::SectorMaskKernel)'s depth screen leaves
+/// undecided; the answer is bit-identical to the wholesale exact sweep
 /// either way.
 ///
 /// # Panics
@@ -88,28 +85,11 @@ pub fn count_k_view_range(
     }
     // The depth screen's start line is arbitrary: the strict-depth
     // argument holds for any partition, and certainty is what routes to
-    // the exact sweep. Its depth counters saturate at `u8::MAX`.
-    let mut screen = u8::try_from(k)
-        .ok()
-        .and_then(|k8| Some((SectorMaskKernel::new(theta, Angle::ZERO)?, k8)));
-    let mut analyzer = PointAnalyzer::new();
+    // the exact sweep.
+    let mut evaluator = GridEvaluator::new(theta, Angle::ZERO);
     let mut meeting = 0usize;
     walk(net, grid, lo, hi, |unit| {
-        let screened = screen
-            .as_mut()
-            .is_some_and(|(kernel, k8)| unit.screen(kernel, ScreenMode::Depth { k: *k8 }));
-        unit.for_each_point(|local, idx| {
-            let verdict = match &screen {
-                Some((kernel, k8)) if screened => kernel.k_verdict(local, *k8),
-                _ => None,
-            };
-            let met = verdict.unwrap_or_else(|| {
-                let view = analyzer.analyze_point_with(unit, unit.point(idx));
-                let colocated_bonus = usize::from(view.has_colocated_camera);
-                min_arc_depth(view.viewed_directions, theta.radians()) + colocated_bonus >= k
-            });
-            meeting += usize::from(met);
-        });
+        meeting += evaluator.unit_count_k(unit, k);
     });
     meeting
 }
@@ -320,21 +300,34 @@ mod tests {
         let torus = Torus::unit();
         let p = Point::new(0.5, 0.5);
         let spec = SensorSpec::new(0.3, PI).unwrap();
-        let mut cams = vec![Camera::new(p, Angle::ZERO, spec, GroupId(0))];
-        // Plus a one-sided camera.
-        cams.push(Camera::new(
+        let colocated = Camera::new(p, Angle::ZERO, spec, GroupId(0));
+        // A one-sided camera.
+        let side = Camera::new(
             torus.offset(p, Angle::ZERO, 0.1),
             Angle::new(PI),
             spec,
             GroupId(0),
-        ));
-        let net = CameraNetwork::new(torus, cams);
+        );
+        let net = CameraNetwork::new(torus, vec![colocated, side]);
         let th = theta(PI / 4.0);
         // Colocated alone gives multiplicity 1 everywhere; the side camera
         // raises it to 2 only near direction 0.
         assert_eq!(view_multiplicity(&net, p, th), 1);
         assert!(is_k_full_view_covered(&net, p, th, 1));
         assert!(!is_k_full_view_covered(&net, p, th, 2));
+
+        // A second camera on the point counts one more everywhere: losing
+        // either co-located camera leaves the point full-view covered.
+        let twin = Camera::new(p, Angle::new(PI / 2.0), spec, GroupId(1));
+        let net = CameraNetwork::new(torus, vec![colocated, side, twin]);
+        assert_eq!(view_multiplicity(&net, p, th), 2);
+        assert!(is_k_full_view_covered(&net, p, th, 2));
+        assert!(!is_k_full_view_covered(&net, p, th, 3));
+        for lost in [colocated, twin] {
+            let reduced = net.filter(|c| *c != lost);
+            assert_eq!(reduced.len(), 2);
+            assert!(crate::fullview::is_full_view_covered(&reduced, p, th));
+        }
     }
 
     #[test]

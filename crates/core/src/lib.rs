@@ -74,7 +74,7 @@ mod temporal;
 mod theta;
 mod uniform_theory;
 
-pub use barrier::{barrier_full_view, BarrierReport};
+pub use barrier::{barrier_from_mask, barrier_full_view, BarrierReport};
 pub use conditions::{
     cameras_sufficient, meets_necessary_condition, meets_sufficient_condition,
     min_cameras_necessary, ConditionKind, SectorPartition,

@@ -11,7 +11,7 @@
 //! θ-sectors around a point contains a viewed direction, the point is
 //! full-view covered. Occupancy is just an OR of bits.
 //!
-//! The kernel therefore screens whole tiles at once:
+//! The kernel therefore screens a whole rectangle of a tile at once:
 //!
 //! 1. **Factorized distance prefilter.** For one candidate camera and one
 //!    tile, the torus displacement factorizes per axis: wrap each grid
@@ -55,8 +55,7 @@ use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Arc, Point, Torus, UnitGrid, ANGLE_EPS};
 use fullview_model::{Camera, TileCursor};
 use std::f64::consts::{PI, TAU};
-
-use crate::engine::GridTiling;
+use std::ops::Range;
 
 /// Most sectors a partition may have for the kernel to engage: 256 keeps
 /// the multi-word masks at ≤ 4 words per point and — because it implies
@@ -80,7 +79,7 @@ const D2_COLOCATED: f64 = 4e-18;
 /// bit-identical to the exact path.
 const ANG_BAND: f64 = 1e-12;
 
-/// Stage-1 verdict for one tile point.
+/// Stage-1 verdict for one screened point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PointVerdict {
     /// Some camera verdict was uncertain, or the point sits in the
@@ -100,7 +99,7 @@ pub enum PointVerdict {
     },
 }
 
-/// What the kernel computes for a tile.
+/// What the kernel computes for a rectangle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScreenMode {
     /// Occupancy masks for both partitions plus exact counts — feeds the
@@ -353,8 +352,8 @@ fn angular_verdict(cc: &CamClass, fdx: f64, fdy: f64, d2: f64) -> Option<bool> {
 pub struct SectorMaskKernel {
     suf: PartitionGeom,
     nec: PartitionGeom,
-    // Per-tile scratch, laid out per point in for_each_point_in_tile
-    // order (rows outer, columns inner).
+    // Per-rectangle scratch, laid out per point rows outer, columns
+    // inner.
     xs: Vec<f64>,
     ys: Vec<f64>,
     fdx: Vec<f64>,
@@ -410,41 +409,41 @@ impl SectorMaskKernel {
         })
     }
 
-    /// Screens tile `t` through `cursor`'s pinned candidate snapshot
-    /// (the cursor **must** be pinned to `t`'s cell). Afterwards
-    /// [`verdict`](Self::verdict) / [`k_verdict`](Self::k_verdict)
-    /// answer per point, indexed in `for_each_point_in_tile` order.
+    /// Screens the grid columns `cols` × rows `rows` — a rectangle of the
+    /// cell `cursor` is pinned to — through the cursor's candidate
+    /// snapshot. Afterwards [`verdict`](Self::verdict) /
+    /// [`k_verdict`](Self::k_verdict) answer per point, indexed rows
+    /// outer, columns inner.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is empty or the tiling does not match `grid`.
+    /// Panics if the rectangle is empty or reaches past the grid.
     pub fn screen_tile(
         &mut self,
         cursor: &TileCursor<'_>,
-        tiling: &GridTiling,
         grid: &UnitGrid,
-        t: usize,
+        cols: Range<usize>,
+        rows: Range<usize>,
         mode: ScreenMode,
     ) {
-        let cols = tiling.tile_col_range(t);
-        let rows = tiling.tile_row_range(t);
         let (ncols, nrows) = (cols.len(), rows.len());
-        assert!(ncols > 0 && nrows > 0, "cannot screen an empty tile");
-        assert_eq!(tiling.grid_len(), grid.len(), "tiling does not match grid");
         let side = grid.side_count();
+        assert!(ncols > 0 && nrows > 0, "cannot screen an empty rectangle");
+        assert!(
+            cols.end <= side && rows.end <= side,
+            "rectangle {cols:?} × {rows:?} outside a {side}² grid"
+        );
         let n = ncols * nrows;
         self.points = n;
         self.mode = mode;
 
         // Column x / row y coordinates, bit-identical to grid.point():
         // a lattice point's x depends only on its column, y on its row.
+        let (c0, r0) = (cols.start, rows.start);
         self.xs.clear();
-        self.xs
-            .extend(cols.clone().map(|i| grid.point(rows.start * side + i).x));
-        self.ys.splice(
-            ..,
-            rows.clone().map(|j| grid.point(j * side + cols.start).y),
-        );
+        self.xs.extend(cols.map(|i| grid.point(r0 * side + i).x));
+        self.ys.clear();
+        self.ys.extend(rows.map(|j| grid.point(j * side + c0).y));
 
         self.counts.clear();
         self.counts.resize(n, 0);
@@ -629,16 +628,19 @@ impl SectorMaskKernel {
         }
     }
 
-    /// The stage-1 verdict for tile-local point `local` after a
+    /// The stage-1 verdict for rectangle-local point `local` after a
     /// [`ScreenMode::Report`] screen.
     ///
     /// # Panics
     ///
-    /// Panics if `local` is out of range for the screened tile or the
+    /// Panics if `local` is out of range for the screened rectangle or the
     /// last screen was not `Report`.
     #[must_use]
     pub fn verdict(&self, local: usize) -> PointVerdict {
-        assert!(local < self.points, "point {local} not in screened tile");
+        assert!(
+            local < self.points,
+            "point {local} not in the screened rectangle"
+        );
         assert_eq!(self.mode, ScreenMode::Report, "screened in Depth mode");
         if self.uncertain[local] {
             return PointVerdict::Undecided;
@@ -660,7 +662,7 @@ impl SectorMaskKernel {
         }
     }
 
-    /// The k-full-view screen for tile-local point `local` after a
+    /// The k-full-view screen for rectangle-local point `local` after a
     /// [`ScreenMode::Depth`] screen with the same `k`: `Some(true)` when
     /// every strict sector depth reached `k` (view multiplicity ≥ k),
     /// `Some(false)` when fewer than `k` cameras cover the point at all,
@@ -672,7 +674,10 @@ impl SectorMaskKernel {
     /// `Depth` with this `k`.
     #[must_use]
     pub fn k_verdict(&self, local: usize, k: u8) -> Option<bool> {
-        assert!(local < self.points, "point {local} not in screened tile");
+        assert!(
+            local < self.points,
+            "point {local} not in the screened rectangle"
+        );
         assert_eq!(self.mode, ScreenMode::Depth { k }, "mode/k mismatch");
         if self.uncertain[local] {
             return None;
@@ -694,6 +699,7 @@ impl SectorMaskKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::GridTiling;
     use crate::fullview::PointAnalyzer;
     use fullview_model::{CameraNetwork, GroupId, SensorSpec};
 
@@ -749,7 +755,13 @@ mod tests {
                 }
                 let (cx, cy) = tiling.tile_cell(t);
                 cursor.pin(cx, cy);
-                kernel.screen_tile(&cursor, &tiling, &grid, t, ScreenMode::Report);
+                kernel.screen_tile(
+                    &cursor,
+                    &grid,
+                    tiling.tile_col_range(t),
+                    tiling.tile_row_range(t),
+                    ScreenMode::Report,
+                );
                 let mut local = 0usize;
                 tiling.for_each_point_in_tile(t, |idx| {
                     let view = analyzer.analyze_point_with(&cursor, grid.point(idx));
@@ -796,14 +808,21 @@ mod tests {
                 }
                 let (cx, cy) = tiling.tile_cell(t);
                 cursor.pin(cx, cy);
-                kernel.screen_tile(&cursor, &tiling, &grid, t, ScreenMode::Depth { k });
+                kernel.screen_tile(
+                    &cursor,
+                    &grid,
+                    tiling.tile_col_range(t),
+                    tiling.tile_row_range(t),
+                    ScreenMode::Depth { k },
+                );
                 let mut local = 0usize;
                 tiling.for_each_point_in_tile(t, |idx| {
                     if let Some(met) = kernel.k_verdict(local, k) {
                         let view = analyzer.analyze_point_with(&cursor, grid.point(idx));
+                        let colocated = view.covering_cameras - view.viewed_directions.len();
                         let exact =
                             crate::kfullview::min_arc_depth(view.viewed_directions, th.radians())
-                                + usize::from(view.has_colocated_camera);
+                                + colocated;
                         assert_eq!(met, exact >= usize::from(k), "idx {idx} k={k}");
                     }
                     local += 1;
@@ -832,7 +851,13 @@ mod tests {
             }
             let (cx, cy) = tiling.tile_cell(t);
             cursor.pin(cx, cy);
-            kernel.screen_tile(&cursor, &tiling, &grid, t, ScreenMode::Report);
+            kernel.screen_tile(
+                &cursor,
+                &grid,
+                tiling.tile_col_range(t),
+                tiling.tile_row_range(t),
+                ScreenMode::Report,
+            );
             let mut local = 0usize;
             tiling.for_each_point_in_tile(t, |idx| {
                 if idx == 27 {

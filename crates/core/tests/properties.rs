@@ -154,7 +154,8 @@ proptest! {
         let direct = net.coverage_count(p);
         prop_assert_eq!(a.covering_cameras, direct);
         let dir_count = a.viewed_directions.len() + usize::from(a.has_colocated_camera);
-        // Co-located cameras beyond the first all collapse into the flag.
+        // Co-located cameras view no direction: `covering − directions` of
+        // them, and the flag records that there is at least one.
         prop_assert!(dir_count <= a.covering_cameras || a.covering_cameras == 0);
     }
 
@@ -374,7 +375,8 @@ proptest! {
         let mut brute_lo = usize::MAX;
         let mut brute_hi = usize::MAX;
         for d in probes {
-            let base = usize::from(analysis.has_colocated_camera);
+            // Each co-located camera watches every direction.
+            let base = analysis.covering_cameras - analysis.viewed_directions.len();
             let hi = base + analysis
                 .viewed_directions
                 .iter()

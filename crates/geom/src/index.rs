@@ -134,11 +134,10 @@ impl SpatialGrid {
     ///
     /// **Deprecation note:** this convenience helper allocates a fresh
     /// `Vec` per call and is kept for tests and one-shot queries only.
-    /// Hot loops should use [`for_each_within`](Self::for_each_within) /
-    /// [`within_iter`](Self::within_iter) (allocation-free per-point
-    /// paths) or the tile API ([`tile_candidates`](Self::tile_candidates),
-    /// [`tiles`](Self::tiles)) that amortises the bucket walk across every
-    /// query point sharing a cell.
+    /// Hot loops should use [`for_each_within`](Self::for_each_within)
+    /// (the allocation-free per-point path) or
+    /// [`tile_candidates`](Self::tile_candidates), which amortises the
+    /// bucket walk across every query point sharing a cell.
     ///
     /// # Panics
     ///
@@ -176,31 +175,6 @@ impl SpatialGrid {
                 }
             }
         });
-    }
-
-    /// Lazily iterates over the indices of all points within torus
-    /// distance `radius` of `center` (inclusive), in bucket order.
-    ///
-    /// Unlike [`query_within`](Self::query_within) this allocates nothing;
-    /// unlike [`for_each_within`](Self::for_each_within) it composes with
-    /// iterator adapters and supports early exit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is negative or not finite.
-    #[must_use]
-    pub fn within_iter(&self, center: Point, radius: f64) -> WithinIter<'_> {
-        let (center, bounds) = self.query_bounds(center, radius);
-        WithinIter {
-            grid: self,
-            center,
-            r2: radius * radius,
-            dx: bounds.dx_lo,
-            dy: bounds.dy_lo,
-            bucket: [].iter(),
-            scan: bounds.full_scan.then_some(0),
-            bounds,
-        }
     }
 
     /// Computes the cell neighbourhood a radius query must visit.
@@ -371,32 +345,6 @@ impl SpatialGrid {
         self.for_each_window_bucket(&w, |bucket| out.extend_from_slice(bucket));
     }
 
-    /// Iterates over every cell of the index as a [`Tile`]: the cell
-    /// coordinates plus the shared candidate list for queries of the given
-    /// `radius` from anywhere inside the cell.
-    ///
-    /// Convenience wrapper over [`tile_candidates`](Self::tile_candidates);
-    /// each yielded tile owns a freshly-allocated candidate vector, so hot
-    /// paths that sweep repeatedly should instead drive `tile_candidates`
-    /// with a reused scratch buffer (as `fullview_model`'s `TileCursor`
-    /// does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is negative or not finite.
-    #[must_use]
-    pub fn tiles(&self, radius: f64) -> Tiles<'_> {
-        assert!(
-            radius.is_finite() && radius >= 0.0,
-            "query radius must be finite and non-negative, got {radius}"
-        );
-        Tiles {
-            grid: self,
-            radius,
-            next: 0,
-        }
-    }
-
     /// The indexed (wrapped) point with index `i`.
     ///
     /// # Panics
@@ -446,119 +394,6 @@ struct QueryBounds {
     dx_hi: isize,
     dy_lo: isize,
     dy_hi: isize,
-}
-
-/// One cell of a [`SpatialGrid`] with its shared candidate list — see
-/// [`SpatialGrid::tiles`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tile {
-    /// Cell x-coordinate.
-    pub cx: usize,
-    /// Cell y-coordinate.
-    pub cy: usize,
-    /// Indices of every point that could be within the query radius of any
-    /// location inside this cell (a superset; callers filter exactly).
-    pub candidates: Vec<u32>,
-}
-
-/// Iterator over the tiles of a [`SpatialGrid`] — see
-/// [`SpatialGrid::tiles`].
-#[derive(Debug)]
-pub struct Tiles<'a> {
-    grid: &'a SpatialGrid,
-    radius: f64,
-    next: usize,
-}
-
-impl Iterator for Tiles<'_> {
-    type Item = Tile;
-
-    fn next(&mut self) -> Option<Tile> {
-        let cells = self.grid.cells;
-        if self.next >= cells * cells {
-            return None;
-        }
-        let (cx, cy) = (self.next % cells, self.next / cells);
-        self.next += 1;
-        let mut candidates = Vec::new();
-        self.grid
-            .tile_candidates(cx, cy, self.radius, &mut candidates);
-        Some(Tile { cx, cy, candidates })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.grid.cells * self.grid.cells - self.next;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for Tiles<'_> {}
-
-/// Lazy radius-query iterator over point indices — see
-/// [`SpatialGrid::within_iter`].
-#[derive(Debug)]
-pub struct WithinIter<'a> {
-    grid: &'a SpatialGrid,
-    /// The wrapped query centre.
-    center: Point,
-    r2: f64,
-    bounds: QueryBounds,
-    /// Current cell offsets (cell mode).
-    dx: isize,
-    dy: isize,
-    /// Remaining entries of the current bucket (cell mode).
-    bucket: std::slice::Iter<'a, u32>,
-    /// `Some(next_index)` when in full-scan mode.
-    scan: Option<usize>,
-}
-
-impl Iterator for WithinIter<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if let Some(next) = self.scan.as_mut() {
-            while *next < self.grid.points.len() {
-                let i = *next;
-                *next += 1;
-                let p = self.grid.points[i];
-                if self.grid.torus.distance_squared(self.center, p) <= self.r2 {
-                    return Some(i);
-                }
-            }
-            return None;
-        }
-        loop {
-            for &i in self.bucket.by_ref() {
-                let p = self.grid.points[i as usize];
-                if self.grid.torus.distance_squared(self.center, p) <= self.r2 {
-                    return Some(i as usize);
-                }
-            }
-            if self.dy > self.bounds.dy_hi {
-                return None;
-            }
-            let n = self.grid.cells as isize;
-            let by = (self.bounds.cy as isize + self.dy).rem_euclid(n) as usize;
-            let bx = (self.bounds.cx as isize + self.dx).rem_euclid(n) as usize;
-            self.bucket = self.grid.buckets[by * self.grid.cells + bx].iter();
-            self.dx += 1;
-            if self.dx > self.bounds.dx_hi {
-                self.dx = self.bounds.dx_lo;
-                self.dy += 1;
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for QueryBounds {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryBounds")
-            .field("full_scan", &self.full_scan)
-            .field("cell", &(self.cx, self.cy))
-            .field("dx", &(self.dx_lo..=self.dx_hi))
-            .field("dy", &(self.dy_lo..=self.dy_hi))
-            .finish()
-    }
 }
 
 #[cfg(test)]
@@ -723,30 +558,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn within_iter_agrees_with_query_and_exits_early() {
-        let t = Torus::unit();
-        let pts: Vec<Point> = (0..120)
-            .map(|i| Point::new((i as f64 * 0.13) % 1.0, (i as f64 * 0.29) % 1.0))
-            .collect();
-        let idx = SpatialGrid::build(t, &pts, 0.12);
-        for &(x, y, r) in &[(0.3, 0.7, 0.25), (0.01, 0.99, 0.1), (0.5, 0.5, 1.0)] {
-            let c = Point::new(x, y);
-            let mut lazy: Vec<usize> = idx.within_iter(c, r).collect();
-            lazy.sort_unstable();
-            let mut eager = idx.query_within(c, r);
-            eager.sort_unstable();
-            assert_eq!(lazy, eager, "center ({x},{y}) radius {r}");
-        }
-        // Early exit: take(1) stops after the first hit without panicking
-        // or visiting everything.
-        let first = idx.within_iter(Point::new(0.5, 0.5), 0.4).next();
-        assert!(first.is_some());
-        // An empty grid yields nothing.
-        let empty = SpatialGrid::build(t, &[], 0.1);
-        assert_eq!(empty.within_iter(Point::new(0.1, 0.1), 0.5).count(), 0);
-    }
-
     /// Deterministic quasi-random point cloud shared by the tile tests.
     fn cloud(n: usize) -> Vec<Point> {
         (0..n)
@@ -806,23 +617,6 @@ mod tests {
         idx.tile_candidates(3, 7, 1.0, &mut out);
         assert_eq!(out.len(), 40, "whole-torus radius lists every point");
         assert_eq!(idx.tile_buckets_scanned(3, 7, 1.0), 20 * 20);
-    }
-
-    #[test]
-    fn tiles_iterator_covers_every_cell_and_matches_tile_candidates() {
-        let t = Torus::unit();
-        let pts = cloud(30);
-        let idx = SpatialGrid::build(t, &pts, 0.26); // 3×3 cells
-        let tiles: Vec<Tile> = idx.tiles(0.2).collect();
-        assert_eq!(tiles.len(), 9);
-        assert_eq!(idx.tiles(0.2).len(), 9); // ExactSizeIterator
-        let mut scratch = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for tile in &tiles {
-            assert!(seen.insert((tile.cx, tile.cy)), "duplicate cell");
-            idx.tile_candidates(tile.cx, tile.cy, 0.2, &mut scratch);
-            assert_eq!(tile.candidates, scratch);
-        }
     }
 
     #[test]

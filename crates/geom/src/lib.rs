@@ -50,7 +50,7 @@ mod torus;
 pub use angle::{circular_distance, normalize_radians, Angle, ANGLE_EPS};
 pub use arc::{Arc, SegmentPair};
 pub use arcset::ArcSet;
-pub use index::{SpatialGrid, Tile, Tiles, WithinIter};
+pub use index::SpatialGrid;
 pub use lattice::{square_lattice, triangular_lattice, UnitGrid};
 pub use point::Point;
 pub use sector::Sector;

@@ -2,11 +2,12 @@
 //!
 //! # Certificates
 //!
-//! The prover recurses over axis-aligned rectangles of grid points —
-//! first over the tile lattice of the spatial index (midpoint quadtree
-//! splits down to single tiles), then over point-space sub-rectangles
-//! *inside* a tile — and attempts, per node, one of two certificates
-//! from the conservative bounds of [`crate::bounds`]:
+//! The prover runs one recursion over axis-aligned rectangles of grid
+//! points. While a rectangle spans several index cells it is a block of
+//! whole tiles and splits at tile-coordinate midpoints; once it lies in
+//! one cell the tile cursor is pinned once and it splits at point
+//! midpoints. Each node attempts one of two certificates from the
+//! conservative bounds of [`crate::bounds`]:
 //!
 //! * **`Empty`** — every candidate camera's `dmin` over the rectangle
 //!   exceeds its sensing radius (plus margin): no rectangle point has
@@ -23,8 +24,15 @@
 //!   per sufficient sector) additionally lower-bound the k-view
 //!   multiplicity: `groups` families imply multiplicity ≥ `groups`
 //!   everywhere in the rectangle.
-//! * **`Boundary`** — neither proof succeeds: recurse, and at the
-//!   floor hand the surviving points to the exact engine.
+//! * **`Boundary`** — neither proof succeeds: recurse.
+//!
+//! Every rectangle the prover does not certify ends as a *residual*: a
+//! whole tile of at most `KERNEL_TILE_MAX` points, or a sub-tile
+//! rectangle of at most `FLOOR_POINTS` points. Residuals go to core's
+//! screened funnels on the pinned cursor —
+//! [`GridEvaluator::for_each_point_flags_in_rect`] for flags,
+//! [`GridEvaluator::count_k_in_rect`] for k-counts — the funnels the core
+//! sweeps run on every tile.
 //!
 //! # Conservativeness and bit-identity
 //!
@@ -32,29 +40,29 @@
 //! (margins of `1e-9`/`1e-7` dwarf both f64 noise and the engine's
 //! `ANGLE_EPS` tolerances), and extra covering cameras can only keep
 //! the proven flags `true` (all five predicates are monotone in the
-//! covering set). Anything unproven falls through to
-//! [`GridEvaluator::point_flags_with`] / the whole-tile funnel
-//! [`GridEvaluator::for_each_point_flags_in_tile`] — the same code the
-//! cold sweep runs — so the combined answer is bit-identical to
-//! [`fullview_core::sweep_flags_range`] by construction.
+//! covering set). Residual points get core's own answers, so the
+//! combined answer is bit-identical to [`fullview_core::sweep_flags_range`]
+//! and [`fullview_core::count_k_view_range`] by construction.
 
 use crate::bounds::{bound_camera, dist_band, Rect, ANG_BAND};
 use fullview_core::{
-    min_arc_depth, sweep_flags_range, use_tiled, EffectiveAngle, GridEvaluator, GridTiling,
-    PointAnalyzer, PointFlags, SectorPartition,
+    sweep_flags_range, use_tiled, EffectiveAngle, GridEvaluator, GridTiling, PointFlags,
+    SectorPartition,
 };
 use fullview_geom::{Angle, Arc, Point, Torus, UnitGrid, ANGLE_EPS};
 use fullview_model::{CameraNetwork, TileCursor};
 use std::f64::consts::TAU;
 use std::fmt;
+use std::ops::Range;
 
 /// Tiles with at most this many grid points skip point-space recursion
-/// and go straight through the engine's whole-tile mask/exact funnel —
-/// at small tile sizes the kernel screen beats certificate attempts.
+/// and go whole through core's screened funnel — at small tile sizes the
+/// kernel screen beats certificate attempts.
 const KERNEL_TILE_MAX: usize = 256;
 
-/// Point-space recursion floor: rectangles at most this many points are
-/// evaluated exactly, point by point, against the pinned tile cursor.
+/// Point-space recursion floor: sub-tile rectangles of at most this many
+/// points go through core's screened funnel without a certificate
+/// attempt.
 const FLOOR_POINTS: usize = 16;
 
 /// `ScreenStats`-style counters of what the prover decided without
@@ -70,9 +78,9 @@ pub struct ProverStats {
     pub proved_empty: usize,
     /// In-range points decided by a certificate, never visited.
     pub points_proved: usize,
-    /// In-range points that reached the exact/mask engine.
+    /// In-range points evaluated by core's screened funnels.
     pub points_visited: usize,
-    /// Whole tiles routed through the engine's tile funnel.
+    /// Whole tiles handed to core's funnels as residuals.
     pub tiles_exact: usize,
 }
 
@@ -144,54 +152,47 @@ const ALL_FALSE: PointFlags = PointFlags {
     sufficient: false,
 };
 
-/// What a consumer does with proven rectangles and residual points. The
-/// prover owns recursion, certificates, and stats; sinks own the exact
-/// evaluation semantics (flags vs multiplicity counting).
+/// What a consumer does with proven rectangles and residual rectangles.
+/// The prover owns recursion, certificates and stats; a sink owns what a
+/// certificate means to it and which core funnel evaluates the rest.
 trait HierSink {
     /// Whether a `Full` certificate decides this sink's predicate.
     fn accepts_full(&self, groups: usize, flags_ok: bool) -> bool;
 
-    /// Consume a certified rectangle (grid columns `c0..c1`, rows
-    /// `r0..r1`; clip each row to `lo..hi`).
-    #[allow(clippy::too_many_arguments)]
-    fn proved_rect(
-        &mut self,
-        cert: &Cert,
-        gs: usize,
-        lo: usize,
-        hi: usize,
-        c0: usize,
-        c1: usize,
-        r0: usize,
-        r1: usize,
-    );
+    /// Consumes a certified rectangle, given as the in-range index run of
+    /// each of its rows.
+    fn proved_rect(&mut self, cert: &Cert, runs: impl Iterator<Item = Range<usize>>);
 
-    /// Exactly evaluate the in-range points of the rectangle; `cursor`
-    /// is pinned to the enclosing tile's cell.
-    #[allow(clippy::too_many_arguments)]
-    fn exact_rect(
+    /// Evaluates the in-range points `lo..hi` among grid columns `cols` ×
+    /// rows `rows`, a rectangle of the cell `cursor` is pinned to, through
+    /// core's screened funnel.
+    fn residual(
         &mut self,
         cursor: &TileCursor<'_>,
         grid: &UnitGrid,
-        gs: usize,
+        cols: Range<usize>,
+        rows: Range<usize>,
         lo: usize,
         hi: usize,
-        c0: usize,
-        c1: usize,
-        r0: usize,
-        r1: usize,
     );
+}
 
-    /// Exactly evaluate a whole tile through the shared engine funnel.
-    fn exact_tile(
-        &mut self,
-        cursor: &mut TileCursor<'_>,
-        tiling: &GridTiling,
-        grid: &UnitGrid,
-        t: usize,
-        lo: usize,
-        hi: usize,
-    );
+/// One axis of a recursion node: the index cells `cells` it spans and the
+/// grid columns (or rows) `points` it covers. While a node spans several
+/// cells, `points` is exactly those cells' run; inside one cell it may be
+/// any sub-run.
+#[derive(Debug, Clone)]
+struct Span {
+    cells: Range<usize>,
+    points: Range<usize>,
+}
+
+/// The non-empty halves of `r`, split at its midpoint.
+fn halves(r: &Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let mid = r.start + r.len() / 2;
+    [r.start..mid, mid..r.end]
+        .into_iter()
+        .filter(|h| !h.is_empty())
 }
 
 /// Per-camera geometry snapshot (avoids re-reading specs in the hot
@@ -206,7 +207,6 @@ struct CamInfo {
 struct Prover<'a> {
     grid: &'a UnitGrid,
     torus: Torus,
-    tiling: GridTiling,
     cursor: TileCursor<'a>,
     cams: Vec<CamInfo>,
     necessary: Vec<Arc>,
@@ -214,7 +214,6 @@ struct Prover<'a> {
     k_nec: usize,
     /// `starts[c]..starts[c + 1]`: grid columns (rows) of index cell `c`.
     starts: Vec<usize>,
-    cells: usize,
     gs: usize,
     spacing: f64,
     band: f64,
@@ -233,8 +232,7 @@ impl<'a> Prover<'a> {
         hi: usize,
     ) -> Self {
         let tiling = GridTiling::new(net.index(), grid);
-        let cells = tiling.cells_per_axis();
-        let mut starts: Vec<usize> = (0..cells)
+        let mut starts: Vec<usize> = (0..tiling.cells_per_axis())
             .map(|c| tiling.cell_axis_range(c).start)
             .collect();
         starts.push(grid.side_count());
@@ -261,48 +259,58 @@ impl<'a> Prover<'a> {
                 .to_vec(),
             k_nec: theta.necessary_sector_count(),
             starts,
-            cells,
             gs: grid.side_count(),
             spacing: grid.spacing(),
             band: dist_band(net.torus().side()),
             lo,
             hi,
             stats: ProverStats::default(),
-            tiling,
         }
     }
 
-    /// The closed rectangle of point centres of grid columns `c0..c1`,
-    /// rows `r0..r1` — the same `(i + 0.5) · spacing` expression
-    /// [`UnitGrid::point`] evaluates, so the bounds brackets the exact
+    /// The axis span of the index cells `cells`: their whole run of grid
+    /// columns (rows).
+    fn span(&self, cells: Range<usize>) -> Span {
+        Span {
+            points: self.starts[cells.start]..self.starts[cells.end],
+            cells,
+        }
+    }
+
+    /// The closed rectangle of point centres of grid columns `cols`, rows
+    /// `rows` — the same `(i + 0.5) · spacing` expression
+    /// [`UnitGrid::point`] evaluates, so the bounds bracket the exact
     /// engine's own coordinates.
-    fn rect_of(&self, c0: usize, c1: usize, r0: usize, r1: usize) -> Rect {
+    fn rect_of(&self, cols: &Range<usize>, rows: &Range<usize>) -> Rect {
         let s = self.spacing;
         Rect {
-            x0: (c0 as f64 + 0.5) * s,
-            x1: ((c1 - 1) as f64 + 0.5) * s,
-            y0: (r0 as f64 + 0.5) * s,
-            y1: ((r1 - 1) as f64 + 0.5) * s,
+            x0: (cols.start as f64 + 0.5) * s,
+            x1: ((cols.end - 1) as f64 + 0.5) * s,
+            y0: (rows.start as f64 + 0.5) * s,
+            y1: ((rows.end - 1) as f64 + 0.5) * s,
         }
     }
 
-    fn intersects_range(&self, c0: usize, c1: usize, r0: usize, r1: usize) -> bool {
-        let min_idx = r0 * self.gs + c0;
-        let max_idx = (r1 - 1) * self.gs + c1 - 1;
+    fn intersects_range(&self, cols: &Range<usize>, rows: &Range<usize>) -> bool {
+        let min_idx = rows.start * self.gs + cols.start;
+        let max_idx = (rows.end - 1) * self.gs + cols.end - 1;
         max_idx >= self.lo && min_idx < self.hi
     }
 
-    /// In-range point count of the rectangle (each row is a contiguous
-    /// index run, clipped to `lo..hi`).
-    fn in_range_count(&self, c0: usize, c1: usize, r0: usize, r1: usize) -> usize {
-        let mut n = 0usize;
-        for r in r0..r1 {
-            let base = r * self.gs;
-            let a = (base + c0).max(self.lo);
-            let b = (base + c1).min(self.hi);
-            n += b.saturating_sub(a);
-        }
-        n
+    /// The in-range index run of each row of the rectangle: every row is a
+    /// contiguous index run, clipped to `lo..hi` (empty when the row lies
+    /// outside).
+    fn runs(&self, cols: &Range<usize>, rows: &Range<usize>) -> impl Iterator<Item = Range<usize>> {
+        let (gs, lo, hi, c0, c1) = (self.gs, self.lo, self.hi, cols.start, cols.end);
+        rows.clone().map(move |r| {
+            let a = (r * gs + c0).max(lo);
+            a..(r * gs + c1).min(hi).max(a)
+        })
+    }
+
+    /// In-range point count of the rectangle.
+    fn in_range_count(&self, cols: &Range<usize>, rows: &Range<usize>) -> usize {
+        self.runs(cols, rows).map(|run| run.len()).sum()
     }
 
     /// Attempts a certificate for the rectangle; fills `kept` with the
@@ -375,15 +383,12 @@ impl<'a> Prover<'a> {
 
     /// Books and emits an accepted certificate; `false` means the sink
     /// rejected it (treat as `Boundary`).
-    #[allow(clippy::too_many_arguments)]
     fn consume_cert<S: HierSink>(
         &mut self,
         cert: &Cert,
         sink: &mut S,
-        c0: usize,
-        c1: usize,
-        r0: usize,
-        r1: usize,
+        cols: &Range<usize>,
+        rows: &Range<usize>,
     ) -> bool {
         let accept = match *cert {
             Cert::Empty => true,
@@ -396,141 +401,77 @@ impl<'a> Prover<'a> {
             Cert::Empty => self.stats.proved_empty += 1,
             Cert::Full { .. } => self.stats.proved_full += 1,
         }
-        self.stats.points_proved += self.in_range_count(c0, c1, r0, r1);
-        sink.proved_rect(cert, self.gs, self.lo, self.hi, c0, c1, r0, r1);
+        self.stats.points_proved += self.in_range_count(cols, rows);
+        sink.proved_rect(cert, self.runs(cols, rows));
         true
     }
 
-    /// Phase 1: recursion over the tile-coordinate rectangle
-    /// `[tx0, tx1) × [ty0, ty1)`.
-    fn visit_tiles<S: HierSink>(
-        &mut self,
-        tx0: usize,
-        tx1: usize,
-        ty0: usize,
-        ty1: usize,
-        cands: &[u32],
-        sink: &mut S,
-    ) {
-        let (c0, c1) = (self.starts[tx0], self.starts[tx1]);
-        let (r0, r1) = (self.starts[ty0], self.starts[ty1]);
-        if c0 == c1 || r0 == r1 || !self.intersects_range(c0, c1, r0, r1) {
+    /// Hands a residual rectangle of the pinned cell to the sink's core
+    /// funnel.
+    fn residual<S: HierSink>(&mut self, cols: Range<usize>, rows: Range<usize>, sink: &mut S) {
+        self.stats.points_visited += self.in_range_count(&cols, &rows);
+        sink.residual(&self.cursor, self.grid, cols, rows, self.lo, self.hi);
+    }
+
+    /// The one recursion over the node `x × y`. A sub-tile rectangle of at
+    /// most `FLOOR_POINTS` points is a residual outright; every other node
+    /// is classified once. A `Boundary` node spanning several cells splits
+    /// at tile-coordinate midpoints. A `Boundary` whole tile pins the
+    /// cursor and is a residual when it has at most `KERNEL_TILE_MAX`
+    /// points; otherwise it, like a `Boundary` sub-tile rectangle, splits
+    /// at point midpoints.
+    fn visit<S: HierSink>(&mut self, x: Span, y: Span, cands: &[u32], sink: &mut S) {
+        let (cols, rows) = (x.points.clone(), y.points.clone());
+        if cols.is_empty() || rows.is_empty() || !self.intersects_range(&cols, &rows) {
             return;
         }
-        let rect = self.rect_of(c0, c1, r0, r1);
+        let points = cols.len() * rows.len();
+        let whole_tiles =
+            cols == self.span(x.cells.clone()).points && rows == self.span(y.cells.clone()).points;
+        if !whole_tiles && points <= FLOOR_POINTS {
+            return self.residual(cols, rows, sink);
+        }
+        let rect = self.rect_of(&cols, &rows);
         let mut kept = Vec::with_capacity(cands.len());
         if let Some(cert) = self.classify(&rect, cands, &mut kept) {
-            if self.consume_cert(&cert, sink, c0, c1, r0, r1) {
+            if self.consume_cert(&cert, sink, &cols, &rows) {
                 return;
             }
         }
-        if tx1 - tx0 == 1 && ty1 - ty0 == 1 {
-            self.visit_tile_leaf(ty0 * self.cells + tx0, c0, c1, r0, r1, &kept, sink);
-            return;
-        }
-        let mx = tx0 + (tx1 - tx0) / 2;
-        let my = ty0 + (ty1 - ty0) / 2;
-        for (ax, bx) in [(tx0, mx), (mx, tx1)] {
-            if ax == bx {
-                continue;
-            }
-            for (ay, by) in [(ty0, my), (my, ty1)] {
-                if ay == by {
-                    continue;
+        if x.cells.len() > 1 || y.cells.len() > 1 {
+            for xc in halves(&x.cells) {
+                for yc in halves(&y.cells) {
+                    let (xs, ys) = (self.span(xc.clone()), self.span(yc));
+                    self.visit(xs, ys, &kept, sink);
                 }
-                self.visit_tiles(ax, bx, ay, by, &kept, sink);
             }
-        }
-    }
-
-    /// A single `Boundary` tile: small tiles go wholesale through the
-    /// engine's tile funnel; large tiles recurse in point space with the
-    /// cursor pinned once.
-    #[allow(clippy::too_many_arguments)]
-    fn visit_tile_leaf<S: HierSink>(
-        &mut self,
-        t: usize,
-        c0: usize,
-        c1: usize,
-        r0: usize,
-        r1: usize,
-        cands: &[u32],
-        sink: &mut S,
-    ) {
-        let points = (c1 - c0) * (r1 - r0);
-        if points <= KERNEL_TILE_MAX {
-            self.stats.tiles_exact += 1;
-            self.stats.points_visited += self.in_range_count(c0, c1, r0, r1);
-            sink.exact_tile(
-                &mut self.cursor,
-                &self.tiling,
-                self.grid,
-                t,
-                self.lo,
-                self.hi,
-            );
             return;
         }
-        let (cx, cy) = self.tiling.tile_cell(t);
-        self.cursor.pin(cx, cy);
-        self.visit_points(c0, c1, r0, r1, cands, sink);
-    }
-
-    /// Phase 2: recursion over point-space sub-rectangles inside one
-    /// tile (cursor already pinned to the tile's cell).
-    fn visit_points<S: HierSink>(
-        &mut self,
-        c0: usize,
-        c1: usize,
-        r0: usize,
-        r1: usize,
-        cands: &[u32],
-        sink: &mut S,
-    ) {
-        if c0 == c1 || r0 == r1 || !self.intersects_range(c0, c1, r0, r1) {
-            return;
-        }
-        let points = (c1 - c0) * (r1 - r0);
-        if points <= FLOOR_POINTS {
-            self.stats.points_visited += self.in_range_count(c0, c1, r0, r1);
-            sink.exact_rect(
-                &self.cursor,
-                self.grid,
-                self.gs,
-                self.lo,
-                self.hi,
-                c0,
-                c1,
-                r0,
-                r1,
-            );
-            return;
-        }
-        let rect = self.rect_of(c0, c1, r0, r1);
-        let mut kept = Vec::with_capacity(cands.len());
-        if let Some(cert) = self.classify(&rect, cands, &mut kept) {
-            if self.consume_cert(&cert, sink, c0, c1, r0, r1) {
-                return;
+        if whole_tiles {
+            self.cursor.pin(x.cells.start, y.cells.start);
+            if points <= KERNEL_TILE_MAX {
+                self.stats.tiles_exact += 1;
+                return self.residual(cols, rows, sink);
             }
         }
-        let mx = c0 + (c1 - c0) / 2;
-        let my = r0 + (r1 - r0) / 2;
-        for (ax, bx) in [(c0, mx), (mx, c1)] {
-            if ax == bx {
-                continue;
-            }
-            for (ay, by) in [(r0, my), (my, r1)] {
-                if ay == by {
-                    continue;
-                }
-                self.visit_points(ax, bx, ay, by, &kept, sink);
+        for xp in halves(&cols) {
+            for yp in halves(&rows) {
+                let xs = Span {
+                    points: xp.clone(),
+                    ..x.clone()
+                };
+                let ys = Span {
+                    points: yp,
+                    ..y.clone()
+                };
+                self.visit(xs, ys, &kept, sink);
             }
         }
     }
 }
 
 /// Flags consumer: proven rectangles emit constant flags, residual
-/// points run through the very evaluator the cold sweep uses.
+/// rectangles run through core's flags funnel.
 struct FlagsSink<'f> {
     evaluator: GridEvaluator,
     f: &'f mut dyn FnMut(usize, PointFlags),
@@ -541,85 +482,38 @@ impl HierSink for FlagsSink<'_> {
         flags_ok
     }
 
-    fn proved_rect(
-        &mut self,
-        cert: &Cert,
-        gs: usize,
-        lo: usize,
-        hi: usize,
-        c0: usize,
-        c1: usize,
-        r0: usize,
-        r1: usize,
-    ) {
+    fn proved_rect(&mut self, cert: &Cert, runs: impl Iterator<Item = Range<usize>>) {
         let flags = match cert {
             Cert::Empty => ALL_FALSE,
             Cert::Full { .. } => ALL_TRUE,
         };
-        for r in r0..r1 {
-            let base = r * gs;
-            let a = (base + c0).max(lo);
-            let b = (base + c1).min(hi);
-            for idx in a..b {
-                (self.f)(idx, flags);
-            }
+        for idx in runs.flatten() {
+            (self.f)(idx, flags);
         }
     }
 
-    fn exact_rect(
+    fn residual(
         &mut self,
         cursor: &TileCursor<'_>,
         grid: &UnitGrid,
-        gs: usize,
-        lo: usize,
-        hi: usize,
-        c0: usize,
-        c1: usize,
-        r0: usize,
-        r1: usize,
-    ) {
-        for r in r0..r1 {
-            let base = r * gs;
-            for c in c0..c1 {
-                let idx = base + c;
-                if idx >= lo && idx < hi {
-                    let flags = self.evaluator.point_flags_with(cursor, grid.point(idx));
-                    (self.f)(idx, flags);
-                }
-            }
-        }
-    }
-
-    fn exact_tile(
-        &mut self,
-        cursor: &mut TileCursor<'_>,
-        tiling: &GridTiling,
-        grid: &UnitGrid,
-        t: usize,
+        cols: Range<usize>,
+        rows: Range<usize>,
         lo: usize,
         hi: usize,
     ) {
         self.evaluator
-            .for_each_point_flags_in_tile(cursor, tiling, grid, t, lo, hi, self.f);
+            .for_each_point_flags_in_rect(cursor, grid, cols, rows, lo, hi, self.f);
     }
 }
 
 /// Multiplicity-count consumer for the `kcount` path: a `Full`
 /// certificate with at least `k` disjoint witness families decides a
-/// whole rectangle; residual points run the exact arc-depth sweep.
+/// whole rectangle; residual rectangles run through core's k-count
+/// funnel.
 struct CountSink {
-    analyzer: PointAnalyzer,
-    theta_radians: f64,
+    evaluator: GridEvaluator,
     k: usize,
     count: usize,
-}
-
-impl CountSink {
-    fn meets(&mut self, cursor: &TileCursor<'_>, point: Point) -> bool {
-        let view = self.analyzer.analyze_point_with(cursor, point);
-        let colocated_bonus = usize::from(view.has_colocated_camera);
-        min_arc_depth(view.viewed_directions, self.theta_radians) + colocated_bonus >= self.k
-    }
 }
 
 impl HierSink for CountSink {
@@ -627,79 +521,25 @@ impl HierSink for CountSink {
         groups >= self.k
     }
 
-    fn proved_rect(
-        &mut self,
-        cert: &Cert,
-        gs: usize,
-        lo: usize,
-        hi: usize,
-        c0: usize,
-        c1: usize,
-        r0: usize,
-        r1: usize,
-    ) {
-        if matches!(cert, Cert::Empty) {
-            // Multiplicity 0 < k (k = 0 never reaches the prover).
-            return;
-        }
-        for r in r0..r1 {
-            let base = r * gs;
-            let a = (base + c0).max(lo);
-            let b = (base + c1).min(hi);
-            self.count += b.saturating_sub(a);
+    fn proved_rect(&mut self, cert: &Cert, runs: impl Iterator<Item = Range<usize>>) {
+        // `Empty` means multiplicity 0 < k (k = 0 never reaches the prover).
+        if matches!(cert, Cert::Full { .. }) {
+            self.count += runs.map(|run| run.len()).sum::<usize>();
         }
     }
 
-    fn exact_rect(
+    fn residual(
         &mut self,
         cursor: &TileCursor<'_>,
         grid: &UnitGrid,
-        gs: usize,
-        lo: usize,
-        hi: usize,
-        c0: usize,
-        c1: usize,
-        r0: usize,
-        r1: usize,
-    ) {
-        for r in r0..r1 {
-            let base = r * gs;
-            for c in c0..c1 {
-                let idx = base + c;
-                if idx >= lo && idx < hi && self.meets(cursor, grid.point(idx)) {
-                    self.count += 1;
-                }
-            }
-        }
-    }
-
-    fn exact_tile(
-        &mut self,
-        cursor: &mut TileCursor<'_>,
-        tiling: &GridTiling,
-        grid: &UnitGrid,
-        t: usize,
+        cols: Range<usize>,
+        rows: Range<usize>,
         lo: usize,
         hi: usize,
     ) {
-        let (cx, cy) = tiling.tile_cell(t);
-        cursor.pin(cx, cy);
-        let cur: &TileCursor<'_> = cursor;
-        let mut hits = 0usize;
-        let mut analyzer = std::mem::replace(&mut self.analyzer, PointAnalyzer::new());
-        let theta_radians = self.theta_radians;
-        let k = self.k;
-        tiling.for_each_point_in_tile(t, |idx| {
-            if idx >= lo && idx < hi {
-                let view = analyzer.analyze_point_with(cur, grid.point(idx));
-                let colocated_bonus = usize::from(view.has_colocated_camera);
-                if min_arc_depth(view.viewed_directions, theta_radians) + colocated_bonus >= k {
-                    hits += 1;
-                }
-            }
-        });
-        self.analyzer = analyzer;
-        self.count += hits;
+        self.count += self
+            .evaluator
+            .count_k_in_rect(cursor, grid, cols, rows, lo, hi, self.k);
     }
 }
 
@@ -729,9 +569,9 @@ fn prove<S: HierSink>(
         return None;
     }
     let mut prover = Prover::new(net, grid, theta, start_line, lo, hi);
-    let cells = prover.cells;
     let all: Vec<u32> = (0..u32::try_from(net.len()).expect("camera count fits u32")).collect();
-    prover.visit_tiles(0, cells, 0, cells, &all, sink);
+    let root = prover.span(0..prover.starts.len() - 1);
+    prover.visit(root.clone(), root, &all, sink);
     Some(prover.stats)
 }
 
@@ -777,8 +617,8 @@ pub fn sweep_flags_range_hier<F: FnMut(usize, PointFlags)>(
 /// The hierarchical counterpart of [`fullview_core::count_k_view_range`]:
 /// counts the points of `lo..hi` whose view multiplicity is at least
 /// `k`, using `Full` certificates with `≥ k` disjoint witness families
-/// to decide whole rectangles and the exact arc-depth sweep for the
-/// rest. The count equals the core function's exactly.
+/// to decide whole rectangles and core's k-count funnel for the rest.
+/// The count equals the core function's exactly.
 ///
 /// # Panics
 ///
@@ -799,8 +639,7 @@ pub fn count_k_view_range_hier(
         );
     }
     let mut sink = CountSink {
-        analyzer: PointAnalyzer::new(),
-        theta_radians: theta.radians(),
+        evaluator: GridEvaluator::new(theta, Angle::ZERO),
         k,
         count: 0,
     };

@@ -1,7 +1,7 @@
 //! The hier ⇄ exact differential: every hier-backed sweep must be
 //! **bit-identical** to the exact engine, which stays the oracle.
 //!
-//! Three families:
+//! Four families:
 //!
 //! * property differentials — random heterogeneous networks, effective
 //!   angles parked on sector-count boundaries, arbitrary ranged
@@ -12,12 +12,15 @@
 //! * a deterministic dense deployment large enough that the point-space
 //!   recursion actually proves interior rectangles (`points_proved > 0`),
 //!   so the fast path itself — not just its fallbacks — is differential
-//!   tested.
+//!   tested;
+//! * sparse directional fleets whose tiles all exceed the whole-tile
+//!   threshold, so every unproved point reaches core through a sub-tile
+//!   residual rectangle, for flags and k-counts alike.
 
 use fullview_core::{
     count_k_view_range, coverage_glyphs_range, evaluate_grid, find_holes, full_view_mask_range,
-    holes_from_mask, sweep_flags_range, EffectiveAngle, GridEvaluator, IncrementalSweep,
-    PointFlags,
+    holes_from_mask, sweep_flags_range, view_multiplicity, EffectiveAngle, GridEvaluator,
+    IncrementalSweep, PointFlags,
 };
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
 use fullview_hier::{count_k_view_range_hier, evaluate_grid_hier, sweep_flags_range_hier, Tier};
@@ -142,6 +145,52 @@ fn range_network_strategy(max: usize) -> impl Strategy<Value = CameraNetwork> {
     })
 }
 
+/// Sparse directional fleets holding one camera of radius 0.34–0.45: the
+/// spatial index then has 2 × 2 cells, so at sides 40–96 every tile holds
+/// 400–2304 points — beyond the whole-tile threshold — and every point
+/// the prover cannot certify reaches core through a sub-tile residual
+/// rectangle. 3–24 cameras stay far below the sufficient CSA.
+fn large_tile_network_strategy() -> impl Strategy<Value = CameraNetwork> {
+    let camera = |radius: std::ops::Range<f64>| {
+        (
+            0.0..1.0f64,
+            0.0..1.0f64,
+            0.0..TAU,
+            radius,
+            PI / 4.0..1.5 * PI,
+        )
+            .prop_map(|(x, y, facing, r, phi)| {
+                Camera::new(
+                    Point::new(x, y),
+                    Angle::new(facing),
+                    SensorSpec::new(r, phi).unwrap(),
+                    GroupId(0),
+                )
+            })
+    };
+    (
+        camera(0.34..0.45),
+        prop::collection::vec(camera(0.05..0.2), 2..24),
+    )
+        .prop_map(|(big, mut cams)| {
+            cams.push(big);
+            CameraNetwork::new(Torus::unit(), cams)
+        })
+}
+
+/// θ = π/16 (where the screen decides least), a few ulps either side of
+/// 2π/k, or generic.
+fn residual_theta_strategy() -> impl Strategy<Value = EffectiveAngle> {
+    (0usize..3, 3usize..13, -4i32..=4, 0.05..=1.0f64).prop_map(|(sel, k, ulps, f)| {
+        let t = match sel {
+            0 => PI / 16.0,
+            1 => (TAU / k as f64) * (1.0 + f64::from(ulps) * 1e-15),
+            _ => f * PI,
+        };
+        EffectiveAngle::new(t).unwrap()
+    })
+}
+
 // ---------- properties ----------
 
 proptest! {
@@ -216,6 +265,43 @@ proptest! {
         prop_assert_eq!(glyphs, coverage_glyphs_range(&net, theta, side, lo, hi));
         let (mask, _) = Tier::Hier.mask(&net, theta, side, lo, hi);
         prop_assert_eq!(mask, full_view_mask_range(&net, theta, side, lo, hi));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Sub-tile residual rectangles: flags and k-counts (k = 1..3) over a
+    /// sub-range, against references built point by point through the
+    /// whole network, and against core's range count.
+    #[test]
+    fn sub_tile_residuals_match_exact(
+        net in large_tile_network_strategy(),
+        theta in residual_theta_strategy(),
+        side in 40usize..97,
+        a in 0.0..1.0f64,
+        b in 0.0..1.0f64,
+    ) {
+        let grid = UnitGrid::new(Torus::unit(), side);
+        let (fa, fb) = if a <= b { (a, b) } else { (b, a) };
+        let lo = (fa * grid.len() as f64) as usize;
+        let hi = ((fb * grid.len() as f64) as usize).min(grid.len());
+        let (got, stats) = hier_flags(&net, &grid, theta, lo, hi);
+        prop_assert_eq!(stats.tiles_exact, 0, "every tile exceeds the whole-tile threshold");
+        prop_assert_eq!(stats.points_proved + stats.points_visited, hi - lo);
+        let mut exact_ev = GridEvaluator::new_exact(theta, Angle::ZERO);
+        let mut multiplicity = Vec::with_capacity(hi - lo);
+        for (off, flags) in got.iter().enumerate() {
+            let p = grid.point(lo + off);
+            prop_assert_eq!(*flags, exact_ev.point_flags_with(&net, p), "idx {}", lo + off);
+            multiplicity.push(view_multiplicity(&net, p, theta));
+        }
+        for k in 1..4 {
+            let want = multiplicity.iter().filter(|&&m| m >= k).count();
+            let (count, _) = count_k_view_range_hier(&net, &grid, theta, k, lo, hi);
+            prop_assert_eq!(count, want, "hier k={} side={} range={}..{}", k, side, lo, hi);
+            prop_assert_eq!(count_k_view_range(&net, &grid, theta, k, lo, hi), want, "core k={}", k);
+        }
     }
 }
 
@@ -318,6 +404,30 @@ fn dense_kcount_matches_core_at_scale() {
     let (c3, _) = count_k_view_range_hier(&net, &grid, theta, 1, 2 * third, grid.len());
     let (all, _) = count_k_view_range_hier(&net, &grid, theta, 1, 0, grid.len());
     assert_eq!(c1 + c2 + c3, all);
+}
+
+/// Two cameras on one grid point: each co-located camera watches every
+/// direction, so the point has multiplicity 2 and both tiers count it at
+/// k = 2. No other point qualifies: both cameras view it from the same
+/// direction.
+#[test]
+fn grid_point_carrying_two_cameras_counts_at_k2() {
+    let grid = UnitGrid::new(Torus::unit(), 16);
+    let p = grid.point(5 * 16 + 7);
+    let spec = SensorSpec::new(0.3, PI).unwrap();
+    let net = CameraNetwork::new(
+        Torus::unit(),
+        vec![
+            Camera::new(p, Angle::ZERO, spec, GroupId(0)),
+            Camera::new(p, Angle::new(PI / 2.0), spec, GroupId(1)),
+        ],
+    );
+    let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+    assert_eq!(view_multiplicity(&net, p, theta), 2);
+    assert_eq!(count_k_view_range(&net, &grid, theta, 2, 0, grid.len()), 1);
+    let (got, stats) = count_k_view_range_hier(&net, &grid, theta, 2, 0, grid.len());
+    assert_eq!(got, 1, "{stats}");
+    assert!(stats.nodes > 0, "the prover never ran");
 }
 
 /// Stats merging is plain summation; the Display line is stable.

@@ -61,5 +61,5 @@ pub use io::{
     empirical_profile, network_from_text, network_to_text, network_to_text_exact,
     profile_from_text, profile_to_text, profile_to_text_exact, ParseNetworkError,
 };
-pub use network::{CameraNetwork, Covering};
+pub use network::CameraNetwork;
 pub use spec::SensorSpec;

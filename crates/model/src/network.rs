@@ -1,7 +1,7 @@
 //! Deployed camera networks with fast coverage queries.
 
 use crate::camera::Camera;
-use fullview_geom::{Angle, Point, SpatialGrid, Torus, WithinIter};
+use fullview_geom::{Angle, Point, SpatialGrid, Torus};
 use std::fmt;
 
 /// Lower bound on the spatial-index cell size relative to the torus side.
@@ -38,7 +38,7 @@ const MIN_CELL_FRACTION: f64 = 1.0 / 256.0;
 ///     })
 ///     .collect();
 /// let net = CameraNetwork::new(Torus::unit(), cams);
-/// assert_eq!(net.covering(target).count(), 4);
+/// assert_eq!(net.coverage_count(target), 4);
 /// # Ok::<(), fullview_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -112,21 +112,6 @@ impl CameraNetwork {
     #[must_use]
     pub fn tile_cursor(&self) -> crate::TileCursor<'_> {
         crate::TileCursor::new(self)
-    }
-
-    /// Lazily iterates over the cameras covering `target`.
-    ///
-    /// Walks only the spatial-index cell neighbourhood that can contain a
-    /// camera within the network's largest sensing radius — no candidate
-    /// list is collected, so `covering(p).next().is_some()` touches at
-    /// most one bucket's worth of distance checks.
-    #[must_use]
-    pub fn covering(&self, target: Point) -> Covering<'_> {
-        Covering {
-            net: self,
-            target,
-            inner: self.index.within_iter(target, self.max_radius),
-        }
     }
 
     /// Calls `f` for every camera covering `target` (allocation-free hot
@@ -233,29 +218,6 @@ impl fmt::Display for CameraNetwork {
     }
 }
 
-/// Lazy iterator over the cameras covering a target point — see
-/// [`CameraNetwork::covering`].
-#[derive(Debug)]
-pub struct Covering<'a> {
-    net: &'a CameraNetwork,
-    target: Point,
-    inner: WithinIter<'a>,
-}
-
-impl<'a> Iterator for Covering<'a> {
-    type Item = &'a Camera;
-
-    fn next(&mut self) -> Option<&'a Camera> {
-        for i in self.inner.by_ref() {
-            let cam = &self.net.cameras[i];
-            if cam.covers(&self.net.torus, self.target) {
-                return Some(cam);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,40 +317,6 @@ mod tests {
         let filtered = net.filter(|c| c.position().x < 0.5);
         assert_eq!(filtered.len(), 1);
         assert_eq!(net.len(), 2); // original untouched
-    }
-
-    #[test]
-    fn covering_iterator_is_lazy_and_matches_callback() {
-        let t = Torus::unit();
-        let mut cams = Vec::new();
-        for i in 0..60 {
-            let x = (i as f64 * 0.618_033_98) % 1.0;
-            let y = (i as f64 * 0.414_213_56) % 1.0;
-            cams.push(cam_at(x, y, (i as f64 * 1.1) % (2.0 * PI), 0.2, PI));
-        }
-        let net = CameraNetwork::new(t, cams);
-        for j in 0..20 {
-            let p = Point::new((j as f64 * 0.7548) % 1.0, (j as f64 * 0.5698) % 1.0);
-            // Same multiset of cameras from the iterator and the callback.
-            let mut lazy: Vec<usize> = net
-                .covering(p)
-                .map(|c| (c.position().x * 1e9) as usize)
-                .collect();
-            let mut eager = Vec::new();
-            net.for_each_covering(p, |c| eager.push((c.position().x * 1e9) as usize));
-            lazy.sort_unstable();
-            eager.sort_unstable();
-            assert_eq!(lazy, eager, "point {p}");
-        }
-        // Early exit composes without draining the neighbourhood.
-        let covered = Point::new(0.5, 0.5);
-        assert_eq!(
-            net.covering(covered).next().is_some(),
-            net.coverage_count(covered) > 0
-        );
-        // An empty network yields an empty iterator (radius 0 query).
-        let empty = CameraNetwork::new(t, Vec::new());
-        assert!(empty.covering(covered).next().is_none());
     }
 
     #[test]

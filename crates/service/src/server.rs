@@ -8,11 +8,11 @@
 //! dirty in every warm [`IncrementalSweep`] state, and downgrade (not
 //! evict) the affected cache entries.
 //!
-//! Dense-sweep queries (`check`, `holes`, `mask`) are served from a
-//! small registry of warm [`IncrementalSweep`] states: a mutation marks
-//! only the tiles its old/new sensing disks touch, and the next query
-//! re-evaluates exactly those tiles — bit-identical to a cold sweep (the
-//! invariant is differential-tested in `fullview-core`). `watch`
+//! Dense-sweep queries (`check`, `holes`, `mask`, `barrier`) are served
+//! from a small registry of warm [`IncrementalSweep`] states: a mutation
+//! marks only the tiles its old/new sensing disks touch, and the next
+//! query re-evaluates exactly those tiles — bit-identical to a cold sweep
+//! (the invariant is differential-tested in `fullview-core`). `watch`
 //! subscribers receive a delta frame per mutation built from the same
 //! repair. The daemon's [`Tier`] (`--hier`) chooses who answers the
 //! remaining sweeps and the warm states' cold builds.
@@ -37,7 +37,7 @@ use crate::verbs::{self, Front, Kind, Params, Query};
 use crate::wal::{self, WalOp, WalRecord, WalWriter};
 use fullview_core::canon::{network_fingerprint, profile_fingerprint, CanonicalHasher};
 use fullview_core::{
-    barrier_full_view, coverage_map_from_glyphs, dense_grid, hole_report_text, holes_from_mask,
+    barrier_from_mask, coverage_map_from_glyphs, dense_grid, hole_report_text, holes_from_mask,
     kfull_text, prob_point_full_view_poisson, prob_point_meets_necessary_poisson,
     prob_point_meets_sufficient_poisson, ColdSweep, EffectiveAngle, IncrementalSweep, PointFlags,
     SweepDelta,
@@ -83,9 +83,9 @@ pub struct ServiceConfig {
     /// Admission-control bucket capacity (burst allowance, clamped ≥ 1).
     pub admit_burst: f64,
     /// Sweep through the hierarchical certificate prover: `map`,
-    /// `cells`, `kfull` and `kcount` directly, `check`, `holes` and
-    /// `mask` for the cold builds of their warm incremental states (their
-    /// repairs stay on the core tile funnel). Answers are bit-identical
+    /// `cells`, `kfull` and `kcount` directly, `check`, `holes`, `mask`
+    /// and `barrier` for the cold builds of their warm incremental states
+    /// (their repairs stay on the core tile funnel). Answers are bit-identical
     /// either way (differential-tested); the prover pays off at large
     /// grid sides. Prover counters surface through `stats`.
     pub hier: bool,
@@ -538,9 +538,9 @@ fn fp_for(fleet: &Fleet, query: Query) -> u64 {
     }
 }
 
-/// Computes a query answer. `check`, `holes`, and `mask` are served
-/// from the warm incremental engine (repairing only tiles dirtied since
-/// the last sweep); `map`, `cells`, `kfull` and `kcount` sweep cold
+/// Computes a query answer. `check`, `holes`, `mask` and `barrier` are
+/// served from the warm incremental engine (repairing only tiles dirtied
+/// since the last sweep); `map`, `cells`, `kfull` and `kcount` sweep cold
 /// through the daemon's tier. Callers hold the fleet read lock; the
 /// sweeps lock is taken briefly inside (lock order `fleet` → `sweeps`).
 fn compute(
@@ -598,8 +598,9 @@ fn compute(
             format!("{meeting}\n")
         }
         Query::Barrier => {
-            let report = barrier_full_view(net, theta, side);
-            format!("{report}\n")
+            let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
+            let (state, _) = warm_sweep(ctx, &mut sweeps, net, theta, side);
+            format!("{}\n", barrier_from_mask(side, state.mask()))
         }
         Query::Prob => {
             let density = params.density;

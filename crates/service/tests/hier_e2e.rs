@@ -89,7 +89,8 @@ fn barrier_verb_matches_the_direct_library_call() {
     let mut client = connect(&server);
 
     let mut rng = StdRng::seed_from_u64(SEED);
-    let net = deploy_uniform(fullview_geom::Torus::unit(), &test_profile(), N, &mut rng).unwrap();
+    let mut net =
+        deploy_uniform(fullview_geom::Torus::unit(), &test_profile(), N, &mut rng).unwrap();
 
     for (query, theta_deg, grid) in [
         ("barrier grid=12", 45.0, 12),
@@ -109,6 +110,35 @@ fn barrier_verb_matches_the_direct_library_call() {
         }
         Response::Ok(payload) => panic!("stray parameter accepted: {payload}"),
     }
+
+    // On a `--hier` daemon a first `barrier` at a fresh (θ, side) builds
+    // its warm sweep through the prover.
+    let theta = EffectiveAngle::new(f64::to_radians(45.0)).unwrap();
+    let hier = Server::start(config_with(true, 0)).expect("hier daemon");
+    let mut hier_client = connect(&hier);
+    let before = prover_nodes(&mut hier_client);
+    let got = hier_client
+        .request_ok("barrier grid=14")
+        .expect("hier barrier");
+    assert_eq!(got, format!("{}\n", barrier_full_view(&net, theta, 14)));
+    assert!(
+        prover_nodes(&mut hier_client) > before,
+        "the barrier's cold build never ran the prover"
+    );
+
+    // After a move the warm state is repaired: the answer is the
+    // library's on the moved fleet. At θ = 180° full view is plain
+    // coverage, so the move changes the covered fraction.
+    let query = "barrier grid=12 theta-deg=180";
+    let theta = EffectiveAngle::new(std::f64::consts::PI).unwrap();
+    let first = client.request_ok(query).expect(query);
+    assert_eq!(first, format!("{}\n", barrier_full_view(&net, theta, 12)));
+    let moved = client.request_ok("move id=3 x=0.6 y=0.05").expect("move");
+    assert!(moved.starts_with("moved camera 3"), "{moved}");
+    assert!(net.move_camera(3, fullview_geom::Point::new(0.6, 0.05)));
+    let got = client.request_ok(query).expect("barrier after move");
+    assert_ne!(got, first, "the move left the barrier report unchanged");
+    assert_eq!(got, format!("{}\n", barrier_full_view(&net, theta, 12)));
 }
 
 #[test]
@@ -167,7 +197,12 @@ fn hier_daemon_repairs_its_warm_sweeps_after_a_move() {
     let hier = Server::start(config_with(true, 0)).expect("hier daemon");
     let mut exact_client = connect(&exact);
     let mut hier_client = connect(&hier);
-    let reads = ["check", "holes grid=16", "mask grid=20 lo=0 hi=400"];
+    let reads = [
+        "check",
+        "holes grid=16",
+        "mask grid=20 lo=0 hi=400",
+        "barrier grid=16",
+    ];
 
     // First reads build the warm states cold — through the prover.
     for query in reads {

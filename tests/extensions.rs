@@ -67,11 +67,11 @@ fn view_multiplicity_consistent_with_full_view_and_failures() {
         if m >= 2 {
             checked += 1;
             // Remove one arbitrary covering camera: still full-view.
-            let victim = net
-                .covering(p)
-                .next()
-                .expect("m >= 2 implies a covering camera")
-                .position();
+            let mut victim = None;
+            net.for_each_covering(p, |c| {
+                victim.get_or_insert(c.position());
+            });
+            let victim = victim.expect("m >= 2 implies a covering camera");
             let reduced = net.filter(|c| c.position() != victim);
             assert!(
                 is_full_view_covered(&reduced, p, th),
