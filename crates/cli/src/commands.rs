@@ -225,8 +225,9 @@ COMMANDS:
              [--wal PATH]  crash-safe persistence: restore PATH (snapshot)
              + PATH.wal (journal) on start, journal every mutation before
              applying; 'snapshot' (no path) checkpoints and truncates
-             [--hier]  answer grid queries through the hierarchical
-             prover (identical bytes; prover tallies under 'stats')
+             [--hier]  build the warm grid states cold through the
+             hierarchical prover (identical bytes; prover tallies
+             under 'stats')
              [--max-cells N]  reject grid requests over N cells with a
              named err instead of attempting them
   query    send requests to a running daemon or cluster over one

@@ -53,10 +53,8 @@
 //! path every daemon can read and write (shared filesystem; with all
 //! daemons on one host, any local directory).
 
-use crate::merge::{aggregate, chunk_ranges, parse_shard_stats, ShardStats};
+use crate::merge::{aggregate, chunk_ranges, merge_scattered, parse_shard_stats, ShardStats};
 use crate::shard::{is_overload, ShardError, ShardState, DEFAULT_BREAKER_THRESHOLD};
-use fullview_core::{coverage_map_from_glyphs, hole_report_text, holes_from_mask, kfull_text};
-use fullview_geom::Torus;
 use fullview_service::frontend::{Call, Frontend, Running};
 use fullview_service::protocol::{self, Request};
 use fullview_service::verbs::{self, Front, Kind, Merge, Route};
@@ -904,36 +902,13 @@ fn scatter_query(
     let parts = scatter(ctx, total, deadline, |lo, hi| {
         format!("{unit_line} lo={lo} hi={hi}")
     })?;
-    match merge {
-        Merge::Glyphs => Ok(coverage_map_from_glyphs(side, &parts.concat())),
-        Merge::Mask => {
-            let torus_side = ctx
-                .authority
-                .lock()
-                .expect("authority lock")
-                .ok_or("cluster has no authority state")?
-                .torus_side;
-            let covered: Vec<bool> = parts.concat().chars().map(|c| c == '1').collect();
-            if covered.len() != total {
-                return Err(format!(
-                    "gathered mask holds {} cells, want {total}",
-                    covered.len()
-                ));
-            }
-            let report = holes_from_mask(Torus::with_side(torus_side), side, &covered);
-            Ok(hole_report_text(&report))
-        }
-        Merge::Counts => {
-            let mut meeting = 0usize;
-            for payload in parts {
-                meeting += payload
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad kcount payload {payload:?}: {e}"))?;
-            }
-            Ok(kfull_text(call.params.k, side, meeting, total))
-        }
-    }
+    merge_scattered(merge, side, call.params.k, &parts, || {
+        ctx.authority
+            .lock()
+            .expect("authority lock")
+            .map(|auth| auth.torus_side)
+            .ok_or_else(|| "cluster has no authority state".to_string())
+    })
 }
 
 fn fingerprint_text(ctx: &ClusterCtx) -> Result<String, String> {

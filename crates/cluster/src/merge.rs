@@ -1,11 +1,76 @@
 //! Deterministic merging of per-shard answers and stats.
 //!
-//! Query payload merging lives mostly in `fullview-core` (glyph/mask
-//! concatenation, count summation feed `core::render`); this module
-//! holds the cluster-specific pieces: parsing a daemon's `stats` text
-//! back into numbers and aggregating them cluster-wide.
+//! Gathered query payloads are checked here and rendered by
+//! `fullview-core` (glyph/mask concatenation and count summation feed
+//! `core::render`, so merged bytes equal a single daemon's); the rest is
+//! the cluster-specific pieces: parsing a daemon's `stats` text back into
+//! numbers and aggregating them cluster-wide.
 
+use fullview_core::{
+    coverage_map_from_glyphs, hole_report_text, holes_from_mask, kfull_text, MAP_GLYPHS,
+};
+use fullview_geom::Torus;
+use fullview_service::verbs::Merge;
 use std::collections::BTreeMap;
+
+/// Merges the answers a scattered grid query gathered, in chunk order,
+/// into the bytes a single daemon renders for a `side × side` grid (`k`
+/// is `kfull`'s threshold). A buffer a shard got wrong is a named err,
+/// never a panic in a renderer's assertion: the glyphs must be `side²`
+/// of the five map glyphs, the mask `side²` cells of `0` or `1`, each
+/// count an integer. Only the mask merge asks `torus_side` for the
+/// fleet's torus.
+///
+/// # Errors
+///
+/// A gathered buffer of the wrong length or with a foreign byte, an
+/// unparseable count, or `torus_side`'s own err.
+pub fn merge_scattered(
+    merge: Merge,
+    side: usize,
+    k: usize,
+    parts: &[String],
+    torus_side: impl FnOnce() -> Result<f64, String>,
+) -> Result<String, String> {
+    let total = side * side;
+    let gathered = |what: &str, allowed: &[u8]| {
+        let buf = parts.concat();
+        if buf.len() != total {
+            return Err(format!(
+                "gathered {what} holds {} cells, want {total}",
+                buf.len()
+            ));
+        }
+        match buf.bytes().find(|b| !allowed.contains(b)) {
+            Some(bad) => Err(format!("gathered {what} holds a foreign byte 0x{bad:02x}")),
+            None => Ok(buf),
+        }
+    };
+    match merge {
+        Merge::Glyphs => Ok(coverage_map_from_glyphs(
+            side,
+            &gathered("glyphs", &MAP_GLYPHS)?,
+        )),
+        Merge::Mask => {
+            let covered: Vec<bool> = gathered("mask", b"01")?
+                .bytes()
+                .map(|b| b == b'1')
+                .collect();
+            let report = holes_from_mask(Torus::with_side(torus_side()?), side, &covered);
+            Ok(hole_report_text(&report))
+        }
+        Merge::Counts => {
+            let mut meeting = 0usize;
+            for payload in parts {
+                meeting += payload
+                    .trim()
+                    .parse::<usize>()
+                    .map_err(|e| format!("bad kcount payload {payload:?}: {e}"))?;
+            }
+            Ok(kfull_text(k, side, meeting, total))
+        }
+    }
+}
 
 /// The numeric fields of one daemon's `stats` answer that aggregate
 /// meaningfully across a cluster.
@@ -195,6 +260,45 @@ mod tests {
         assert_eq!(agg.shards_reporting, 2);
         // Pooled: 99/200, not the 0.745 a per-shard average would give.
         assert!((agg.cache_hit_rate() - 0.495).abs() < 1e-12);
+    }
+
+    fn merge(merge: Merge, side: usize, parts: &[&str]) -> Result<String, String> {
+        let parts: Vec<String> = parts.iter().map(|p| (*p).to_string()).collect();
+        merge_scattered(merge, side, 2, &parts, || Ok(1.0))
+    }
+
+    #[test]
+    fn well_formed_parts_merge_into_the_daemon_renderings() {
+        assert_eq!(
+            merge(Merge::Glyphs, 2, &["#F", "n "]),
+            Ok(coverage_map_from_glyphs(2, "#Fn "))
+        );
+        let covered = [true, false, false, true];
+        let holes = holes_from_mask(Torus::unit(), 2, covered);
+        assert_eq!(
+            merge(Merge::Mask, 2, &["10", "01"]),
+            Ok(hole_report_text(&holes))
+        );
+        assert_eq!(
+            merge(Merge::Counts, 2, &["1\n", "2\n"]),
+            Ok(kfull_text(2, 2, 3, 4))
+        );
+    }
+
+    #[test]
+    fn malformed_parts_are_named_errs_not_panics() {
+        let short = merge(Merge::Glyphs, 2, &["#F", "n"]).unwrap_err();
+        assert!(short.contains("3 cells, want 4"), "{short}");
+        let foreign = merge(Merge::Glyphs, 2, &["#F", "nx"]).unwrap_err();
+        assert!(foreign.contains("foreign byte 0x78"), "{foreign}");
+        let wide = merge(Merge::Glyphs, 2, &["é", ".."]).unwrap_err();
+        assert!(wide.contains("foreign byte"), "{wide}");
+        let two = merge(Merge::Mask, 2, &["10", "21"]).unwrap_err();
+        assert!(two.contains("foreign byte 0x32"), "{two}");
+        let long = merge(Merge::Mask, 2, &["10", "011"]).unwrap_err();
+        assert!(long.contains("5 cells, want 4"), "{long}");
+        let count = merge(Merge::Counts, 2, &["1", "x"]).unwrap_err();
+        assert!(count.contains("bad kcount payload"), "{count}");
     }
 
     #[test]

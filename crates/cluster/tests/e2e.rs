@@ -96,6 +96,50 @@ fn cluster_answers_are_byte_identical_to_a_single_daemon_at_1_2_and_4_shards() {
 }
 
 #[test]
+fn shards_warm_repairs_match_a_lone_daemon_after_move_and_fail() {
+    // Each shard answers its chunks from warm states it repairs after
+    // every broadcast mutation; the merged bytes must track a lone
+    // daemon mutated the same way.
+    let reference = daemon(SEED, N);
+    let mut ref_client = connect(reference.local_addr());
+    let (_shards, addrs) = spawn_shards(2);
+    let coordinator = Coordinator::start(fast_config(addrs, None)).expect("coordinator");
+    let mut client = connect(coordinator.local_addr());
+    // θ = 180° too: at the default 45° this fleet's k answers are all 0.
+    let reads = [
+        "map side=16",
+        "kfull k=2 grid=9",
+        "kfull k=2 grid=9 theta-deg=180",
+    ];
+    let mut last = Vec::new();
+    for mutation in [None, Some("move id=6 x=0.31 y=0.64"), Some("fail id=11")] {
+        if let Some(mutation) = mutation {
+            ref_client.request_ok(mutation).expect(mutation);
+            client.request_ok(mutation).expect(mutation);
+        }
+        let answers: Vec<String> = reads
+            .iter()
+            .map(|query| ref_client.request_ok(query).expect(query))
+            .collect();
+        for (query, want) in reads.iter().zip(&answers) {
+            assert_eq!(
+                &client.request_ok(query).expect(query),
+                want,
+                "{query} after {mutation:?}"
+            );
+        }
+        // Each mutation changes the 180° count, so a state that missed
+        // the mutation's dirt cannot match by accident.
+        assert!(
+            last.last() != answers.last(),
+            "{mutation:?} left {} unchanged",
+            reads[2]
+        );
+        last = answers;
+    }
+}
+
+#[test]
 fn divergent_shard_is_restored_onto_the_authority_state_at_startup() {
     // Shard 0 carries the canonical state; shard 1 boots with a totally
     // different fleet and must be resynced from the startup snapshot.

@@ -10,7 +10,7 @@
 //! look for a 4-connected left-to-right component — blocking every
 //! top-to-bottom crossing path.
 
-use crate::holes::full_view_mask_range;
+use crate::holes::{full_view_mask_range, CoverageMask};
 use crate::theta::EffectiveAngle;
 use fullview_model::CameraNetwork;
 use std::collections::VecDeque;
@@ -72,9 +72,9 @@ pub fn barrier_full_view(
 }
 
 /// The barrier analysis of a precomputed full-view coverage mask
-/// (row-major, `covered[j * grid_side + i]` for column `i`, row `j`) —
-/// the search half of [`barrier_full_view`], split out so a daemon can
-/// run it on the mask of a warm sweep.
+/// (row-major, cell `j * grid_side + i` for column `i`, row `j`) — the
+/// search half of [`barrier_full_view`], split out so a daemon can run it
+/// on the mask of a warm sweep.
 ///
 /// A cell is covered when its centre is full-view covered. The barrier
 /// search is a BFS from every covered cell in the leftmost column, moving
@@ -84,24 +84,26 @@ pub fn barrier_full_view(
 ///
 /// # Panics
 ///
-/// Panics if `grid_side == 0` or `covered.len() != grid_side²`.
+/// Panics if `grid_side == 0` or the mask does not hold `grid_side²`
+/// cells.
 #[must_use]
-pub fn barrier_from_mask(grid_side: usize, covered: &[bool]) -> BarrierReport {
+pub fn barrier_from_mask(grid_side: usize, covered: impl CoverageMask) -> BarrierReport {
     assert!(grid_side > 0, "grid side must be positive");
+    let len = covered.cell_count();
     assert_eq!(
-        covered.len(),
+        len,
         grid_side * grid_side,
         "mask must hold grid_side² cells"
     );
     let k = grid_side;
-    let covered_cells = covered.iter().filter(|c| **c).count();
+    let covered_cells = (0..len).filter(|&idx| covered.is_covered(idx)).count();
 
     // BFS from all covered cells in column 0 towards column k-1.
-    let mut visited = vec![false; covered.len()];
+    let mut visited = vec![false; len];
     let mut queue = VecDeque::new();
     for j in 0..k {
         let idx = j * k;
-        if covered[idx] {
+        if covered.is_covered(idx) {
             visited[idx] = true;
             queue.push_back((0usize, j));
         }
@@ -125,7 +127,7 @@ pub fn barrier_from_mask(grid_side: usize, covered: &[bool]) -> BarrierReport {
         neighbours.push((i, (j + k - 1) % k));
         for (ni, nj) in neighbours {
             let idx = nj * k + ni;
-            if covered[idx] && !visited[idx] {
+            if covered.is_covered(idx) && !visited[idx] {
                 visited[idx] = true;
                 queue.push_back((ni, nj));
             }

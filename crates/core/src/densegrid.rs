@@ -57,6 +57,37 @@ pub struct PointFlags {
     pub sufficient: bool,
 }
 
+/// The bit of [`PointFlags::to_byte`] that holds the full-view verdict.
+pub(crate) const FULL_VIEW_BIT: u8 = 1 << 3;
+
+impl PointFlags {
+    /// The five verdicts packed into one byte, one bit each (covered,
+    /// k-covered, necessary, full-view, sufficient from the low bit up) —
+    /// how a warm [`IncrementalSweep`](crate::IncrementalSweep) stores a
+    /// point.
+    #[must_use]
+    pub const fn to_byte(self) -> u8 {
+        self.covered as u8
+            | (self.k_covered as u8) << 1
+            | (self.necessary as u8) << 2
+            | (self.full_view as u8) << 3
+            | (self.sufficient as u8) << 4
+    }
+
+    /// Unpacks a byte of [`to_byte`](Self::to_byte); higher bits are
+    /// ignored.
+    #[must_use]
+    pub const fn from_byte(byte: u8) -> Self {
+        PointFlags {
+            covered: byte & 1 != 0,
+            k_covered: byte & 1 << 1 != 0,
+            necessary: byte & 1 << 2 != 0,
+            full_view: byte & FULL_VIEW_BIT != 0,
+            sufficient: byte & 1 << 4 != 0,
+        }
+    }
+}
+
 /// Per-grid-point coverage tallies from one sweep of a dense grid.
 ///
 /// All predicates are evaluated with the same effective angle and (for the
@@ -368,14 +399,39 @@ impl GridEvaluator {
         self.unit_flags(&SweepUnit::rect(cursor, grid, cols, rows, lo, hi), f);
     }
 
-    /// The k-count funnel: how many points inside `lo..hi` among grid
-    /// columns `cols` × rows `rows`, a rectangle of the cell `cursor` is
-    /// pinned to, have view multiplicity at least `k`
+    /// The k funnel: calls `f(index, met)` for every point inside `lo..hi`
+    /// among grid columns `cols` × rows `rows`, a rectangle of the cell
+    /// `cursor` is pinned to (rows outer, columns inner), where `met` says
+    /// whether the point's view multiplicity is at least `k`
     /// ([`CoverageView::view_multiplicity`](crate::CoverageView::view_multiplicity)).
     /// Screens the rectangle through the kernel's per-sector depth counters
     /// ([`ScreenMode::Depth`]) and runs the exact arc sweep only on the
-    /// points the screen leaves undecided; the count is bit-identical to
-    /// the exact sweep either way.
+    /// points the screen leaves undecided; the verdicts are bit-identical
+    /// to the exact sweep either way.
+    ///
+    /// Every k evaluation — [`count_k_in_rect`](Self::count_k_in_rect),
+    /// [`count_k_view_range`](crate::count_k_view_range), a warm
+    /// [`KCountSweep`](crate::KCountSweep)'s repairs and the hierarchical
+    /// prover's residual rectangles — funnels through here.
+    #[allow(clippy::too_many_arguments)]
+    pub fn for_each_point_k_in_rect(
+        &mut self,
+        cursor: &TileCursor<'_>,
+        grid: &UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        lo: usize,
+        hi: usize,
+        k: usize,
+        f: &mut dyn FnMut(usize, bool),
+    ) {
+        self.unit_k(&SweepUnit::rect(cursor, grid, cols, rows, lo, hi), k, f);
+    }
+
+    /// How many points inside `lo..hi` among grid columns `cols` × rows
+    /// `rows` have view multiplicity at least `k`: the sum of
+    /// [`for_each_point_k_in_rect`](Self::for_each_point_k_in_rect)'s
+    /// verdicts.
     #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn count_k_in_rect(
@@ -388,7 +444,11 @@ impl GridEvaluator {
         hi: usize,
         k: usize,
     ) -> usize {
-        self.unit_count_k(&SweepUnit::rect(cursor, grid, cols, rows, lo, hi), k)
+        let mut meeting = 0usize;
+        self.for_each_point_k_in_rect(cursor, grid, cols, rows, lo, hi, k, &mut |_, met| {
+            meeting += usize::from(met);
+        });
+        meeting
     }
 
     /// The flags of one walk unit's in-range points: screened verdicts
@@ -435,11 +495,21 @@ impl GridEvaluator {
         self.kernel = kernel;
     }
 
-    /// How many of one walk unit's in-range points have view multiplicity
-    /// at least `k`: depth-screened verdicts where the unit is a rectangle,
-    /// a kernel is configured and `k` fits the counters, the exact arc
-    /// sweep through the unit's backend everywhere else.
-    pub(crate) fn unit_count_k(&mut self, unit: &SweepUnit<'_>, k: usize) -> usize {
+    /// Whether each of one walk unit's in-range points has view
+    /// multiplicity at least `k`: depth-screened verdicts where the unit
+    /// is a rectangle, a kernel is configured and `k` fits the counters,
+    /// the exact arc sweep through the unit's backend everywhere else.
+    /// `k = 0` holds everywhere and evaluates nothing.
+    pub(crate) fn unit_k(
+        &mut self,
+        unit: &SweepUnit<'_>,
+        k: usize,
+        f: &mut dyn FnMut(usize, bool),
+    ) {
+        if k == 0 {
+            unit.for_each_point(|_, idx| f(idx, true));
+            return;
+        }
         let mut kernel = self.kernel.take();
         // The depth counters saturate at `u8::MAX`: larger `k` run exact.
         let depth = u8::try_from(k).ok().filter(|&k8| {
@@ -447,7 +517,6 @@ impl GridEvaluator {
                 .as_mut()
                 .is_some_and(|kern| unit.screen(kern, ScreenMode::Depth { k: k8 }))
         });
-        let mut meeting = 0usize;
         unit.for_each_point(|local, idx| {
             let verdict = match (&kernel, depth) {
                 (Some(kern), Some(k8)) => kern.k_verdict(local, k8),
@@ -464,10 +533,9 @@ impl GridEvaluator {
                     view.view_multiplicity(self.theta) >= k
                 }
             };
-            meeting += usize::from(met);
+            f(idx, met);
         });
         self.kernel = kernel;
-        meeting
     }
 
     /// Evaluates every predicate over the grid points of the tiles with

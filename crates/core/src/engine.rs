@@ -31,12 +31,16 @@
 //!   index has more cells than the grid has points (e.g. an empty network,
 //!   whose index floors at 256×256 cells).
 
-use crate::densegrid::{GridCoverageReport, GridEvaluator, PointFlags};
+use crate::densegrid::{GridCoverageReport, GridEvaluator, PointFlags, FULL_VIEW_BIT};
 use crate::fullview::{CoverageView, PointAnalyzer};
+use crate::holes::FullViewMask;
+use crate::kfullview::sweep_k_range;
 use crate::mask::{ScreenMode, SectorMaskKernel};
+use crate::render::{glyph_of, glyph_string};
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, SpatialGrid, Torus, UnitGrid};
 use fullview_model::{Camera, CameraNetwork, CoverageProvider, TileCursor};
+use std::fmt;
 use std::ops::Range;
 
 /// Maps a [`UnitGrid`] onto the cells of a [`SpatialGrid`]: every grid
@@ -562,174 +566,350 @@ impl DirtySet {
     }
 }
 
-/// A whole-grid flags sweep feeding an [`IncrementalSweep`] cold build:
-/// `cold(net, grid, emit)` must call `emit(index, flags)` exactly once per
-/// grid index, with verdicts bit-identical to [`sweep_flags_range`] at the
-/// state's θ and start line (the hierarchical prover is one such sweep).
-pub type ColdSweep<'s> =
-    dyn FnMut(&CameraNetwork, &UnitGrid, &mut dyn FnMut(usize, PointFlags)) + 's;
+/// A whole-grid sweep feeding a [`WarmGrid`] cold build: `cold(net, grid,
+/// emit)` must call `emit(index, verdict)` exactly once per grid index,
+/// with verdicts bit-identical to the core sweep of the state's kind —
+/// [`sweep_flags_range`] at the state's θ and start line for a flags state
+/// ([`PointFlags`], the default), [`sweep_k_range`] for a k-count state
+/// (`bool`). The hierarchical prover is one such sweep.
+pub type ColdSweep<'s, V = PointFlags> =
+    dyn FnMut(&CameraNetwork, &UnitGrid, &mut dyn FnMut(usize, V)) + 's;
 
-/// The default cold sweep: the core flags walk.
-fn screened_cold(
-    theta: EffectiveAngle,
-    start_line: Angle,
-) -> impl FnMut(&CameraNetwork, &UnitGrid, &mut dyn FnMut(usize, PointFlags)) {
-    move |net, grid, emit| sweep_flags_range(net, grid, theta, start_line, 0, grid.len(), emit)
-}
-
-/// What one [`IncrementalSweep::resweep_dirty`] repair changed — the raw
+/// What one [`WarmGrid::resweep_dirty`] repair changed — the raw
 /// material of the service layer's `watch` delta frames.
 #[derive(Debug, Clone, Default)]
-pub struct SweepDelta {
+pub struct SweepDelta<T = GridCoverageReport> {
     /// Tiles re-evaluated by this repair.
     pub tiles_resweeped: usize,
     /// Grid points re-evaluated by this repair.
     pub points_resweeped: usize,
-    /// Grid indices that flipped to full-view covered.
+    /// Grid indices whose kept bit turned on: full-view coverage for a
+    /// flags state, multiplicity ≥ k for a k-count state.
     pub flipped_on: Vec<usize>,
-    /// Grid indices that lost full-view coverage.
+    /// Grid indices whose kept bit turned off.
     pub flipped_off: Vec<usize>,
-    /// The grid report before the repair.
-    pub before: GridCoverageReport,
-    /// The grid report after the repair (equal to the state's
-    /// [`report`](IncrementalSweep::report)).
-    pub after: GridCoverageReport,
+    /// The state's tally before the repair (the grid report of a flags
+    /// state, the count of a k-count state).
+    pub before: T,
+    /// The tally after the repair (equal to the state's).
+    pub after: T,
     /// Whether the repair fell back to a full rebuild (tiling geometry
     /// changed, e.g. after `reseed`).
     pub rebuilt: bool,
 }
 
-/// Incrementally-maintained dense-grid coverage state: per-tile
-/// [`GridCoverageReport`]s, the per-point full-view mask, and their
-/// running total, repaired tile-by-tile through a [`DirtySet`].
+impl<T> SweepDelta<T> {
+    /// Records one re-evaluated point whose kept bit went from `was` to
+    /// `now`.
+    fn note(&mut self, idx: usize, was: bool, now: bool) {
+        self.points_resweeped += 1;
+        match (was, now) {
+            (false, true) => self.flipped_on.push(idx),
+            (true, false) => self.flipped_off.push(idx),
+            _ => {}
+        }
+    }
+}
+
+/// What a [`WarmGrid`] keeps in its one byte per grid point: how a
+/// verdict packs into the byte and tallies per tile, and which core
+/// funnel evaluates it. [`FlagBits`] keeps the five [`PointFlags`],
+/// [`KBit`] whether the view multiplicity reaches `k`; the trait is
+/// sealed to those two.
+pub trait PointByte: Clone + fmt::Debug + sealed::Sealed {
+    /// One point's verdict, as the funnels and cold sweeps emit it.
+    type Verdict: Copy;
+    /// The tally of a tile's (or the whole grid's) verdicts. Tallies are
+    /// plain integer sums, so a total patched tile by tile equals the
+    /// cold sum bit for bit.
+    type Tally: Clone + fmt::Debug + Default + PartialEq;
+
+    /// The stored byte of `verdict`.
+    fn byte(verdict: Self::Verdict) -> u8;
+    /// The bit of a stored byte whose flips a [`SweepDelta`] lists.
+    fn is_set(byte: u8) -> bool;
+    /// Folds one verdict into `tally`.
+    fn record(tally: &mut Self::Tally, verdict: Self::Verdict);
+    /// Adds `part` to `tally`.
+    fn merge(tally: &mut Self::Tally, part: &Self::Tally);
+    /// Removes a previously merged `part` from `tally`.
+    fn subtract(tally: &mut Self::Tally, part: &Self::Tally);
+    /// The evaluator repairs run the funnel with.
+    fn evaluator(&self, theta: EffectiveAngle) -> GridEvaluator;
+    /// Evaluates every point among grid columns `cols` × rows `rows`, a
+    /// rectangle of the cell `cursor` is pinned to, through core's funnel.
+    fn evaluate_rect(
+        &self,
+        evaluator: &mut GridEvaluator,
+        cursor: &TileCursor<'_>,
+        grid: &UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        emit: &mut dyn FnMut(usize, Self::Verdict),
+    );
+    /// The core sweep of the whole grid: the default cold build.
+    fn sweep(
+        &self,
+        net: &CameraNetwork,
+        grid: &UnitGrid,
+        theta: EffectiveAngle,
+        emit: &mut dyn FnMut(usize, Self::Verdict),
+    );
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::FlagBits {}
+    impl Sealed for super::KBit {}
+}
+
+/// The five [`PointFlags`] of a point, packed by
+/// [`PointFlags::to_byte`] — what an [`IncrementalSweep`] keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlagBits {
+    /// The sector-condition start line.
+    start_line: Angle,
+}
+
+impl PointByte for FlagBits {
+    type Verdict = PointFlags;
+    type Tally = GridCoverageReport;
+
+    fn byte(flags: PointFlags) -> u8 {
+        flags.to_byte()
+    }
+
+    fn is_set(byte: u8) -> bool {
+        byte & FULL_VIEW_BIT != 0
+    }
+
+    fn record(report: &mut GridCoverageReport, flags: PointFlags) {
+        report.record(&flags);
+    }
+
+    fn merge(report: &mut GridCoverageReport, part: &GridCoverageReport) {
+        report.merge(part);
+    }
+
+    fn subtract(report: &mut GridCoverageReport, part: &GridCoverageReport) {
+        report.subtract(part);
+    }
+
+    fn evaluator(&self, theta: EffectiveAngle) -> GridEvaluator {
+        GridEvaluator::new(theta, self.start_line)
+    }
+
+    fn evaluate_rect(
+        &self,
+        evaluator: &mut GridEvaluator,
+        cursor: &TileCursor<'_>,
+        grid: &UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        emit: &mut dyn FnMut(usize, PointFlags),
+    ) {
+        evaluator.for_each_point_flags_in_rect(cursor, grid, cols, rows, 0, grid.len(), emit);
+    }
+
+    fn sweep(
+        &self,
+        net: &CameraNetwork,
+        grid: &UnitGrid,
+        theta: EffectiveAngle,
+        emit: &mut dyn FnMut(usize, PointFlags),
+    ) {
+        sweep_flags_range(net, grid, theta, self.start_line, 0, grid.len(), emit);
+    }
+}
+
+/// Whether a point's view multiplicity is at least `k`, as `0` or `1` —
+/// what a [`KCountSweep`] keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KBit {
+    /// The multiplicity threshold.
+    k: usize,
+}
+
+impl PointByte for KBit {
+    type Verdict = bool;
+    type Tally = usize;
+
+    fn byte(met: bool) -> u8 {
+        u8::from(met)
+    }
+
+    fn is_set(byte: u8) -> bool {
+        byte != 0
+    }
+
+    fn record(count: &mut usize, met: bool) {
+        *count += usize::from(met);
+    }
+
+    fn merge(count: &mut usize, part: &usize) {
+        *count += part;
+    }
+
+    fn subtract(count: &mut usize, part: &usize) {
+        *count -= part;
+    }
+
+    fn evaluator(&self, theta: EffectiveAngle) -> GridEvaluator {
+        // The depth screen's start line is arbitrary (see `sweep_k_range`).
+        GridEvaluator::new(theta, Angle::ZERO)
+    }
+
+    fn evaluate_rect(
+        &self,
+        evaluator: &mut GridEvaluator,
+        cursor: &TileCursor<'_>,
+        grid: &UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        emit: &mut dyn FnMut(usize, bool),
+    ) {
+        evaluator.for_each_point_k_in_rect(cursor, grid, cols, rows, 0, grid.len(), self.k, emit);
+    }
+
+    fn sweep(
+        &self,
+        net: &CameraNetwork,
+        grid: &UnitGrid,
+        theta: EffectiveAngle,
+        emit: &mut dyn FnMut(usize, bool),
+    ) {
+        sweep_k_range(net, grid, theta, self.k, 0, grid.len(), emit);
+    }
+}
+
+/// An incrementally maintained dense-grid state: one byte per grid point
+/// (what `B` keeps), per-tile tallies and their running total, repaired
+/// tile by tile through a [`DirtySet`]. The daemon keeps one per
+/// (θ, side) for flags ([`IncrementalSweep`]) and one per (θ, side, k)
+/// for k-counts ([`KCountSweep`]), and every dense-grid verb reads one.
 ///
 /// # The dirty-tracking invariant
 ///
 /// After any sequence of [`mark_disk`](Self::mark_disk) /
 /// [`mark_all`](Self::mark_all) / [`invalidate`](Self::invalidate) calls
 /// that covers every mutation applied to the network since the last
-/// repair, [`resweep_dirty`](Self::resweep_dirty) leaves `report()` and
-/// `mask()` **bit-identical** to a freshly-built state
-/// ([`IncrementalSweep::new`]) over the same network. Two facts make this
-/// exact rather than approximate:
+/// repair, [`resweep_dirty`](Self::resweep_dirty) leaves the bytes and the
+/// total **bit-identical** to a freshly built state over the same
+/// network. Two facts make this exact rather than approximate:
 ///
 /// * a camera mutation can only change the analysis of points inside its
 ///   old and new sensing disks, and a disk's grid points all live in the
 ///   tiles [`mark_disk`](Self::mark_disk) marks (the same per-axis cell
 ///   window arithmetic the spatial index's radius queries are
 ///   brute-force-tested against);
-/// * per-point analysis is history-free and report totals are plain
-///   integer sums, so `total − old_tile + new_tile` equals the cold sum
+/// * per-point analysis is history-free and tallies are plain integer
+///   sums, so `total − old_tile + new_tile` equals the cold sum
 ///   bit-for-bit.
 ///
 /// `fail`/`move` mutations rebucket the spatial index in place without
 /// changing its cell geometry, so the tiling stays valid and repairs are
 /// proportional to the dirty area. A `reseed`-style replacement can change
 /// the index geometry; [`resweep_dirty`](Self::resweep_dirty) detects the
-/// mismatch and falls back to a full rebuild (still reporting the mask
-/// diff in its [`SweepDelta`]).
+/// mismatch and falls back to a full rebuild (still reporting the flips in
+/// its [`SweepDelta`]).
 #[derive(Debug, Clone)]
-pub struct IncrementalSweep {
+pub struct WarmGrid<B: PointByte> {
+    holds: B,
     theta: EffectiveAngle,
-    start_line: Angle,
     grid: UnitGrid,
     tiling: GridTiling,
     cells: usize,
     cell_len: f64,
     torus: Torus,
     evaluator: GridEvaluator,
-    tile_reports: Vec<GridCoverageReport>,
-    mask: Vec<bool>,
-    total: GridCoverageReport,
+    bytes: Vec<u8>,
+    tile_tallies: Vec<B::Tally>,
+    total: B::Tally,
     dirty: DirtySet,
     needs_rebuild: bool,
 }
 
-impl IncrementalSweep {
-    /// Cold-builds the state for `net` over a `grid_side × grid_side`
-    /// grid: every point evaluated once through [`sweep_flags_range`],
-    /// mask and per-tile reports stored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grid_side == 0`.
-    #[must_use]
-    pub fn new(
-        net: &CameraNetwork,
-        theta: EffectiveAngle,
-        start_line: Angle,
-        grid_side: usize,
-    ) -> Self {
-        Self::with_cold_sweep(
-            net,
-            theta,
-            start_line,
-            grid_side,
-            &mut screened_cold(theta, start_line),
-        )
-    }
+/// The warm flags state: every point's five [`PointFlags`] in one byte,
+/// per-tile [`GridCoverageReport`]s and their total. `check` reads the
+/// report, `holes`, `mask` and `barrier` the full-view
+/// [`mask`](WarmGrid::mask), `map` and `cells` the
+/// [`glyphs`](WarmGrid::glyphs).
+pub type IncrementalSweep = WarmGrid<FlagBits>;
 
-    /// [`new`](Self::new) with the verdicts of the cold build taken from
-    /// `cold` instead of the core flags walk. Repairs still run the core
-    /// tile funnel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grid_side == 0`.
-    #[must_use]
-    pub fn with_cold_sweep(
+/// The warm k-count state: whether each point's view multiplicity reaches
+/// `k`, one byte per point, and a count per tile. `kfull` and `kcount`
+/// read its [`count`](WarmGrid::count).
+pub type KCountSweep = WarmGrid<KBit>;
+
+impl<B: PointByte> WarmGrid<B> {
+    /// Cold-builds the state keeping `holds` for `net` over a
+    /// `grid_side × grid_side` grid, with every verdict taken from `cold`.
+    fn build(
         net: &CameraNetwork,
         theta: EffectiveAngle,
-        start_line: Angle,
+        holds: B,
         grid_side: usize,
-        cold: &mut ColdSweep<'_>,
+        cold: &mut ColdSweep<'_, B::Verdict>,
     ) -> Self {
         assert!(grid_side > 0, "grid side must be positive");
         let torus = *net.torus();
         let grid = UnitGrid::new(torus, grid_side);
         let index = net.index();
         let tiling = GridTiling::new(index, &grid);
-        let mut state = IncrementalSweep {
+        let mut state = WarmGrid {
+            evaluator: holds.evaluator(theta),
+            holds,
             theta,
-            start_line,
-            grid,
             cells: index.cells_per_axis(),
             cell_len: index.cell_len(),
             torus,
-            evaluator: GridEvaluator::new(theta, start_line),
-            tile_reports: vec![GridCoverageReport::default(); tiling.tile_count()],
-            mask: vec![false; grid_side * grid_side],
-            total: GridCoverageReport::default(),
+            bytes: vec![0; grid.len()],
+            tile_tallies: vec![B::Tally::default(); tiling.tile_count()],
+            total: B::Tally::default(),
             dirty: DirtySet::new(tiling.tile_count()),
+            grid,
             tiling,
             needs_rebuild: false,
         };
-        state.cold_sweep(net, cold);
+        state.cold_sweep(net, cold, None);
         state
     }
 
-    /// Evaluates every point through `cold` into the freshly allocated
-    /// (all-zero) per-tile reports and mask.
-    fn cold_sweep(&mut self, net: &CameraNetwork, cold: &mut ColdSweep<'_>) {
+    /// Evaluates every point through `cold` into the all-default per-tile
+    /// tallies, overwriting every byte; with `delta`, records the flips
+    /// against the bytes it overwrites.
+    fn cold_sweep(
+        &mut self,
+        net: &CameraNetwork,
+        cold: &mut ColdSweep<'_, B::Verdict>,
+        mut delta: Option<&mut SweepDelta<B::Tally>>,
+    ) {
         let (cells, side) = (self.cells, self.grid.side_count());
         // Grid column (equally, row) → the index-cell coordinate owning it.
         let cell_of: Vec<usize> = (0..cells)
             .flat_map(|c| self.tiling.cell_axis_range(c).map(move |_| c))
             .collect();
-        let (reports, mask) = (&mut self.tile_reports, &mut self.mask);
-        cold(net, &self.grid, &mut |idx, flags| {
-            reports[cell_of[idx / side] * cells + cell_of[idx % side]].record(&flags);
-            mask[idx] = flags.full_view;
+        let (tallies, bytes) = (&mut self.tile_tallies, &mut self.bytes);
+        let mut emitted = 0usize;
+        cold(net, &self.grid, &mut |idx, verdict| {
+            let t = cell_of[idx / side] * cells + cell_of[idx % side];
+            B::record(&mut tallies[t], verdict);
+            let byte = B::byte(verdict);
+            if let Some(delta) = delta.as_deref_mut() {
+                delta.note(idx, B::is_set(bytes[idx]), B::is_set(byte));
+            }
+            bytes[idx] = byte;
+            emitted += 1;
         });
-        self.total = GridCoverageReport::default();
-        for report in &self.tile_reports {
-            self.total.merge(report);
-        }
         assert_eq!(
-            self.total.total_points,
+            emitted,
             self.grid.len(),
             "cold sweep must emit every grid index once"
         );
+        self.total = B::Tally::default();
+        for tally in &self.tile_tallies {
+            B::merge(&mut self.total, tally);
+        }
         self.dirty.clear();
         self.needs_rebuild = false;
     }
@@ -740,30 +920,10 @@ impl IncrementalSweep {
         self.theta
     }
 
-    /// The sector-condition start line this state evaluates with.
-    #[must_use]
-    pub fn start_line(&self) -> Angle {
-        self.start_line
-    }
-
     /// Grid points per axis.
     #[must_use]
     pub fn grid_side(&self) -> usize {
         self.grid.side_count()
-    }
-
-    /// The maintained whole-grid report. Only valid when
-    /// [`is_clean`](Self::is_clean); repair first after mutations.
-    #[must_use]
-    pub fn report(&self) -> &GridCoverageReport {
-        &self.total
-    }
-
-    /// The maintained per-point full-view mask (row-major grid order).
-    /// Only valid when [`is_clean`](Self::is_clean).
-    #[must_use]
-    pub fn mask(&self) -> &[bool] {
-        &self.mask
     }
 
     /// Whether the state has no pending dirty tiles or rebuild.
@@ -834,103 +994,235 @@ impl IncrementalSweep {
         self.needs_rebuild = true;
     }
 
-    /// Repairs the state against the (already mutated) network: re-evaluates
-    /// exactly the dirty tiles and patches the total report and mask in
-    /// place, returning what changed. Falls back to a full rebuild when
-    /// the index geometry no longer matches the stored tiling (or
+    /// Repairs the state against the (already mutated) network:
+    /// re-evaluates exactly the dirty tiles through core's funnel and
+    /// patches the bytes and the total in place, returning what changed.
+    /// Falls back to a full rebuild through the core sweep when the index
+    /// geometry no longer matches the stored tiling (or
     /// [`invalidate`](Self::invalidate) was called).
     ///
-    /// Afterwards the state is clean and `report()`/`mask()` are
-    /// bit-identical to a cold [`IncrementalSweep::new`] over `net` — the
-    /// invariant the differential tests pin down.
-    pub fn resweep_dirty(&mut self, net: &CameraNetwork) -> SweepDelta {
-        self.resweep_dirty_with(net, &mut screened_cold(self.theta, self.start_line))
+    /// Afterwards the state is clean and bit-identical to a cold build
+    /// over `net` — the invariant the differential tests pin down.
+    pub fn resweep_dirty(&mut self, net: &CameraNetwork) -> SweepDelta<B::Tally> {
+        let (holds, theta) = (self.holds.clone(), self.theta);
+        self.resweep_dirty_with(net, &mut |net, grid, emit| {
+            holds.sweep(net, grid, theta, emit);
+        })
     }
 
     /// [`resweep_dirty`](Self::resweep_dirty) with a full rebuild's
-    /// verdicts taken from `cold` (see
-    /// [`with_cold_sweep`](Self::with_cold_sweep)); dirty tiles are still
-    /// repaired through the core tile funnel.
+    /// verdicts taken from `cold`; dirty tiles are still repaired through
+    /// core's funnel.
     pub fn resweep_dirty_with(
         &mut self,
         net: &CameraNetwork,
-        cold: &mut ColdSweep<'_>,
-    ) -> SweepDelta {
-        if self.needs_rebuild || !self.geometry_matches(net.index()) {
-            return self.rebuild(net, cold);
-        }
+        cold: &mut ColdSweep<'_, B::Verdict>,
+    ) -> SweepDelta<B::Tally> {
         let mut delta = SweepDelta {
             before: self.total.clone(),
             ..SweepDelta::default()
         };
+        if self.needs_rebuild || !self.geometry_matches(net.index()) {
+            self.rebuild(net, cold, &mut delta);
+        } else {
+            self.repair(net, &mut delta);
+        }
+        delta.after = self.total.clone();
+        delta
+    }
+
+    /// Re-evaluates the dirty tiles, patching bytes, tallies and total.
+    fn repair(&mut self, net: &CameraNetwork, delta: &mut SweepDelta<B::Tally>) {
         if self.dirty.is_empty() {
-            delta.after = self.total.clone();
-            return delta;
+            return;
         }
         let mut dirty_tiles = Vec::with_capacity(self.dirty.marked_count());
         self.dirty.for_each_marked(|t| dirty_tiles.push(t));
         self.dirty.clear();
         let mut cursor = net.tile_cursor();
-        let (mask, len) = (&mut self.mask, self.grid.len());
+        let bytes = &mut self.bytes;
         for &t in &dirty_tiles {
-            let mut report = GridCoverageReport::default();
-            self.evaluator.for_each_point_flags_in_tile(
-                &mut cursor,
-                &self.tiling,
-                &self.grid,
-                t,
-                0,
-                len,
-                &mut |idx, flags| {
-                    match (mask[idx], flags.full_view) {
-                        (false, true) => delta.flipped_on.push(idx),
-                        (true, false) => delta.flipped_off.push(idx),
-                        _ => {}
-                    }
-                    mask[idx] = flags.full_view;
-                    report.record(&flags);
-                },
+            let mut tally = B::Tally::default();
+            if self.tiling.tile_point_count(t) > 0 {
+                let (cx, cy) = self.tiling.tile_cell(t);
+                cursor.pin(cx, cy);
+                self.holds.evaluate_rect(
+                    &mut self.evaluator,
+                    &cursor,
+                    &self.grid,
+                    self.tiling.tile_col_range(t),
+                    self.tiling.tile_row_range(t),
+                    &mut |idx, verdict| {
+                        let byte = B::byte(verdict);
+                        delta.note(idx, B::is_set(bytes[idx]), B::is_set(byte));
+                        bytes[idx] = byte;
+                        B::record(&mut tally, verdict);
+                    },
+                );
+            }
+            B::merge(&mut self.total, &tally);
+            B::subtract(
+                &mut self.total,
+                &std::mem::replace(&mut self.tile_tallies[t], tally),
             );
-            delta.points_resweeped += report.total_points;
-            self.total.merge(&report);
-            self.total
-                .subtract(&std::mem::replace(&mut self.tile_reports[t], report));
         }
         delta.tiles_resweeped = dirty_tiles.len();
-        delta.after = self.total.clone();
-        delta
     }
 
     /// Full rebuild: re-derives the tiling from the network's current
-    /// index and cold-sweeps, diffing the old mask for the delta.
-    fn rebuild(&mut self, net: &CameraNetwork, cold: &mut ColdSweep<'_>) -> SweepDelta {
-        let mut delta = SweepDelta {
-            before: self.total.clone(),
-            rebuilt: true,
-            ..SweepDelta::default()
-        };
-        let old_mask = std::mem::take(&mut self.mask);
+    /// index and cold-sweeps, recording the flips against the old bytes.
+    fn rebuild(
+        &mut self,
+        net: &CameraNetwork,
+        cold: &mut ColdSweep<'_, B::Verdict>,
+        delta: &mut SweepDelta<B::Tally>,
+    ) {
         let index = net.index();
         self.cells = index.cells_per_axis();
         self.cell_len = index.cell_len();
         self.torus = *net.torus();
         self.grid = UnitGrid::new(self.torus, self.grid.side_count());
         self.tiling = GridTiling::new(index, &self.grid);
-        self.tile_reports = vec![GridCoverageReport::default(); self.tiling.tile_count()];
-        self.mask = vec![false; self.grid.len()];
+        self.tile_tallies = vec![B::Tally::default(); self.tiling.tile_count()];
         self.dirty = DirtySet::new(self.tiling.tile_count());
-        self.cold_sweep(net, cold);
-        for (idx, (&old, &new)) in old_mask.iter().zip(self.mask.iter()).enumerate() {
-            match (old, new) {
-                (false, true) => delta.flipped_on.push(idx),
-                (true, false) => delta.flipped_off.push(idx),
-                _ => {}
-            }
-        }
+        self.cold_sweep(net, cold, Some(delta));
+        delta.rebuilt = true;
         delta.tiles_resweeped = self.tiling.tile_count();
-        delta.points_resweeped = self.grid.len();
-        delta.after = self.total.clone();
-        delta
+    }
+}
+
+impl WarmGrid<FlagBits> {
+    /// Cold-builds the flags state for `net` over a
+    /// `grid_side × grid_side` grid: every point evaluated once through
+    /// [`sweep_flags_range`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid_side == 0`.
+    #[must_use]
+    pub fn new(
+        net: &CameraNetwork,
+        theta: EffectiveAngle,
+        start_line: Angle,
+        grid_side: usize,
+    ) -> Self {
+        let holds = FlagBits { start_line };
+        Self::build(net, theta, holds, grid_side, &mut |net, grid, emit| {
+            holds.sweep(net, grid, theta, emit);
+        })
+    }
+
+    /// [`new`](Self::new) with the verdicts of the cold build taken from
+    /// `cold` instead of the core flags walk. Repairs still run the core
+    /// tile funnel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid_side == 0`.
+    #[must_use]
+    pub fn with_cold_sweep(
+        net: &CameraNetwork,
+        theta: EffectiveAngle,
+        start_line: Angle,
+        grid_side: usize,
+        cold: &mut ColdSweep<'_>,
+    ) -> Self {
+        Self::build(net, theta, FlagBits { start_line }, grid_side, cold)
+    }
+
+    /// The sector-condition start line this state evaluates with.
+    #[must_use]
+    pub fn start_line(&self) -> Angle {
+        self.holds.start_line
+    }
+
+    /// The maintained whole-grid report. Only valid when
+    /// [`is_clean`](Self::is_clean); repair first after mutations.
+    #[must_use]
+    pub fn report(&self) -> &GridCoverageReport {
+        &self.total
+    }
+
+    /// The maintained full-view mask (row-major grid order), read from
+    /// the flag bytes. Only valid when [`is_clean`](Self::is_clean).
+    #[must_use]
+    pub fn mask(&self) -> FullViewMask<'_> {
+        FullViewMask::new(&self.bytes)
+    }
+
+    /// The coverage-map glyphs of grid indices `lo..hi`, read from the
+    /// flag bytes — byte-identical to
+    /// [`coverage_glyphs_range`](crate::coverage_glyphs_range) over the
+    /// same network. Only valid when [`is_clean`](Self::is_clean).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi > grid_side²`.
+    #[must_use]
+    pub fn glyphs(&self, lo: usize, hi: usize) -> String {
+        glyph_string(
+            self.bytes[lo..hi]
+                .iter()
+                .map(|&b| glyph_of(&PointFlags::from_byte(b)))
+                .collect(),
+        )
+    }
+}
+
+impl WarmGrid<KBit> {
+    /// Cold-builds the k-count state for `net` over a
+    /// `grid_side × grid_side` grid: every point evaluated once through
+    /// [`sweep_k_range`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid_side == 0`.
+    #[must_use]
+    pub fn new(net: &CameraNetwork, theta: EffectiveAngle, k: usize, grid_side: usize) -> Self {
+        let holds = KBit { k };
+        Self::build(net, theta, holds, grid_side, &mut |net, grid, emit| {
+            holds.sweep(net, grid, theta, emit);
+        })
+    }
+
+    /// [`new`](Self::new) with the verdicts of the cold build taken from
+    /// `cold` instead of the core k walk. Repairs still run the core k
+    /// funnel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid_side == 0`.
+    #[must_use]
+    pub fn with_cold_sweep(
+        net: &CameraNetwork,
+        theta: EffectiveAngle,
+        k: usize,
+        grid_side: usize,
+        cold: &mut ColdSweep<'_, bool>,
+    ) -> Self {
+        Self::build(net, theta, KBit { k }, grid_side, cold)
+    }
+
+    /// The multiplicity threshold this state counts against.
+    #[must_use]
+    pub fn k(&self) -> usize {
+        self.holds.k
+    }
+
+    /// How many grid indices in `lo..hi` have view multiplicity at least
+    /// `k` — equal to [`count_k_view_range`](crate::count_k_view_range)
+    /// over the same network. Only valid when
+    /// [`is_clean`](Self::is_clean).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi > grid_side²`.
+    #[must_use]
+    pub fn count(&self, lo: usize, hi: usize) -> usize {
+        if (lo, hi) == (0, self.bytes.len()) {
+            return self.total;
+        }
+        self.bytes[lo..hi].iter().map(|&b| usize::from(b)).sum()
     }
 }
 
@@ -1152,7 +1444,7 @@ mod tests {
         sweep_grid(&net, &grid, |idx, _, view| {
             mask[idx] = view.is_full_view(theta);
         });
-        assert_eq!(state.mask(), &mask[..]);
+        assert!(state.mask().iter().eq(mask.iter().copied()));
         assert!(state.is_clean());
     }
 

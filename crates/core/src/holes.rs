@@ -7,6 +7,7 @@
 //! covered cells, and reports the connected components of the remainder
 //! (4-connected, with torus wrap on both axes).
 
+use crate::densegrid::FULL_VIEW_BIT;
 use crate::engine::sweep_flags_range;
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
@@ -121,32 +122,117 @@ where
     covered
 }
 
+/// A row-major full-view coverage mask, one cell per grid point — what
+/// [`holes_from_mask`] and [`barrier_from_mask`](crate::barrier_from_mask)
+/// read. Implemented for bool buffers (`&[bool]`, `&Vec<bool>`, arrays)
+/// and for a warm state's [`FullViewMask`], so the daemon reads its
+/// repaired flag bytes without copying them into a mask.
+pub trait CoverageMask {
+    /// Number of cells.
+    fn cell_count(&self) -> usize;
+    /// Whether cell `idx` is full-view covered.
+    fn is_covered(&self, idx: usize) -> bool;
+}
+
+impl<T: AsRef<[bool]>> CoverageMask for T {
+    fn cell_count(&self) -> usize {
+        self.as_ref().len()
+    }
+
+    fn is_covered(&self, idx: usize) -> bool {
+        self.as_ref()[idx]
+    }
+}
+
+/// The full-view mask of a warm [`IncrementalSweep`](crate::IncrementalSweep),
+/// read from the full-view bit of its per-point flag bytes
+/// ([`PointFlags::to_byte`](crate::PointFlags::to_byte)). Two masks are
+/// equal when their full-view bits are.
+#[derive(Debug, Clone, Copy)]
+pub struct FullViewMask<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> FullViewMask<'a> {
+    /// The mask of `bytes`, one [`PointFlags`] byte per grid point.
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        FullViewMask { bytes }
+    }
+
+    /// Number of grid points.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Whether the mask has no points.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Whether grid point `idx` is full-view covered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= len()`.
+    #[must_use]
+    pub fn get(&self, idx: usize) -> bool {
+        self.bytes[idx] & FULL_VIEW_BIT != 0
+    }
+
+    /// The full-view verdicts in row-major grid order.
+    pub fn iter(&self) -> impl Iterator<Item = bool> + 'a {
+        self.bytes.iter().map(|&b| b & FULL_VIEW_BIT != 0)
+    }
+}
+
+impl PartialEq for FullViewMask<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for FullViewMask<'_> {}
+
+impl CoverageMask for FullViewMask<'_> {
+    fn cell_count(&self) -> usize {
+        self.len()
+    }
+
+    fn is_covered(&self, idx: usize) -> bool {
+        self.get(idx)
+    }
+}
+
 /// Finds the connected holes of a precomputed full-view coverage mask
-/// (row-major, `covered[j * grid_side + i]` for column `i`, row `j`) —
-/// the gather half of [`find_holes`], split out so a cluster coordinator
-/// can run it on a mask assembled from per-shard
-/// [`full_view_mask_range`] results.
+/// (row-major, cell `j * grid_side + i` for column `i`, row `j`) — the
+/// gather half of [`find_holes`], split out so a cluster coordinator can
+/// run it on a mask assembled from per-shard [`full_view_mask_range`]
+/// results and a daemon on the mask of a warm sweep.
 ///
 /// # Panics
 ///
-/// Panics if `grid_side == 0` or `covered.len() != grid_side²`.
+/// Panics if `grid_side == 0` or the mask does not hold `grid_side²`
+/// cells.
 #[must_use]
-pub fn holes_from_mask(torus: Torus, grid_side: usize, covered: &[bool]) -> HoleReport {
+pub fn holes_from_mask(torus: Torus, grid_side: usize, covered: impl CoverageMask) -> HoleReport {
     assert!(grid_side > 0, "grid side must be positive");
+    let len = covered.cell_count();
     assert_eq!(
-        covered.len(),
+        len,
         grid_side * grid_side,
         "mask must hold grid_side² cells"
     );
     let grid = UnitGrid::new(torus, grid_side);
     let k = grid_side;
-    let covered_count = covered.iter().filter(|c| **c).count();
+    let covered_count = (0..len).filter(|&idx| covered.is_covered(idx)).count();
 
     let cell_area = torus.area() / (k * k) as f64;
-    let mut visited = vec![false; covered.len()];
+    let mut visited = vec![false; len];
     let mut holes: Vec<Hole> = Vec::new();
-    for start in 0..covered.len() {
-        if covered[start] || visited[start] {
+    for start in 0..len {
+        if covered.is_covered(start) || visited[start] {
             continue;
         }
         // BFS this hole.
@@ -168,7 +254,7 @@ pub fn holes_from_mask(torus: Torus, grid_side: usize, covered: &[bool]) -> Hole
                 (i, (j + k - 1) % k),
             ] {
                 let nidx = nj * k + ni;
-                if !covered[nidx] && !visited[nidx] {
+                if !covered.is_covered(nidx) && !visited[nidx] {
                     visited[nidx] = true;
                     queue.push_back(nidx);
                 }
@@ -184,7 +270,7 @@ pub fn holes_from_mask(torus: Torus, grid_side: usize, covered: &[bool]) -> Hole
     HoleReport {
         grid_side,
         holes,
-        covered_fraction: covered_count as f64 / covered.len() as f64,
+        covered_fraction: covered_count as f64 / len as f64,
     }
 }
 
@@ -322,6 +408,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "grid_side² cells")]
     fn wrong_mask_length_panics() {
-        let _ = holes_from_mask(Torus::unit(), 4, &[false; 15]);
+        let _ = holes_from_mask(Torus::unit(), 4, [false; 15]);
     }
 }

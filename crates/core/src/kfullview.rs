@@ -49,19 +49,48 @@ pub fn for_each_view_multiplicity<F: FnMut(usize, usize)>(
     });
 }
 
-/// Counts the points of the row-major grid index range `lo..hi` whose
-/// view multiplicity is at least `k` — the scatter unit of the cluster
-/// layer's `kfull` query. Summing range counts over a partition of
-/// `0..grid.len()` equals the full-grid count, since each point's
-/// multiplicity depends only on the network.
-///
-/// `k = 0` counts every point in the range. Otherwise the walk hands
-/// each tile to the k-count funnel behind
-/// [`GridEvaluator::count_k_in_rect`], which pays for the exact arc sweep
-/// only on points the
+/// Calls `f(index, met)` exactly once for every grid index in `lo..hi`
+/// (tile order — key results by index), where `met` says whether the
+/// point's view multiplicity is at least `k`. The walk hands each tile to
+/// the k funnel behind [`GridEvaluator::for_each_point_k_in_rect`], which
+/// pays for the exact arc sweep only on points the
 /// [`SectorMaskKernel`](crate::SectorMaskKernel)'s depth screen leaves
-/// undecided; the answer is bit-identical to the wholesale exact sweep
-/// either way.
+/// undecided; the verdicts are bit-identical to the wholesale exact sweep
+/// either way. `k = 0` holds at every point and walks nothing.
+///
+/// # Panics
+///
+/// Panics if `lo > hi` or `hi > grid.len()`.
+pub fn sweep_k_range<F: FnMut(usize, bool)>(
+    net: &CameraNetwork,
+    grid: &UnitGrid,
+    theta: EffectiveAngle,
+    k: usize,
+    lo: usize,
+    hi: usize,
+    mut f: F,
+) {
+    if k == 0 {
+        assert!(
+            lo <= hi && hi <= grid.len(),
+            "range {lo}..{hi} out of bounds for a grid of {} points",
+            grid.len()
+        );
+        (lo..hi).for_each(|idx| f(idx, true));
+        return;
+    }
+    // The depth screen's start line is arbitrary: the strict-depth
+    // argument holds for any partition, and certainty is what routes to
+    // the exact sweep.
+    let mut evaluator = GridEvaluator::new(theta, Angle::ZERO);
+    walk(net, grid, lo, hi, |unit| evaluator.unit_k(unit, k, &mut f));
+}
+
+/// Counts the points of the row-major grid index range `lo..hi` whose
+/// view multiplicity is at least `k` — the sum of [`sweep_k_range`]'s
+/// verdicts. Summing range counts over a partition of `0..grid.len()`
+/// equals the full-grid count, since each point's multiplicity depends
+/// only on the network.
 ///
 /// # Panics
 ///
@@ -75,21 +104,9 @@ pub fn count_k_view_range(
     lo: usize,
     hi: usize,
 ) -> usize {
-    if k == 0 {
-        assert!(
-            lo <= hi && hi <= grid.len(),
-            "range {lo}..{hi} out of bounds for a grid of {} points",
-            grid.len()
-        );
-        return hi - lo;
-    }
-    // The depth screen's start line is arbitrary: the strict-depth
-    // argument holds for any partition, and certainty is what routes to
-    // the exact sweep.
-    let mut evaluator = GridEvaluator::new(theta, Angle::ZERO);
     let mut meeting = 0usize;
-    walk(net, grid, lo, hi, |unit| {
-        meeting += evaluator.unit_count_k(unit, k);
+    sweep_k_range(net, grid, theta, k, lo, hi, |_, met| {
+        meeting += usize::from(met);
     });
     meeting
 }

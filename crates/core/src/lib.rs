@@ -94,8 +94,8 @@ pub use design::{
     max_cameras_below_necessary, min_cameras_for_guarantee, required_area_for_expected_fraction,
 };
 pub use engine::{
-    sweep_flags_range, sweep_grid, use_tiled, ColdSweep, DirtySet, GridTiling, IncrementalSweep,
-    SweepDelta,
+    sweep_flags_range, sweep_grid, use_tiled, ColdSweep, DirtySet, FlagBits, GridTiling,
+    IncrementalSweep, KBit, KCountSweep, PointByte, SweepDelta, WarmGrid,
 };
 pub use error::CoreError;
 pub use exact::{
@@ -108,12 +108,13 @@ pub use fullview::{
     PointAnalyzer, PointCoverage,
 };
 pub use holes::{
-    find_holes, full_view_mask_range, full_view_mask_range_with, holes_from_mask, Hole, HoleReport,
+    find_holes, full_view_mask_range, full_view_mask_range_with, holes_from_mask, CoverageMask,
+    FullViewMask, Hole, HoleReport,
 };
 pub use kcov::{implied_k, is_k_covered, k_covered_fraction, min_coverage_over_grid};
 pub use kfullview::{
     count_k_view_range, for_each_view_multiplicity, is_k_full_view_covered, min_arc_depth,
-    prob_point_meets_necessary_k_poisson, view_multiplicity,
+    prob_point_meets_necessary_k_poisson, sweep_k_range, view_multiplicity,
 };
 pub use mask::{PointVerdict, ScreenMode, ScreenStats, SectorMaskKernel};
 pub use path::{evaluate_path, ExposedStretch, Path, PathCoverageReport};
@@ -123,7 +124,7 @@ pub use poisson_theory::{
 };
 pub use render::{
     coverage_glyphs_range, coverage_glyphs_range_with, coverage_map_from_glyphs, coverage_map_text,
-    hole_report_text, kfull_text,
+    hole_report_text, kfull_text, MAP_GLYPHS,
 };
 
 pub use probabilistic::{

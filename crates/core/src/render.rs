@@ -19,19 +19,26 @@ use std::fmt::Write as _;
 const MAP_LEGEND: &str =
     "legend: '#' sufficient, 'F' full-view, 'n' necessary, '.' covered, ' ' bare";
 
-/// The coverage-map glyph of one point's predicate verdicts.
-fn glyph_of(flags: &PointFlags) -> char {
-    if flags.sufficient {
-        '#'
-    } else if flags.full_view {
-        'F'
-    } else if flags.necessary {
-        'n'
-    } else if flags.covered {
-        '.'
-    } else {
-        ' '
-    }
+/// The five coverage-map glyphs, strongest verdict first: sufficient,
+/// full-view, necessary, covered, bare (the legend's order).
+pub const MAP_GLYPHS: [u8; 5] = *b"#Fn. ";
+
+/// The coverage-map glyph of one point's predicate verdicts, as its
+/// ASCII byte: the glyph of the strongest verdict that holds.
+pub(crate) fn glyph_of(flags: &PointFlags) -> u8 {
+    let ranked = [
+        flags.sufficient,
+        flags.full_view,
+        flags.necessary,
+        flags.covered,
+        true,
+    ];
+    MAP_GLYPHS[ranked.iter().position(|&v| v).expect("bare always holds")]
+}
+
+/// A buffer of [`glyph_of`] bytes as a `String`, without copying it.
+pub(crate) fn glyph_string(glyphs: Vec<u8>) -> String {
+    String::from_utf8(glyphs).expect("coverage-map glyphs are ASCII")
 }
 
 /// The coverage-map glyphs of the row-major grid index range `lo..hi`
@@ -74,12 +81,12 @@ where
 {
     assert!(lo <= hi, "inverted range {lo}..{hi}");
     // Sweeps visit points in tile order, so render into an index-keyed
-    // buffer before flattening.
-    let mut cells = vec![' '; hi - lo];
+    // buffer.
+    let mut cells = vec![b' '; hi - lo];
     sweep(&mut |idx, flags| {
         cells[idx - lo] = glyph_of(&flags);
     });
-    cells.into_iter().collect()
+    glyph_string(cells)
 }
 
 /// Renders a full glyph buffer (as produced by [`coverage_glyphs_range`]
@@ -89,20 +96,19 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `glyphs` does not hold exactly `side²` characters.
+/// Panics unless `glyphs` is exactly `side²` ASCII glyph bytes.
 #[must_use]
 pub fn coverage_map_from_glyphs(side: usize, glyphs: &str) -> String {
-    let cells: Vec<char> = glyphs.chars().collect();
-    assert_eq!(
-        cells.len(),
-        side * side,
-        "glyph buffer must hold side² cells"
+    assert!(
+        glyphs.len() == side * side && glyphs.is_ascii(),
+        "glyph buffer must hold side² cells of ASCII glyph bytes"
     );
-    let mut out = String::new();
+    let mut out = String::with_capacity(MAP_LEGEND.len() + 2 + side * (side + 3));
     let _ = writeln!(out, "{MAP_LEGEND}\n");
     for j in (0..side).rev() {
-        let row: String = cells[j * side..(j + 1) * side].iter().collect();
-        let _ = writeln!(out, "|{row}|");
+        out.push('|');
+        out.push_str(&glyphs[j * side..(j + 1) * side]);
+        out.push_str("|\n");
     }
     out
 }
@@ -245,6 +251,13 @@ mod tests {
     #[should_panic(expected = "side² cells")]
     fn wrong_glyph_count_panics() {
         let _ = coverage_map_from_glyphs(4, "too short");
+    }
+
+    #[test]
+    #[should_panic(expected = "side² cells")]
+    fn non_ascii_glyphs_panic_instead_of_rendering() {
+        // Four chars for a 2 × 2 map, but eight bytes.
+        let _ = coverage_map_from_glyphs(2, "éééé");
     }
 
     #[test]

@@ -56,11 +56,13 @@
 mod bounds;
 mod prover;
 
-pub use prover::{count_k_view_range_hier, sweep_flags_range_hier, ProverStats};
+pub use prover::{
+    count_k_view_range_hier, sweep_flags_range_hier, sweep_k_range_hier, ProverStats,
+};
 
 use fullview_core::{
-    count_k_view_range, coverage_glyphs_range_with, coverage_map_from_glyphs,
-    full_view_mask_range_with, sweep_flags_range, EffectiveAngle, GridCoverageReport, PointFlags,
+    coverage_glyphs_range_with, coverage_map_from_glyphs, full_view_mask_range_with,
+    sweep_flags_range, sweep_k_range, EffectiveAngle, GridCoverageReport, PointFlags,
 };
 use fullview_geom::{Angle, UnitGrid};
 use fullview_model::CameraNetwork;
@@ -117,15 +119,16 @@ impl Tier {
         }
     }
 
-    /// Counts the points of `lo..hi` with view multiplicity at least `k`
-    /// — [`fullview_core::count_k_view_range`] — and returns what the
-    /// prover decided.
+    /// Calls `f(index, met)` exactly once for every grid index in
+    /// `lo..hi` (tile order — key results by index), where `met` is
+    /// [`fullview_core::sweep_k_range`]'s verdict (view multiplicity at
+    /// least `k`), and returns what the prover decided.
     ///
     /// # Panics
     ///
     /// Panics if `lo > hi` or `hi > grid.len()`.
-    #[must_use]
-    pub fn count_k(
+    #[allow(clippy::too_many_arguments)]
+    pub fn sweep_k(
         self,
         net: &CameraNetwork,
         grid: &UnitGrid,
@@ -133,13 +136,14 @@ impl Tier {
         k: usize,
         lo: usize,
         hi: usize,
-    ) -> (usize, ProverStats) {
+        f: &mut dyn FnMut(usize, bool),
+    ) -> ProverStats {
         match self {
-            Tier::Screened => (
-                count_k_view_range(net, grid, theta, k, lo, hi),
-                ProverStats::default(),
-            ),
-            Tier::Hier => count_k_view_range_hier(net, grid, theta, k, lo, hi),
+            Tier::Screened => {
+                sweep_k_range(net, grid, theta, k, lo, hi, f);
+                ProverStats::default()
+            }
+            Tier::Hier => sweep_k_range_hier(net, grid, theta, k, lo, hi, f),
         }
     }
 

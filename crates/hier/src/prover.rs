@@ -31,8 +31,8 @@
 //! rectangle of at most `FLOOR_POINTS` points. Residuals go to core's
 //! screened funnels on the pinned cursor —
 //! [`GridEvaluator::for_each_point_flags_in_rect`] for flags,
-//! [`GridEvaluator::count_k_in_rect`] for k-counts — the funnels the core
-//! sweeps run on every tile.
+//! [`GridEvaluator::for_each_point_k_in_rect`] for k verdicts — the
+//! funnels the core sweeps run on every tile.
 //!
 //! # Conservativeness and bit-identity
 //!
@@ -42,12 +42,12 @@
 //! the proven flags `true` (all five predicates are monotone in the
 //! covering set). Residual points get core's own answers, so the
 //! combined answer is bit-identical to [`fullview_core::sweep_flags_range`]
-//! and [`fullview_core::count_k_view_range`] by construction.
+//! and [`fullview_core::sweep_k_range`] by construction.
 
 use crate::bounds::{bound_camera, dist_band, Rect, ANG_BAND};
 use fullview_core::{
-    sweep_flags_range, use_tiled, EffectiveAngle, GridEvaluator, GridTiling, PointFlags,
-    SectorPartition,
+    sweep_flags_range, sweep_k_range, use_tiled, EffectiveAngle, GridEvaluator, GridTiling,
+    PointFlags, SectorPartition,
 };
 use fullview_geom::{Angle, Arc, Point, Torus, UnitGrid, ANGLE_EPS};
 use fullview_model::{CameraNetwork, TileCursor};
@@ -506,25 +506,26 @@ impl HierSink for FlagsSink<'_> {
     }
 }
 
-/// Multiplicity-count consumer for the `kcount` path: a `Full`
-/// certificate with at least `k` disjoint witness families decides a
-/// whole rectangle; residual rectangles run through core's k-count
-/// funnel.
-struct CountSink {
+/// k-verdict consumer for the `kfull`/`kcount` path: a `Full` certificate
+/// with at least `k` disjoint witness families decides a whole rectangle
+/// (`Empty` decides it the other way); residual rectangles run through
+/// core's k funnel. Every in-range index is emitted once.
+struct KSink<'f> {
     evaluator: GridEvaluator,
     k: usize,
-    count: usize,
+    f: &'f mut dyn FnMut(usize, bool),
 }
 
-impl HierSink for CountSink {
+impl HierSink for KSink<'_> {
     fn accepts_full(&self, groups: usize, _flags_ok: bool) -> bool {
         groups >= self.k
     }
 
     fn proved_rect(&mut self, cert: &Cert, runs: impl Iterator<Item = Range<usize>>) {
         // `Empty` means multiplicity 0 < k (k = 0 never reaches the prover).
-        if matches!(cert, Cert::Full { .. }) {
-            self.count += runs.map(|run| run.len()).sum::<usize>();
+        let met = matches!(cert, Cert::Full { .. });
+        for idx in runs.flatten() {
+            (self.f)(idx, met);
         }
     }
 
@@ -537,9 +538,8 @@ impl HierSink for CountSink {
         lo: usize,
         hi: usize,
     ) {
-        self.count += self
-            .evaluator
-            .count_k_in_rect(cursor, grid, cols, rows, lo, hi, self.k);
+        self.evaluator
+            .for_each_point_k_in_rect(cursor, grid, cols, rows, lo, hi, self.k, self.f);
     }
 }
 
@@ -614,11 +614,45 @@ pub fn sweep_flags_range_hier<F: FnMut(usize, PointFlags)>(
     })
 }
 
+/// The hierarchical counterpart of [`fullview_core::sweep_k_range`]:
+/// calls `f(index, met)` exactly once for every grid index in `lo..hi`
+/// (order unspecified — key results by index), where `met` says whether
+/// the point's view multiplicity is at least `k`. `Full` certificates
+/// with `≥ k` disjoint witness families decide whole rectangles and
+/// core's k funnel the rest, so the verdicts equal the core sweep's
+/// exactly. Returns what the prover decided without visiting points.
+///
+/// # Panics
+///
+/// Panics if `lo > hi` or `hi > grid.len()`.
+pub fn sweep_k_range_hier<F: FnMut(usize, bool)>(
+    net: &CameraNetwork,
+    grid: &UnitGrid,
+    theta: EffectiveAngle,
+    k: usize,
+    lo: usize,
+    hi: usize,
+    mut f: F,
+) -> ProverStats {
+    if k == 0 {
+        // Every point qualifies: the core sweep evaluates nothing.
+        sweep_k_range(net, grid, theta, 0, lo, hi, f);
+        return ProverStats::default();
+    }
+    let mut sink = KSink {
+        evaluator: GridEvaluator::new(theta, Angle::ZERO),
+        k,
+        f: &mut f,
+    };
+    prove(net, grid, theta, Angle::ZERO, lo, hi, &mut sink).unwrap_or_else(|| {
+        sweep_k_range(net, grid, theta, k, lo, hi, &mut f);
+        visited(lo, hi)
+    })
+}
+
 /// The hierarchical counterpart of [`fullview_core::count_k_view_range`]:
-/// counts the points of `lo..hi` whose view multiplicity is at least
-/// `k`, using `Full` certificates with `≥ k` disjoint witness families
-/// to decide whole rectangles and core's k-count funnel for the rest.
-/// The count equals the core function's exactly.
+/// the sum of [`sweep_k_range_hier`]'s verdicts, equal to the core
+/// function's count exactly.
 ///
 /// # Panics
 ///
@@ -631,23 +665,9 @@ pub fn count_k_view_range_hier(
     lo: usize,
     hi: usize,
 ) -> (usize, ProverStats) {
-    if k == 0 {
-        // Every point qualifies; the core count checks the range.
-        return (
-            fullview_core::count_k_view_range(net, grid, theta, 0, lo, hi),
-            ProverStats::default(),
-        );
-    }
-    let mut sink = CountSink {
-        evaluator: GridEvaluator::new(theta, Angle::ZERO),
-        k,
-        count: 0,
-    };
-    match prove(net, grid, theta, Angle::ZERO, lo, hi, &mut sink) {
-        Some(stats) => (sink.count, stats),
-        None => (
-            fullview_core::count_k_view_range(net, grid, theta, k, lo, hi),
-            visited(lo, hi),
-        ),
-    }
+    let mut meeting = 0usize;
+    let stats = sweep_k_range_hier(net, grid, theta, k, lo, hi, |_, met| {
+        meeting += usize::from(met);
+    });
+    (meeting, stats)
 }

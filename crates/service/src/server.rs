@@ -5,17 +5,20 @@
 //! startup and lives behind an `RwLock`: queries take cheap read locks,
 //! mutations (`fail`, `move`, `reseed`, `restore`) take the write lock,
 //! refresh the canonical fingerprint, mark the mutated sensing disks
-//! dirty in every warm [`IncrementalSweep`] state, and downgrade (not
-//! evict) the affected cache entries.
+//! dirty in every warm state, and downgrade (not evict) the affected
+//! cache entries.
 //!
-//! Dense-sweep queries (`check`, `holes`, `mask`, `barrier`) are served
-//! from a small registry of warm [`IncrementalSweep`] states: a mutation
-//! marks only the tiles its old/new sensing disks touch, and the next
-//! query re-evaluates exactly those tiles — bit-identical to a cold sweep
-//! (the invariant is differential-tested in `fullview-core`). `watch`
+//! Every dense-grid query is served from a small registry of warm
+//! states, one byte per grid point each: an [`IncrementalSweep`] per
+//! (θ, side) holds every point's flags and answers `check`, `holes`,
+//! `mask`, `barrier`, `map` and `cells`; a [`KCountSweep`] per
+//! (θ, side, k) answers `kfull` and `kcount`. A mutation marks only the
+//! tiles its old/new sensing disks touch, and the next query
+//! re-evaluates exactly those tiles — bit-identical to a cold sweep (the
+//! invariant is differential-tested in `fullview-core`). `watch`
 //! subscribers receive a delta frame per mutation built from the same
-//! repair. The daemon's [`Tier`] (`--hier`) chooses who answers the
-//! remaining sweeps and the warm states' cold builds.
+//! repair. The daemon's [`Tier`] (`--hier`) answers only the warm
+//! states' cold builds.
 //!
 //! Locking discipline (lock order: `watches` → `fleet` → `sweeps`; the
 //! cache lock is only ever held alone): a mutation applies the change,
@@ -39,7 +42,7 @@ use fullview_core::canon::{network_fingerprint, profile_fingerprint, CanonicalHa
 use fullview_core::{
     barrier_from_mask, coverage_map_from_glyphs, dense_grid, hole_report_text, holes_from_mask,
     kfull_text, prob_point_full_view_poisson, prob_point_meets_necessary_poisson,
-    prob_point_meets_sufficient_poisson, ColdSweep, EffectiveAngle, IncrementalSweep, PointFlags,
+    prob_point_meets_sufficient_poisson, EffectiveAngle, IncrementalSweep, KCountSweep, PointFlags,
     SweepDelta,
 };
 use fullview_deploy::deploy_uniform;
@@ -82,11 +85,11 @@ pub struct ServiceConfig {
     pub admit_rate: f64,
     /// Admission-control bucket capacity (burst allowance, clamped ≥ 1).
     pub admit_burst: f64,
-    /// Sweep through the hierarchical certificate prover: `map`,
-    /// `cells`, `kfull` and `kcount` directly, `check`, `holes`, `mask`
-    /// and `barrier` for the cold builds of their warm incremental states
-    /// (their repairs stay on the core tile funnel). Answers are bit-identical
-    /// either way (differential-tested); the prover pays off at large
+    /// Build the warm states cold through the hierarchical certificate
+    /// prover — the first use of every grid verb's state, and its rebuild
+    /// after `reseed`/`restore`; repairs after a `fail`/`move` stay on the
+    /// core tile funnel. Answers are bit-identical either way
+    /// (differential-tested); the prover pays off on cold builds at large
     /// grid sides. Prover counters surface through `stats`.
     pub hier: bool,
     /// Largest discretization (in total grid cells, `side²`) a request
@@ -149,19 +152,33 @@ struct Fleet {
     profile_fp: u64,
 }
 
-/// Sweep-state identity: the two inputs that change the evaluation
-/// lattice — θ (as exact bits) and the grid side.
-type SweepKey = (u64, usize);
+/// What a warm state holds: every point's five flags, or whether each
+/// point's view multiplicity reaches `k`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Holds {
+    Flags,
+    K(usize),
+}
 
-fn sweep_key(theta: EffectiveAngle, grid_side: usize) -> SweepKey {
-    (theta.radians().to_bits(), grid_side)
+/// Warm-state identity: θ (as exact bits), the grid side, and what the
+/// state holds.
+type SweepKey = (u64, usize, Holds);
+
+fn sweep_key(theta: EffectiveAngle, grid_side: usize, holds: Holds) -> SweepKey {
+    (theta.radians().to_bits(), grid_side, holds)
 }
 
 const SWEEP_REGISTRY_CAP: usize = 8;
 
+/// One warm state of either kind.
+enum Warm {
+    Flags(IncrementalSweep),
+    K(KCountSweep),
+}
+
 struct SweepSlot {
     key: SweepKey,
-    state: IncrementalSweep,
+    state: Warm,
     /// Pinned slots (those a `watch` subscriber depends on) are exempt
     /// from LRU eviction, recomputed statelessly from the live
     /// subscription list on every change to it.
@@ -169,12 +186,44 @@ struct SweepSlot {
     last_used: u64,
 }
 
-/// A small LRU pool of warm [`IncrementalSweep`] states. Mutations mark
-/// dirt into *every* slot (marking is cheap — a few tile bits); queries
-/// repair only the slot they hit.
+/// What answered the requests that read a warm state, as the `sweeps:`
+/// line of `stats` reports it.
+#[derive(Debug, Default)]
+struct SweepCounters {
+    /// Cold builds and rebuilds.
+    builds: u64,
+    /// Repairs that re-evaluated at least one tile.
+    repairs: u64,
+    /// Points those repairs re-evaluated.
+    repaired_points: u64,
+    /// Requests a clean state answered with no evaluation.
+    reads: u64,
+    /// Slots evicted to make room.
+    evictions: u64,
+}
+
+impl SweepCounters {
+    /// Counts one request's use of a state that was `built` for it and
+    /// then repaired by `delta`.
+    fn note<T>(&mut self, built: bool, delta: &SweepDelta<T>) {
+        if built || delta.rebuilt {
+            self.builds += 1;
+        } else if delta.tiles_resweeped > 0 {
+            self.repairs += 1;
+            self.repaired_points += delta.points_resweeped as u64;
+        } else {
+            self.reads += 1;
+        }
+    }
+}
+
+/// A small LRU pool of warm states, flags and k-counts alike. Mutations
+/// mark dirt into *every* slot (marking is cheap — a few tile bits);
+/// queries repair only the slot they hit.
 struct SweepRegistry {
     slots: Vec<SweepSlot>,
     tick: u64,
+    counters: SweepCounters,
 }
 
 impl SweepRegistry {
@@ -182,13 +231,17 @@ impl SweepRegistry {
         SweepRegistry {
             slots: Vec::new(),
             tick: 0,
+            counters: SweepCounters::default(),
         }
     }
 
     /// Marks one sensing disk dirty in every warm state.
     fn mark_disk_all(&mut self, center: Point, radius: f64) {
         for slot in &mut self.slots {
-            slot.state.mark_disk(center, radius);
+            match &mut slot.state {
+                Warm::Flags(state) => state.mark_disk(center, radius),
+                Warm::K(state) => state.mark_disk(center, radius),
+            }
         }
     }
 
@@ -196,7 +249,10 @@ impl SweepRegistry {
     /// or `restore` — the spatial-index geometry may have changed).
     fn invalidate_all(&mut self) {
         for slot in &mut self.slots {
-            slot.state.invalidate();
+            match &mut slot.state {
+                Warm::Flags(state) => state.invalidate(),
+                Warm::K(state) => state.invalidate(),
+            }
         }
     }
 
@@ -214,22 +270,15 @@ impl SweepRegistry {
         }
     }
 
-    /// The warm state for `(theta, side)`, building it on first use with
-    /// the verdicts of `cold`. Evicts the least-recently-used unpinned
-    /// slot when full; when every slot is pinned the pool grows past the
-    /// cap rather than breaking a watcher.
-    fn get_or_build(
-        &mut self,
-        net: &CameraNetwork,
-        theta: EffectiveAngle,
-        side: usize,
-        cold: &mut ColdSweep<'_>,
-    ) -> &mut IncrementalSweep {
+    /// The index of the slot for `key`, and whether `build` just built
+    /// it. Evicts the least-recently-used unpinned slot when full; when
+    /// every slot is pinned the pool grows past the cap rather than
+    /// breaking a watcher.
+    fn slot(&mut self, key: SweepKey, build: impl FnOnce() -> Warm) -> (usize, bool) {
         self.tick += 1;
-        let key = sweep_key(theta, side);
         if let Some(i) = self.slots.iter().position(|s| s.key == key) {
             self.slots[i].last_used = self.tick;
-            return &mut self.slots[i].state;
+            return (i, false);
         }
         if self.slots.len() >= SWEEP_REGISTRY_CAP {
             let victim = self
@@ -241,20 +290,20 @@ impl SweepRegistry {
                 .map(|(i, _)| i);
             if let Some(i) = victim {
                 self.slots.swap_remove(i);
+                self.counters.evictions += 1;
             }
         }
-        let state = IncrementalSweep::with_cold_sweep(net, theta, Angle::ZERO, side, cold);
         self.slots.push(SweepSlot {
             key,
-            state,
+            state: build(),
             pinned: false,
             last_used: self.tick,
         });
-        &mut self.slots.last_mut().expect("just pushed").state
+        (self.slots.len() - 1, true)
     }
 }
 
-/// The warm sweep state for `(theta, side)`, repaired against `net`.
+/// The warm flags state for `(theta, side)`, repaired against `net`.
 /// Cold builds — the first use, and the rebuild after `reseed`/`restore`
 /// — take their verdicts from the daemon's tier; dirty tiles are repaired
 /// through the core tile funnel.
@@ -273,10 +322,76 @@ fn warm_sweep<'s>(
                 .sweep_flags(net, grid, theta, Angle::ZERO, 0, grid.len(), emit);
             prover.merge(&stats);
         };
-    let state = sweeps.get_or_build(net, theta, side, &mut cold);
+    let (i, built) = sweeps.slot(sweep_key(theta, side, Holds::Flags), || {
+        Warm::Flags(IncrementalSweep::with_cold_sweep(
+            net,
+            theta,
+            Angle::ZERO,
+            side,
+            &mut cold,
+        ))
+    });
+    let Warm::Flags(state) = &mut sweeps.slots[i].state else {
+        unreachable!("a flags key holds a flags state");
+    };
     let delta = state.resweep_dirty_with(net, &mut cold);
+    sweeps.counters.note(built, &delta);
     ctx.note_prover(prover);
     (state, delta)
+}
+
+/// The warm k-count state for `(theta, side, k)`, repaired against `net`:
+/// cold builds through the daemon's tier, repairs through the core k
+/// funnel.
+fn warm_k_count<'s>(
+    ctx: &ServerCtx,
+    sweeps: &'s mut SweepRegistry,
+    net: &CameraNetwork,
+    theta: EffectiveAngle,
+    k: usize,
+    side: usize,
+) -> &'s KCountSweep {
+    let mut prover = ProverStats::default();
+    let mut cold = |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, bool)| {
+        let stats = ctx.tier.sweep_k(net, grid, theta, k, 0, grid.len(), emit);
+        prover.merge(&stats);
+    };
+    let (i, built) = sweeps.slot(sweep_key(theta, side, Holds::K(k)), || {
+        Warm::K(KCountSweep::with_cold_sweep(net, theta, k, side, &mut cold))
+    });
+    let Warm::K(state) = &mut sweeps.slots[i].state else {
+        unreachable!("a k key holds a k-count state");
+    };
+    let delta = state.resweep_dirty_with(net, &mut cold);
+    sweeps.counters.note(built, &delta);
+    ctx.note_prover(prover);
+    state
+}
+
+/// Reads the warm flags state for `(theta, side)` under the sweeps lock.
+fn read_flags<R>(
+    ctx: &ServerCtx,
+    net: &CameraNetwork,
+    theta: EffectiveAngle,
+    side: usize,
+    read: impl FnOnce(&IncrementalSweep) -> R,
+) -> R {
+    let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
+    read(warm_sweep(ctx, &mut sweeps, net, theta, side).0)
+}
+
+/// Reads the warm k-count state for `(theta, side, k)` under the sweeps
+/// lock.
+fn read_k_count<R>(
+    ctx: &ServerCtx,
+    net: &CameraNetwork,
+    theta: EffectiveAngle,
+    k: usize,
+    side: usize,
+    read: impl FnOnce(&KCountSweep) -> R,
+) -> R {
+    let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
+    read(warm_k_count(ctx, &mut sweeps, net, theta, k, side))
 }
 
 /// One `watch` subscriber: a cloned connection the hub writes delta
@@ -323,9 +438,9 @@ impl WatchHub {
 struct ServerCtx {
     fleet: RwLock<Fleet>,
     cache: Mutex<ResultCache>,
-    /// Warm incremental sweep states, keyed by (θ, grid side). Locked
-    /// only while `fleet` is already held (read for queries, write for
-    /// mutations), never the other way round.
+    /// Warm states, keyed by (θ, grid side, what they hold). Locked only
+    /// while `fleet` is already held (read for queries, write for
+    /// mutations), never the other way round — or alone, by `stats`.
     sweeps: Mutex<SweepRegistry>,
     /// Watch subscribers. Locked first by mutations (before `fleet`), so
     /// delta emission is serialized in mutation order.
@@ -335,7 +450,7 @@ struct ServerCtx {
     admission: AdmissionControl,
     /// Write-ahead journal (`--wal`); `None` runs without durability.
     wal: Option<WalState>,
-    /// Who answers dense sweeps (`--hier`).
+    /// Who answers the warm states' cold builds (`--hier`).
     tier: Tier,
     /// Discretization budget in total cells (`--max-cells`; 0 = off).
     max_cells: usize,
@@ -538,11 +653,12 @@ fn fp_for(fleet: &Fleet, query: Query) -> u64 {
     }
 }
 
-/// Computes a query answer. `check`, `holes`, `mask` and `barrier` are
-/// served from the warm incremental engine (repairing only tiles dirtied
-/// since the last sweep); `map`, `cells`, `kfull` and `kcount` sweep cold
-/// through the daemon's tier. Callers hold the fleet read lock; the
-/// sweeps lock is taken briefly inside (lock order `fleet` → `sweeps`).
+/// Computes a query answer. Every dense-grid verb reads a warm state,
+/// repaired first if a mutation dirtied it: `check` the flags state's
+/// report, `holes`, `mask` and `barrier` its full-view mask, `map` and
+/// `cells` its glyphs, `kfull` and `kcount` a k-count state's count.
+/// Callers hold the fleet read lock; the sweeps lock is taken briefly
+/// inside (lock order `fleet` → `sweeps`).
 fn compute(
     ctx: &ServerCtx,
     fleet: &Fleet,
@@ -550,12 +666,12 @@ fn compute(
     theta: EffectiveAngle,
     params: &Params,
 ) -> String {
-    let (side, tier, net) = (params.extent, ctx.tier, &fleet.net);
+    let (side, net) = (params.extent, &fleet.net);
+    let (lo, hi) = (params.lo, params.hi);
     match query {
         Query::Check => {
             let side = dense_grid(*net.torus(), net.len()).side_count();
-            let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-            let report = warm_sweep(ctx, &mut sweeps, net, theta, side).0.report();
+            let report = read_flags(ctx, net, theta, side, |state| state.report().clone());
             format!(
                 "{} cameras\n{report}\nfull-view fraction {:.4}\n",
                 net.len(),
@@ -563,45 +679,35 @@ fn compute(
             )
         }
         Query::Map => {
-            let (glyphs, stats) = tier.glyphs(net, theta, side, 0, params.cells());
-            ctx.note_prover(stats);
+            let glyphs = read_flags(ctx, net, theta, side, |state| {
+                state.glyphs(0, params.cells())
+            });
             coverage_map_from_glyphs(side, &glyphs)
         }
-        Query::Holes => {
-            let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-            let (state, _) = warm_sweep(ctx, &mut sweeps, net, theta, side);
+        Query::Holes => read_flags(ctx, net, theta, side, |state| {
             hole_report_text(&holes_from_mask(*net.torus(), side, state.mask()))
-        }
+        }),
         Query::Kfull => {
-            let grid = UnitGrid::new(*net.torus(), side);
-            let (meeting, stats) = tier.count_k(net, &grid, theta, params.k, 0, grid.len());
-            ctx.note_prover(stats);
-            kfull_text(params.k, side, meeting, grid.len())
+            let meeting = read_k_count(ctx, net, theta, params.k, side, |state| {
+                state.count(0, params.cells())
+            });
+            kfull_text(params.k, side, meeting, params.cells())
         }
-        Query::Cells => {
-            let (glyphs, stats) = tier.glyphs(net, theta, side, params.lo, params.hi);
-            ctx.note_prover(stats);
-            glyphs
-        }
-        Query::Mask => {
-            let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-            let (state, _) = warm_sweep(ctx, &mut sweeps, net, theta, side);
-            state.mask()[params.lo..params.hi]
-                .iter()
-                .map(|&covered| if covered { '1' } else { '0' })
+        Query::Cells => read_flags(ctx, net, theta, side, |state| state.glyphs(lo, hi)),
+        Query::Mask => read_flags(ctx, net, theta, side, |state| {
+            let mask = state.mask();
+            (lo..hi)
+                .map(|idx| if mask.get(idx) { '1' } else { '0' })
                 .collect()
-        }
+        }),
         Query::Kcount => {
-            let grid = UnitGrid::new(*net.torus(), side);
-            let (meeting, stats) = tier.count_k(net, &grid, theta, params.k, params.lo, params.hi);
-            ctx.note_prover(stats);
+            let meeting =
+                read_k_count(ctx, net, theta, params.k, side, |state| state.count(lo, hi));
             format!("{meeting}\n")
         }
-        Query::Barrier => {
-            let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-            let (state, _) = warm_sweep(ctx, &mut sweeps, net, theta, side);
+        Query::Barrier => read_flags(ctx, net, theta, side, |state| {
             format!("{}\n", barrier_from_mask(side, state.mask()))
-        }
+        }),
         Query::Prob => {
             let density = params.density;
             let mut out = String::new();
@@ -950,7 +1056,7 @@ fn run_watch(ctx: &ServerCtx, params: &Params, stream: &TcpStream) -> Result<(),
     let grid = params.extent;
     let sub_stream = stream.try_clone().map_err(|e| e.to_string())?;
     let mut watches = ctx.watches.lock().expect("watch lock");
-    let key = sweep_key(theta, grid);
+    let key = sweep_key(theta, grid, Holds::Flags);
     let (fraction, holes) = {
         let fleet = ctx.fleet.read().expect("fleet lock");
         let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
@@ -1048,6 +1154,20 @@ fn render_stats(ctx: &ServerCtx) -> String {
     }
     let hier_stats = *ctx.hier_stats.lock().expect("hier stats lock");
     let _ = writeln!(out, "hier: enabled={} {hier_stats}", ctx.tier == Tier::Hier);
+    {
+        let sweeps = ctx.sweeps.lock().expect("sweep lock");
+        let c = &sweeps.counters;
+        let _ = writeln!(
+            out,
+            "sweeps: slots={} cap={SWEEP_REGISTRY_CAP} builds={} repairs={} repaired_points={} reads={} evictions={}",
+            sweeps.slots.len(),
+            c.builds,
+            c.repairs,
+            c.repaired_points,
+            c.reads,
+            c.evictions
+        );
+    }
     let fmt_q = |q: Option<f64>| q.map_or_else(|| "na".to_string(), |v| format!("{v:.3}"));
     let _ = writeln!(
         out,

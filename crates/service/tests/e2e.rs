@@ -8,10 +8,11 @@
 //! and shutdown drains gracefully.
 
 use fullview_core::{
-    coverage_map_text, find_holes, full_view_mask_range, hole_report_text, EffectiveAngle,
+    count_k_view_range, coverage_glyphs_range, coverage_map_text, find_holes, full_view_mask_range,
+    hole_report_text, kfull_text, EffectiveAngle,
 };
 use fullview_deploy::deploy_uniform;
-use fullview_geom::{Angle, Point};
+use fullview_geom::{Angle, Point, UnitGrid};
 use fullview_model::{NetworkProfile, SensorSpec};
 use fullview_service::{Client, Response, Server, ServiceConfig};
 use fullview_sim::evaluate_dense_grid_parallel;
@@ -466,10 +467,29 @@ fn incremental_answers_stay_byte_identical_after_mutations() {
     let server = Server::start(small_config()).expect("start");
     let mut client = connect(&server);
 
-    // Warm the incremental states pre-mutation.
-    client.request_ok("check").unwrap();
-    client.request_ok("holes grid=10").unwrap();
-    client.request_ok("mask grid=10").unwrap();
+    // Warm the incremental states pre-mutation: flags states for every
+    // flags verb, k-count states for `kfull` and `kcount`. At θ = 45° this
+    // sparse fleet has no full-view point, so the k answers are also read
+    // at θ = 180°, where the mutations below change them.
+    for warm in [
+        "check",
+        "holes grid=10",
+        "mask grid=10",
+        "map side=12",
+        "cells side=10 lo=7 hi=93",
+        "kfull k=2 grid=10",
+        "kcount k=1 grid=10 lo=5 hi=80",
+        "kcount k=1 grid=10 lo=5 hi=80 theta-deg=180",
+        // The funnel's edge cases: k = 0 evaluates nothing, k > 255
+        // skips the depth screen.
+        "kfull k=0 grid=10",
+        "kcount k=300 grid=10 lo=5 hi=80 theta-deg=180",
+    ] {
+        client.request_ok(warm).expect(warm);
+    }
+    let kfull_wide = client
+        .request_ok("kfull k=2 grid=10 theta-deg=180")
+        .unwrap();
 
     client.request_ok("move id=5 x=0.77 y=0.33").unwrap();
     client.request_ok("fail id=2").unwrap();
@@ -498,6 +518,59 @@ fn incremental_answers_stay_byte_identical_after_mutations() {
         .collect();
     assert_eq!(client.request_ok("mask grid=10").unwrap(), want_mask);
 
+    assert_eq!(
+        client.request_ok("map side=12").unwrap(),
+        coverage_map_text(&net, theta, 12)
+    );
+    assert_eq!(
+        client.request_ok("cells side=10 lo=7 hi=93").unwrap(),
+        coverage_glyphs_range(&net, theta, 10, 7, 93)
+    );
+    let grid = UnitGrid::new(*net.torus(), 10);
+    assert_eq!(
+        client.request_ok("kfull k=2 grid=10").unwrap(),
+        kfull_text(
+            2,
+            10,
+            count_k_view_range(&net, &grid, theta, 2, 0, 100),
+            100
+        )
+    );
+    assert_eq!(
+        client.request_ok("kcount k=1 grid=10 lo=5 hi=80").unwrap(),
+        format!("{}\n", count_k_view_range(&net, &grid, theta, 1, 5, 80))
+    );
+    let wide = EffectiveAngle::new(std::f64::consts::PI).unwrap();
+    let want = kfull_text(2, 10, count_k_view_range(&net, &grid, wide, 2, 0, 100), 100);
+    assert_ne!(want, kfull_wide, "the mutations must change this answer");
+    assert_eq!(
+        client
+            .request_ok("kfull k=2 grid=10 theta-deg=180")
+            .unwrap(),
+        want
+    );
+    assert_eq!(
+        client
+            .request_ok("kcount k=1 grid=10 lo=5 hi=80 theta-deg=180")
+            .unwrap(),
+        format!("{}\n", count_k_view_range(&net, &grid, wide, 1, 5, 80))
+    );
+    assert_eq!(
+        client.request_ok("kfull k=0 grid=10").unwrap(),
+        kfull_text(
+            0,
+            10,
+            count_k_view_range(&net, &grid, theta, 0, 0, 100),
+            100
+        )
+    );
+    assert_eq!(
+        client
+            .request_ok("kcount k=300 grid=10 lo=5 hi=80 theta-deg=180")
+            .unwrap(),
+        format!("{}\n", count_k_view_range(&net, &grid, wide, 300, 5, 80))
+    );
+
     // The repairs above were incremental, not silent rebuilds: the
     // `stale` counter proves the warm entries were downgraded (not
     // evicted) and recomputed in place.
@@ -507,6 +580,55 @@ fn incremental_answers_stay_byte_identical_after_mutations() {
         cache["stale"].parse::<u64>().unwrap() > 0,
         "mutations must downgrade entries to stale, not evict them: {stats}"
     );
+}
+
+/// The `sweeps:` counters of a `stats` payload, by name.
+fn sweep_counters(client: &mut Client) -> HashMap<String, u64> {
+    let stats = client.request_ok("stats").expect("stats");
+    stats_line(&stats, "sweeps:")
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v.parse().expect(k)))
+        .collect()
+}
+
+#[test]
+fn sweeps_line_counts_builds_repairs_and_reads() {
+    let server = Server::start(small_config()).expect("start");
+    let mut client = connect(&server);
+    let ask = |client: &mut Client, reqs: &[&str]| {
+        for req in reqs {
+            client.request_ok(req).expect(req);
+        }
+    };
+
+    // One flags state answers holes, map and cells on the same grid.
+    ask(
+        &mut client,
+        &["holes grid=10", "map side=10", "cells side=10 lo=3 hi=50"],
+    );
+    let c = sweep_counters(&mut client);
+    assert_eq!((c["builds"], c["reads"], c["repairs"]), (1, 2, 0), "{c:?}");
+    assert_eq!((c["slots"], c["cap"]), (1, 8), "{c:?}");
+
+    // A move dirties it: the first read repairs, the next reads clean.
+    ask(
+        &mut client,
+        &["move id=4 x=0.5 y=0.5", "holes grid=10", "map side=10"],
+    );
+    let c = sweep_counters(&mut client);
+    assert_eq!((c["builds"], c["repairs"], c["reads"]), (1, 1, 3), "{c:?}");
+    assert!(c["repaired_points"] > 0, "{c:?}");
+
+    // kfull builds a k-count state beside it.
+    ask(&mut client, &["kfull k=2 grid=10"]);
+    let c = sweep_counters(&mut client);
+    assert_eq!((c["builds"], c["slots"]), (2, 2), "{c:?}");
+
+    // After a reseed the next read rebuilds.
+    ask(&mut client, &["reseed seed=99 n=40", "holes grid=10"]);
+    let c = sweep_counters(&mut client);
+    assert_eq!((c["builds"], c["repairs"], c["reads"]), (3, 1, 3), "{c:?}");
+    assert_eq!(c["evictions"], 0, "{c:?}");
 }
 
 #[test]

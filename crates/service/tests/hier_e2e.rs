@@ -202,13 +202,22 @@ fn hier_daemon_repairs_its_warm_sweeps_after_a_move() {
         "holes grid=16",
         "mask grid=20 lo=0 hi=400",
         "barrier grid=16",
+        "map side=24",
+        "cells side=20 lo=37 hi=311",
+        "kfull k=2 grid=16",
+        "kcount k=1 grid=18 lo=5 hi=200",
+        // At 45° this fleet's k answers are all 0; at 180° the move
+        // changes them.
+        "kfull k=2 grid=16 theta-deg=180",
     ];
 
     // First reads build the warm states cold — through the prover.
+    let mut before = Vec::new();
     for query in reads {
         let want = exact_client.request_ok(query).expect(query);
         let got = hier_client.request_ok(query).expect(query);
         assert_eq!(got, want, "'{query}' bytes differ before the move");
+        before.push(want);
     }
     let cold_nodes = prover_nodes(&mut hier_client);
     assert!(cold_nodes > 0, "the cold builds never ran the prover");
@@ -219,11 +228,18 @@ fn hier_daemon_repairs_its_warm_sweeps_after_a_move() {
     }
     // After the move every answer is an incremental repair: the same
     // bytes as the default daemon, and no prover work.
+    let mut after = Vec::new();
     for query in reads {
         let want = exact_client.request_ok(query).expect(query);
         let got = hier_client.request_ok(query).expect(query);
         assert_eq!(got, want, "'{query}' bytes differ after the move");
+        after.push(want);
     }
+    assert_ne!(
+        before.last(),
+        after.last(),
+        "the move must change the 180° count, or a stale state would pass"
+    );
     assert_eq!(
         prover_nodes(&mut hier_client),
         cold_nodes,
