@@ -7,12 +7,14 @@
 //! * `map_cached` — default cache; after one warming request every
 //!   iteration is a cache hit, so the timing is the floor the service
 //!   adds on top of a memoized answer (wire + dispatch + lookup).
-//! * `map_uncached` — `cache_capacity = 0` disables caching, so every
-//!   iteration pays a full tiled dense-grid sweep.
+//! * `map_uncached` — `cache_capacity = 0` disables the result cache, so
+//!   every iteration runs the job queue and renders the map again. The
+//!   fleet never changes, so the render reads the glyph bytes of the
+//!   daemon's warm flags state for the grid (built by the first request):
+//!   the timing is the queue round trip plus a warm read, not a sweep.
 //!
-//! The gap between the two is the amortization a long-running fleet
-//! gets from the result cache (ISSUE 3); the committed medians live in
-//! `BENCH_sweep.json`.
+//! The gap between the two is what the result cache saves on top of the
+//! warm state; the committed medians live in `BENCH_sweep.json`.
 
 use criterion::Criterion;
 use fullview_model::{NetworkProfile, SensorSpec};

@@ -28,7 +28,7 @@ use fullview_model::{
 };
 use fullview_plan::{greedy_place, optimize_orientations, GreedyPlacer, OrientationPlanner};
 use fullview_service::{verbs, Client, Response, Server, ServiceConfig};
-use fullview_sim::{evaluate_dense_grid_parallel, evaluate_grid_parallel};
+use fullview_sim::evaluate_dense_grid_parallel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::error::Error;
@@ -265,11 +265,11 @@ Most commands accept --load FILE to analyse a saved network (see `save`)
 instead of generating a random one, and --profile FILE to use a
 heterogeneous mix (text format: one 'fraction radius aov_rad' per line).
 Dense-grid commands (check, poisson, failures) accept --threads N to
-parallelise the grid sweep (0 = one per CPU; results are identical for
-every thread count). map, holes, and check accept --hier to sweep via
-the hierarchical coverage prover: byte-identical output, large grids
-(sides in the tens of thousands) become practical, prover tallies print
-on stderr.";
+parallelise the grid sweep (0 = one per CPU; at most one worker per CPU;
+results are identical for every thread count). map, holes, and check
+accept --hier to sweep via the hierarchical coverage prover:
+byte-identical output, large grids (sides in the tens of thousands)
+become practical, prover tallies print on stderr.";
 
 /// `--theta-deg` (default 45) under the daemon's θ rule.
 fn theta_of(cli: &Cli) -> Result<EffectiveAngle, Box<dyn Error>> {
@@ -311,7 +311,8 @@ fn note_prover<T>((answer, stats): (T, ProverStats)) -> T {
 }
 
 /// Worker threads for dense-grid sweeps: `--threads N` (`0` = one per
-/// available CPU, the default). Bit-identical results for every value.
+/// CPU, the default; at most one worker per CPU). Bit-identical results
+/// for every value.
 fn threads_of(cli: &Cli) -> Result<usize, Box<dyn Error>> {
     Ok(cli.get("threads", 0usize)?)
 }
@@ -467,11 +468,8 @@ fn cmd_check(cli: &Cli) -> Result<(), Box<dyn Error>> {
         classify_csa(s_c, net.len().max(3), theta)
     );
     let grid = dense_grid(*net.torus(), net.len());
-    // The prover sweeps serially; --threads parallelises the screened walk.
-    let report = match tier_of(cli) {
-        Tier::Screened => evaluate_grid_parallel(&net, theta, &grid, Angle::ZERO, threads_of(cli)?),
-        tier => note_prover(tier.report(&net, &grid, theta, Angle::ZERO)),
-    };
+    let report =
+        note_prover(tier_of(cli).report(&net, &grid, theta, Angle::ZERO, threads_of(cli)?));
     println!("{report}");
     println!(
         "exact per-point full-view probability (theory): {:.4}",

@@ -9,7 +9,7 @@
 //! per grid point.
 
 use crate::conditions::SectorPartition;
-use crate::engine::{walk, GridTiling, SweepUnit};
+use crate::engine::{claim_units, use_tiled, walk, walk_tiles, GridTiling, SweepUnit};
 use crate::fullview::PointAnalyzer;
 use crate::mask::{PointVerdict, ScreenMode, ScreenStats, SectorMaskKernel};
 use crate::theta::EffectiveAngle;
@@ -266,11 +266,11 @@ impl fmt::Display for GridCoverageReport {
 ///
 /// Holds the sector partitions (built once from `θ` and the start line)
 /// and a [`PointAnalyzer`] scratch buffer. A serial sweep uses one
-/// evaluator for the whole grid; a parallel sweep gives each worker its
-/// own evaluator, has each evaluate disjoint tiles via
-/// [`evaluate_tiles`](Self::evaluate_tiles), and merges the partial
-/// reports with [`GridCoverageReport::merge`] — the result is
-/// bit-identical to the serial sweep for any chunking.
+/// evaluator for the whole grid; [`evaluate_grid_parallel`] gives each
+/// worker its own evaluator, has each evaluate the tiles it claims via
+/// [`evaluate_tiles`](Self::evaluate_tiles), and adds up the partial
+/// reports — the result is bit-identical to the serial sweep for any
+/// split of the tiles.
 #[derive(Debug, Clone)]
 pub struct GridEvaluator {
     necessary: SectorPartition,
@@ -352,27 +352,6 @@ impl GridEvaluator {
         }
     }
 
-    /// Produces the [`PointFlags`] of tile `t`'s points inside `lo..hi`:
-    /// pins `cursor` and runs
-    /// [`for_each_point_flags_in_rect`](Self::for_each_point_flags_in_rect)
-    /// on the tile's rectangle. Empty tiles and tiles wholly outside the
-    /// range call `f` zero times without pinning the cursor.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn for_each_point_flags_in_tile(
-        &mut self,
-        cursor: &mut TileCursor<'_>,
-        tiling: &GridTiling,
-        grid: &UnitGrid,
-        t: usize,
-        lo: usize,
-        hi: usize,
-        f: &mut dyn FnMut(usize, PointFlags),
-    ) {
-        if let Some(unit) = SweepUnit::tile(cursor, tiling, grid, t, lo, hi) {
-            self.unit_flags(&unit, f);
-        }
-    }
-
     /// The flags funnel: produces the [`PointFlags`] of the points inside
     /// `lo..hi` among grid columns `cols` × rows `rows`, a rectangle of the
     /// cell `cursor` is pinned to (rows outer, columns inner). Screens the
@@ -382,9 +361,10 @@ impl GridEvaluator {
     /// or `f`.
     ///
     /// Every tiled flags evaluation — the walk's tiles, incremental
-    /// repairs, the hierarchical prover's residual rectangles — funnels
-    /// through here, so the kernel integration (and its bit-identity
-    /// obligations) live in exactly one place.
+    /// repairs, the hierarchical prover's residual rectangles — runs this
+    /// funnel's body (the tile loop's units enter it directly), so the
+    /// kernel integration (and its bit-identity obligations) live in
+    /// exactly one place.
     #[allow(clippy::too_many_arguments)]
     pub fn for_each_point_flags_in_rect(
         &mut self,
@@ -409,10 +389,10 @@ impl GridEvaluator {
     /// points the screen leaves undecided; the verdicts are bit-identical
     /// to the exact sweep either way.
     ///
-    /// Every k evaluation — [`count_k_in_rect`](Self::count_k_in_rect),
-    /// [`count_k_view_range`](crate::count_k_view_range), a warm
-    /// [`KCountSweep`](crate::KCountSweep)'s repairs and the hierarchical
-    /// prover's residual rectangles — funnels through here.
+    /// Every k evaluation — [`count_k_view_range`](crate::count_k_view_range),
+    /// a warm [`KCountSweep`](crate::KCountSweep)'s repairs and the
+    /// hierarchical prover's residual rectangles — runs this funnel's body
+    /// (the tile loop's units enter it directly).
     #[allow(clippy::too_many_arguments)]
     pub fn for_each_point_k_in_rect(
         &mut self,
@@ -426,29 +406,6 @@ impl GridEvaluator {
         f: &mut dyn FnMut(usize, bool),
     ) {
         self.unit_k(&SweepUnit::rect(cursor, grid, cols, rows, lo, hi), k, f);
-    }
-
-    /// How many points inside `lo..hi` among grid columns `cols` × rows
-    /// `rows` have view multiplicity at least `k`: the sum of
-    /// [`for_each_point_k_in_rect`](Self::for_each_point_k_in_rect)'s
-    /// verdicts.
-    #[allow(clippy::too_many_arguments)]
-    #[must_use]
-    pub fn count_k_in_rect(
-        &mut self,
-        cursor: &TileCursor<'_>,
-        grid: &UnitGrid,
-        cols: Range<usize>,
-        rows: Range<usize>,
-        lo: usize,
-        hi: usize,
-        k: usize,
-    ) -> usize {
-        let mut meeting = 0usize;
-        self.for_each_point_k_in_rect(cursor, grid, cols, rows, lo, hi, k, &mut |_, met| {
-            meeting += usize::from(met);
-        });
-        meeting
     }
 
     /// The flags of one walk unit's in-range points: screened verdicts
@@ -539,47 +496,34 @@ impl GridEvaluator {
     }
 
     /// Evaluates every predicate over the grid points of the tiles with
-    /// ids in `tiles`, pinning each tile's candidate cameras once through
-    /// `cursor` — the batch path of the tile engine.
+    /// ids in `tiles`, in any order and not necessarily contiguous,
+    /// pinning each tile's candidate cameras once through `cursor` — the
+    /// batch path of the tile engine.
     ///
-    /// Reports over disjoint tile ranges merge to exactly the full-grid
+    /// Reports over disjoint tile sets merge to exactly the full-grid
     /// report (tiles partition the grid).
     ///
     /// # Panics
     ///
-    /// Panics if `tiles.end > tiling.tile_count()` or if the tiling does
-    /// not match `grid`.
+    /// Panics if an id is at or past `tiling.tile_count()` or if the
+    /// tiling does not match `grid`.
     #[must_use]
     pub fn evaluate_tiles(
         &mut self,
         cursor: &mut TileCursor<'_>,
         tiling: &GridTiling,
         grid: &UnitGrid,
-        tiles: Range<usize>,
+        tiles: impl IntoIterator<Item = usize>,
     ) -> GridCoverageReport {
-        assert!(
-            tiles.end <= tiling.tile_count(),
-            "tile range end {} exceeds tile count {}",
-            tiles.end,
-            tiling.tile_count()
-        );
         assert_eq!(
             tiling.grid_len(),
             grid.len(),
             "tiling does not match the grid"
         );
         let mut report = GridCoverageReport::default();
-        for t in tiles {
-            self.for_each_point_flags_in_tile(
-                cursor,
-                tiling,
-                grid,
-                t,
-                0,
-                grid.len(),
-                &mut |_idx, flags| report.record(&flags),
-            );
-        }
+        walk_tiles(cursor, tiling, grid, tiles, 0, grid.len(), |_, unit| {
+            self.unit_flags(unit, &mut |_idx, flags| report.record(&flags));
+        });
         report
     }
 
@@ -623,6 +567,58 @@ pub fn evaluate_dense_grid(
 ) -> GridCoverageReport {
     let grid = dense_grid(*net.torus(), net.len());
     evaluate_grid(net, theta, &grid, start_line)
+}
+
+/// [`evaluate_grid`] with up to `threads` workers (`0` = one per CPU; at
+/// most one per CPU, see [`worker_count`](crate::worker_count)).
+///
+/// When tiles pay off ([`use_tiled`]) the workers claim tiles through
+/// [`claim_units`], each evaluating its claims with its own
+/// [`GridEvaluator`] and cursor through
+/// [`evaluate_tiles`](GridEvaluator::evaluate_tiles); one worker runs on
+/// the calling thread. Otherwise the grid is small — the index has at
+/// most 256 cells per axis, so such a grid holds at most 65,536 points —
+/// and the serial walk answers it. Every report field is an integer sum
+/// over disjoint points, so the workers' reports add up to a report
+/// bit-identical to [`evaluate_grid`] for every thread count.
+///
+/// # Panics
+///
+/// Propagates a panic from a worker.
+#[must_use]
+pub fn evaluate_grid_parallel(
+    net: &CameraNetwork,
+    theta: EffectiveAngle,
+    grid: &UnitGrid,
+    start_line: Angle,
+    threads: usize,
+) -> GridCoverageReport {
+    if !use_tiled(net, grid) {
+        return evaluate_grid(net, theta, grid, start_line);
+    }
+    let tiling = GridTiling::new(net.index(), grid);
+    let parts = claim_units(tiling.tile_count(), threads, |tiles| {
+        let mut evaluator = GridEvaluator::new(theta, start_line);
+        evaluator.evaluate_tiles(&mut net.tile_cursor(), &tiling, grid, tiles)
+    });
+    let mut report = GridCoverageReport::default();
+    for part in &parts {
+        report += part;
+    }
+    report
+}
+
+/// [`evaluate_dense_grid`] with up to `threads` workers (`0` = one per
+/// CPU), through [`evaluate_grid_parallel`].
+#[must_use]
+pub fn evaluate_dense_grid_parallel(
+    net: &CameraNetwork,
+    theta: EffectiveAngle,
+    start_line: Angle,
+    threads: usize,
+) -> GridCoverageReport {
+    let grid = dense_grid(*net.torus(), net.len());
+    evaluate_grid_parallel(net, theta, &grid, start_line, threads)
 }
 
 #[cfg(test)]
@@ -811,6 +807,15 @@ mod tests {
                 }
                 assert_eq!(merged, per_point, "side={side} chunk={chunk}");
             }
+            // So do non-contiguous tile sets: the odd ids, then the even
+            // ids, then every id in reverse.
+            let ids = 0..tiling.tile_count();
+            let mut odd_even =
+                ev.evaluate_tiles(&mut cursor, &tiling, &grid, ids.clone().skip(1).step_by(2));
+            odd_even += ev.evaluate_tiles(&mut cursor, &tiling, &grid, ids.clone().step_by(2));
+            assert_eq!(odd_even, per_point, "side={side} odd then even");
+            let reversed = ev.evaluate_tiles(&mut cursor, &tiling, &grid, ids.rev());
+            assert_eq!(reversed, per_point, "side={side} reversed");
             // And the auto path agrees too.
             let auto = GridEvaluator::new(th, Angle::ZERO).evaluate_grid(&net, &grid);
             assert_eq!(auto, per_point, "side={side} auto");
@@ -845,9 +850,11 @@ mod tests {
         let mut ev = GridEvaluator::new(theta(PI / 4.0), Angle::ZERO);
         let mut cursor = net.tile_cursor();
         let mut emitted = 0;
-        ev.for_each_point_flags_in_tile(&mut cursor, &tiling, &grid, t, lo, hi, &mut |idx, _| {
-            assert!(idx >= lo && idx < hi, "out-of-range index {idx} emitted");
-            emitted += 1;
+        walk_tiles(&mut cursor, &tiling, &grid, [t], lo, hi, |_, unit| {
+            ev.unit_flags(unit, &mut |idx, _| {
+                assert!(idx >= lo && idx < hi, "out-of-range index {idx} emitted");
+                emitted += 1;
+            });
         });
         let stats = ev.screen_stats();
         assert_eq!(emitted, in_range);
@@ -921,7 +928,8 @@ mod tests {
                 .iter()
                 .filter(|&&idx| crate::view_multiplicity(&net, grid.point(idx), th) >= k)
                 .count();
-            let got = ev.count_k_in_rect(
+            let mut got = 0;
+            ev.for_each_point_k_in_rect(
                 &cursor,
                 &grid,
                 sub_cols.clone(),
@@ -929,6 +937,7 @@ mod tests {
                 lo,
                 hi,
                 k,
+                &mut |_, met| got += usize::from(met),
             );
             assert_eq!(got, want, "k={k}");
         }

@@ -13,9 +13,13 @@
 //!
 //! Every sweep over a grid index range — views, flags, k-counts — runs
 //! through one walk (`walk`): it decides between tiles and the
-//! per-point unit, skips tiles outside the range, pins the cursor, and
-//! filters each unit's points to the range. Invariants it maintains (and
-//! the differential tests assert):
+//! per-point unit and filters each unit's points to the range. Every
+//! visit of a tile — the walk's, [`GridEvaluator::evaluate_tiles`]'s,
+//! a warm state's repair, a parallel worker's — goes through one tile
+//! loop (`walk_tiles`), which skips tiles outside the range and pins the
+//! cursor. Work shared across threads goes through one worker loop
+//! ([`claim_units`]) under one worker rule ([`worker_count`]).
+//! Invariants they maintain (and the differential tests assert):
 //!
 //! * **Exact partition** — [`GridTiling`] assigns every grid index to
 //!   exactly one tile, so tile-order tallies merge to precisely the
@@ -41,7 +45,9 @@ use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, SpatialGrid, Torus, UnitGrid};
 use fullview_model::{Camera, CameraNetwork, CoverageProvider, TileCursor};
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maps a [`UnitGrid`] onto the cells of a [`SpatialGrid`]: every grid
 /// point belongs to exactly one tile (the index cell containing it), and
@@ -234,7 +240,12 @@ pub fn use_tiled(net: &CameraNetwork, grid: &UnitGrid) -> bool {
 /// unscreened unit backed by the whole network. Either way a consumer
 /// writes one loop: screen the unit if it can, then visit its in-range
 /// points with the unit itself as the [`CoverageProvider`].
-pub(crate) struct SweepUnit<'a> {
+///
+/// Public only so the sealed [`PointByte`] can name it; the `engine`
+/// module is private and does not re-export it, so nothing outside the
+/// crate can build or read one.
+#[derive(Debug)]
+pub struct SweepUnit<'a> {
     net: &'a CameraNetwork,
     /// The pinned cursor and the unit's grid columns × rows; `None` for
     /// the whole-network unit.
@@ -245,27 +256,6 @@ pub(crate) struct SweepUnit<'a> {
 }
 
 impl<'a> SweepUnit<'a> {
-    /// Pins `cursor` to tile `t` and wraps the tile's rectangle as the
-    /// unit of the in-range points `lo..hi`. `None` (cursor untouched) when
-    /// the tile is empty or wholly outside the range.
-    pub(crate) fn tile(
-        cursor: &'a mut TileCursor<'_>,
-        tiling: &GridTiling,
-        grid: &'a UnitGrid,
-        t: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Option<Self> {
-        let (min_idx, max_idx) = tiling.tile_index_span(t)?;
-        if max_idx < lo || min_idx >= hi {
-            return None;
-        }
-        let (cx, cy) = tiling.tile_cell(t);
-        cursor.pin(cx, cy);
-        let (cols, rows) = (tiling.tile_col_range(t), tiling.tile_row_range(t));
-        Some(Self::rect(cursor, grid, cols, rows, lo, hi))
-    }
-
     /// The unit of the in-range points `lo..hi` among grid columns `cols`
     /// × rows `rows`, a rectangle of the cell `cursor` is pinned to.
     pub(crate) fn rect(
@@ -341,9 +331,46 @@ impl CoverageProvider for SweepUnit<'_> {
     }
 }
 
+/// The one tile loop: for each id in `tiles`, skips a tile that is empty
+/// or wholly outside `lo..hi`, pins `cursor` to the tile's cell, and
+/// hands `visit(t, unit)` the tile's rectangle as the unit of its
+/// in-range points. Its callers differ only in the ids they pass: the
+/// walk passes every tile, a repair its dirty tiles, a parallel worker
+/// the tiles it claims.
+///
+/// # Panics
+///
+/// Panics if an id is at or past `tiling.tile_count()`.
+pub(crate) fn walk_tiles<F>(
+    cursor: &mut TileCursor<'_>,
+    tiling: &GridTiling,
+    grid: &UnitGrid,
+    tiles: impl IntoIterator<Item = usize>,
+    lo: usize,
+    hi: usize,
+    mut visit: F,
+) where
+    F: FnMut(usize, &SweepUnit<'_>),
+{
+    let count = tiling.tile_count();
+    for t in tiles {
+        assert!(t < count, "tile id {t} exceeds tile count {count}");
+        let Some((min_idx, max_idx)) = tiling.tile_index_span(t) else {
+            continue;
+        };
+        if max_idx < lo || min_idx >= hi {
+            continue;
+        }
+        let (cx, cy) = tiling.tile_cell(t);
+        cursor.pin(cx, cy);
+        let (cols, rows) = (tiling.tile_col_range(t), tiling.tile_row_range(t));
+        visit(t, &SweepUnit::rect(cursor, grid, cols, rows, lo, hi));
+    }
+}
+
 /// The one dense-grid walk every sweep runs: chooses tiles or the
-/// per-point unit ([`use_tiled`]), skips tiles wholly outside `lo..hi`,
-/// pins the cursor, and hands each remaining [`SweepUnit`] to `visit`.
+/// per-point unit ([`use_tiled`]) and hands each [`SweepUnit`] that holds
+/// points of `lo..hi` to `visit`, every tile through [`walk_tiles`].
 /// Units arrive in tile order, so consumers key results by grid index.
 ///
 /// # Panics
@@ -373,11 +400,70 @@ where
     }
     let tiling = GridTiling::new(net.index(), grid);
     let mut cursor = net.tile_cursor();
-    for t in 0..tiling.tile_count() {
-        if let Some(unit) = SweepUnit::tile(&mut cursor, &tiling, grid, t, lo, hi) {
-            visit(&unit);
-        }
+    let tiles = 0..tiling.tile_count();
+    walk_tiles(&mut cursor, &tiling, grid, tiles, lo, hi, |_, unit| {
+        visit(unit)
+    });
+}
+
+/// The one worker rule: how many workers a request for `threads` gets
+/// over `units` units of work. `0` asks for one per CPU; the count is
+/// never above the CPUs or the units, and never zero. Every caller is
+/// CPU-bound and answers identically for any count, so workers beyond
+/// the CPUs could not help.
+#[must_use]
+pub fn worker_count(threads: usize, units: usize) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let wanted = if threads == 0 {
+        cpus
+    } else {
+        threads.min(cpus)
+    };
+    wanted.min(units).max(1)
+}
+
+/// The one worker loop: shares the unit ids `0..units` among
+/// [`worker_count`]`(threads, units)` workers and returns each worker's
+/// result. `work` receives the ids its worker claims and must consume
+/// them; every id reaches exactly one worker.
+///
+/// A single worker runs on the calling thread over `0..units` in order.
+/// Several run on scoped threads and claim ids one at a time from one
+/// atomic counter, so uneven units balance. Results come back in worker
+/// order, not unit order: callers either add them up (tallies over
+/// disjoint units) or key them by unit id.
+///
+/// # Panics
+///
+/// Propagates a panic from `work`.
+pub fn claim_units<R, W>(units: usize, threads: usize, work: W) -> Vec<R>
+where
+    R: Send,
+    W: Fn(&mut dyn Iterator<Item = usize>) -> R + Sync,
+{
+    let workers = worker_count(threads, units);
+    if workers == 1 {
+        return vec![work(&mut (0..units))];
     }
+    // The counter only hands out ids; results travel back through `join`,
+    // which orders them after the work.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let id = next.fetch_add(1, Ordering::Relaxed);
+        (id < units).then_some(id)
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| scope.spawn(|| work(&mut std::iter::from_fn(claim))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 /// Visits every grid point with a ready-to-use coverage backend. Points
@@ -636,15 +722,12 @@ pub trait PointByte: Clone + fmt::Debug + sealed::Sealed {
     fn subtract(tally: &mut Self::Tally, part: &Self::Tally);
     /// The evaluator repairs run the funnel with.
     fn evaluator(&self, theta: EffectiveAngle) -> GridEvaluator;
-    /// Evaluates every point among grid columns `cols` × rows `rows`, a
-    /// rectangle of the cell `cursor` is pinned to, through core's funnel.
-    fn evaluate_rect(
+    /// Evaluates the in-range points of one unit of the tile loop through
+    /// core's funnel of this kind — the entry cold sweeps run.
+    fn evaluate_unit(
         &self,
         evaluator: &mut GridEvaluator,
-        cursor: &TileCursor<'_>,
-        grid: &UnitGrid,
-        cols: Range<usize>,
-        rows: Range<usize>,
+        unit: &SweepUnit<'_>,
         emit: &mut dyn FnMut(usize, Self::Verdict),
     );
     /// The core sweep of the whole grid: the default cold build.
@@ -699,16 +782,13 @@ impl PointByte for FlagBits {
         GridEvaluator::new(theta, self.start_line)
     }
 
-    fn evaluate_rect(
+    fn evaluate_unit(
         &self,
         evaluator: &mut GridEvaluator,
-        cursor: &TileCursor<'_>,
-        grid: &UnitGrid,
-        cols: Range<usize>,
-        rows: Range<usize>,
+        unit: &SweepUnit<'_>,
         emit: &mut dyn FnMut(usize, PointFlags),
     ) {
-        evaluator.for_each_point_flags_in_rect(cursor, grid, cols, rows, 0, grid.len(), emit);
+        evaluator.unit_flags(unit, emit);
     }
 
     fn sweep(
@@ -759,16 +839,13 @@ impl PointByte for KBit {
         GridEvaluator::new(theta, Angle::ZERO)
     }
 
-    fn evaluate_rect(
+    fn evaluate_unit(
         &self,
         evaluator: &mut GridEvaluator,
-        cursor: &TileCursor<'_>,
-        grid: &UnitGrid,
-        cols: Range<usize>,
-        rows: Range<usize>,
+        unit: &SweepUnit<'_>,
         emit: &mut dyn FnMut(usize, bool),
     ) {
-        evaluator.for_each_point_k_in_rect(cursor, grid, cols, rows, 0, grid.len(), self.k, emit);
+        evaluator.unit_k(unit, self.k, emit);
     }
 
     fn sweep(
@@ -1040,32 +1117,30 @@ impl<B: PointByte> WarmGrid<B> {
         self.dirty.for_each_marked(|t| dirty_tiles.push(t));
         self.dirty.clear();
         let mut cursor = net.tile_cursor();
-        let bytes = &mut self.bytes;
-        for &t in &dirty_tiles {
-            let mut tally = B::Tally::default();
-            if self.tiling.tile_point_count(t) > 0 {
-                let (cx, cy) = self.tiling.tile_cell(t);
-                cursor.pin(cx, cy);
-                self.holds.evaluate_rect(
-                    &mut self.evaluator,
-                    &cursor,
-                    &self.grid,
-                    self.tiling.tile_col_range(t),
-                    self.tiling.tile_row_range(t),
-                    &mut |idx, verdict| {
-                        let byte = B::byte(verdict);
-                        delta.note(idx, B::is_set(bytes[idx]), B::is_set(byte));
-                        bytes[idx] = byte;
-                        B::record(&mut tally, verdict);
-                    },
-                );
-            }
-            B::merge(&mut self.total, &tally);
-            B::subtract(
-                &mut self.total,
-                &std::mem::replace(&mut self.tile_tallies[t], tally),
-            );
-        }
+        let (grid, holds, evaluator) = (&self.grid, &self.holds, &mut self.evaluator);
+        let (bytes, tallies, total) = (&mut self.bytes, &mut self.tile_tallies, &mut self.total);
+        let tiles = dirty_tiles.iter().copied();
+        // The loop skips empty tiles, whose stored tally is already the
+        // default.
+        walk_tiles(
+            &mut cursor,
+            &self.tiling,
+            grid,
+            tiles,
+            0,
+            grid.len(),
+            |t, unit| {
+                let mut tally = B::Tally::default();
+                holds.evaluate_unit(evaluator, unit, &mut |idx, verdict| {
+                    let byte = B::byte(verdict);
+                    delta.note(idx, B::is_set(bytes[idx]), B::is_set(byte));
+                    bytes[idx] = byte;
+                    B::record(&mut tally, verdict);
+                });
+                B::merge(total, &tally);
+                B::subtract(total, &std::mem::replace(&mut tallies[t], tally));
+            },
+        );
         delta.tiles_resweeped = dirty_tiles.len();
     }
 
@@ -1429,6 +1504,41 @@ mod tests {
         assert_eq!(n, 130, "mark_all must not leak tail bits");
         d.clear();
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn worker_count_caps_at_the_cpus_and_never_reaches_zero() {
+        // The rule alone: no worker is started here.
+        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let capped = worker_count(1 << 20, 1 << 16);
+        assert!(
+            (1..=cpus).contains(&capped),
+            "{capped} workers on {cpus} CPUs"
+        );
+        for (threads, units) in [(0, 1 << 16), (0, 1), (3, 0), (0, 0)] {
+            assert!(worker_count(threads, units) >= 1, "({threads}, {units})");
+        }
+        assert_eq!(worker_count(0, 1 << 16), cpus);
+        assert_eq!(worker_count(1, 1 << 16), 1);
+        assert!(worker_count(64, 2) <= 2, "never more workers than units");
+    }
+
+    #[test]
+    fn claim_units_hands_out_each_unit_exactly_once() {
+        for units in [0usize, 1, 7, 1000] {
+            for threads in [0usize, 1, 2, 3] {
+                let claimed = claim_units(units, threads, |ids| ids.collect::<Vec<_>>());
+                assert_eq!(claimed.len(), worker_count(threads, units));
+                let mut seen = vec![0u32; units];
+                for id in claimed.into_iter().flatten() {
+                    seen[id] += 1;
+                }
+                assert!(
+                    seen.iter().all(|&n| n == 1),
+                    "units={units} threads={threads}: {seen:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   truncated series ([`q_series`]) and the closed form
 //!   ([`q_closed_form`]).
 //! * **§III-A — dense-grid area coverage.** [`dense_grid`],
-//!   [`evaluate_grid`], [`GridCoverageReport`].
+//!   [`evaluate_grid`] (and [`evaluate_grid_parallel`], its tiles shared
+//!   across threads), [`GridCoverageReport`].
 //! * **§VII-B — k-coverage comparison.** [`is_k_covered`], [`implied_k`].
 //! * **§VIII future work.** Barrier full-view coverage
 //!   ([`barrier_full_view`]) and the probabilistic sensing extension
@@ -84,8 +85,8 @@ pub use csa::{
     kumar_k_coverage_area, CsaRegime,
 };
 pub use densegrid::{
-    dense_grid, dense_grid_point_count, evaluate_dense_grid, evaluate_grid, GridCoverageReport,
-    GridEvaluator, PointFlags,
+    dense_grid, dense_grid_point_count, evaluate_dense_grid, evaluate_dense_grid_parallel,
+    evaluate_grid, evaluate_grid_parallel, GridCoverageReport, GridEvaluator, PointFlags,
 };
 pub use dependence::{
     independence_approximation_error, partition_is_disjoint, prob_point_meets_dependent,
@@ -94,8 +95,8 @@ pub use design::{
     max_cameras_below_necessary, min_cameras_for_guarantee, required_area_for_expected_fraction,
 };
 pub use engine::{
-    sweep_flags_range, sweep_grid, use_tiled, ColdSweep, DirtySet, FlagBits, GridTiling,
-    IncrementalSweep, KBit, KCountSweep, PointByte, SweepDelta, WarmGrid,
+    claim_units, sweep_flags_range, sweep_grid, use_tiled, worker_count, ColdSweep, DirtySet,
+    FlagBits, GridTiling, IncrementalSweep, KBit, KCountSweep, PointByte, SweepDelta, WarmGrid,
 };
 pub use error::CoreError;
 pub use exact::{

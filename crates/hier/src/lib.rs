@@ -61,8 +61,9 @@ pub use prover::{
 };
 
 use fullview_core::{
-    coverage_glyphs_range_with, coverage_map_from_glyphs, full_view_mask_range_with,
-    sweep_flags_range, sweep_k_range, EffectiveAngle, GridCoverageReport, PointFlags,
+    coverage_glyphs_range_with, coverage_map_from_glyphs, evaluate_grid_parallel,
+    full_view_mask_range_with, sweep_flags_range, sweep_k_range, EffectiveAngle,
+    GridCoverageReport, PointFlags,
 };
 use fullview_geom::{Angle, UnitGrid};
 use fullview_model::CameraNetwork;
@@ -196,7 +197,10 @@ impl Tier {
     }
 
     /// The whole-grid [`GridCoverageReport`] of `grid`, identical to
-    /// [`fullview_core::evaluate_grid`].
+    /// [`fullview_core::evaluate_grid`]. The screened tier shares the
+    /// grid's tiles among up to `threads` workers
+    /// ([`fullview_core::evaluate_grid_parallel`]; `0` = one per CPU); the
+    /// prover ignores `threads` and runs on the calling thread.
     #[must_use]
     pub fn report(
         self,
@@ -204,7 +208,12 @@ impl Tier {
         grid: &UnitGrid,
         theta: EffectiveAngle,
         start_line: Angle,
+        threads: usize,
     ) -> (GridCoverageReport, ProverStats) {
+        if self == Tier::Screened {
+            let report = evaluate_grid_parallel(net, theta, grid, start_line, threads);
+            return (report, ProverStats::default());
+        }
         let mut report = GridCoverageReport::default();
         let stats = self.sweep_flags(net, grid, theta, start_line, 0, grid.len(), &mut |_, f| {
             report.record(&f);
@@ -240,5 +249,5 @@ pub fn evaluate_grid_hier(
     grid: &UnitGrid,
     start_line: Angle,
 ) -> (GridCoverageReport, ProverStats) {
-    Tier::Hier.report(net, grid, theta, start_line)
+    Tier::Hier.report(net, grid, theta, start_line, 1)
 }

@@ -7,11 +7,14 @@
 //!   seed, results independent of thread count);
 //! * [`ProportionEstimate`] / [`MeanEstimate`] — estimators with Wilson
 //!   intervals and Welford accumulation;
-//! * [`two_proportion_test`] — the significance test behind the §VI-A
-//!   "sensing area is decisive" equivalence experiment;
+//! * [`erf`] / [`standard_normal_cdf`] — the normal tail behind the
+//!   experiments' z statistics (the §VI-A "sensing area is decisive"
+//!   comparison takes a Welch z on trial means);
 //! * [`evaluate_grid_parallel`] / [`evaluate_dense_grid_parallel`] —
-//!   intra-sweep parallel dense-grid coverage evaluation, bit-identical
-//!   to the serial `fullview_core::evaluate_grid` for any thread count;
+//!   re-exported from `fullview_core`, whose tile and worker loops share
+//!   one dense-grid sweep across threads, bit-identical to the serial
+//!   `fullview_core::evaluate_grid` for any thread count; the trial
+//!   runner shares trials through the same worker loop;
 //! * [`linspace`] / [`logspace`] / [`logspace_counts`] — sweep grids;
 //! * [`Table`] and [`asciiplot`] — the tabular and figure output of every
 //!   experiment binary;
@@ -47,7 +50,6 @@
 pub mod asciiplot;
 mod estimate;
 mod failure;
-mod gridsweep;
 mod histogram;
 mod runner;
 mod stats;
@@ -56,9 +58,9 @@ mod table;
 
 pub use estimate::{MeanEstimate, ProportionEstimate};
 pub use failure::with_random_failures;
-pub use gridsweep::{evaluate_dense_grid_parallel, evaluate_grid_parallel};
+pub use fullview_core::{evaluate_dense_grid_parallel, evaluate_grid_parallel};
 pub use histogram::Histogram;
 pub use runner::{run_mean, run_proportion, run_trials_map, RunConfig};
-pub use stats::{erf, standard_normal_cdf, two_proportion_test, TwoProportionTest};
+pub use stats::{erf, standard_normal_cdf};
 pub use sweep::{linspace, logspace, logspace_counts};
 pub use table::{fmt_g, Table};

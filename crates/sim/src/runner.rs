@@ -6,8 +6,8 @@
 //! trial can be re-run in isolation for debugging.
 
 use crate::estimate::{MeanEstimate, ProportionEstimate};
+use fullview_core::claim_units;
 use fullview_deploy::derive_seed;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration for a Monte-Carlo run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,7 +16,8 @@ pub struct RunConfig {
     pub trials: usize,
     /// Master seed; trial `i` runs with `derive_seed(master_seed, i)`.
     pub master_seed: u64,
-    /// Worker threads (`0` = one per available CPU).
+    /// Worker threads (`0` = one per CPU; at most one worker per CPU and
+    /// per trial, see [`fullview_core::worker_count`]).
     pub threads: usize,
 }
 
@@ -44,78 +45,31 @@ impl RunConfig {
         self.threads = threads;
         self
     }
-
-    fn effective_threads(&self) -> usize {
-        let n = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        n.max(1).min(self.trials.max(1))
-    }
 }
 
 /// Runs `f(seed)` for every trial in parallel, collecting the results in
 /// trial order.
 ///
-/// `f` must be deterministic in its seed for reproducibility. Work is
-/// distributed dynamically (atomic counter), so uneven trial costs still
-/// balance across threads.
+/// `f` must be deterministic in its seed for reproducibility. Workers
+/// claim trials one at a time through [`claim_units`], so uneven trial
+/// costs still balance across threads.
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` (the first panicking worker aborts the
-/// run).
+/// Propagates panics from `f`.
 pub fn run_trials_map<T, F>(config: RunConfig, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    let trials = config.trials;
-    if trials == 0 {
-        return Vec::new();
-    }
-    let threads = config.effective_threads();
-    if threads == 1 {
-        return (0..trials)
-            .map(|i| f(derive_seed(config.master_seed, i as u64)))
-            .collect();
-    }
-    // Dynamic work distribution: each worker claims trial indices from an
-    // atomic counter and records (index, result) pairs; results are then
-    // merged back into trial order. Uneven trial costs balance naturally.
-    let next = AtomicUsize::new(0);
-    let mut per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let f = &f;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= trials {
-                            break out;
-                        }
-                        out.push((i, f(derive_seed(config.master_seed, i as u64))));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-
-    let mut indexed: Vec<(usize, T)> = Vec::with_capacity(trials);
-    for chunk in per_worker.drain(..) {
-        indexed.extend(chunk);
-    }
-    indexed.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(indexed.len(), trials);
+    let seed = |i: usize| derive_seed(config.master_seed, i as u64);
+    let mut indexed: Vec<(usize, T)> = claim_units(config.trials, config.threads, |trials| {
+        trials.map(|i| (i, f(seed(i)))).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.into_iter().map(|(_, t)| t).collect()
 }
 
@@ -154,7 +108,7 @@ where
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn zero_trials() {
@@ -180,17 +134,13 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        // `with_threads(0)` means "one per CPU" and must never resolve to
-        // zero workers, even when the platform query fails.
+        // `with_threads(0)` means "one per CPU"; the worker rule itself is
+        // tested in `fullview_core::engine`.
         let cfg = RunConfig::new(100).with_seed(3).with_threads(0);
-        assert!(cfg.effective_threads() >= 1);
         let auto = run_trials_map(cfg, |s| s);
         let one = run_trials_map(cfg.with_threads(1), |s| s);
         assert_eq!(auto, one, "thread count must not change results");
         assert_eq!(auto.len(), 100);
-        // The clamp also caps at the trial count.
-        assert_eq!(RunConfig::new(2).with_threads(64).effective_threads(), 2);
-        assert_eq!(RunConfig::new(0).with_threads(0).effective_threads(), 1);
     }
 
     #[test]

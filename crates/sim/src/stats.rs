@@ -1,65 +1,9 @@
-//! Hypothesis-testing helpers for experiment analysis.
+//! Normal-distribution helpers for experiment analysis.
 //!
-//! The §VI-A experiment ("decisive role of sensing area") needs to decide
-//! whether two coverage proportions are statistically indistinguishable;
-//! a two-proportion z-test with a normal-CDF p-value is exactly the right
-//! tool and small enough to implement directly.
-
-use crate::estimate::ProportionEstimate;
-use std::fmt;
-
-/// Result of a two-proportion z-test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TwoProportionTest {
-    /// The z statistic (pooled standard error).
-    pub z: f64,
-    /// Two-sided p-value under the normal approximation.
-    pub p_value: f64,
-}
-
-impl TwoProportionTest {
-    /// Whether the difference is significant at level `alpha`
-    /// (e.g. `0.05`).
-    #[must_use]
-    pub fn significant_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
-impl fmt::Display for TwoProportionTest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "z={:.3}, p={:.4}", self.z, self.p_value)
-    }
-}
-
-/// Two-sided two-proportion z-test for `H₀: p₁ = p₂`.
-///
-/// Returns `z = 0, p = 1` when either sample is empty or the pooled
-/// variance vanishes (both proportions at the same extreme — no evidence
-/// of difference).
-#[must_use]
-pub fn two_proportion_test(a: ProportionEstimate, b: ProportionEstimate) -> TwoProportionTest {
-    let (na, nb) = (a.trials() as f64, b.trials() as f64);
-    if a.trials() == 0 || b.trials() == 0 {
-        return TwoProportionTest {
-            z: 0.0,
-            p_value: 1.0,
-        };
-    }
-    let pooled = (a.successes() + b.successes()) as f64 / (na + nb);
-    let se = (pooled * (1.0 - pooled) * (1.0 / na + 1.0 / nb)).sqrt();
-    if se == 0.0 {
-        return TwoProportionTest {
-            z: 0.0,
-            p_value: 1.0,
-        };
-    }
-    let z = (a.mean() - b.mean()) / se;
-    TwoProportionTest {
-        z,
-        p_value: 2.0 * (1.0 - standard_normal_cdf(z.abs())),
-    }
-}
+//! The §VI-A experiment ("decisive role of sensing area") compares each
+//! sensing shape's mean full-view fraction with a baseline's by a Welch
+//! z statistic on per-trial fractions; its two-sided p-value needs the
+//! standard normal CDF, which is small enough to implement directly.
 
 /// The standard normal CDF `Φ(x)`, via the Abramowitz & Stegun 7.1.26
 /// polynomial approximation of `erf` (absolute error < 1.5e-7 — ample for
@@ -139,52 +83,5 @@ mod tests {
             let neg = standard_normal_cdf(-z);
             assert!((neg - (1.0 - want)).abs() <= 1e-6, "Φ(-{z}) = {neg}");
         }
-    }
-
-    #[test]
-    fn identical_proportions_not_significant() {
-        let a = ProportionEstimate::new(500, 1000);
-        let b = ProportionEstimate::new(500, 1000);
-        let t = two_proportion_test(a, b);
-        assert!(t.z.abs() < 1e-12);
-        assert!((t.p_value - 1.0).abs() < 1e-6);
-        assert!(!t.significant_at(0.05));
-    }
-
-    #[test]
-    fn clearly_different_proportions_significant() {
-        let a = ProportionEstimate::new(900, 1000);
-        let b = ProportionEstimate::new(500, 1000);
-        let t = two_proportion_test(a, b);
-        assert!(t.significant_at(0.001), "{t}");
-        assert!(t.z > 10.0);
-    }
-
-    #[test]
-    fn close_proportions_small_samples_not_significant() {
-        let a = ProportionEstimate::new(6, 10);
-        let b = ProportionEstimate::new(5, 10);
-        let t = two_proportion_test(a, b);
-        assert!(!t.significant_at(0.05), "{t}");
-    }
-
-    #[test]
-    fn degenerate_cases() {
-        let empty = ProportionEstimate::new(0, 0);
-        let some = ProportionEstimate::new(5, 10);
-        assert_eq!(two_proportion_test(empty, some).p_value, 1.0);
-        // Both all-success: pooled variance zero.
-        let full = ProportionEstimate::new(10, 10);
-        assert_eq!(two_proportion_test(full, full).p_value, 1.0);
-    }
-
-    #[test]
-    fn symmetry_in_arguments() {
-        let a = ProportionEstimate::new(70, 100);
-        let b = ProportionEstimate::new(50, 100);
-        let t1 = two_proportion_test(a, b);
-        let t2 = two_proportion_test(b, a);
-        assert!((t1.z + t2.z).abs() < 1e-12);
-        assert!((t1.p_value - t2.p_value).abs() < 1e-12);
     }
 }
