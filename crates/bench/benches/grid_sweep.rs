@@ -1,9 +1,12 @@
-//! Stage-1 screen rate and cold-sweep timings of the sector-mask kernel
-//! per effective angle, on the bench fleet (1000 cameras, s_c = 0.05,
-//! 96² grid). The screen rate shrinks as θ does: more sectors must fill
-//! before the §IV certificate decides a point. Every row asserts the
-//! mask-screened sweep bit-identical to the exact one before timing; the
-//! printed table feeds the EXPERIMENTS.md sector-mask appendix.
+//! Screen rate, rescan rate and cold-sweep timings of the sector-mask
+//! kernel per effective angle, on the bench fleet (1000 cameras,
+//! s_c = 0.05, 96² grid). The screen rate shrinks as θ does: more sectors
+//! must fill before the §IV certificate decides a point. The rescan
+//! column is the share of points that went back through the cursor
+//! instead of being decided from the directions the screen gathered.
+//! Every row asserts the mask-screened sweep bit-identical to the exact
+//! one before timing; the printed table feeds the EXPERIMENTS.md
+//! sector-mask appendix.
 //!
 //! The tier speed floors live in `tier_gates.sh`, on the paper-regime
 //! benchmark's traced per-layer metrics; the tiled path's zero-allocation
@@ -35,8 +38,10 @@ fn main() {
     let grid = UnitGrid::new(Torus::unit(), 96);
     let tiling = GridTiling::new(net.index(), &grid);
     let tiles = tiling.tile_count();
-    println!("\n| θ (rad) | suf sectors | screen rate | exact ms | mask ms | speedup |");
-    println!("|---------|-------------|-------------|----------|---------|---------|");
+    println!(
+        "\n| θ (rad) | suf sectors | screen rate | rescanned | exact ms | mask ms | speedup |"
+    );
+    println!("|---------|-------------|-------------|-----------|----------|---------|---------|");
     for theta in [PI, PI / 2.0, PI / 4.0, PI / 8.0, PI / 16.0] {
         let theta = EffectiveAngle::new(theta).expect("valid θ");
         let mut cursor = net.tile_cursor();
@@ -54,11 +59,13 @@ fn main() {
             let mut ev = GridEvaluator::new(theta, Angle::ZERO);
             ev.evaluate_tiles(&mut cursor, &tiling, &grid, 0..tiles)
         });
+        let points = (stats.screened + stats.exact) as f64;
         println!(
-            "| {:.4} | {} | {:.1}% | {:.1} | {:.1} | {:.1}x |",
+            "| {:.4} | {} | {:.1}% | {:.1}% | {:.1} | {:.1} | {:.1}x |",
             theta.radians(),
             theta.sufficient_sector_count(),
             stats.screen_rate() * 100.0,
+            stats.rescanned as f64 / points * 100.0,
             exact_ns / 1e6,
             mask_ns / 1e6,
             exact_ns / mask_ns

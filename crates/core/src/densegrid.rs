@@ -10,7 +10,8 @@
 
 use crate::conditions::SectorPartition;
 use crate::engine::{claim_units, use_tiled, walk, walk_tiles, GridTiling, SweepUnit};
-use crate::fullview::PointAnalyzer;
+use crate::fullview::{largest_circular_gap, CoverageView, PointAnalyzer};
+use crate::kfullview::min_arc_depth_with;
 use crate::mask::{PointVerdict, ScreenMode, ScreenStats, SectorMaskKernel};
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
@@ -264,8 +265,9 @@ impl fmt::Display for GridCoverageReport {
 /// Reusable per-worker state for sweeping grid ranges without per-point
 /// allocation.
 ///
-/// Holds the sector partitions (built once from `θ` and the start line)
-/// and a [`PointAnalyzer`] scratch buffer. A serial sweep uses one
+/// Holds the sector partitions (built once from `θ` and the start line),
+/// the mask kernel's scratch, a [`PointAnalyzer`] scratch buffer and the
+/// arc-depth sweep's event buffer. A serial sweep uses one
 /// evaluator for the whole grid; [`evaluate_grid_parallel`] gives each
 /// worker its own evaluator, has each evaluate the tiles it claims via
 /// [`evaluate_tiles`](Self::evaluate_tiles), and adds up the partial
@@ -284,6 +286,8 @@ pub struct GridEvaluator {
     /// oracle).
     kernel: Option<SectorMaskKernel>,
     stats: ScreenStats,
+    /// The k funnel's reused arc-depth event buffer.
+    events: Vec<(f64, i32)>,
 }
 
 impl GridEvaluator {
@@ -292,9 +296,11 @@ impl GridEvaluator {
     /// The sector conditions use `start_line` for their constructions
     /// (the paper's dashed radius; [`Angle::ZERO`] is the conventional
     /// choice). Tiled evaluation screens each tile through the
-    /// [`SectorMaskKernel`] first and only runs the exact sort+gap
-    /// analyzer on the points the screen cannot decide; the per-point
-    /// unit of the walk and
+    /// [`SectorMaskKernel`] first and decides the points the masks cannot
+    /// with the exact predicates: from the viewed directions the screen
+    /// gathered for them, or by rescanning the cursor where it could not
+    /// gather them (boundary-band and colocated pairs, the gather budget).
+    /// The per-point unit of the walk and
     /// [`point_flags_with`](Self::point_flags_with) are always exact.
     #[must_use]
     pub fn new(theta: EffectiveAngle, start_line: Angle) -> Self {
@@ -317,12 +323,13 @@ impl GridEvaluator {
             analyzer: PointAnalyzer::new(),
             kernel: None,
             stats: ScreenStats::default(),
+            events: Vec::new(),
         }
     }
 
-    /// Running stage-1 screen statistics (points decided by the mask
-    /// screen vs. routed to the exact analyzer) accumulated over every
-    /// tiled evaluation since construction.
+    /// Running screen statistics (points decided by the masks vs. by the
+    /// exact predicates, and how many of the latter were rescanned)
+    /// accumulated over every tiled evaluation since construction.
     #[must_use]
     pub fn screen_stats(&self) -> ScreenStats {
         self.stats
@@ -330,9 +337,9 @@ impl GridEvaluator {
 
     /// Analyses one point through `provider` with the exact engine —
     /// covering-camera gather, direction sort, gap scan — and returns
-    /// every predicate verdict. This is the stage-2 path of the two-stage
-    /// engine and the semantic definition the mask screen must agree
-    /// with.
+    /// every predicate verdict. This is the semantic definition the mask
+    /// screen and its gathered directions must agree with, and the rescan
+    /// the funnels fall back to for points the screen could not gather.
     pub fn point_flags_with<P: CoverageProvider>(
         &mut self,
         provider: &P,
@@ -352,13 +359,34 @@ impl GridEvaluator {
         }
     }
 
+    /// The flags of a point the screen gathered: every covering camera's
+    /// viewed direction, sorted, none colocated. `nec_full` is the
+    /// necessary mask, complete since the point was never done; the
+    /// sufficient mask is not full, or the screen would have decided it.
+    fn gathered_flags(&self, directions: &[Angle], nec_full: bool) -> PointFlags {
+        let view = CoverageView {
+            covering_cameras: directions.len(),
+            has_colocated_camera: false,
+            viewed_directions: directions,
+            largest_gap: largest_circular_gap(directions),
+        };
+        PointFlags {
+            covered: view.covering_cameras >= 1,
+            k_covered: view.covering_cameras >= self.k,
+            necessary: nec_full,
+            full_view: view.is_full_view(self.theta),
+            sufficient: false,
+        }
+    }
+
     /// The flags funnel: produces the [`PointFlags`] of the points inside
     /// `lo..hi` among grid columns `cols` × rows `rows`, a rectangle of the
     /// cell `cursor` is pinned to (rows outer, columns inner). Screens the
     /// whole rectangle through the mask kernel when one is configured, then
-    /// decides each in-range point from its verdict or falls back to the
-    /// exact analyzer. Out-of-range points never reach the exact analyzer
-    /// or `f`.
+    /// decides each in-range point from its verdict, from the viewed
+    /// directions the screen gathered for it, or by the exact analyzer's
+    /// rescan. Out-of-range points are never gathered and never reach the
+    /// exact analyzer or `f`.
     ///
     /// Every tiled flags evaluation — the walk's tiles, incremental
     /// repairs, the hierarchical prover's residual rectangles — runs this
@@ -386,7 +414,8 @@ impl GridEvaluator {
     /// ([`CoverageView::view_multiplicity`](crate::CoverageView::view_multiplicity)).
     /// Screens the rectangle through the kernel's per-sector depth counters
     /// ([`ScreenMode::Depth`]) and runs the exact arc sweep only on the
-    /// points the screen leaves undecided; the verdicts are bit-identical
+    /// points the screen leaves undecided — over the directions it
+    /// gathered for them, or on a rescan; the verdicts are bit-identical
     /// to the exact sweep either way.
     ///
     /// Every k evaluation — [`count_k_view_range`](crate::count_k_view_range),
@@ -408,25 +437,25 @@ impl GridEvaluator {
         self.unit_k(&SweepUnit::rect(cursor, grid, cols, rows, lo, hi), k, f);
     }
 
-    /// The flags of one walk unit's in-range points: screened verdicts
-    /// where the unit is a rectangle and a kernel is configured, the exact
-    /// analyzer through the unit's backend everywhere else.
+    /// The flags of one walk unit's in-range points: screened verdicts or
+    /// gathered directions where the unit is a rectangle and a kernel is
+    /// configured, the exact analyzer through the unit's backend
+    /// everywhere else.
     pub(crate) fn unit_flags(
         &mut self,
         unit: &SweepUnit<'_>,
         f: &mut dyn FnMut(usize, PointFlags),
     ) {
-        // Take the kernel out of `self` so the exact fallback can borrow
-        // `self` mutably while the kernel's verdicts are being read.
+        // Take the kernel out of `self` so a rescan can borrow `self`
+        // mutably while the kernel's verdicts and directions are read.
         let mut kernel = self.kernel.take();
         let screened = kernel
             .as_mut()
             .is_some_and(|k| unit.screen(k, ScreenMode::Report));
+        // Only a kernel that screened this unit holds its verdicts.
+        let screen = kernel.as_ref().filter(|_| screened);
         unit.for_each_point(|local, idx| {
-            let verdict = match &kernel {
-                Some(k) if screened => k.verdict(local),
-                _ => PointVerdict::Undecided,
-            };
+            let verdict = screen.map_or(PointVerdict::Undecided, |kern| kern.verdict(local));
             let flags = match verdict {
                 PointVerdict::Decided {
                     count,
@@ -444,7 +473,15 @@ impl GridEvaluator {
                 }
                 PointVerdict::Undecided => {
                     self.stats.exact += u64::from(screened);
-                    self.point_flags_with(unit, unit.point(idx))
+                    let gathered = screen
+                        .and_then(|kern| Some((kern.directions(local)?, kern.nec_full(local))));
+                    match gathered {
+                        Some((dirs, nec_full)) => self.gathered_flags(dirs, nec_full),
+                        None => {
+                            self.stats.rescanned += u64::from(screened);
+                            self.point_flags_with(unit, unit.point(idx))
+                        }
+                    }
                 }
             };
             f(idx, flags);
@@ -455,8 +492,9 @@ impl GridEvaluator {
     /// Whether each of one walk unit's in-range points has view
     /// multiplicity at least `k`: depth-screened verdicts where the unit
     /// is a rectangle, a kernel is configured and `k` fits the counters,
-    /// the exact arc sweep through the unit's backend everywhere else.
-    /// `k = 0` holds everywhere and evaluates nothing.
+    /// the exact arc sweep everywhere else — over the directions the
+    /// screen gathered, or through the unit's backend. `k = 0` holds
+    /// everywhere and evaluates nothing.
     pub(crate) fn unit_k(
         &mut self,
         unit: &SweepUnit<'_>,
@@ -474,8 +512,11 @@ impl GridEvaluator {
                 .as_mut()
                 .is_some_and(|kern| unit.screen(kern, ScreenMode::Depth { k: k8 }))
         });
+        // Only a kernel that screened this unit holds its verdicts.
+        let screen = kernel.as_ref().filter(|_| depth.is_some());
+        let half_width = self.theta.radians();
         unit.for_each_point(|local, idx| {
-            let verdict = match (&kernel, depth) {
+            let verdict = match (screen, depth) {
                 (Some(kern), Some(k8)) => kern.k_verdict(local, k8),
                 _ => None,
             };
@@ -485,9 +526,16 @@ impl GridEvaluator {
                     met
                 }
                 None => {
-                    self.stats.exact += u64::from(depth.is_some());
-                    let view = self.analyzer.analyze_point_with(unit, unit.point(idx));
-                    view.view_multiplicity(self.theta) >= k
+                    self.stats.exact += u64::from(screen.is_some());
+                    match screen.and_then(|kern| kern.directions(local)) {
+                        // Gathered: no colocated camera.
+                        Some(dirs) => min_arc_depth_with(dirs, half_width, &mut self.events) >= k,
+                        None => {
+                            self.stats.rescanned += u64::from(screen.is_some());
+                            let view = self.analyzer.analyze_point_with(unit, unit.point(idx));
+                            view.view_multiplicity_with(self.theta, &mut self.events) >= k
+                        }
+                    }
                 }
             };
             f(idx, met);

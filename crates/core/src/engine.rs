@@ -275,8 +275,9 @@ impl<'a> SweepUnit<'a> {
         }
     }
 
-    /// Screens the unit's rectangle through `kernel`, whose verdicts are
-    /// then indexed by the `local` position
+    /// Screens the unit's rectangle through `kernel` and gathers the
+    /// viewed directions of its in-range points the masks leave
+    /// undecided; the verdicts are then indexed by the `local` position
     /// [`for_each_point`](Self::for_each_point) reports. Returns `false` —
     /// nothing screened — for the whole-network unit.
     pub(crate) fn screen(&self, kernel: &mut SectorMaskKernel, mode: ScreenMode) -> bool {
@@ -284,6 +285,7 @@ impl<'a> SweepUnit<'a> {
             return false;
         };
         kernel.screen_tile(cursor, self.grid, cols.clone(), rows.clone(), mode);
+        kernel.gather_directions(cursor, self.lo, self.hi);
         true
     }
 

@@ -117,8 +117,19 @@ impl CoverageView<'_> {
     /// co-located camera watches every direction, so each counts one.
     #[must_use]
     pub fn view_multiplicity(&self, theta: EffectiveAngle) -> usize {
+        self.view_multiplicity_with(theta, &mut Vec::new())
+    }
+
+    /// [`view_multiplicity`](Self::view_multiplicity) on a caller-owned
+    /// arc-sweep event buffer.
+    pub(crate) fn view_multiplicity_with(
+        &self,
+        theta: EffectiveAngle,
+        events: &mut Vec<(f64, i32)>,
+    ) -> usize {
         let colocated = self.covering_cameras - self.viewed_directions.len();
-        crate::kfullview::min_arc_depth(self.viewed_directions, theta.radians()) + colocated
+        crate::kfullview::min_arc_depth_with(self.viewed_directions, theta.radians(), events)
+            + colocated
     }
 
     /// Copies the borrowed analysis into an owned [`PointCoverage`].

@@ -138,6 +138,16 @@ pub fn is_k_full_view_covered(
 /// events, whose minimum is the answer. Runs in `O(c log c)`. Public so
 /// property tests can pin it against a naive `O(n²)` reference.
 pub fn min_arc_depth(centers: &[Angle], half_width: f64) -> usize {
+    min_arc_depth_with(centers, half_width, &mut Vec::new())
+}
+
+/// [`min_arc_depth`] on a caller-owned event buffer (cleared first), so a
+/// warmed sweep calling it once per point allocates nothing.
+pub(crate) fn min_arc_depth_with(
+    centers: &[Angle],
+    half_width: f64,
+    events: &mut Vec<(f64, i32)>,
+) -> usize {
     if centers.is_empty() {
         return 0;
     }
@@ -152,7 +162,8 @@ pub fn min_arc_depth(centers: &[Angle], half_width: f64) -> usize {
     // those arcs are then correctly switched off by their −1 event early
     // in the scan and back on by their +1 event late in it, so no arc is
     // ever double-counted.
-    let mut events: Vec<(f64, i32)> = Vec::with_capacity(centers.len() * 2);
+    events.clear();
+    events.reserve(centers.len() * 2);
     let mut depth: i32 = 0;
     for c in centers {
         let start = c.rotate(-half_width).radians();
@@ -163,13 +174,15 @@ pub fn min_arc_depth(centers: &[Angle], half_width: f64) -> usize {
         events.push((start, 1));
         events.push((end, -1));
     }
-    events.sort_by(|a, b| {
+    // Unstable sort: no allocation, and events the comparator calls
+    // equal carry the same delta, so every sort yields one delta sequence.
+    events.sort_unstable_by(|a, b| {
         a.0.partial_cmp(&b.0)
             .expect("finite angles")
             .then(b.1.cmp(&a.1)) // +1 before −1 at equal angle
     });
     let mut min_depth = depth;
-    for (_, delta) in events {
+    for &(_, delta) in events.iter() {
         depth += delta;
         min_depth = min_depth.min(depth);
     }

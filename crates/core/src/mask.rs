@@ -1,5 +1,5 @@
 //! The bit-packed sector-mask kernel: stage 1 of the two-stage per-point
-//! analysis engine.
+//! analysis engine, and the viewed directions stage 2 decides from.
 //!
 //! Every dense-grid consumer ultimately asks, per grid point, some subset
 //! of five predicates (covered, k-covered, necessary, full-view,
@@ -43,11 +43,32 @@
 //! has no covering camera (all five predicates false) or when its
 //! sufficient mask is all-ones (full-view by §IV — see DESIGN.md for the
 //! ε-budget proof that the code-level predicates agree, not just the
-//! ideal geometry). Everything else — boundary-band verdicts, colocated
-//! candidates, points in the necessary-but-not-sufficient indeterminate
-//! band — falls through to the exact sort+gap analyzer, which remains
-//! the single source of truth. The differential tests in `densegrid.rs`,
-//! `engine.rs` and `tests/properties.rs` pin the bit-identity.
+//! ideal geometry).
+//!
+//! 4. **Gathered directions (stage 2).** A certain point the masks leave
+//!    undecided — covered, but in the necessary-but-not-sufficient
+//!    indeterminate band — was never marked done, so stage 1 gave every
+//!    one of its camera pairs a certain verdict and counted its covering
+//!    cameras. `SectorMaskKernel::gather_directions`
+//!    sizes one flat buffer from those counts and recomputes the pending
+//!    points' viewed directions in a second factorized pass over the
+//!    candidates that reach the rectangle, on only the columns and rows
+//!    holding a pending point — the same deltas and the same
+//!    `Angle::from_vector` stage 1 evaluated, in the cursor's candidate
+//!    order — then sorts each point's slice exactly as the exact analyzer
+//!    sorts its own. The funnels decide the point from that list (gap
+//!    scan, necessary mask, arc-depth sweep) without a cursor rescan. The
+//!    buffer is capped at `GATHER_BUDGET` angles (64 Ki, 512 KiB); stage 1
+//!    does not keep every direction it computes, which at `paper_check`
+//!    density would be tens of MB per screened map.
+//!
+//! Only the rest — boundary-band verdicts, colocated candidates, points of
+//! a rectangle that took the per-point camera fallback, and pending
+//! points past the budget — is rescanned through the cursor by the exact
+//! sort+gap analyzer, which remains the single source of truth. The
+//! differential tests in `densegrid.rs`, `engine.rs`,
+//! `tests/properties.rs` and `tests/mask_properties.rs` pin the
+//! bit-identity.
 
 use crate::conditions::SectorPartition;
 use crate::numeric::tolerant_floor;
@@ -79,12 +100,22 @@ const D2_COLOCATED: f64 = 4e-18;
 /// bit-identical to the exact path.
 const ANG_BAND: f64 = 1e-12;
 
+/// Most viewed directions stage 2 gathers per screened rectangle: 64 Ki
+/// angles, 512 KiB. The buffer lives in the kernel's retained scratch
+/// (one per evaluator, and a warm daemon state keeps its evaluator for
+/// its lifetime), so the cap bounds what it can grow to; pending points
+/// past it are rescanned through the cursor.
+const GATHER_BUDGET: usize = 1 << 16;
+
+/// `slot` entry of a point stage 2 did not gather.
+const NOT_GATHERED: u32 = u32::MAX;
+
 /// Stage-1 verdict for one screened point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PointVerdict {
     /// Some camera verdict was uncertain, or the point sits in the
     /// indeterminate band (covered but not sufficient-mask-complete):
-    /// the exact analyzer must decide it.
+    /// the exact predicates must decide it.
     Undecided,
     /// Every camera verdict was certain and the masks decide the point.
     Decided {
@@ -113,19 +144,24 @@ pub enum ScreenMode {
     },
 }
 
-/// Running totals of stage-1 outcomes, for the measured screen rate
+/// Running totals of screen outcomes, for the measured screen rate
 /// reported in EXPERIMENTS.md.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScreenStats {
     /// Points decided by the mask screen alone.
     pub screened: u64,
-    /// Points that fell through to the exact analyzer.
+    /// Points the masks could not decide: decided by the exact predicates,
+    /// either from stage 2's gathered directions or by a rescan.
     pub exact: u64,
+    /// The subset of `exact` rescanned through the cursor (boundary-band
+    /// or colocated pairs, per-point camera fallbacks, past the gather
+    /// budget) instead of decided from gathered directions.
+    pub rescanned: u64,
 }
 
 impl ScreenStats {
-    /// Fraction of points decided without the exact fallback (`1.0` when
-    /// nothing was evaluated).
+    /// Fraction of points decided by the masks alone, without the exact
+    /// predicates (`1.0` when nothing was evaluated).
     #[must_use]
     pub fn screen_rate(&self) -> f64 {
         let total = self.screened + self.exact;
@@ -275,7 +311,7 @@ enum AngClass {
     Wide { c2: f64 },
 }
 
-/// One candidate camera's precomputed per-tile state.
+/// One candidate camera's precomputed per-rectangle state.
 #[derive(Debug, Clone, Copy)]
 struct CamClass {
     ux: f64,
@@ -370,6 +406,24 @@ pub struct SectorMaskKernel {
     depths: Vec<u8>,
     points: usize,
     mode: ScreenMode,
+    /// The rectangle's first column and row and the grid's side, to map
+    /// a point's local position to its grid index.
+    origin: (usize, usize, usize),
+    /// The candidates that can reach the rectangle, as positions in the
+    /// cursor's snapshot, with their angular classes — stage 2 re-walks
+    /// only these.
+    live: Vec<(u32, CamClass)>,
+    /// Whether some candidate took the per-point camera fallback; stage 2
+    /// then leaves every pending point to the cursor.
+    fallback: bool,
+    // Stage-2 scratch: each gathered point's end offset into `dirs`
+    // (`NOT_GATHERED` otherwise; empty when nothing was gathered), the
+    // local columns and rows holding a gathered point (ascending) and the
+    // flat direction buffer.
+    slot: Vec<u32>,
+    gcols: Vec<usize>,
+    grows: Vec<usize>,
+    dirs: Vec<Angle>,
 }
 
 impl SectorMaskKernel {
@@ -406,6 +460,13 @@ impl SectorMaskKernel {
             depths: Vec::new(),
             points: 0,
             mode: ScreenMode::Report,
+            origin: (0, 0, 0),
+            live: Vec::new(),
+            fallback: false,
+            slot: Vec::new(),
+            gcols: Vec::new(),
+            grows: Vec::new(),
+            dirs: Vec::new(),
         })
     }
 
@@ -413,7 +474,8 @@ impl SectorMaskKernel {
     /// cell `cursor` is pinned to — through the cursor's candidate
     /// snapshot. Afterwards [`verdict`](Self::verdict) /
     /// [`k_verdict`](Self::k_verdict) answer per point, indexed rows
-    /// outer, columns inner.
+    /// outer, columns inner; no point has gathered directions until the
+    /// crate's stage 2 gathers them.
     ///
     /// # Panics
     ///
@@ -436,10 +498,14 @@ impl SectorMaskKernel {
         let n = ncols * nrows;
         self.points = n;
         self.mode = mode;
+        let (c0, r0) = (cols.start, rows.start);
+        self.origin = (c0, r0, side);
+        self.live.clear();
+        self.fallback = false;
+        self.slot.clear();
 
         // Column x / row y coordinates, bit-identical to grid.point():
         // a lattice point's x depends only on its column, y on its row.
-        let (c0, r0) = (cols.start, rows.start);
         self.xs.clear();
         self.xs.extend(cols.map(|i| grid.point(r0 * side + i).x));
         self.ys.clear();
@@ -469,7 +535,7 @@ impl SectorMaskKernel {
         let net = cursor.network();
         let torus = *net.torus();
         let cameras = net.cameras();
-        for pc in cursor.pinned_candidates() {
+        for (at, pc) in cursor.pinned_candidates().iter().enumerate() {
             let cam = &cameras[pc.index()];
             let pos = pc.position();
             let cpos = cam.position();
@@ -478,37 +544,17 @@ impl SectorMaskKernel {
                 // is not bit-equal to the camera's own — the factorized
                 // prefilter would not reproduce `Sector::contains`'
                 // displacement. Rare; replicate the cursor per point.
+                self.fallback = true;
                 self.exact_camera(&torus, pc.position(), pc.radius_sq(), cam, ncols, sat);
                 continue;
             }
             let r2 = pc.radius_sq();
-            self.fdx.clear();
-            self.fdx2.clear();
-            self.rdx.clear();
-            for &x in &self.xs {
-                let d = torus.wrap_coord_delta(x - pos.x);
-                self.fdx.push(d);
-                self.fdx2.push(d * d);
-                self.rdx.push(torus.wrap_coord_delta(pos.x - x));
-            }
-            self.fdy.clear();
-            self.fdy2.clear();
-            self.rdy.clear();
-            for &y in &self.ys {
-                let d = torus.wrap_coord_delta(y - pos.y);
-                self.fdy.push(d);
-                self.fdy2.push(d * d);
-                self.rdy.push(torus.wrap_coord_delta(pos.y - y));
-            }
-            // Monotonicity of correctly-rounded f64 addition lets whole
-            // rows (or the camera) be skipped when even the nearest
-            // column cannot pass `d² ≤ r²`.
-            let min_fdx2 = self.fdx2.iter().copied().fold(f64::INFINITY, f64::min);
-            let min_fdy2 = self.fdy2.iter().copied().fold(f64::INFINITY, f64::min);
+            let (min_fdx2, min_fdy2) = self.factor_deltas(&torus, pos, 0..ncols, 0..nrows);
             if min_fdx2 + min_fdy2 > r2 {
                 continue;
             }
             let cc = classify(cam);
+            self.live.push((at as u32, cc));
             for rj in 0..nrows {
                 let fy2 = self.fdy2[rj];
                 if fy2 + min_fdx2 > r2 {
@@ -571,6 +617,201 @@ impl SectorMaskKernel {
                 }
             }
         }
+    }
+
+    /// Fills the displacements of the rectangle's local columns `cols` and
+    /// rows `rows` from a camera at `pos` (forward, squared and reversed;
+    /// entry `i` is the `i`-th column or row given) and returns the
+    /// smallest squared column and row displacement. Monotonicity of
+    /// correctly-rounded f64 addition lets whole rows (or the camera) be
+    /// skipped when even the nearest column cannot pass `d² ≤ r²`.
+    fn factor_deltas(
+        &mut self,
+        torus: &Torus,
+        pos: Point,
+        cols: impl IntoIterator<Item = usize>,
+        rows: impl IntoIterator<Item = usize>,
+    ) -> (f64, f64) {
+        self.fdx.clear();
+        self.fdx2.clear();
+        self.rdx.clear();
+        for ci in cols {
+            let x = self.xs[ci];
+            let d = torus.wrap_coord_delta(x - pos.x);
+            self.fdx.push(d);
+            self.fdx2.push(d * d);
+            self.rdx.push(torus.wrap_coord_delta(pos.x - x));
+        }
+        self.fdy.clear();
+        self.fdy2.clear();
+        self.rdy.clear();
+        for rj in rows {
+            let y = self.ys[rj];
+            let d = torus.wrap_coord_delta(y - pos.y);
+            self.fdy.push(d);
+            self.fdy2.push(d * d);
+            self.rdy.push(torus.wrap_coord_delta(pos.y - y));
+        }
+        let min_fdx2 = self.fdx2.iter().copied().fold(f64::INFINITY, f64::min);
+        let min_fdy2 = self.fdy2.iter().copied().fold(f64::INFINITY, f64::min);
+        (min_fdx2, min_fdy2)
+    }
+
+    /// Whether rectangle-local point `local` had only certain camera
+    /// verdicts and the masks cannot decide it — the points whose every
+    /// viewed direction stage 1 has computed (none was ever `done`).
+    fn indeterminate(&self, local: usize) -> bool {
+        if self.uncertain[local] {
+            return false;
+        }
+        match self.mode {
+            ScreenMode::Report => {
+                let sw = self.suf.words;
+                self.counts[local] > 0
+                    && &self.suf_masks[local * sw..][..sw] != self.suf.full.as_slice()
+            }
+            ScreenMode::Depth { k } => {
+                let ns = self.suf.n_sectors();
+                self.counts[local] >= u32::from(k)
+                    && !self.depths[local * ns..][..ns].iter().all(|&d| d >= k)
+            }
+        }
+    }
+
+    /// Stage 2: gathers the viewed directions of the indeterminate points
+    /// of the last screen whose grid index lies in `lo..hi`, so the
+    /// funnels can decide them without rescanning the cursor. `cursor`
+    /// must still be pinned as it was for [`screen_tile`](Self::screen_tile).
+    ///
+    /// The directions are recomputed by stage 1's factorized pass — the
+    /// same deltas and the same `Angle::from_vector` — over the
+    /// candidates that can reach the rectangle, in the cursor's snapshot
+    /// order, but only on the columns and rows that hold a gathered point:
+    /// each point's list, once sorted exactly as the exact analyzer sorts
+    /// its own, is bit for bit that analyzer's `viewed_directions`. A
+    /// point is gathered when its directions still fit `GATHER_BUDGET`
+    /// after those gathered before it; the rest, and every point of a
+    /// rectangle where a candidate took the per-point camera fallback,
+    /// stay undecided.
+    pub(crate) fn gather_directions(&mut self, cursor: &TileCursor<'_>, lo: usize, hi: usize) {
+        self.slot.clear();
+        if self.fallback {
+            return;
+        }
+        let (c0, r0, side) = self.origin;
+        let (ncols, nrows) = (self.xs.len(), self.ys.len());
+        let mut total = 0usize;
+        for rj in 0..nrows {
+            let row = (r0 + rj) * side + c0;
+            for ci in 0..ncols {
+                let local = rj * ncols + ci;
+                if row + ci < lo || row + ci >= hi || !self.indeterminate(local) {
+                    continue;
+                }
+                let count = self.counts[local] as usize;
+                if total + count > GATHER_BUDGET {
+                    continue;
+                }
+                if self.slot.is_empty() {
+                    self.slot.resize(self.points, NOT_GATHERED);
+                }
+                // The point's start offset; the fill advances it to its end.
+                self.slot[local] = total as u32;
+                total += count;
+            }
+        }
+        if self.slot.is_empty() {
+            return;
+        }
+        // The columns and rows holding a gathered point.
+        let slot = &self.slot;
+        self.gcols.clear();
+        self.gcols.extend(
+            (0..ncols).filter(|&ci| (0..nrows).any(|rj| slot[rj * ncols + ci] != NOT_GATHERED)),
+        );
+        self.grows.clear();
+        self.grows.extend((0..nrows).filter(|&rj| {
+            slot[rj * ncols..][..ncols]
+                .iter()
+                .any(|&e| e != NOT_GATHERED)
+        }));
+        self.dirs.clear();
+        // Exactly what this rectangle needs, so the allocation itself, not
+        // only the fill, stays within the budget (growth by doubling could
+        // reserve up to twice it).
+        self.dirs.reserve_exact(total);
+        self.dirs.resize(total, Angle::ZERO);
+        let torus = *cursor.network().torus();
+        let pinned = cursor.pinned_candidates();
+        // Stage 1's factorized pass again, on only the gathered points'
+        // columns and rows. The lists leave `self` while `factor_deltas`
+        // borrows it.
+        let (gcols, grows) = (
+            std::mem::take(&mut self.gcols),
+            std::mem::take(&mut self.grows),
+        );
+        for li in 0..self.live.len() {
+            let (at, cc) = self.live[li];
+            let pc = &pinned[at as usize];
+            let r2 = pc.radius_sq();
+            let (min_fdx2, min_fdy2) = self.factor_deltas(
+                &torus,
+                pc.position(),
+                gcols.iter().copied(),
+                grows.iter().copied(),
+            );
+            if min_fdx2 + min_fdy2 > r2 {
+                continue;
+            }
+            for (j, &rj) in grows.iter().enumerate() {
+                let fy2 = self.fdy2[j];
+                if fy2 + min_fdx2 > r2 {
+                    continue;
+                }
+                for (i, &ci) in gcols.iter().enumerate() {
+                    let local = rj * ncols + ci;
+                    let end = self.slot[local];
+                    if end == NOT_GATHERED {
+                        continue;
+                    }
+                    let d2 = self.fdx2[i] + fy2;
+                    if d2 > r2 || angular_verdict(&cc, self.fdx[i], self.fdy[j], d2) != Some(true) {
+                        continue;
+                    }
+                    if let Some(rd) = Angle::from_vector(self.rdx[i], self.rdy[j]) {
+                        self.dirs[end as usize] = rd;
+                        self.slot[local] = end + 1;
+                    }
+                }
+            }
+        }
+        (self.gcols, self.grows) = (gcols, grows);
+        let mut start = 0usize;
+        for local in 0..self.points {
+            if self.slot[local] == NOT_GATHERED {
+                continue;
+            }
+            let end = start + self.counts[local] as usize;
+            debug_assert_eq!(self.slot[local] as usize, end, "covering set changed");
+            // The exact analyzer's sort, on the same list in the same
+            // order: the same result, bit for bit.
+            self.dirs[start..end].sort_unstable_by(Angle::cmp_by_radians);
+            start = end;
+        }
+    }
+
+    /// The sorted viewed directions stage 2 gathered for rectangle-local
+    /// point `local`, or `None` when it gathered none for it since the
+    /// last screen (a decided point, a point to rescan, or
+    /// [`gather_directions`](Self::gather_directions) not run).
+    #[must_use]
+    pub(crate) fn directions(&self, local: usize) -> Option<&[Angle]> {
+        let end = *self.slot.get(local)?;
+        if end == NOT_GATHERED {
+            return None;
+        }
+        let end = end as usize;
+        Some(&self.dirs[end - self.counts[local] as usize..end])
     }
 
     /// Per-candidate fallback when the pinned position is not bit-equal
@@ -650,23 +891,33 @@ impl SectorMaskKernel {
         let suf_full = &self.suf_masks[local * sw..][..sw] == self.suf.full.as_slice();
         if count > 0 && !suf_full {
             // Covered but not provably full-view: the §III/§IV
-            // indeterminate band. Only the exact gap scan can decide.
+            // indeterminate band. Only the exact gap scan can decide, on
+            // the gathered directions or by a rescan.
             return PointVerdict::Undecided;
         }
-        let nw = self.nec.words;
-        let nec_full = &self.nec_masks[local * nw..][..nw] == self.nec.full.as_slice();
         PointVerdict::Decided {
             count,
             suf_full,
-            nec_full,
+            nec_full: self.nec_full(local),
         }
+    }
+
+    /// Whether every §III 2θ-sector of rectangle-local point `local` holds
+    /// a viewed direction, after a [`ScreenMode::Report`] screen. For a
+    /// point with gathered directions this is the exact necessary verdict:
+    /// the point was never done, so its mask saw every direction.
+    pub(crate) fn nec_full(&self, local: usize) -> bool {
+        let nw = self.nec.words;
+        &self.nec_masks[local * nw..][..nw] == self.nec.full.as_slice()
     }
 
     /// The k-full-view screen for rectangle-local point `local` after a
     /// [`ScreenMode::Depth`] screen with the same `k`: `Some(true)` when
     /// every strict sector depth reached `k` (view multiplicity ≥ k),
     /// `Some(false)` when fewer than `k` cameras cover the point at all,
-    /// `None` when only the exact depth sweep can decide.
+    /// `None` when only the exact depth sweep can decide — over the
+    /// point's gathered directions when stage 2 gathered them, by a
+    /// rescan otherwise.
     ///
     /// # Panics
     ///
@@ -868,6 +1119,156 @@ mod tests {
             });
         }
         assert!(saw_undecided);
+    }
+
+    /// Screens and gathers every non-empty tile of `grid` in `mode` over
+    /// the grid-index range `lo..hi`, then calls `check(kernel, cursor,
+    /// local, idx)` for every point of the tile.
+    fn for_each_gathered_tile(
+        net: &CameraNetwork,
+        grid: &UnitGrid,
+        kernel: &mut SectorMaskKernel,
+        mode: ScreenMode,
+        (lo, hi): (usize, usize),
+        mut check: impl FnMut(&SectorMaskKernel, &TileCursor<'_>, usize, usize),
+    ) {
+        let tiling = GridTiling::new(net.index(), grid);
+        let mut cursor = net.tile_cursor();
+        for t in 0..tiling.tile_count() {
+            if tiling.tile_point_count(t) == 0 {
+                continue;
+            }
+            let (cx, cy) = tiling.tile_cell(t);
+            cursor.pin(cx, cy);
+            let (cols, rows) = (tiling.tile_col_range(t), tiling.tile_row_range(t));
+            kernel.screen_tile(&cursor, grid, cols, rows, mode);
+            kernel.gather_directions(&cursor, lo, hi);
+            let mut local = 0usize;
+            tiling.for_each_point_in_tile(t, |idx| {
+                check(kernel, &cursor, local, idx);
+                local += 1;
+            });
+        }
+    }
+
+    /// Stage 2's contract: every in-range point the masks leave undecided
+    /// with only certain verdicts gets a direction list that is the exact
+    /// analyzer's sorted `viewed_directions`, bit for bit, in both modes,
+    /// and a necessary mask that is the exact necessary verdict.
+    #[test]
+    fn gathered_directions_are_the_exact_viewed_directions() {
+        let net = pseudo_random_net(140, 0.07);
+        let grid = UnitGrid::new(Torus::unit(), 23);
+        let mut analyzer = PointAnalyzer::new();
+        let modes = [
+            ScreenMode::Report,
+            ScreenMode::Depth { k: 1 },
+            ScreenMode::Depth { k: 3 },
+        ];
+        let mut gathered = [0usize; 3];
+        for th in [theta(PI / 16.0), theta(PI / 4.0), theta(0.5)] {
+            let nec = SectorPartition::necessary(th, Angle::ZERO);
+            let mut kernel = SectorMaskKernel::new(th, Angle::ZERO).unwrap();
+            for (m, mode) in modes.into_iter().enumerate() {
+                for range in [(0, grid.len()), (57, 401)] {
+                    for_each_gathered_tile(
+                        &net,
+                        &grid,
+                        &mut kernel,
+                        mode,
+                        range,
+                        |kernel, cursor, local, idx| {
+                            let in_range = idx >= range.0 && idx < range.1;
+                            let dirs = kernel.directions(local);
+                            if !(in_range && kernel.indeterminate(local)) {
+                                assert!(dirs.is_none(), "idx {idx} gathered");
+                                return;
+                            }
+                            let dirs = dirs.expect("under the budget every pending point gathers");
+                            gathered[m] += 1;
+                            let view = analyzer.analyze_point_with(cursor, grid.point(idx));
+                            assert!(!view.has_colocated_camera);
+                            assert_eq!(view.covering_cameras, dirs.len(), "idx {idx}");
+                            let bits = |d: &[Angle]| -> Vec<u64> {
+                                d.iter().map(|a| a.radians().to_bits()).collect()
+                            };
+                            assert_eq!(bits(dirs), bits(view.viewed_directions), "idx {idx}");
+                            match mode {
+                                ScreenMode::Report => {
+                                    let nec_full =
+                                        nec.is_satisfied_by(view.viewed_directions, false);
+                                    assert_eq!(kernel.nec_full(local), nec_full, "idx {idx}");
+                                    assert_eq!(
+                                        kernel.verdict(local),
+                                        PointVerdict::Undecided,
+                                        "idx {idx}"
+                                    );
+                                }
+                                ScreenMode::Depth { k } => {
+                                    assert_eq!(kernel.k_verdict(local, k), None, "idx {idx}");
+                                }
+                            }
+                        },
+                    );
+                }
+            }
+        }
+        assert!(
+            gathered.iter().all(|&g| g > 0),
+            "gathered per mode {gathered:?}"
+        );
+    }
+
+    /// A rectangle whose pending directions exceed the budget gathers
+    /// points in order while they fit and leaves the rest to the cursor.
+    #[test]
+    fn gather_stops_at_the_budget() {
+        // 450 cameras in one clump, all facing south over the grid: a
+        // covered point sees hundreds of directions from one side, so the
+        // masks stay incomplete and a tile of the 2 × 2-cell index holds
+        // more than the budget.
+        let spec = SensorSpec::new(0.45, PI / 2.0).unwrap();
+        let cams = (0..450)
+            .map(|i| {
+                let x = 0.4 + 0.2 * ((i as f64 * 0.618_033_98) % 1.0);
+                let y = 0.85 + 0.1 * ((i as f64 * 0.414_213_56) % 1.0);
+                Camera::new(Point::new(x, y), Angle::new(1.5 * PI), spec, GroupId(0))
+            })
+            .collect();
+        let net = CameraNetwork::new(Torus::unit(), cams);
+        let grid = UnitGrid::new(Torus::unit(), 60);
+        let mut kernel = SectorMaskKernel::new(theta(PI / 16.0), Angle::ZERO).unwrap();
+        let mut analyzer = PointAnalyzer::new();
+        let (mut over_budget, mut any_gathered) = (false, false);
+        let tiling = GridTiling::new(net.index(), &grid);
+        let mut cursor = net.tile_cursor();
+        for t in 0..tiling.tile_count() {
+            let (cx, cy) = tiling.tile_cell(t);
+            cursor.pin(cx, cy);
+            let (cols, rows) = (tiling.tile_col_range(t), tiling.tile_row_range(t));
+            kernel.screen_tile(&cursor, &grid, cols, rows, ScreenMode::Report);
+            kernel.gather_directions(&cursor, 0, grid.len());
+            let (mut wanted, mut held) = (0usize, 0usize);
+            let mut local = 0usize;
+            tiling.for_each_point_in_tile(t, |idx| {
+                if kernel.indeterminate(local) {
+                    wanted += kernel.counts[local] as usize;
+                    if let Some(dirs) = kernel.directions(local) {
+                        held += dirs.len();
+                        any_gathered = true;
+                        let view = analyzer.analyze_point_with(&cursor, grid.point(idx));
+                        assert_eq!(dirs, view.viewed_directions, "idx {idx}");
+                    }
+                }
+                local += 1;
+            });
+            assert!(held <= GATHER_BUDGET, "tile {t}: {held} directions held");
+            if wanted > GATHER_BUDGET {
+                over_budget = true;
+                assert!(held < wanted && held > 0, "tile {t}: {held} of {wanted}");
+            }
+        }
+        assert!(over_budget && any_gathered, "no tile exceeded the budget");
     }
 
     #[test]

@@ -9,15 +9,20 @@
 //! * the engine differential: the mask-screened tiled sweep must be
 //!   **bit-identical** to the wholesale exact sweep across random
 //!   heterogeneous networks, effective angles parked on sector-count
-//!   boundaries, arbitrary start lines, and arbitrary ranges.
+//!   boundaries, arbitrary start lines, and arbitrary ranges — plus the
+//!   inputs that exercise the screen's gathered directions: fleets below
+//!   Theorem 1's necessary CSA, θ = π/16, rectangles where few and where
+//!   most points are gathered, and one past the gather's direction budget.
 
 use fullview_core::{
-    count_k_view_range, largest_circular_gap, min_arc_depth, sweep_flags_range, view_multiplicity,
-    EffectiveAngle, GridCoverageReport, GridEvaluator, GridTiling,
+    count_k_view_range, csa_necessary, largest_circular_gap, min_arc_depth, sweep_flags_range,
+    view_multiplicity, EffectiveAngle, GridCoverageReport, GridEvaluator, GridTiling,
 };
+use fullview_deploy::deploy_uniform;
 use fullview_geom::{Angle, Point, Torus, UnitGrid, ANGLE_EPS};
-use fullview_model::{Camera, CameraNetwork, GroupId, SensorSpec};
+use fullview_model::{Camera, CameraNetwork, GroupId, NetworkProfile, SensorSpec};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
 use std::f64::consts::{PI, TAU};
 
 // ---------- naive references ----------
@@ -309,6 +314,183 @@ proptest! {
                 .filter(|&i| view_multiplicity(&net, grid.point(i), theta) >= k)
                 .count();
             prop_assert_eq!(counted, brute, "k={} side={} range={}..{}", k, side, lo, hi);
+        }
+    }
+}
+
+// ---------- the screen's gathered directions ----------
+
+/// The §VI reference mix (50 % φ = π, 30 % φ = π/2, 20 % φ = π/4 by
+/// count, sensing areas 1.2 : 1 : 0.5) scaled to weighted area `s_c`.
+fn section6_profile(s_c: f64) -> NetworkProfile {
+    NetworkProfile::builder()
+        .group(SensorSpec::with_sensing_area(1.2, PI).unwrap(), 0.5)
+        .group(SensorSpec::with_sensing_area(1.0, PI / 2.0).unwrap(), 0.3)
+        .group(SensorSpec::with_sensing_area(0.5, PI / 4.0).unwrap(), 0.2)
+        .build()
+        .unwrap()
+        .scale_to_weighted_area(s_c)
+        .unwrap()
+}
+
+/// `n` cameras of the §VI mix at `fraction` of Theorem 1's necessary CSA
+/// for θ = π/4: below it, a large share of the covered points is in the
+/// indeterminate band the masks cannot decide.
+fn below_csa_fleet(n: usize, fraction: f64, seed: u64) -> CameraNetwork {
+    let s_c = csa_necessary(n, EffectiveAngle::new(PI / 4.0).unwrap()) * fraction;
+    let mut rng = StdRng::seed_from_u64(seed);
+    deploy_uniform(Torus::unit(), &section6_profile(s_c), n, &mut rng).unwrap()
+}
+
+/// Per-tile differential through `GridEvaluator::evaluate_tiles` with the
+/// screen stats split per tile: returns, over the tiles, the counts of
+/// tiles whose gathered points were under a quarter of the tile (few),
+/// at least a quarter (many), and that rescanned points.
+fn per_tile_differential(
+    net: &CameraNetwork,
+    theta: EffectiveAngle,
+    side: usize,
+) -> (usize, usize, usize) {
+    let grid = UnitGrid::new(Torus::unit(), side);
+    let tiling = GridTiling::new(net.index(), &grid);
+    let mut cursor = net.tile_cursor();
+    let mut ev = GridEvaluator::new(theta, Angle::ZERO);
+    let mut exact_ev = GridEvaluator::new_exact(theta, Angle::ZERO);
+    let (mut few, mut many, mut rescanning) = (0, 0, 0);
+    for t in 0..tiling.tile_count() {
+        let before = ev.screen_stats();
+        let got = ev.evaluate_tiles(&mut cursor, &tiling, &grid, [t]);
+        let want = exact_ev.evaluate_tiles(&mut cursor, &tiling, &grid, [t]);
+        assert_eq!(got, want, "tile {t} θ={}", theta.radians());
+        let after = ev.screen_stats();
+        let rescanned = after.rescanned - before.rescanned;
+        let gathered = (after.exact - before.exact) - rescanned;
+        let points = tiling.tile_point_count(t) as u64;
+        if gathered > 0 && gathered * 4 < points {
+            few += 1;
+        }
+        if gathered > 0 && gathered * 4 >= points {
+            many += 1;
+        }
+        rescanning += usize::from(rescanned > 0);
+    }
+    (few, many, rescanning)
+}
+
+/// Below the CSA the screen leaves many points to the exact predicates,
+/// and decides nearly all of them from gathered directions: a stage 2
+/// that silently stopped engaging would rescan every one of them.
+#[test]
+fn below_csa_fleet_decides_undecided_points_from_gathered_directions() {
+    let net = below_csa_fleet(2000, 0.5, 71);
+    let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+    let grid = UnitGrid::new(Torus::unit(), 120);
+    let tiling = GridTiling::new(net.index(), &grid);
+    let mut ev = GridEvaluator::new(theta, Angle::ZERO);
+    let report = ev.evaluate_tiles(
+        &mut net.tile_cursor(),
+        &tiling,
+        &grid,
+        0..tiling.tile_count(),
+    );
+    let mut exact_ev = GridEvaluator::new_exact(theta, Angle::ZERO);
+    let mut exact = GridCoverageReport::default();
+    for idx in 0..grid.len() {
+        exact.record(&exact_ev.point_flags_with(&net, grid.point(idx)));
+    }
+    assert_eq!(report, exact);
+    let stats = ev.screen_stats();
+    assert!(
+        stats.exact * 10 > stats.screened + stats.exact,
+        "under a tenth of the points left undecided: {stats:?}"
+    );
+    assert!(stats.rescanned < stats.exact, "nothing gathered: {stats:?}");
+}
+
+/// Tiles where the gather skips most points and tiles where it fills
+/// most, at θ = π/4 (few undecided points per tile) and θ = π/16 (nearly
+/// all).
+#[test]
+fn tiles_with_few_and_many_gathered_points_match_exact() {
+    let net = below_csa_fleet(1500, 0.6, 72);
+    let (mut few, mut many) = (0, 0);
+    for theta in [PI / 4.0, PI / 16.0] {
+        let (f, m, _) = per_tile_differential(&net, EffectiveAngle::new(theta).unwrap(), 96);
+        few += f;
+        many += m;
+    }
+    assert!(few > 0 && many > 0, "few {few}, many {many}");
+}
+
+/// A fleet whose covered points each see hundreds of cameras from one
+/// side: the masks cannot fill, and a tile's undecided points hold more
+/// directions than the gather's 64 Ki budget, so it gathers some and
+/// rescans the rest — with the same flags and k verdicts either way.
+#[test]
+fn tile_past_the_gather_budget_matches_exact() {
+    let spec = SensorSpec::new(0.45, PI / 2.0).unwrap();
+    let cams = (0..450)
+        .map(|i| {
+            let x = 0.4 + 0.2 * ((i as f64 * 0.618_033_98) % 1.0);
+            let y = 0.85 + 0.1 * ((i as f64 * 0.414_213_56) % 1.0);
+            Camera::new(Point::new(x, y), Angle::new(1.5 * PI), spec, GroupId(0))
+        })
+        .collect();
+    let net = CameraNetwork::new(Torus::unit(), cams);
+    let theta = EffectiveAngle::new(PI / 16.0).unwrap();
+    let (few, many, rescanning) = per_tile_differential(&net, theta, 60);
+    assert!(few + many > 0, "nothing gathered");
+    assert!(rescanning > 0, "no tile went past the budget");
+    let grid = UnitGrid::new(Torus::unit(), 60);
+    let multiplicities: Vec<usize> = (0..grid.len())
+        .map(|i| view_multiplicity(&net, grid.point(i), theta))
+        .collect();
+    for k in [1, 40] {
+        let counted = count_k_view_range(&net, &grid, theta, k, 0, grid.len());
+        let brute = multiplicities.iter().filter(|&&m| m >= k).count();
+        assert_eq!(counted, brute, "k={k}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The flags and k differentials on stage 2's inputs: fleets below
+    /// Theorem 1's necessary CSA, at θ = π/4 and at θ = π/16 (where the
+    /// masks almost never fill), over the whole grid and a sub-range.
+    #[test]
+    fn below_csa_and_pi_16_sweeps_match_exact(
+        seed in 0u64..1_000_000,
+        n in 300usize..900,
+        fraction in 0.25..0.95f64,
+        pi_16 in 0usize..2,
+        side in 20usize..44,
+        k in 1usize..4,
+        a in 0.0..1.0f64,
+        b in 0.0..1.0f64,
+    ) {
+        let net = below_csa_fleet(n, fraction, seed);
+        let theta = EffectiveAngle::new(if pi_16 == 1 { PI / 16.0 } else { PI / 4.0 }).unwrap();
+        let grid = UnitGrid::new(Torus::unit(), side);
+        let (fa, fb) = if a <= b { (a, b) } else { (b, a) };
+        let lo = (fa * grid.len() as f64) as usize;
+        let hi = ((fb * grid.len() as f64) as usize).min(grid.len());
+        let mut exact_ev = GridEvaluator::new_exact(theta, Angle::ZERO);
+        for (lo, hi) in [(0, grid.len()), (lo, hi)] {
+            let mut got = Vec::with_capacity(hi - lo);
+            sweep_flags_range(&net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
+                got.push((idx, flags));
+            });
+            prop_assert_eq!(got.len(), hi - lo);
+            for (idx, flags) in got {
+                let exact = exact_ev.point_flags_with(&net, grid.point(idx));
+                prop_assert_eq!(flags, exact, "idx {} range {}..{}", idx, lo, hi);
+            }
+            let counted = count_k_view_range(&net, &grid, theta, k, lo, hi);
+            let brute = (lo..hi)
+                .filter(|&i| view_multiplicity(&net, grid.point(i), theta) >= k)
+                .count();
+            prop_assert_eq!(counted, brute, "k={} range={}..{}", k, lo, hi);
         }
     }
 }
