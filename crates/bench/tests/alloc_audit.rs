@@ -5,12 +5,13 @@
 //! After one warm-up sweep grows the [`GridEvaluator`]'s scratch buffers
 //! and the tile cursor's candidate pin to the local camera density, a
 //! full tiled grid sweep must perform no heap allocation at all — the
-//! flags funnel and the k funnel alike.
+//! flags funnel and the k funnel alike — and so must a warm state's
+//! repair after a camera move.
 
 use fullview_bench::bench_network;
-use fullview_core::{use_tiled, EffectiveAngle, GridEvaluator, GridTiling};
-use fullview_geom::{Angle, Torus, UnitGrid};
-use fullview_model::TileCursor;
+use fullview_core::{use_tiled, EffectiveAngle, GridEvaluator, GridTiling, IncrementalSweep};
+use fullview_geom::{Angle, Point, Torus, UnitGrid};
+use fullview_model::{CameraNetwork, TileCursor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::f64::consts::PI;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,7 +86,7 @@ fn k_sweep(
 #[test]
 fn warmed_tiled_sweep_allocates_nothing() {
     let theta = EffectiveAngle::new(PI / 4.0).expect("valid θ");
-    let net = bench_network(1000, 0.05, 7);
+    let mut net = bench_network(1000, 0.05, 7);
     let grid = UnitGrid::new(Torus::unit(), 50); // 2500 points
     assert!(use_tiled(&net, &grid), "audit must exercise the tiled path");
     let tiling = GridTiling::new(net.index(), &grid);
@@ -113,5 +114,39 @@ fn warmed_tiled_sweep_allocates_nothing() {
     assert_eq!(
         allocated, 0,
         "k funnel regressed: {allocated} allocations in a warmed k = 2 sweep"
+    );
+
+    // A warmed repair: each round moves one camera by 1e-4, marks its old
+    // and new sensing disks and resweeps the dirty tiles. The first two
+    // rounds grow the state's tile list and cursor buffers; the third is
+    // counted. The move flips no point, so the delta's flip lists (the
+    // repair's output, which grow with the change) stay empty too.
+    let mut state = IncrementalSweep::new(&net, theta, Angle::ZERO, grid.side_count());
+    let id = 17;
+    let home = net.cameras()[id].position();
+    let away = Point::new(home.x + 1e-4, home.y);
+    let mut repair = |net: &mut CameraNetwork, to: Point| {
+        let cam = net.cameras()[id];
+        assert!(net.move_camera(id, to));
+        state.mark_disk(cam.position(), cam.spec().radius());
+        state.mark_disk(to, cam.spec().radius());
+        let before = allocations();
+        let delta = state.resweep_dirty(net);
+        (delta, allocations() - before)
+    };
+    repair(&mut net, away);
+    repair(&mut net, home);
+    let (delta, allocated) = repair(&mut net, away);
+    assert!(
+        !delta.rebuilt && delta.tiles_resweeped > 0,
+        "the move must repair tiles"
+    );
+    assert!(
+        delta.flipped_on.is_empty() && delta.flipped_off.is_empty(),
+        "the audited move must flip no point"
+    );
+    assert_eq!(
+        allocated, 0,
+        "warm repair regressed: {allocated} allocations in a warmed move-and-repair"
     );
 }

@@ -43,7 +43,7 @@ use crate::mask::{ScreenMode, SectorMaskKernel};
 use crate::render::{glyph_of, glyph_string};
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, SpatialGrid, Torus, UnitGrid};
-use fullview_model::{Camera, CameraNetwork, CoverageProvider, TileCursor};
+use fullview_model::{Camera, CameraNetwork, CoverageProvider, CursorBuffers, TileCursor};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -905,6 +905,11 @@ pub struct WarmGrid<B: PointByte> {
     tile_tallies: Vec<B::Tally>,
     total: B::Tally,
     dirty: DirtySet,
+    /// Repair scratch: the dirty tiles, and the buffers of the tile
+    /// cursor that re-evaluates them, kept so a warmed repair allocates
+    /// nothing.
+    dirty_tiles: Vec<usize>,
+    cursor_buffers: CursorBuffers,
     needs_rebuild: bool,
 }
 
@@ -946,6 +951,8 @@ impl<B: PointByte> WarmGrid<B> {
             tile_tallies: vec![B::Tally::default(); tiling.tile_count()],
             total: B::Tally::default(),
             dirty: DirtySet::new(tiling.tile_count()),
+            dirty_tiles: Vec::new(),
+            cursor_buffers: CursorBuffers::default(),
             grid,
             tiling,
             needs_rebuild: false,
@@ -1115,10 +1122,11 @@ impl<B: PointByte> WarmGrid<B> {
         if self.dirty.is_empty() {
             return;
         }
-        let mut dirty_tiles = Vec::with_capacity(self.dirty.marked_count());
+        let mut dirty_tiles = std::mem::take(&mut self.dirty_tiles);
+        dirty_tiles.clear();
         self.dirty.for_each_marked(|t| dirty_tiles.push(t));
         self.dirty.clear();
-        let mut cursor = net.tile_cursor();
+        let mut cursor = net.tile_cursor_with(std::mem::take(&mut self.cursor_buffers));
         let (grid, holds, evaluator) = (&self.grid, &self.holds, &mut self.evaluator);
         let (bytes, tallies, total) = (&mut self.bytes, &mut self.tile_tallies, &mut self.total);
         let tiles = dirty_tiles.iter().copied();
@@ -1144,6 +1152,8 @@ impl<B: PointByte> WarmGrid<B> {
             },
         );
         delta.tiles_resweeped = dirty_tiles.len();
+        self.cursor_buffers = cursor.into_buffers();
+        self.dirty_tiles = dirty_tiles;
     }
 
     /// Full rebuild: re-derives the tiling from the network's current

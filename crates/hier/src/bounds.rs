@@ -6,13 +6,21 @@
 //! `[x0, x1] × [y0, y1]` of point centres, the wrapped displacement
 //! `Δ = wrap(camera − point)` the exact engine would compute per point:
 //!
-//! * a per-axis interval of `wrap`-ped deltas, tracking whether the
-//!   rectangle straddles the `±side/2` wrap seam on that axis;
+//! * a per-axis interval of `wrap`-ped deltas ([`axis_bound`]), tracking
+//!   whether the rectangle straddles the `±side/2` wrap seam on that
+//!   axis;
 //! * from the per-axis absolute-value intervals, lower/upper bounds on
-//!   the camera distance (`dmin`, `dmax`);
-//! * when neither axis straddles the seam, the **viewed-direction cone**:
-//!   a closed arc `[center − half, center + half]` guaranteed to contain
-//!   the viewed direction `atan2(Δy, Δx)` of *every* rectangle point.
+//!   the *squared* camera distance ([`AxisBound::lo_sq`],
+//!   [`AxisBound::hi_sq`], summed over the two axes), which the prover
+//!   compares against squared radii — no square root;
+//! * when neither axis straddles the seam, the **viewed-direction cone**
+//!   ([`cone`]): a closed arc `[center − half, center + half]`
+//!   guaranteed to contain the viewed direction `atan2(Δy, Δx)` of
+//!   *every* rectangle point.
+//!
+//! Each bound is computed only when the prover asks for it: the y axis
+//! only for a camera the x axis did not already rule out, the cone only
+//! for a camera surely in range.
 //!
 //! Every bound is widened by explicit margins (`DIST_BAND`, `ANG_BAND`,
 //! `RECT_WIDEN`) several orders of magnitude above f64 rounding noise, so
@@ -20,12 +28,12 @@
 //! predicate *strictly* — any point the bounds cannot decide with margin
 //! to spare is left to the exact engine.
 
-use fullview_geom::Point;
-use fullview_geom::Torus;
+use fullview_geom::{Angle, Torus};
 
 /// Absolute distance slack (scaled by the torus side at the call sites
 /// via [`dist_band`]): a camera only counts as surely-in-range when
-/// `dmax + band < r`, surely-out-of-range when `dmin > r + band`.
+/// `dmax < r − band`, surely-out-of-range when `dmin > r + band` (both
+/// compared squared).
 pub(crate) const DIST_BAND: f64 = 1e-9;
 
 /// Angular slack for cone-in-sector and cone-in-field-of-view tests —
@@ -68,6 +76,18 @@ pub(crate) struct AxisBound {
     pub abs_lo: f64,
     /// Upper bound of `|Δ|` over the rectangle.
     pub abs_hi: f64,
+}
+
+impl AxisBound {
+    /// `abs_lo²`: the axis' share of the squared distance's lower bound.
+    pub fn lo_sq(&self) -> f64 {
+        self.abs_lo * self.abs_lo
+    }
+
+    /// `abs_hi²`: the axis' share of the squared distance's upper bound.
+    pub fn hi_sq(&self) -> f64 {
+        self.abs_hi * self.abs_hi
+    }
 }
 
 /// `|x|` range over the closed interval `[a, b]`.
@@ -124,46 +144,21 @@ pub(crate) fn axis_bound(torus: &Torus, cam: f64, p0: f64, p1: f64) -> AxisBound
     }
 }
 
-/// Conservative camera-versus-rectangle bound: distance interval plus,
-/// when available, the viewed-direction cone.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CamBound {
-    /// Lower bound of the wrapped camera distance over the rectangle.
-    pub dmin: f64,
-    /// Upper bound of the wrapped camera distance over the rectangle.
-    pub dmax: f64,
-    /// Closed arc `[center − half, center + half]` containing every
-    /// rectangle point's viewed direction towards the camera, or `None`
-    /// when no such cone can be certified (seam straddle, camera inside
-    /// or too close to the rectangle, or a cone too wide to be useful).
-    pub cone: Option<(fullview_geom::Angle, f64)>,
-}
-
-pub(crate) fn bound_camera(torus: &Torus, cam: Point, rect: &Rect) -> CamBound {
-    let bx = axis_bound(torus, cam.x, rect.x0, rect.x1);
-    let by = axis_bound(torus, cam.y, rect.y0, rect.y1);
-    let dmin = bx.abs_lo.hypot(by.abs_lo);
-    let dmax = bx.abs_hi.hypot(by.abs_hi);
-    let cone = match (bx.cont, by.cont) {
-        (Some(dx), Some(dy)) => direction_cone(dx, dy),
-        _ => None,
-    };
-    CamBound { dmin, dmax, cone }
-}
-
-/// The minimal closed arc containing `atan2(y, x)` over the delta
-/// rectangle `[x0, x1] × [y0, y1]`, or `None` when the origin lies in
-/// (or touches) the rectangle, the directions span (close to) a
-/// half-circle, or the cone is too wide to prove anything.
+/// The viewed-direction cone of the rectangle whose axis bounds are `x`
+/// and `y`: the minimal closed arc `(center, half)` containing
+/// `atan2(Δy, Δx)` over the delta rectangle, so every rectangle point's
+/// viewed direction towards the camera. `None` when no such cone can be
+/// certified: a seam straddle on either axis, the origin in (or
+/// touching) the delta rectangle (camera inside or too close), directions
+/// spanning (close to) a half-circle, or a cone too wide to prove
+/// anything.
 ///
 /// For a convex region avoiding the origin, the direction extremes are
 /// attained at vertices, so the arc spanned by the four corner
 /// directions contains every interior point's direction.
-fn direction_cone(
-    (x0, x1): (f64, f64),
-    (y0, y1): (f64, f64),
-) -> Option<(fullview_geom::Angle, f64)> {
+pub(crate) fn cone(x: &AxisBound, y: &AxisBound) -> Option<(Angle, f64)> {
     use std::f64::consts::{FRAC_PI_2, PI, TAU};
+    let ((x0, x1), (y0, y1)) = (x.cont?, y.cont?);
     let (x0, x1) = (x0 - RECT_WIDEN, x1 + RECT_WIDEN);
     let (y0, y1) = (y0 - RECT_WIDEN, y1 + RECT_WIDEN);
     if x0 <= 0.0 && x1 >= 0.0 && y0 <= 0.0 && y1 >= 0.0 {
@@ -193,13 +188,13 @@ fn direction_cone(
     if half >= FRAC_PI_2 {
         return None;
     }
-    Some((fullview_geom::Angle::new(a0 + 0.5 * (omin + omax)), half))
+    Some((Angle::new(a0 + 0.5 * (omin + omax)), half))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fullview_geom::Angle;
+    use fullview_geom::Point;
 
     /// Sample the rectangle: 4 corners, edge midpoints, and an interior
     /// lattice — every sample must respect the claimed bounds.
@@ -219,23 +214,25 @@ mod tests {
         pts
     }
 
+    /// The bounds the prover reads for `cam` against `rect`: squared
+    /// distance interval and cone.
+    fn bounds(torus: &Torus, cam: Point, rect: &Rect) -> (f64, f64, Option<(Angle, f64)>) {
+        let x = axis_bound(torus, cam.x, rect.x0, rect.x1);
+        let y = axis_bound(torus, cam.y, rect.y0, rect.y1);
+        (x.lo_sq() + y.lo_sq(), x.hi_sq() + y.hi_sq(), cone(&x, &y))
+    }
+
     fn check_bound(torus: &Torus, cam: Point, rect: &Rect) {
-        let b = bound_camera(torus, cam, rect);
-        assert!(
-            b.dmin <= b.dmax + 1e-12,
-            "dmin {} > dmax {}",
-            b.dmin,
-            b.dmax
-        );
+        let (lo_sq, hi_sq, cone) = bounds(torus, cam, rect);
+        assert!(lo_sq <= hi_sq + 1e-12, "dmin² {lo_sq} > dmax² {hi_sq}");
         for p in rect_samples(rect) {
-            let d = torus.distance(cam, p);
+            let d_sq = torus.distance_squared(cam, p);
             assert!(
-                b.dmin - 1e-9 <= d && d <= b.dmax + 1e-9,
-                "distance {d} outside [{}, {}] for cam {cam} rect {rect:?} point {p}",
-                b.dmin,
-                b.dmax
+                lo_sq - 1e-9 <= d_sq && d_sq <= hi_sq + 1e-9,
+                "squared distance {d_sq} outside [{lo_sq}, {hi_sq}] for cam {cam} rect {rect:?} \
+                 point {p}"
             );
-            if let Some((center, half)) = b.cone {
+            if let Some((center, half)) = cone {
                 if let Some(dir) = torus.direction(p, cam) {
                     assert!(
                         center.distance(dir) <= half + 1e-9,
@@ -302,8 +299,8 @@ mod tests {
             y0: 0.2,
             y1: 0.3,
         };
-        let b = bound_camera(&torus, Point::new(0.02, 0.9), &rect);
-        assert!(b.cone.is_none(), "straddling Δx must forfeit the cone");
+        let (_, _, cone) = bounds(&torus, Point::new(0.02, 0.9), &rect);
+        assert!(cone.is_none(), "straddling Δx must forfeit the cone");
         check_bound(&torus, Point::new(0.02, 0.9), &rect);
     }
 
@@ -316,9 +313,9 @@ mod tests {
             y0: 0.2,
             y1: 0.4,
         };
-        let b = bound_camera(&torus, Point::new(0.3, 0.3), &rect);
-        assert_eq!(b.dmin, 0.0);
-        assert!(b.cone.is_none(), "origin inside the delta rect");
+        let (lo_sq, _, cone) = bounds(&torus, Point::new(0.3, 0.3), &rect);
+        assert_eq!(lo_sq, 0.0);
+        assert!(cone.is_none(), "origin inside the delta rect");
     }
 
     #[test]
@@ -331,8 +328,8 @@ mod tests {
             y1: 0.65,
         };
         let cam = Point::new(0.3, 0.3);
-        let b = bound_camera(&torus, cam, &rect);
-        let (center, half) = b.cone.expect("clean separation must yield a cone");
+        let (_, _, cone) = bounds(&torus, cam, &rect);
+        let (center, half) = cone.expect("clean separation must yield a cone");
         // Every corner direction is inside, and the cone is not absurdly
         // wider than the corner spread.
         let mut max_dev = 0.0f64;
@@ -379,6 +376,5 @@ mod tests {
         assert!(b.cont.is_none());
         assert_eq!(b.abs_lo, 0.0);
         assert_eq!(b.abs_hi, 0.5);
-        let _ = Angle::ZERO; // keep the import exercised under cfg(test)
     }
 }

@@ -18,13 +18,15 @@
 //!   residual rectangle, for flags and k-counts alike.
 
 use fullview_core::{
-    count_k_view_range, coverage_glyphs_range, evaluate_grid, find_holes, full_view_mask_range,
-    holes_from_mask, sweep_flags_range, view_multiplicity, EffectiveAngle, GridEvaluator,
-    IncrementalSweep, PointFlags,
+    count_k_view_range, coverage_glyphs_range, csa_sufficient, evaluate_grid, find_holes,
+    full_view_mask_range, holes_from_mask, sweep_flags_range, view_multiplicity, EffectiveAngle,
+    GridEvaluator, IncrementalSweep, PointFlags,
 };
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
-use fullview_hier::{count_k_view_range_hier, evaluate_grid_hier, sweep_flags_range_hier, Tier};
-use fullview_model::{Camera, CameraNetwork, GroupId, SensorSpec};
+use fullview_hier::{
+    count_k_view_range_hier, evaluate_grid_hier, sweep_flags_range_hier, ProverStats, Tier,
+};
+use fullview_model::{Camera, CameraNetwork, GroupId, NetworkProfile, SensorSpec};
 use proptest::prelude::*;
 use std::f64::consts::{PI, TAU};
 
@@ -101,6 +103,49 @@ fn dense_network(n: usize, radius: f64, aov: f64) -> CameraNetwork {
     CameraNetwork::new(torus, cams)
 }
 
+/// The §VI reference mix (50 % φ = π, 30 % φ = π/2, 20 % φ = π/4, the
+/// larger sensing areas on the wider angles) scaled to Theorem 2's
+/// sufficient CSA at θ = π/4 for `n` cameras, on the golden-ratio
+/// scatter: a directional fleet whose `Full` certificates must pass the
+/// field-of-view (`aov_ok`) test.
+fn paper_mix_network(n: usize) -> CameraNetwork {
+    let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+    let profile = NetworkProfile::builder()
+        .group(SensorSpec::with_sensing_area(1.2, PI).unwrap(), 0.5)
+        .group(SensorSpec::with_sensing_area(1.0, PI / 2.0).unwrap(), 0.3)
+        .group(SensorSpec::with_sensing_area(0.5, PI / 4.0).unwrap(), 0.2)
+        .build()
+        .unwrap()
+        .scale_to_weighted_area(csa_sufficient(n, theta))
+        .unwrap();
+    let groups = profile.groups();
+    let cams: Vec<Camera> = (0..n)
+        .filter_map(|i| {
+            let t = i as f64;
+            let pos = Point::new(
+                (t * 0.754_877_666_246_693).fract(),
+                (t * 0.569_840_290_998_053 + 0.137).fract(),
+            );
+            // Ten-camera blocks: five φ = π, three φ = π/2, two φ = π/4.
+            let g = match i % 10 {
+                0..=4 => 0,
+                5..=7 => 1,
+                _ => 2,
+            };
+            // The strip 0.4 ≤ x < 0.65 holds no camera, so points there fail.
+            (!(0.4..0.65).contains(&pos.x)).then(|| {
+                Camera::new(
+                    pos,
+                    Angle::new(t * 2.399_963),
+                    *groups[g].spec(),
+                    GroupId(g),
+                )
+            })
+        })
+        .collect();
+    CameraNetwork::new(Torus::unit(), cams)
+}
+
 /// Collects one hier flags sweep into an index-keyed vector, asserting
 /// each in-range index is emitted exactly once.
 fn hier_flags(
@@ -109,7 +154,7 @@ fn hier_flags(
     theta: EffectiveAngle,
     lo: usize,
     hi: usize,
-) -> (Vec<fullview_core::PointFlags>, fullview_hier::ProverStats) {
+) -> (Vec<fullview_core::PointFlags>, ProverStats) {
     let mut got = vec![None; hi - lo];
     let stats = sweep_flags_range_hier(net, grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
         assert!(idx >= lo && idx < hi, "idx {idx} outside {lo}..{hi}");
@@ -322,6 +367,16 @@ fn dense_omni_large_grid_proves_interior_rectangles() {
         "dense omni deployment must prove some rectangles, stats: {stats}"
     );
     assert_eq!(stats.points_proved + stats.points_visited, grid.len());
+    // Pinned, so that a change that weakens or strengthens a proof shows.
+    let pinned = ProverStats {
+        nodes: 1365,
+        proved_full: 538,
+        proved_empty: 0,
+        points_proved: 13450,
+        points_visited: 12150,
+        tiles_exact: 0,
+    };
+    assert_eq!(stats, pinned);
     let mut want = vec![None; grid.len()];
     sweep_flags_range(
         &net,
@@ -349,6 +404,17 @@ fn sparse_directional_grid_matches_exact_and_proves_empties() {
     let grid = UnitGrid::new(Torus::unit(), side);
     let (got, stats) = hier_flags(&net, &grid, theta, 0, grid.len());
     assert_eq!(stats.points_proved + stats.points_visited, grid.len());
+    // Pinned, so that a change to the proofs shows: this fleet proves no
+    // rectangle, so every tile is a residual.
+    let pinned = ProverStats {
+        nodes: 181,
+        proved_full: 0,
+        proved_empty: 0,
+        points_proved: 0,
+        points_visited: 20736,
+        tiles_exact: 121,
+    };
+    assert_eq!(stats, pinned);
     let mut want = vec![None; grid.len()];
     sweep_flags_range(
         &net,
@@ -363,6 +429,74 @@ fn sparse_directional_grid_matches_exact_and_proves_empties() {
     );
     for (idx, flags) in got.iter().enumerate() {
         assert_eq!(*flags, want[idx].unwrap(), "idx {idx}");
+    }
+}
+
+/// The directional paper-mix differential: the §VI mix at Theorem 2's
+/// CSA for 600 cameras, with a camera-free strip so that some points
+/// fail, on a side where `Full` certificates fire through the
+/// field-of-view test. Flags and k = 1..3 counts equal core's over the
+/// whole grid and a sub-range, and every sweep's prover stats are pinned,
+/// so a change that weakens or strengthens a proof shows up here.
+#[test]
+fn paper_mix_directional_grid_matches_exact_with_pinned_stats() {
+    let net = paper_mix_network(600);
+    let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+    let grid = UnitGrid::new(Torus::unit(), 96);
+    let len = grid.len();
+    let stats = |nodes, proved_full, points_proved, points_visited| ProverStats {
+        nodes,
+        proved_full,
+        proved_empty: 0,
+        points_proved,
+        points_visited,
+        tiles_exact: 0,
+    };
+    // (range, flags stats, k = 1..3 stats).
+    let cases = [
+        (
+            0..len,
+            stats(341, 98, 3528, 5688),
+            [
+                stats(341, 98, 3528, 5688),
+                stats(341, 51, 1836, 7380),
+                stats(341, 14, 504, 8712),
+            ],
+        ),
+        (
+            len / 5..3 * len / 4,
+            stats(201, 54, 1889, 3180),
+            [
+                stats(201, 54, 1889, 3180),
+                stats(201, 30, 1038, 4031),
+                stats(201, 8, 288, 4781),
+            ],
+        ),
+    ];
+    for (range, flag_stats, k_stats) in cases {
+        let (lo, hi) = (range.start, range.end);
+        let (got, got_stats) = hier_flags(&net, &grid, theta, lo, hi);
+        assert_eq!(got_stats, flag_stats, "flags {lo}..{hi}");
+        let mut want = vec![None; hi - lo];
+        sweep_flags_range(&net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
+            want[idx - lo] = Some(flags);
+        });
+        for (off, flags) in got.iter().enumerate() {
+            assert_eq!(Some(*flags), want[off], "idx {}", lo + off);
+        }
+        assert!(
+            got.iter().any(|f| !f.full_view) && got.iter().any(|f| f.full_view),
+            "the strip must leave both verdicts in {lo}..{hi}"
+        );
+        for (k, want_stats) in (1..).zip(k_stats) {
+            let (count, got_stats) = count_k_view_range_hier(&net, &grid, theta, k, lo, hi);
+            assert_eq!(
+                count,
+                count_k_view_range(&net, &grid, theta, k, lo, hi),
+                "k={k} {lo}..{hi}"
+            );
+            assert_eq!(got_stats, want_stats, "k={k} {lo}..{hi}");
+        }
     }
 }
 
@@ -433,7 +567,7 @@ fn grid_point_carrying_two_cameras_counts_at_k2() {
 /// Stats merging is plain summation; the Display line is stable.
 #[test]
 fn stats_merge_and_display() {
-    let mut a = fullview_hier::ProverStats {
+    let mut a = ProverStats {
         nodes: 3,
         proved_full: 1,
         proved_empty: 1,

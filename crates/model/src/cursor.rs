@@ -118,20 +118,37 @@ impl PinnedCamera {
 #[derive(Debug)]
 pub struct TileCursor<'a> {
     net: &'a CameraNetwork,
-    /// Scratch for the index's tile query (kept to stay allocation-free).
-    candidates: Vec<u32>,
-    pinned: Vec<PinnedCamera>,
+    buffers: CursorBuffers,
     cell: Option<(usize, usize)>,
 }
 
+/// A [`TileCursor`]'s buffers without its network borrow, so that a
+/// long-lived state can keep them between sweeps of a network it mutates
+/// in between: hand them to [`CameraNetwork::tile_cursor_with`] and take
+/// them back with [`TileCursor::into_buffers`], and a warmed cursor
+/// allocates nothing on later sweeps either.
+#[derive(Debug, Clone, Default)]
+pub struct CursorBuffers {
+    /// Scratch for the index's tile query.
+    candidates: Vec<u32>,
+    pinned: Vec<PinnedCamera>,
+}
+
 impl<'a> TileCursor<'a> {
-    pub(crate) fn new(net: &'a CameraNetwork) -> Self {
+    /// A cursor over `net` with nothing pinned, growing `buffers`.
+    pub(crate) fn with_buffers(net: &'a CameraNetwork, buffers: CursorBuffers) -> Self {
         TileCursor {
             net,
-            candidates: Vec::new(),
-            pinned: Vec::new(),
+            buffers,
             cell: None,
         }
+    }
+
+    /// Releases the cursor's buffers for a later
+    /// [`CameraNetwork::tile_cursor_with`].
+    #[must_use]
+    pub fn into_buffers(self) -> CursorBuffers {
+        self.buffers
     }
 
     /// The network this cursor reads from.
@@ -149,7 +166,7 @@ impl<'a> TileCursor<'a> {
     /// Number of candidate cameras pinned for the current cell.
     #[must_use]
     pub fn candidate_count(&self) -> usize {
-        self.pinned.len()
+        self.buffers.pinned.len()
     }
 
     /// The pinned candidate snapshot for the current cell, in the order
@@ -159,7 +176,7 @@ impl<'a> TileCursor<'a> {
     /// prefilter over whole tiles at once.
     #[must_use]
     pub fn pinned_candidates(&self) -> &[PinnedCamera] {
-        &self.pinned
+        &self.buffers.pinned
     }
 
     /// Pins cell `(cx, cy)`: gathers the candidate cameras for queries
@@ -174,10 +191,11 @@ impl<'a> TileCursor<'a> {
             return;
         }
         let index = self.net.index();
-        index.tile_candidates(cx, cy, self.net.max_radius(), &mut self.candidates);
+        let CursorBuffers { candidates, pinned } = &mut self.buffers;
+        index.tile_candidates(cx, cy, self.net.max_radius(), candidates);
         let cameras = self.net.cameras();
-        self.pinned.clear();
-        self.pinned.extend(self.candidates.iter().map(|&i| {
+        pinned.clear();
+        pinned.extend(candidates.iter().map(|&i| {
             let r = cameras[i as usize].spec().radius();
             PinnedCamera {
                 index: i,
@@ -206,7 +224,7 @@ impl CoverageProvider for TileCursor<'_> {
         );
         let torus = self.net.torus();
         let cameras = self.net.cameras();
-        for pc in &self.pinned {
+        for pc in &self.buffers.pinned {
             if torus.distance_squared(pc.position, target) <= pc.radius_sq {
                 let cam = &cameras[pc.index as usize];
                 if cam.covers(torus, target) {
@@ -279,6 +297,25 @@ mod tests {
         assert_eq!(cursor.candidate_count(), count);
         cursor.pin(0, 0);
         assert_eq!(cursor.pinned_cell(), Some((0, 0)));
+    }
+
+    #[test]
+    fn handed_off_buffers_start_unpinned_and_match_a_fresh_cursor() {
+        let mut net = pseudo_random_net(80);
+        let mut cursor = net.tile_cursor();
+        cursor.pin(1, 1);
+        let buffers = cursor.into_buffers();
+        // The buffers outlive the borrow, across a mutation of the network.
+        assert!(net.move_camera(3, Point::new(0.5, 0.5)));
+        let mut reused = net.tile_cursor_with(buffers);
+        assert_eq!(reused.pinned_cell(), None);
+        let p = Point::new(0.51, 0.49);
+        let (cx, cy) = net.index().cell_of(p);
+        reused.pin(cx, cy);
+        let mut fresh = net.tile_cursor();
+        fresh.pin(cx, cy);
+        assert_eq!(reused.candidate_count(), fresh.candidate_count());
+        assert_eq!(reused.coverage_count(p), fresh.coverage_count(p));
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod network;
 mod spec;
 
 pub use camera::{Camera, GroupId};
-pub use cursor::{CoverageProvider, PinnedCamera, TileCursor};
+pub use cursor::{CoverageProvider, CursorBuffers, PinnedCamera, TileCursor};
 pub use error::ModelError;
 pub use group::{GroupProfile, NetworkProfile, NetworkProfileBuilder};
 pub use io::{

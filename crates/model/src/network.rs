@@ -111,7 +111,16 @@ impl CameraNetwork {
     /// queries against this network.
     #[must_use]
     pub fn tile_cursor(&self) -> crate::TileCursor<'_> {
-        crate::TileCursor::new(self)
+        self.tile_cursor_with(crate::CursorBuffers::default())
+    }
+
+    /// [`tile_cursor`](Self::tile_cursor) growing the buffers an earlier
+    /// cursor released with
+    /// [`TileCursor::into_buffers`](crate::TileCursor::into_buffers)
+    /// (possibly over this network before a mutation): nothing is pinned.
+    #[must_use]
+    pub fn tile_cursor_with(&self, buffers: crate::CursorBuffers) -> crate::TileCursor<'_> {
+        crate::TileCursor::with_buffers(self, buffers)
     }
 
     /// Calls `f` for every camera covering `target` (allocation-free hot

@@ -17,6 +17,10 @@ MASK_FLOOR=5
 # the whole point of the quadtree prover. The mask runs on the 304² dense
 # grid and the prover on the 1216² map of the same fleet.
 HIER_FLOOR=3
+# Floor on core.mask.ns_per_point / hier.check.ns_per_point at
+# paper_check: on the same 304² dense grid, the prover's certificates
+# must beat the screen it falls back to.
+CHECK_FLOOR=1.5
 # Floor on core.incremental.cold_ms / core.incremental.repair_ms at
 # serve_churn: the whole point of tile-dirty tracking.
 REPAIR_FLOOR=5
@@ -54,6 +58,7 @@ gate() {
 traced paper_check
 gate paper_check core.exact.ns_per_point core.mask.ns_per_point "$MASK_FLOOR"
 gate paper_check core.mask.ns_per_point hier.map.ns_per_point "$HIER_FLOOR"
+gate paper_check core.mask.ns_per_point hier.check.ns_per_point "$CHECK_FLOOR"
 traced serve_churn
 gate serve_churn core.incremental.cold_ms core.incremental.repair_ms "$REPAIR_FLOOR"
 
