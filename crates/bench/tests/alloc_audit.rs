@@ -6,10 +6,13 @@
 //! and the tile cursor's candidate pin to the local camera density, a
 //! full tiled grid sweep must perform no heap allocation at all — the
 //! flags funnel and the k funnel alike — and so must a warm state's
-//! repair after a camera move.
+//! repair after a camera move. A warm state's full rebuild runs on its
+//! own evaluator, so it allocates only the buffers a rebuild makes anew.
 
 use fullview_bench::bench_network;
-use fullview_core::{use_tiled, EffectiveAngle, GridEvaluator, GridTiling, IncrementalSweep};
+use fullview_core::{
+    use_tiled, EffectiveAngle, GridEvaluator, GridTiling, IncrementalSweep, KBit, PointByte,
+};
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
 use fullview_model::{CameraNetwork, TileCursor};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,14 +70,14 @@ fn k_sweep(
         let (cx, cy) = tiling.tile_cell(t);
         cursor.pin(cx, cy);
         let (cols, rows) = (tiling.tile_col_range(t), tiling.tile_row_range(t));
-        evaluator.for_each_point_k_in_rect(
+        KBit::new(k).evaluate_rect(
+            evaluator,
             cursor,
             grid,
             cols,
             rows,
             0,
             grid.len(),
-            k,
             &mut |_, m| {
                 met += usize::from(m);
             },
@@ -148,5 +151,33 @@ fn warmed_tiled_sweep_allocates_nothing() {
     assert_eq!(
         allocated, 0,
         "warm repair regressed: {allocated} allocations in a warmed move-and-repair"
+    );
+
+    // A warmed rebuild: `invalidate` sends the next repair down the cold
+    // path, which runs the walk on the state's own evaluator — its kernel
+    // scratch already warm, no second evaluator built. The first two
+    // rebuilds warm it; the third is counted. What is left are the
+    // buffers a rebuild makes anew, seven on this fixture: the state's
+    // tiling, its per-tile tallies, its dirty set and the cold sweep's
+    // column → cell map, then the walk's own tiling and its tile
+    // cursor's candidate and pinned-camera buffers (one each: every tile
+    // of this 3 × 3 index scans all 1000 cameras).
+    let mut rebuild = |net: &CameraNetwork| {
+        state.invalidate();
+        let before = allocations();
+        let delta = state.resweep_dirty(net);
+        (delta, allocations() - before)
+    };
+    rebuild(&net);
+    rebuild(&net);
+    let (delta, allocated) = rebuild(&net);
+    assert!(delta.rebuilt, "an invalidated state must rebuild");
+    assert!(
+        delta.flipped_on.is_empty() && delta.flipped_off.is_empty(),
+        "a rebuild over the same network must flip no point"
+    );
+    assert!(
+        allocated <= 7,
+        "warm rebuild regressed: {allocated} allocations in a warmed rebuild (at most 7)"
     );
 }

@@ -17,7 +17,7 @@ use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
 use fullview_model::{CameraNetwork, CoverageProvider, TileCursor};
 use std::fmt;
-use std::ops::{AddAssign, Range};
+use std::ops::AddAssign;
 
 /// The paper's dense-grid size `m = ⌈n ln n⌉`, floored at 4 so degenerate
 /// populations still produce a usable grid.
@@ -379,68 +379,19 @@ impl GridEvaluator {
         }
     }
 
-    /// The flags funnel: produces the [`PointFlags`] of the points inside
-    /// `lo..hi` among grid columns `cols` × rows `rows`, a rectangle of the
-    /// cell `cursor` is pinned to (rows outer, columns inner). Screens the
-    /// whole rectangle through the mask kernel when one is configured, then
+    /// The flags funnel: the flags of one walk unit's in-range points
+    /// (rows outer, columns inner within a rectangle). Screens the whole
+    /// rectangle through the mask kernel when one is configured, then
     /// decides each in-range point from its verdict, from the viewed
     /// directions the screen gathered for it, or by the exact analyzer's
-    /// rescan. Out-of-range points are never gathered and never reach the
-    /// exact analyzer or `f`.
+    /// rescan through the unit's backend — the only decision on the
+    /// whole-network unit. Out-of-range points are never gathered and
+    /// never reach the exact analyzer or `f`.
     ///
-    /// Every tiled flags evaluation — the walk's tiles, incremental
-    /// repairs, the hierarchical prover's residual rectangles — runs this
-    /// funnel's body (the tile loop's units enter it directly), so the
-    /// kernel integration (and its bit-identity obligations) live in
-    /// exactly one place.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_each_point_flags_in_rect(
-        &mut self,
-        cursor: &TileCursor<'_>,
-        grid: &UnitGrid,
-        cols: Range<usize>,
-        rows: Range<usize>,
-        lo: usize,
-        hi: usize,
-        f: &mut dyn FnMut(usize, PointFlags),
-    ) {
-        self.unit_flags(&SweepUnit::rect(cursor, grid, cols, rows, lo, hi), f);
-    }
-
-    /// The k funnel: calls `f(index, met)` for every point inside `lo..hi`
-    /// among grid columns `cols` × rows `rows`, a rectangle of the cell
-    /// `cursor` is pinned to (rows outer, columns inner), where `met` says
-    /// whether the point's view multiplicity is at least `k`
-    /// ([`CoverageView::view_multiplicity`](crate::CoverageView::view_multiplicity)).
-    /// Screens the rectangle through the kernel's per-sector depth counters
-    /// ([`ScreenMode::Depth`]) and runs the exact arc sweep only on the
-    /// points the screen leaves undecided — over the directions it
-    /// gathered for them, or on a rescan; the verdicts are bit-identical
-    /// to the exact sweep either way.
-    ///
-    /// Every k evaluation — [`count_k_view_range`](crate::count_k_view_range),
-    /// a warm [`KCountSweep`](crate::KCountSweep)'s repairs and the
-    /// hierarchical prover's residual rectangles — runs this funnel's body
-    /// (the tile loop's units enter it directly).
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_each_point_k_in_rect(
-        &mut self,
-        cursor: &TileCursor<'_>,
-        grid: &UnitGrid,
-        cols: Range<usize>,
-        rows: Range<usize>,
-        lo: usize,
-        hi: usize,
-        k: usize,
-        f: &mut dyn FnMut(usize, bool),
-    ) {
-        self.unit_k(&SweepUnit::rect(cursor, grid, cols, rows, lo, hi), k, f);
-    }
-
-    /// The flags of one walk unit's in-range points: screened verdicts or
-    /// gathered directions where the unit is a rectangle and a kernel is
-    /// configured, the exact analyzer through the unit's backend
-    /// everywhere else.
+    /// Every flags evaluation — the walk's units, warm repairs, the
+    /// hierarchical prover's residual rectangles — reaches this body
+    /// through [`PointByte`](crate::PointByte), so the kernel integration
+    /// (and its bit-identity obligations) live in exactly one place.
     pub(crate) fn unit_flags(
         &mut self,
         unit: &SweepUnit<'_>,
@@ -489,12 +440,16 @@ impl GridEvaluator {
         self.kernel = kernel;
     }
 
-    /// Whether each of one walk unit's in-range points has view
-    /// multiplicity at least `k`: depth-screened verdicts where the unit
-    /// is a rectangle, a kernel is configured and `k` fits the counters,
-    /// the exact arc sweep everywhere else — over the directions the
-    /// screen gathered, or through the unit's backend. `k = 0` holds
-    /// everywhere and evaluates nothing.
+    /// The k funnel: whether each of one walk unit's in-range points has
+    /// view multiplicity at least `k`
+    /// ([`CoverageView::view_multiplicity`]). Screens a rectangle through
+    /// the kernel's per-sector depth counters ([`ScreenMode::Depth`]) when
+    /// a kernel is configured and `k` fits the counters, and runs the
+    /// exact arc sweep only on the points the screen leaves undecided —
+    /// over the directions it gathered for them, or through the unit's
+    /// backend; the verdicts are bit-identical to the exact sweep either
+    /// way. `k = 0` holds everywhere and evaluates nothing. Every k
+    /// evaluation reaches this body through [`PointByte`](crate::PointByte).
     pub(crate) fn unit_k(
         &mut self,
         unit: &SweepUnit<'_>,
@@ -672,6 +627,7 @@ pub fn evaluate_dense_grid_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{FlagBits, KBit, PointByte};
     use fullview_geom::Point;
     use fullview_model::{Camera, GroupId, SensorSpec};
     use std::f64::consts::PI;
@@ -951,7 +907,8 @@ mod tests {
         let mut ev = GridEvaluator::new(th, Angle::ZERO);
         let mut exact = GridEvaluator::new_exact(th, Angle::ZERO);
         let mut emitted = Vec::new();
-        ev.for_each_point_flags_in_rect(
+        FlagBits::new(Angle::ZERO).evaluate_rect(
+            &mut ev,
             &cursor,
             &grid,
             sub_cols.clone(),
@@ -977,14 +934,14 @@ mod tests {
                 .filter(|&&idx| crate::view_multiplicity(&net, grid.point(idx), th) >= k)
                 .count();
             let mut got = 0;
-            ev.for_each_point_k_in_rect(
+            KBit::new(k).evaluate_rect(
+                &mut ev,
                 &cursor,
                 &grid,
                 sub_cols.clone(),
                 sub_rows.clone(),
                 lo,
                 hi,
-                k,
                 &mut |_, met| got += usize::from(met),
             );
             assert_eq!(got, want, "k={k}");

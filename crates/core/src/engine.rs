@@ -38,7 +38,6 @@
 use crate::densegrid::{GridCoverageReport, GridEvaluator, PointFlags, FULL_VIEW_BIT};
 use crate::fullview::{CoverageView, PointAnalyzer};
 use crate::holes::FullViewMask;
-use crate::kfullview::sweep_k_range;
 use crate::mask::{ScreenMode, SectorMaskKernel};
 use crate::render::{glyph_of, glyph_string};
 use crate::theta::EffectiveAngle;
@@ -520,41 +519,6 @@ pub(crate) fn sweep_grid_range<F>(
     });
 }
 
-/// Sweeps the row-major index range `lo..hi`, handing each point's
-/// [`PointFlags`] to the callback — the flags-level sweep behind hole
-/// masks, glyph maps and grid reports, and the scatter unit of the
-/// sharded cluster layer.
-///
-/// Because only verdicts are exposed, this entry point runs the
-/// two-stage engine: each tile is screened through the
-/// [`SectorMaskKernel`] and only screen-undecided in-range points pay
-/// for the exact analysis. Verdicts are bit-identical to the exact
-/// per-point analysis (that is the kernel's contract, pinned by the
-/// differential tests), so concatenating range results over a partition
-/// of `0..grid.len()` reproduces a full exact sweep.
-///
-/// The sector conditions use `start_line` for their constructions
-/// ([`Angle::ZERO`] is the conventional choice). Visits points in tile
-/// order — key results by the `usize` grid index.
-///
-/// # Panics
-///
-/// Panics if `lo > hi` or `hi > grid.len()`.
-pub fn sweep_flags_range<F>(
-    net: &CameraNetwork,
-    grid: &UnitGrid,
-    theta: EffectiveAngle,
-    start_line: Angle,
-    lo: usize,
-    hi: usize,
-    mut f: F,
-) where
-    F: FnMut(usize, PointFlags),
-{
-    let mut evaluator = GridEvaluator::new(theta, start_line);
-    walk(net, grid, lo, hi, |unit| evaluator.unit_flags(unit, &mut f));
-}
-
 /// A bitset over the tile ids of a [`GridTiling`] recording which tiles a
 /// mutation may have changed — the work list of the incremental resweep.
 ///
@@ -656,10 +620,10 @@ impl DirtySet {
 
 /// A whole-grid sweep feeding a [`WarmGrid`] cold build: `cold(net, grid,
 /// emit)` must call `emit(index, verdict)` exactly once per grid index,
-/// with verdicts bit-identical to the core sweep of the state's kind —
-/// [`sweep_flags_range`] at the state's θ and start line for a flags state
-/// ([`PointFlags`], the default), [`sweep_k_range`] for a k-count state
-/// (`bool`). The hierarchical prover is one such sweep.
+/// with verdicts bit-identical to the state's kind's
+/// [`sweep`](PointByte::sweep) at the state's θ — [`PointFlags`] (the
+/// default) for a flags state, `bool` for a k-count state. The
+/// hierarchical prover is one such sweep.
 pub type ColdSweep<'s, V = PointFlags> =
     dyn FnMut(&CameraNetwork, &UnitGrid, &mut dyn FnMut(usize, V)) + 's;
 
@@ -699,11 +663,13 @@ impl<T> SweepDelta<T> {
     }
 }
 
-/// What a [`WarmGrid`] keeps in its one byte per grid point: how a
-/// verdict packs into the byte and tallies per tile, and which core
-/// funnel evaluates it. [`FlagBits`] keeps the five [`PointFlags`],
-/// [`KBit`] whether the view multiplicity reaches `k`; the trait is
-/// sealed to those two.
+/// A kind of per-point verdict, and what a [`WarmGrid`] keeps of it in
+/// one byte per grid point: how the verdict packs into the byte and
+/// tallies per tile, and which core funnel evaluates it. [`FlagBits`]
+/// keeps the five [`PointFlags`], [`KBit`] whether the view multiplicity
+/// reaches `k`; the trait is sealed to those two, and its two impls are
+/// the only place core tells them apart. Every range sweep, rectangle
+/// and warm state runs through its provided methods.
 pub trait PointByte: Clone + fmt::Debug + sealed::Sealed {
     /// One point's verdict, as the funnels and cold sweeps emit it.
     type Verdict: Copy;
@@ -722,24 +688,69 @@ pub trait PointByte: Clone + fmt::Debug + sealed::Sealed {
     fn merge(tally: &mut Self::Tally, part: &Self::Tally);
     /// Removes a previously merged `part` from `tally`.
     fn subtract(tally: &mut Self::Tally, part: &Self::Tally);
-    /// The evaluator repairs run the funnel with.
+    /// The evaluator this kind's funnel runs on.
     fn evaluator(&self, theta: EffectiveAngle) -> GridEvaluator;
-    /// Evaluates the in-range points of one unit of the tile loop through
-    /// core's funnel of this kind — the entry cold sweeps run.
+    /// Evaluates the in-range points of one unit of the walk or the tile
+    /// loop through core's funnel of this kind — the one entry every
+    /// sweep, repair and residual rectangle reaches the funnel by.
     fn evaluate_unit(
         &self,
         evaluator: &mut GridEvaluator,
         unit: &SweepUnit<'_>,
         emit: &mut dyn FnMut(usize, Self::Verdict),
     );
-    /// The core sweep of the whole grid: the default cold build.
+
+    /// Calls `emit(index, verdict)` for every point inside `lo..hi` among
+    /// grid columns `cols` × rows `rows`, a rectangle of the cell `cursor`
+    /// is pinned to (rows outer, columns inner), through `evaluator`. The
+    /// funnel screens the whole rectangle through the mask kernel when
+    /// one is configured; out-of-range points are never gathered and
+    /// never reach the exact analyzer or `emit`. The hierarchical
+    /// prover's residual rectangles come through here.
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate_rect(
+        &self,
+        evaluator: &mut GridEvaluator,
+        cursor: &TileCursor<'_>,
+        grid: &UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        lo: usize,
+        hi: usize,
+        emit: &mut dyn FnMut(usize, Self::Verdict),
+    ) {
+        let unit = SweepUnit::rect(cursor, grid, cols, rows, lo, hi);
+        self.evaluate_unit(evaluator, &unit, emit);
+    }
+
+    /// The core range sweep of this kind: calls `emit(index, verdict)`
+    /// exactly once for every grid index in `lo..hi`, in tile order (key
+    /// results by index), through the walk and a fresh
+    /// [`evaluator`](Self::evaluator). Tiles are screened through the
+    /// [`SectorMaskKernel`] and only screen-undecided in-range points pay
+    /// for the exact predicates, so verdicts are bit-identical to the
+    /// exact per-point analysis, and concatenating range results over a
+    /// partition of `0..grid.len()` reproduces a full sweep. Behind hole
+    /// masks, glyph maps, k-counts and warm states' cold builds, and the
+    /// scatter unit of the sharded cluster layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi > grid.len()`.
     fn sweep(
         &self,
         net: &CameraNetwork,
         grid: &UnitGrid,
         theta: EffectiveAngle,
+        lo: usize,
+        hi: usize,
         emit: &mut dyn FnMut(usize, Self::Verdict),
-    );
+    ) {
+        let mut evaluator = self.evaluator(theta);
+        walk(net, grid, lo, hi, |unit| {
+            self.evaluate_unit(&mut evaluator, unit, emit);
+        });
+    }
 }
 
 mod sealed {
@@ -754,6 +765,21 @@ mod sealed {
 pub struct FlagBits {
     /// The sector-condition start line.
     start_line: Angle,
+}
+
+impl FlagBits {
+    /// The flags with sector conditions built from `start_line`
+    /// ([`Angle::ZERO`] is the conventional choice).
+    #[must_use]
+    pub fn new(start_line: Angle) -> Self {
+        FlagBits { start_line }
+    }
+
+    /// The sector-condition start line.
+    #[must_use]
+    pub fn start_line(&self) -> Angle {
+        self.start_line
+    }
 }
 
 impl PointByte for FlagBits {
@@ -792,24 +818,28 @@ impl PointByte for FlagBits {
     ) {
         evaluator.unit_flags(unit, emit);
     }
-
-    fn sweep(
-        &self,
-        net: &CameraNetwork,
-        grid: &UnitGrid,
-        theta: EffectiveAngle,
-        emit: &mut dyn FnMut(usize, PointFlags),
-    ) {
-        sweep_flags_range(net, grid, theta, self.start_line, 0, grid.len(), emit);
-    }
 }
 
 /// Whether a point's view multiplicity is at least `k`, as `0` or `1` —
-/// what a [`KCountSweep`] keeps.
+/// what a [`KCountSweep`] keeps. `k = 0` holds at every point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KBit {
     /// The multiplicity threshold.
     k: usize,
+}
+
+impl KBit {
+    /// Whether the view multiplicity reaches `k`.
+    #[must_use]
+    pub fn new(k: usize) -> Self {
+        KBit { k }
+    }
+
+    /// The multiplicity threshold.
+    #[must_use]
+    pub fn k(&self) -> usize {
+        self.k
+    }
 }
 
 impl PointByte for KBit {
@@ -837,7 +867,9 @@ impl PointByte for KBit {
     }
 
     fn evaluator(&self, theta: EffectiveAngle) -> GridEvaluator {
-        // The depth screen's start line is arbitrary (see `sweep_k_range`).
+        // The depth screen's start line is arbitrary: the strict-depth
+        // argument holds for any partition, and certainty is what routes
+        // to the exact sweep.
         GridEvaluator::new(theta, Angle::ZERO)
     }
 
@@ -848,16 +880,6 @@ impl PointByte for KBit {
         emit: &mut dyn FnMut(usize, bool),
     ) {
         evaluator.unit_k(unit, self.k, emit);
-    }
-
-    fn sweep(
-        &self,
-        net: &CameraNetwork,
-        grid: &UnitGrid,
-        theta: EffectiveAngle,
-        emit: &mut dyn FnMut(usize, bool),
-    ) {
-        sweep_k_range(net, grid, theta, self.k, 0, grid.len(), emit);
     }
 }
 
@@ -927,13 +949,14 @@ pub type KCountSweep = WarmGrid<KBit>;
 
 impl<B: PointByte> WarmGrid<B> {
     /// Cold-builds the state keeping `holds` for `net` over a
-    /// `grid_side × grid_side` grid, with every verdict taken from `cold`.
+    /// `grid_side × grid_side` grid, with every verdict taken from `cold`,
+    /// or from the walk on the state's own evaluator without one.
     fn build(
         net: &CameraNetwork,
         theta: EffectiveAngle,
         holds: B,
         grid_side: usize,
-        cold: &mut ColdSweep<'_, B::Verdict>,
+        cold: Option<&mut ColdSweep<'_, B::Verdict>>,
     ) -> Self {
         assert!(grid_side > 0, "grid side must be positive");
         let torus = *net.torus();
@@ -961,35 +984,73 @@ impl<B: PointByte> WarmGrid<B> {
         state
     }
 
-    /// Evaluates every point through `cold` into the all-default per-tile
-    /// tallies, overwriting every byte; with `delta`, records the flips
-    /// against the bytes it overwrites.
+    /// Cold-builds the state keeping `holds` for `net` over a
+    /// `grid_side × grid_side` grid, with the verdicts of the cold build
+    /// taken from `cold` instead of the core walk. Repairs still run the
+    /// core tile funnel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid_side == 0`.
+    #[must_use]
+    pub fn with_cold_sweep(
+        net: &CameraNetwork,
+        theta: EffectiveAngle,
+        holds: B,
+        grid_side: usize,
+        cold: &mut ColdSweep<'_, B::Verdict>,
+    ) -> Self {
+        Self::build(net, theta, holds, grid_side, Some(cold))
+    }
+
+    /// Evaluates every point into the all-default per-tile tallies,
+    /// overwriting every byte — through `cold` when given, else through
+    /// the walk on the state's own evaluator; with `delta`, records the
+    /// flips against the bytes it overwrites.
     fn cold_sweep(
         &mut self,
         net: &CameraNetwork,
-        cold: &mut ColdSweep<'_, B::Verdict>,
+        cold: Option<&mut ColdSweep<'_, B::Verdict>>,
         mut delta: Option<&mut SweepDelta<B::Tally>>,
     ) {
-        let (cells, side) = (self.cells, self.grid.side_count());
+        // Disjoint borrows: the emit closure writes bytes and tallies
+        // while the walk reads the kind and runs the evaluator.
+        let WarmGrid {
+            holds,
+            grid,
+            tiling,
+            cells,
+            evaluator,
+            bytes,
+            tile_tallies,
+            ..
+        } = self;
+        let (cells, side) = (*cells, grid.side_count());
         // Grid column (equally, row) → the index-cell coordinate owning it.
-        let cell_of: Vec<usize> = (0..cells)
-            .flat_map(|c| self.tiling.cell_axis_range(c).map(move |_| c))
-            .collect();
-        let (tallies, bytes) = (&mut self.tile_tallies, &mut self.bytes);
+        let mut cell_of = Vec::with_capacity(side);
+        for c in 0..cells {
+            cell_of.extend(tiling.cell_axis_range(c).map(|_| c));
+        }
         let mut emitted = 0usize;
-        cold(net, &self.grid, &mut |idx, verdict| {
+        let mut emit = |idx: usize, verdict: B::Verdict| {
             let t = cell_of[idx / side] * cells + cell_of[idx % side];
-            B::record(&mut tallies[t], verdict);
+            B::record(&mut tile_tallies[t], verdict);
             let byte = B::byte(verdict);
             if let Some(delta) = delta.as_deref_mut() {
                 delta.note(idx, B::is_set(bytes[idx]), B::is_set(byte));
             }
             bytes[idx] = byte;
             emitted += 1;
-        });
+        };
+        match cold {
+            Some(cold) => cold(net, grid, &mut emit),
+            None => walk(net, grid, 0, grid.len(), |unit| {
+                holds.evaluate_unit(evaluator, unit, &mut emit);
+            }),
+        }
         assert_eq!(
             emitted,
-            self.grid.len(),
+            grid.len(),
             "cold sweep must emit every grid index once"
         );
         self.total = B::Tally::default();
@@ -1083,17 +1144,14 @@ impl<B: PointByte> WarmGrid<B> {
     /// Repairs the state against the (already mutated) network:
     /// re-evaluates exactly the dirty tiles through core's funnel and
     /// patches the bytes and the total in place, returning what changed.
-    /// Falls back to a full rebuild through the core sweep when the index
-    /// geometry no longer matches the stored tiling (or
-    /// [`invalidate`](Self::invalidate) was called).
+    /// Falls back to a full rebuild — the walk on the state's own
+    /// evaluator — when the index geometry no longer matches the stored
+    /// tiling (or [`invalidate`](Self::invalidate) was called).
     ///
     /// Afterwards the state is clean and bit-identical to a cold build
     /// over `net` — the invariant the differential tests pin down.
     pub fn resweep_dirty(&mut self, net: &CameraNetwork) -> SweepDelta<B::Tally> {
-        let (holds, theta) = (self.holds.clone(), self.theta);
-        self.resweep_dirty_with(net, &mut |net, grid, emit| {
-            holds.sweep(net, grid, theta, emit);
-        })
+        self.resweep(net, None)
     }
 
     /// [`resweep_dirty`](Self::resweep_dirty) with a full rebuild's
@@ -1103,6 +1161,16 @@ impl<B: PointByte> WarmGrid<B> {
         &mut self,
         net: &CameraNetwork,
         cold: &mut ColdSweep<'_, B::Verdict>,
+    ) -> SweepDelta<B::Tally> {
+        self.resweep(net, Some(cold))
+    }
+
+    /// The repair both entries run: a rebuild (through `cold` when given)
+    /// or a repair of the dirty tiles.
+    fn resweep(
+        &mut self,
+        net: &CameraNetwork,
+        cold: Option<&mut ColdSweep<'_, B::Verdict>>,
     ) -> SweepDelta<B::Tally> {
         let mut delta = SweepDelta {
             before: self.total.clone(),
@@ -1161,7 +1229,7 @@ impl<B: PointByte> WarmGrid<B> {
     fn rebuild(
         &mut self,
         net: &CameraNetwork,
-        cold: &mut ColdSweep<'_, B::Verdict>,
+        cold: Option<&mut ColdSweep<'_, B::Verdict>>,
         delta: &mut SweepDelta<B::Tally>,
     ) {
         let index = net.index();
@@ -1181,7 +1249,7 @@ impl<B: PointByte> WarmGrid<B> {
 impl WarmGrid<FlagBits> {
     /// Cold-builds the flags state for `net` over a
     /// `grid_side × grid_side` grid: every point evaluated once through
-    /// [`sweep_flags_range`].
+    /// the walk on the state's own evaluator.
     ///
     /// # Panics
     ///
@@ -1193,28 +1261,7 @@ impl WarmGrid<FlagBits> {
         start_line: Angle,
         grid_side: usize,
     ) -> Self {
-        let holds = FlagBits { start_line };
-        Self::build(net, theta, holds, grid_side, &mut |net, grid, emit| {
-            holds.sweep(net, grid, theta, emit);
-        })
-    }
-
-    /// [`new`](Self::new) with the verdicts of the cold build taken from
-    /// `cold` instead of the core flags walk. Repairs still run the core
-    /// tile funnel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grid_side == 0`.
-    #[must_use]
-    pub fn with_cold_sweep(
-        net: &CameraNetwork,
-        theta: EffectiveAngle,
-        start_line: Angle,
-        grid_side: usize,
-        cold: &mut ColdSweep<'_>,
-    ) -> Self {
-        Self::build(net, theta, FlagBits { start_line }, grid_side, cold)
+        Self::build(net, theta, FlagBits::new(start_line), grid_side, None)
     }
 
     /// The sector-condition start line this state evaluates with.
@@ -1259,35 +1306,14 @@ impl WarmGrid<FlagBits> {
 impl WarmGrid<KBit> {
     /// Cold-builds the k-count state for `net` over a
     /// `grid_side × grid_side` grid: every point evaluated once through
-    /// [`sweep_k_range`].
+    /// the walk on the state's own evaluator.
     ///
     /// # Panics
     ///
     /// Panics if `grid_side == 0`.
     #[must_use]
     pub fn new(net: &CameraNetwork, theta: EffectiveAngle, k: usize, grid_side: usize) -> Self {
-        let holds = KBit { k };
-        Self::build(net, theta, holds, grid_side, &mut |net, grid, emit| {
-            holds.sweep(net, grid, theta, emit);
-        })
-    }
-
-    /// [`new`](Self::new) with the verdicts of the cold build taken from
-    /// `cold` instead of the core k walk. Repairs still run the core k
-    /// funnel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grid_side == 0`.
-    #[must_use]
-    pub fn with_cold_sweep(
-        net: &CameraNetwork,
-        theta: EffectiveAngle,
-        k: usize,
-        grid_side: usize,
-        cold: &mut ColdSweep<'_, bool>,
-    ) -> Self {
-        Self::build(net, theta, KBit { k }, grid_side, cold)
+        Self::build(net, theta, KBit::new(k), grid_side, None)
     }
 
     /// The multiplicity threshold this state counts against.
@@ -1392,6 +1418,7 @@ mod tests {
         let mut full = vec![None; len];
         sweep_grid(net, &grid, |idx, _, view| full[idx] = Some(view.to_owned()));
         let mut exact = GridEvaluator::new_exact(theta, Angle::ZERO);
+        let flag_bits = FlagBits::new(Angle::ZERO);
 
         for cuts in [
             vec![0, len],
@@ -1414,7 +1441,7 @@ mod tests {
                     assert_eq!(view.to_owned(), analyze_point(net, point));
                     assert_eq!(Some(view.to_owned()), full[idx], "idx {idx}");
                 });
-                sweep_flags_range(net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
+                flag_bits.sweep(net, &grid, theta, lo, hi, &mut |idx, flags| {
                     assert!(
                         idx >= lo && idx < hi && !flagged[idx],
                         "index {idx} in {lo}..{hi}"
@@ -1577,9 +1604,10 @@ mod tests {
         let theta = EffectiveAngle::new(PI / 4.0).unwrap();
         let mut skip_last =
             |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, PointFlags)| {
-                sweep_flags_range(net, grid, theta, Angle::ZERO, 0, grid.len() - 1, emit);
+                FlagBits::new(Angle::ZERO).sweep(net, grid, theta, 0, grid.len() - 1, emit);
             };
-        let _ = IncrementalSweep::with_cold_sweep(&net, theta, Angle::ZERO, 25, &mut skip_last);
+        let holds = FlagBits::new(Angle::ZERO);
+        let _ = IncrementalSweep::with_cold_sweep(&net, theta, holds, 25, &mut skip_last);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! (4-connected, with torus wrap on both axes).
 
 use crate::densegrid::FULL_VIEW_BIT;
-use crate::engine::sweep_flags_range;
+use crate::engine::{FlagBits, PointByte};
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
 use fullview_model::CameraNetwork;
@@ -95,7 +95,7 @@ pub fn full_view_mask_range(
     assert!(grid_side > 0, "grid side must be positive");
     let grid = UnitGrid::new(*net.torus(), grid_side);
     full_view_mask_range_with(lo, hi, |emit| {
-        sweep_flags_range(net, &grid, theta, Angle::ZERO, lo, hi, emit);
+        FlagBits::new(Angle::ZERO).sweep(net, &grid, theta, lo, hi, emit);
     })
 }
 
@@ -103,8 +103,8 @@ pub fn full_view_mask_range(
 /// `sweep` must call its callback exactly once per index of `lo..hi` (any
 /// order) with that point's flags. The mask layout is shared with
 /// [`full_view_mask_range`], so any sweep whose flags are bit-identical
-/// to [`sweep_flags_range`] (e.g. the hierarchical prover) produces the
-/// identical mask.
+/// to [`FlagBits`]' [`sweep`](PointByte::sweep) (e.g. the hierarchical
+/// prover) produces the identical mask.
 ///
 /// # Panics
 ///

@@ -95,8 +95,8 @@ pub use design::{
     max_cameras_below_necessary, min_cameras_for_guarantee, required_area_for_expected_fraction,
 };
 pub use engine::{
-    claim_units, sweep_flags_range, sweep_grid, use_tiled, worker_count, ColdSweep, DirtySet,
-    FlagBits, GridTiling, IncrementalSweep, KBit, KCountSweep, PointByte, SweepDelta, WarmGrid,
+    claim_units, sweep_grid, use_tiled, worker_count, ColdSweep, DirtySet, FlagBits, GridTiling,
+    IncrementalSweep, KBit, KCountSweep, PointByte, SweepDelta, WarmGrid,
 };
 pub use error::CoreError;
 pub use exact::{
@@ -115,7 +115,7 @@ pub use holes::{
 pub use kcov::{implied_k, is_k_covered, k_covered_fraction, min_coverage_over_grid};
 pub use kfullview::{
     count_k_view_range, for_each_view_multiplicity, is_k_full_view_covered, min_arc_depth,
-    prob_point_meets_necessary_k_poisson, sweep_k_range, view_multiplicity,
+    prob_point_meets_necessary_k_poisson, view_multiplicity,
 };
 pub use mask::{PointVerdict, ScreenMode, ScreenStats, SectorMaskKernel};
 pub use path::{evaluate_path, ExposedStretch, Path, PathCoverageReport};

@@ -8,7 +8,7 @@
 //! only decide where the bytes go.
 
 use crate::densegrid::PointFlags;
-use crate::engine::sweep_flags_range;
+use crate::engine::{FlagBits, PointByte};
 use crate::holes::HoleReport;
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, UnitGrid};
@@ -60,7 +60,7 @@ pub fn coverage_glyphs_range(
     assert!(side > 0, "map side must be positive");
     let grid = UnitGrid::new(*net.torus(), side);
     coverage_glyphs_range_with(lo, hi, |emit| {
-        sweep_flags_range(net, &grid, theta, Angle::ZERO, lo, hi, emit);
+        FlagBits::new(Angle::ZERO).sweep(net, &grid, theta, lo, hi, emit);
     })
 }
 
@@ -68,8 +68,8 @@ pub fn coverage_glyphs_range(
 /// `sweep` must call its callback exactly once per index of `lo..hi` (any
 /// order) with that point's [`PointFlags`]. The glyph mapping and buffer
 /// layout are shared with [`coverage_glyphs_range`], so any sweep whose
-/// flags are bit-identical to [`sweep_flags_range`] (e.g. the
-/// hierarchical prover) renders byte-identical glyphs.
+/// flags are bit-identical to [`FlagBits`]' [`sweep`](PointByte::sweep)
+/// (e.g. the hierarchical prover) renders byte-identical glyphs.
 ///
 /// # Panics
 ///

@@ -15,8 +15,8 @@
 //!   most points are gathered, and one past the gather's direction budget.
 
 use fullview_core::{
-    count_k_view_range, csa_necessary, largest_circular_gap, min_arc_depth, sweep_flags_range,
-    view_multiplicity, EffectiveAngle, GridCoverageReport, GridEvaluator, GridTiling,
+    count_k_view_range, csa_necessary, largest_circular_gap, min_arc_depth, view_multiplicity,
+    EffectiveAngle, FlagBits, GridCoverageReport, GridEvaluator, GridTiling, PointByte,
 };
 use fullview_deploy::deploy_uniform;
 use fullview_geom::{Angle, Point, Torus, UnitGrid, ANGLE_EPS};
@@ -277,7 +277,7 @@ proptest! {
         let lo = (fa * grid.len() as f64) as usize;
         let hi = ((fb * grid.len() as f64) as usize).min(grid.len());
         let mut got = Vec::with_capacity(hi - lo);
-        sweep_flags_range(&net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
+        FlagBits::new(Angle::ZERO).sweep(&net, &grid, theta, lo, hi, &mut |idx, flags| {
             got.push((idx, flags));
         });
         prop_assert_eq!(got.len(), hi - lo);
@@ -478,7 +478,7 @@ proptest! {
         let mut exact_ev = GridEvaluator::new_exact(theta, Angle::ZERO);
         for (lo, hi) in [(0, grid.len()), (lo, hi)] {
             let mut got = Vec::with_capacity(hi - lo);
-            sweep_flags_range(&net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
+            FlagBits::new(Angle::ZERO).sweep(&net, &grid, theta, lo, hi, &mut |idx, flags| {
                 got.push((idx, flags));
             });
             prop_assert_eq!(got.len(), hi - lo);

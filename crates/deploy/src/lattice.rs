@@ -21,7 +21,7 @@ pub enum LatticeKind {
     /// Vertices on a square grid.
     Square,
     /// Vertices on a triangular (hexagonal-packing) lattice — the pattern
-    /// of Wang & Cao [4].
+    /// of Wang & Cao \[4\].
     Triangular,
 }
 
@@ -45,7 +45,7 @@ impl LatticeDeployment {
     ///
     /// With this fan, any point within sensing range of a vertex is covered
     /// by at least one camera at that vertex, which is the property the
-    /// full-view construction of [4] relies on.
+    /// full-view construction of \[4\] relies on.
     #[must_use]
     pub fn covering_fan(kind: LatticeKind, spacing: f64, spec: &SensorSpec) -> Self {
         let k = (std::f64::consts::TAU / spec.angle_of_view())

@@ -11,9 +11,9 @@
 //!
 //! Run with `cargo run --release --example hier_perf -p fullview-hier`.
 
-use fullview_core::{csa_sufficient, dense_grid, sweep_flags_range, EffectiveAngle};
+use fullview_core::{csa_sufficient, dense_grid, EffectiveAngle, FlagBits, PointByte};
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
-use fullview_hier::{sweep_flags_range_hier, Tier};
+use fullview_hier::Tier;
 use fullview_model::{Camera, CameraNetwork, GroupId, SensorSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,18 +62,18 @@ fn grid_side_rows() {
         let net = dense_network(n, r, aov);
         let theta = EffectiveAngle::new(PI / 3.0).unwrap();
         let grid = UnitGrid::new(Torus::unit(), side);
+        let holds = FlagBits::new(Angle::ZERO);
         let t0 = Instant::now();
         let mut acc = 0usize;
-        sweep_flags_range(&net, &grid, theta, Angle::ZERO, 0, grid.len(), |_, f| {
+        holds.sweep(&net, &grid, theta, 0, grid.len(), &mut |_, f| {
             acc += usize::from(f.full_view);
         });
         let mask_t = t0.elapsed();
         let t1 = Instant::now();
         let mut acc2 = 0usize;
-        let stats =
-            sweep_flags_range_hier(&net, &grid, theta, Angle::ZERO, 0, grid.len(), |_, f| {
-                acc2 += usize::from(f.full_view);
-            });
+        let stats = Tier::Hier.sweep(&net, &grid, theta, &holds, 0, grid.len(), &mut |_, f| {
+            acc2 += usize::from(f.full_view);
+        });
         let hier_t = t1.elapsed();
         assert_eq!(acc, acc2);
         println!(

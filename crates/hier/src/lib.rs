@@ -13,17 +13,19 @@
 //! * **`Empty`** — no camera reaches any point of the rectangle;
 //! * **`Boundary`** — undecided: recurse, and at the floor hand the
 //!   surviving points to the exact/mask kernel through the *same*
-//!   [`GridEvaluator`](fullview_core::GridEvaluator) funnel the cold
-//!   sweep uses.
+//!   funnel the cold sweep uses
+//!   ([`PointByte::evaluate_rect`](fullview_core::PointByte::evaluate_rect)).
 //!
 //! Interior nodes are proven without visiting a single grid point, so
-//! the combined answer is **bit-identical** to a cold
-//! [`fullview_core::sweep_flags_range`] by construction — the exact
-//! engine stays the oracle (differential tests pin this). What the
+//! the combined answer is **bit-identical** to a cold core
+//! [`sweep`](fullview_core::PointByte::sweep) by construction — the
+//! exact engine stays the oracle (differential tests pin this). What the
 //! prover decided is reported as [`ProverStats`].
 //!
 //! [`Tier`] is the one switch between the prover and the core's
-//! mask-screened walk; the CLI and the daemon sweep through it.
+//! mask-screened walk, and [`Tier::sweep`] its one sweep over both
+//! verdict kinds ([`Certified`]); the CLI and the daemon sweep through
+//! it.
 //!
 //! ```
 //! use fullview_core::EffectiveAngle;
@@ -56,14 +58,11 @@
 mod bounds;
 mod prover;
 
-pub use prover::{
-    count_k_view_range_hier, sweep_flags_range_hier, sweep_k_range_hier, ProverStats,
-};
+pub use prover::{Certified, ProverStats};
 
 use fullview_core::{
     coverage_glyphs_range_with, coverage_map_from_glyphs, evaluate_grid_parallel,
-    full_view_mask_range_with, sweep_flags_range, sweep_k_range, EffectiveAngle,
-    GridCoverageReport, PointFlags,
+    full_view_mask_range_with, EffectiveAngle, FlagBits, GridCoverageReport,
 };
 use fullview_geom::{Angle, UnitGrid};
 use fullview_model::CameraNetwork;
@@ -92,59 +91,32 @@ impl Tier {
         }
     }
 
-    /// Calls `f(index, flags)` exactly once for every grid index in
-    /// `lo..hi` (tile order — key results by index), with the flags of
-    /// [`fullview_core::sweep_flags_range`], and returns what the prover
-    /// decided.
+    /// Calls `f(index, verdict)` exactly once for every grid index in
+    /// `lo..hi` (tile order — key results by index), with the verdicts of
+    /// the kind's core [`sweep`](fullview_core::PointByte::sweep) —
+    /// [`FlagBits`]' five flags or [`KBit`](fullview_core::KBit)'s
+    /// multiplicity test — and returns what the prover decided.
     ///
     /// # Panics
     ///
     /// Panics if `lo > hi` or `hi > grid.len()`.
     #[allow(clippy::too_many_arguments)]
-    pub fn sweep_flags(
+    pub fn sweep<B: Certified>(
         self,
         net: &CameraNetwork,
         grid: &UnitGrid,
         theta: EffectiveAngle,
-        start_line: Angle,
+        holds: &B,
         lo: usize,
         hi: usize,
-        f: &mut dyn FnMut(usize, PointFlags),
+        f: &mut dyn FnMut(usize, B::Verdict),
     ) -> ProverStats {
         match self {
             Tier::Screened => {
-                sweep_flags_range(net, grid, theta, start_line, lo, hi, f);
+                holds.sweep(net, grid, theta, lo, hi, f);
                 ProverStats::default()
             }
-            Tier::Hier => sweep_flags_range_hier(net, grid, theta, start_line, lo, hi, f),
-        }
-    }
-
-    /// Calls `f(index, met)` exactly once for every grid index in
-    /// `lo..hi` (tile order — key results by index), where `met` is
-    /// [`fullview_core::sweep_k_range`]'s verdict (view multiplicity at
-    /// least `k`), and returns what the prover decided.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or `hi > grid.len()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep_k(
-        self,
-        net: &CameraNetwork,
-        grid: &UnitGrid,
-        theta: EffectiveAngle,
-        k: usize,
-        lo: usize,
-        hi: usize,
-        f: &mut dyn FnMut(usize, bool),
-    ) -> ProverStats {
-        match self {
-            Tier::Screened => {
-                sweep_k_range(net, grid, theta, k, lo, hi, f);
-                ProverStats::default()
-            }
-            Tier::Hier => sweep_k_range_hier(net, grid, theta, k, lo, hi, f),
+            Tier::Hier => prover::sweep(net, grid, theta, holds, lo, hi, f),
         }
     }
 
@@ -167,7 +139,7 @@ impl Tier {
         let grid = UnitGrid::new(*net.torus(), side);
         let mut stats = ProverStats::default();
         let glyphs = coverage_glyphs_range_with(lo, hi, |emit| {
-            stats = self.sweep_flags(net, &grid, theta, Angle::ZERO, lo, hi, emit);
+            stats = self.sweep(net, &grid, theta, &FlagBits::new(Angle::ZERO), lo, hi, emit);
         });
         (glyphs, stats)
     }
@@ -191,7 +163,7 @@ impl Tier {
         let grid = UnitGrid::new(*net.torus(), side);
         let mut stats = ProverStats::default();
         let mask = full_view_mask_range_with(lo, hi, |emit| {
-            stats = self.sweep_flags(net, &grid, theta, Angle::ZERO, lo, hi, emit);
+            stats = self.sweep(net, &grid, theta, &FlagBits::new(Angle::ZERO), lo, hi, emit);
         });
         (mask, stats)
     }
@@ -215,7 +187,8 @@ impl Tier {
             return (report, ProverStats::default());
         }
         let mut report = GridCoverageReport::default();
-        let stats = self.sweep_flags(net, grid, theta, start_line, 0, grid.len(), &mut |_, f| {
+        let holds = FlagBits::new(start_line);
+        let stats = self.sweep(net, grid, theta, &holds, 0, grid.len(), &mut |_, f| {
             report.record(&f);
         });
         (report, stats)

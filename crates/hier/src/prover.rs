@@ -47,10 +47,17 @@
 //! Every rectangle the prover does not certify ends as a *residual*: a
 //! whole tile of at most `KERNEL_TILE_MAX` points, or a sub-tile
 //! rectangle of at most `FLOOR_POINTS` points. Residuals go to core's
-//! screened funnels on the pinned cursor —
-//! [`GridEvaluator::for_each_point_flags_in_rect`] for flags,
-//! [`GridEvaluator::for_each_point_k_in_rect`] for k verdicts — the
-//! funnels the core sweeps run on every tile.
+//! screened funnel of the sweep's kind on the pinned cursor
+//! ([`PointByte::evaluate_rect`]) — the funnel the core sweep runs on
+//! every tile.
+//!
+//! # One sink, two kinds
+//!
+//! The prover owns recursion, certificates and stats; one [`Sink`] owns
+//! the emit callback and the residual funnel. The sealed [`Certified`]
+//! trait is the only place the prover tells flags ([`FlagBits`]) from
+//! k verdicts ([`KBit`]): what closes the kind's `Full` proof, the start
+//! line of its partitions, and the verdict a certified rectangle emits.
 //!
 //! # Conservativeness and bit-identity
 //!
@@ -59,13 +66,13 @@
 //! `ANGLE_EPS` tolerances), and extra covering cameras can only keep
 //! the proven flags `true` (all five predicates are monotone in the
 //! covering set). Residual points get core's own answers, so the
-//! combined answer is bit-identical to [`fullview_core::sweep_flags_range`]
-//! and [`fullview_core::sweep_k_range`] by construction.
+//! combined answer is bit-identical to the kind's core
+//! [`sweep`](PointByte::sweep) by construction.
 
 use crate::bounds::{axis_bound, cone, dist_band, Rect, ANG_BAND};
 use fullview_core::{
-    sweep_flags_range, sweep_k_range, use_tiled, EffectiveAngle, GridEvaluator, GridTiling,
-    PointFlags, SectorPartition,
+    use_tiled, EffectiveAngle, FlagBits, GridEvaluator, GridTiling, KBit, PointByte, PointFlags,
+    SectorPartition,
 };
 use fullview_geom::{Angle, Arc, Point, Torus, UnitGrid, ANGLE_EPS};
 use fullview_model::{CameraNetwork, TileCursor};
@@ -144,7 +151,7 @@ impl fmt::Display for ProverStats {
 /// A node-level proof. `Boundary` is represented as `None` from
 /// [`Prover::classify`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cert {
+pub enum Cert {
     /// No candidate camera reaches any point of the rectangle.
     Empty,
     /// The sink's [`Proof`] closed: the rectangle is uniformly covered in
@@ -155,7 +162,7 @@ enum Cert {
 /// What closes a sink's `Full` proof. Both also need at least `⌈π/θ⌉`
 /// witnesses; both conditions are monotone in the witness set.
 #[derive(Debug, Clone, Copy)]
-enum Proof {
+pub enum Proof {
     /// Every sector of both partitions holds a witness cone: all five
     /// predicate flags are `true` everywhere in the rectangle.
     Flags,
@@ -164,45 +171,75 @@ enum Proof {
     K(usize),
 }
 
-const ALL_TRUE: PointFlags = PointFlags {
-    covered: true,
-    k_covered: true,
-    necessary: true,
-    full_view: true,
-    sufficient: true,
-};
+mod sealed {
+    use super::{Cert, Proof};
+    use fullview_core::PointByte;
+    use fullview_geom::Angle;
 
-const ALL_FALSE: PointFlags = PointFlags {
-    covered: false,
-    k_covered: false,
-    necessary: false,
-    full_view: false,
-    sufficient: false,
-};
+    /// What a certificate means to one verdict kind.
+    pub trait Certify: PointByte {
+        /// What closes this kind's `Full` proof; `None` when every point
+        /// holds without a proof (k = 0), which the core sweep answers.
+        fn proof(&self) -> Option<Proof>;
+        /// The start line of the sector partitions the proof fills.
+        fn start_line(&self) -> Angle;
+        /// The verdict of every point of a certified rectangle.
+        fn certified(cert: Cert) -> Self::Verdict;
+    }
+}
 
-/// What a consumer does with proven rectangles and residual rectangles.
-/// The prover owns recursion, certificates and stats; a sink owns what a
-/// certificate means to it and which core funnel evaluates the rest.
-trait HierSink {
-    /// What closes this sink's `Full` proof.
-    fn proof(&self) -> Proof;
+/// A verdict kind the prover can certify: [`FlagBits`] (all five flags
+/// hold, or none) and [`KBit`] (the multiplicity reaches `k`, or it is
+/// 0). Sealed: the two impls are the only place the prover tells the
+/// kinds apart.
+pub trait Certified: PointByte + sealed::Certify {}
 
-    /// Consumes a certified rectangle, given as the in-range index run of
-    /// each of its rows.
-    fn proved_rect(&mut self, cert: Cert, runs: impl Iterator<Item = Range<usize>>);
+impl<B: sealed::Certify> Certified for B {}
 
-    /// Evaluates the in-range points `lo..hi` among grid columns `cols` ×
-    /// rows `rows`, a rectangle of the cell `cursor` is pinned to, through
-    /// core's screened funnel.
-    fn residual(
-        &mut self,
-        cursor: &TileCursor<'_>,
-        grid: &UnitGrid,
-        cols: Range<usize>,
-        rows: Range<usize>,
-        lo: usize,
-        hi: usize,
-    );
+impl sealed::Certify for FlagBits {
+    fn proof(&self) -> Option<Proof> {
+        Some(Proof::Flags)
+    }
+
+    fn start_line(&self) -> Angle {
+        FlagBits::start_line(self)
+    }
+
+    fn certified(cert: Cert) -> PointFlags {
+        let full = cert == Cert::Full;
+        PointFlags {
+            covered: full,
+            k_covered: full,
+            necessary: full,
+            full_view: full,
+            sufficient: full,
+        }
+    }
+}
+
+impl sealed::Certify for KBit {
+    fn proof(&self) -> Option<Proof> {
+        (self.k() > 0).then(|| Proof::K(self.k()))
+    }
+
+    fn start_line(&self) -> Angle {
+        Angle::ZERO
+    }
+
+    /// `Full` means at least `k` disjoint witness families; `Empty` means
+    /// multiplicity 0 < k.
+    fn certified(cert: Cert) -> bool {
+        cert == Cert::Full
+    }
+}
+
+/// Where a sweep's verdicts go: the kind, the evaluator its residual
+/// rectangles run through core's funnel on, and the emit callback. Every
+/// in-range index is emitted once, by a certificate or by the funnel.
+struct Sink<'s, B: Certified> {
+    holds: &'s B,
+    evaluator: GridEvaluator,
+    f: &'s mut dyn FnMut(usize, B::Verdict),
 }
 
 /// One axis of a recursion node: the index cells `cells` it spans and the
@@ -516,11 +553,12 @@ impl<'a> Prover<'a> {
         None
     }
 
-    /// Books and emits a certificate.
-    fn prove<S: HierSink>(
+    /// Books and emits a certificate: every in-range point of the
+    /// rectangle gets the kind's certified verdict.
+    fn prove<B: Certified>(
         &mut self,
         cert: Cert,
-        sink: &mut S,
+        sink: &mut Sink<'_, B>,
         cols: &Range<usize>,
         rows: &Range<usize>,
     ) {
@@ -529,20 +567,37 @@ impl<'a> Prover<'a> {
             Cert::Full => self.stats.proved_full += 1,
         }
         self.stats.points_proved += self.in_range_count(cols, rows);
-        sink.proved_rect(cert, self.runs(cols, rows));
+        let verdict = B::certified(cert);
+        for idx in self.runs(cols, rows).flatten() {
+            (sink.f)(idx, verdict);
+        }
     }
 
-    /// Hands a residual rectangle of the pinned cell to the sink's core
-    /// funnel.
-    fn residual<S: HierSink>(&mut self, cols: Range<usize>, rows: Range<usize>, sink: &mut S) {
+    /// Hands a residual rectangle of the pinned cell to core's funnel of
+    /// the sink's kind.
+    fn residual<B: Certified>(
+        &mut self,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        sink: &mut Sink<'_, B>,
+    ) {
         self.stats.points_visited += self.in_range_count(&cols, &rows);
-        sink.residual(&self.cursor, self.grid, cols, rows, self.lo, self.hi);
+        sink.holds.evaluate_rect(
+            &mut sink.evaluator,
+            &self.cursor,
+            self.grid,
+            cols,
+            rows,
+            self.lo,
+            self.hi,
+            sink.f,
+        );
     }
 
     /// The one recursion over the node `x × y`. A sub-tile rectangle of at
     /// most `FLOOR_POINTS` points is a residual outright; every other node
     /// is classified once, and a `Boundary` node [`split`](Self::split)s.
-    fn visit<S: HierSink>(&mut self, x: Span, y: Span, cands: &[u32], sink: &mut S) {
+    fn visit<B: Certified>(&mut self, x: Span, y: Span, cands: &[u32], sink: &mut Sink<'_, B>) {
         let (cols, rows) = (x.points.clone(), y.points.clone());
         if cols.is_empty() || rows.is_empty() || !self.intersects_range(&cols, &rows) {
             return;
@@ -566,13 +621,13 @@ impl<'a> Prover<'a> {
     /// midpoints. A whole tile pins the cursor and is a residual when it
     /// has at most `KERNEL_TILE_MAX` points; otherwise it, like a sub-tile
     /// rectangle, splits at point midpoints.
-    fn split<S: HierSink>(
+    fn split<B: Certified>(
         &mut self,
         x: Span,
         y: Span,
         whole_tiles: bool,
         kept: &[u32],
-        sink: &mut S,
+        sink: &mut Sink<'_, B>,
     ) {
         if x.cells.len() > 1 || y.cells.len() > 1 {
             for xc in halves(&x.cells) {
@@ -607,206 +662,52 @@ impl<'a> Prover<'a> {
     }
 }
 
-/// Flags consumer: proven rectangles emit constant flags, residual
-/// rectangles run through core's flags funnel.
-struct FlagsSink<'f> {
-    evaluator: GridEvaluator,
-    f: &'f mut dyn FnMut(usize, PointFlags),
-}
-
-impl HierSink for FlagsSink<'_> {
-    fn proof(&self) -> Proof {
-        Proof::Flags
-    }
-
-    fn proved_rect(&mut self, cert: Cert, runs: impl Iterator<Item = Range<usize>>) {
-        let flags = match cert {
-            Cert::Empty => ALL_FALSE,
-            Cert::Full => ALL_TRUE,
-        };
-        for idx in runs.flatten() {
-            (self.f)(idx, flags);
-        }
-    }
-
-    fn residual(
-        &mut self,
-        cursor: &TileCursor<'_>,
-        grid: &UnitGrid,
-        cols: Range<usize>,
-        rows: Range<usize>,
-        lo: usize,
-        hi: usize,
-    ) {
-        self.evaluator
-            .for_each_point_flags_in_rect(cursor, grid, cols, rows, lo, hi, self.f);
-    }
-}
-
-/// k-verdict consumer for the `kfull`/`kcount` path: a `Full` certificate
-/// (at least `k` disjoint witness families) decides a whole rectangle
-/// (`Empty` decides it the other way); residual rectangles run through
-/// core's k funnel. Every in-range index is emitted once.
-struct KSink<'f> {
-    evaluator: GridEvaluator,
-    k: usize,
-    f: &'f mut dyn FnMut(usize, bool),
-}
-
-impl HierSink for KSink<'_> {
-    fn proof(&self) -> Proof {
-        Proof::K(self.k)
-    }
-
-    fn proved_rect(&mut self, cert: Cert, runs: impl Iterator<Item = Range<usize>>) {
-        // `Empty` means multiplicity 0 < k (k = 0 never reaches the prover).
-        let met = cert == Cert::Full;
-        for idx in runs.flatten() {
-            (self.f)(idx, met);
-        }
-    }
-
-    fn residual(
-        &mut self,
-        cursor: &TileCursor<'_>,
-        grid: &UnitGrid,
-        cols: Range<usize>,
-        rows: Range<usize>,
-        lo: usize,
-        hi: usize,
-    ) {
-        self.evaluator
-            .for_each_point_k_in_rect(cursor, grid, cols, rows, lo, hi, self.k, self.f);
-    }
-}
-
-/// The prover entry both sweeps share: proves the points of `lo..hi`
-/// into `sink` and returns what it decided — or `None`, touching nothing,
-/// when tiles do not pay off on this grid and the caller's core sweep
-/// answers instead.
+/// The prover's one sweep, for either kind: calls `f(index, verdict)`
+/// exactly once for every grid index in `lo..hi` (order unspecified, as
+/// with the tile engine — key results by index), with verdicts
+/// bit-identical to the kind's core [`sweep`](PointByte::sweep), and
+/// returns what the prover decided without visiting points. Grids where
+/// the tile path does not pay off go wholesale to the core sweep, and so
+/// does a kind with nothing to prove (k = 0), with default stats.
 ///
 /// # Panics
 ///
 /// Panics if `lo > hi` or `hi > grid.len()`.
-fn prove<S: HierSink>(
+pub(crate) fn sweep<B: Certified>(
     net: &CameraNetwork,
     grid: &UnitGrid,
     theta: EffectiveAngle,
-    start_line: Angle,
+    holds: &B,
     lo: usize,
     hi: usize,
-    sink: &mut S,
-) -> Option<ProverStats> {
+    f: &mut dyn FnMut(usize, B::Verdict),
+) -> ProverStats {
+    let Some(proof) = holds.proof() else {
+        holds.sweep(net, grid, theta, lo, hi, f);
+        return ProverStats::default();
+    };
     assert!(
         lo <= hi && hi <= grid.len(),
         "range {lo}..{hi} out of bounds for a grid of {} points",
         grid.len()
     );
     if !use_tiled(net, grid) {
-        return None;
+        holds.sweep(net, grid, theta, lo, hi, f);
+        return ProverStats {
+            points_visited: hi - lo,
+            ..ProverStats::default()
+        };
     }
-    let mut prover = Prover::new(net, grid, theta, start_line, sink.proof(), lo, hi);
+    let mut prover = Prover::new(net, grid, theta, holds.start_line(), proof, lo, hi);
+    let mut sink = Sink {
+        holds,
+        evaluator: holds.evaluator(theta),
+        f,
+    };
     let all: Vec<u32> = (0..u32::try_from(net.len()).expect("camera count fits u32")).collect();
     let root = prover.span(0..prover.starts.len() - 1);
-    prover.visit(root.clone(), root, &all, sink);
-    Some(prover.stats)
-}
-
-/// What a core sweep of `lo..hi` visited, in prover terms.
-fn visited(lo: usize, hi: usize) -> ProverStats {
-    ProverStats {
-        points_visited: hi - lo,
-        ..ProverStats::default()
-    }
-}
-
-/// The hierarchical counterpart of [`fullview_core::sweep_flags_range`]:
-/// calls `f(index, flags)` exactly once for every grid index in
-/// `lo..hi` (order unspecified, as with the tile engine — key results
-/// by index), with flags bit-identical to the exact engine's, and
-/// returns what the prover decided without visiting points.
-///
-/// Grids where the tile path does not pay off delegate wholesale to the
-/// core sweep.
-///
-/// # Panics
-///
-/// Panics if `lo > hi` or `hi > grid.len()`.
-pub fn sweep_flags_range_hier<F: FnMut(usize, PointFlags)>(
-    net: &CameraNetwork,
-    grid: &UnitGrid,
-    theta: EffectiveAngle,
-    start_line: Angle,
-    lo: usize,
-    hi: usize,
-    mut f: F,
-) -> ProverStats {
-    let mut sink = FlagsSink {
-        evaluator: GridEvaluator::new(theta, start_line),
-        f: &mut f,
-    };
-    prove(net, grid, theta, start_line, lo, hi, &mut sink).unwrap_or_else(|| {
-        sweep_flags_range(net, grid, theta, start_line, lo, hi, &mut f);
-        visited(lo, hi)
-    })
-}
-
-/// The hierarchical counterpart of [`fullview_core::sweep_k_range`]:
-/// calls `f(index, met)` exactly once for every grid index in `lo..hi`
-/// (order unspecified — key results by index), where `met` says whether
-/// the point's view multiplicity is at least `k`. `Full` certificates
-/// with `≥ k` disjoint witness families decide whole rectangles and
-/// core's k funnel the rest, so the verdicts equal the core sweep's
-/// exactly. Returns what the prover decided without visiting points.
-///
-/// # Panics
-///
-/// Panics if `lo > hi` or `hi > grid.len()`.
-pub fn sweep_k_range_hier<F: FnMut(usize, bool)>(
-    net: &CameraNetwork,
-    grid: &UnitGrid,
-    theta: EffectiveAngle,
-    k: usize,
-    lo: usize,
-    hi: usize,
-    mut f: F,
-) -> ProverStats {
-    if k == 0 {
-        // Every point qualifies: the core sweep evaluates nothing.
-        sweep_k_range(net, grid, theta, 0, lo, hi, f);
-        return ProverStats::default();
-    }
-    let mut sink = KSink {
-        evaluator: GridEvaluator::new(theta, Angle::ZERO),
-        k,
-        f: &mut f,
-    };
-    prove(net, grid, theta, Angle::ZERO, lo, hi, &mut sink).unwrap_or_else(|| {
-        sweep_k_range(net, grid, theta, k, lo, hi, &mut f);
-        visited(lo, hi)
-    })
-}
-
-/// The hierarchical counterpart of [`fullview_core::count_k_view_range`]:
-/// the sum of [`sweep_k_range_hier`]'s verdicts, equal to the core
-/// function's count exactly.
-///
-/// # Panics
-///
-/// Panics if `lo > hi` or `hi > grid.len()`.
-pub fn count_k_view_range_hier(
-    net: &CameraNetwork,
-    grid: &UnitGrid,
-    theta: EffectiveAngle,
-    k: usize,
-    lo: usize,
-    hi: usize,
-) -> (usize, ProverStats) {
-    let mut meeting = 0usize;
-    let stats = sweep_k_range_hier(net, grid, theta, k, lo, hi, |_, met| {
-        meeting += usize::from(met);
-    });
-    (meeting, stats)
+    prover.visit(root.clone(), root, &all, &mut sink);
+    prover.stats
 }
 
 #[cfg(test)]

@@ -9,9 +9,11 @@
 //!   and glyph rows against `fullview-core`;
 //! * accounting invariants — every in-range point is either proven by a
 //!   certificate or visited exactly once, never both, never neither;
-//! * a deterministic dense deployment large enough that the point-space
-//!   recursion actually proves interior rectangles (`points_proved > 0`),
-//!   so the fast path itself — not just its fallbacks — is differential
+//! * deterministic deployments large enough that the point-space
+//!   recursion actually proves interior rectangles (`points_proved > 0`)
+//!   — a dense omnidirectional one, and a directional one with a
+//!   camera-free band that proves both `Empty` and `Full` rectangles —
+//!   so the fast path itself, not just its fallbacks, is differential
 //!   tested;
 //! * sparse directional fleets whose tiles all exceed the whole-tile
 //!   threshold, so every unproved point reaches core through a sub-tile
@@ -19,13 +21,11 @@
 
 use fullview_core::{
     count_k_view_range, coverage_glyphs_range, csa_sufficient, evaluate_grid, find_holes,
-    full_view_mask_range, holes_from_mask, sweep_flags_range, view_multiplicity, EffectiveAngle,
-    GridEvaluator, IncrementalSweep, PointFlags,
+    full_view_mask_range, holes_from_mask, view_multiplicity, EffectiveAngle, FlagBits,
+    GridEvaluator, IncrementalSweep, KBit, PointByte, PointFlags,
 };
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
-use fullview_hier::{
-    count_k_view_range_hier, evaluate_grid_hier, sweep_flags_range_hier, ProverStats, Tier,
-};
+use fullview_hier::{evaluate_grid_hier, ProverStats, Tier};
 use fullview_model::{Camera, CameraNetwork, GroupId, NetworkProfile, SensorSpec};
 use proptest::prelude::*;
 use std::f64::consts::{PI, TAU};
@@ -156,7 +156,8 @@ fn hier_flags(
     hi: usize,
 ) -> (Vec<fullview_core::PointFlags>, ProverStats) {
     let mut got = vec![None; hi - lo];
-    let stats = sweep_flags_range_hier(net, grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
+    let holds = FlagBits::new(Angle::ZERO);
+    let stats = Tier::Hier.sweep(net, grid, theta, &holds, lo, hi, &mut |idx, flags| {
         assert!(idx >= lo && idx < hi, "idx {idx} outside {lo}..{hi}");
         assert!(got[idx - lo].is_none(), "idx {idx} emitted twice");
         got[idx - lo] = Some(flags);
@@ -166,6 +167,23 @@ fn hier_flags(
         .map(|f| f.expect("every in-range index emitted"))
         .collect();
     (flags, stats)
+}
+
+/// How many points of `lo..hi` the hier k sweep finds with view
+/// multiplicity at least `k`, and what the prover decided.
+fn hier_k_count(
+    net: &CameraNetwork,
+    grid: &UnitGrid,
+    theta: EffectiveAngle,
+    k: usize,
+    lo: usize,
+    hi: usize,
+) -> (usize, ProverStats) {
+    let mut meeting = 0usize;
+    let stats = Tier::Hier.sweep(net, grid, theta, &KBit::new(k), lo, hi, &mut |_, met| {
+        meeting += usize::from(met);
+    });
+    (meeting, stats)
 }
 
 /// Mostly the heterogeneous mix; one case in five is an input the
@@ -284,7 +302,7 @@ proptest! {
         let (fa, fb) = if a <= b { (a, b) } else { (b, a) };
         let lo = (fa * grid.len() as f64) as usize;
         let hi = ((fb * grid.len() as f64) as usize).min(grid.len());
-        let (got, stats) = count_k_view_range_hier(&net, &grid, theta, k, lo, hi);
+        let (got, stats) = hier_k_count(&net, &grid, theta, k, lo, hi);
         let want = count_k_view_range(&net, &grid, theta, k, lo, hi);
         prop_assert_eq!(got, want, "k={} side={} range={}..{}", k, side, lo, hi);
         if k > 0 && lo < hi {
@@ -343,7 +361,7 @@ proptest! {
         }
         for k in 1..4 {
             let want = multiplicity.iter().filter(|&&m| m >= k).count();
-            let (count, _) = count_k_view_range_hier(&net, &grid, theta, k, lo, hi);
+            let (count, _) = hier_k_count(&net, &grid, theta, k, lo, hi);
             prop_assert_eq!(count, want, "hier k={} side={} range={}..{}", k, side, lo, hi);
             prop_assert_eq!(count_k_view_range(&net, &grid, theta, k, lo, hi), want, "core k={}", k);
         }
@@ -378,57 +396,64 @@ fn dense_omni_large_grid_proves_interior_rectangles() {
     };
     assert_eq!(stats, pinned);
     let mut want = vec![None; grid.len()];
-    sweep_flags_range(
-        &net,
-        &grid,
-        theta,
-        Angle::ZERO,
-        0,
-        grid.len(),
-        |idx, flags| {
-            want[idx] = Some(flags);
-        },
-    );
+    FlagBits::new(Angle::ZERO).sweep(&net, &grid, theta, 0, grid.len(), &mut |idx, flags| {
+        want[idx] = Some(flags);
+    });
     for (idx, flags) in got.iter().enumerate() {
         assert_eq!(*flags, want[idx].unwrap(), "idx {idx}");
     }
 }
 
-/// Directional cameras: the `aov_ok` containment branch, plus empty
-/// regions (smaller n) exercising `Empty` certificates.
+/// Directional cameras (φ = π) on the golden-ratio scatter with none in
+/// the band 0.25 ≤ x < 0.75, on a side whose tiles hold 324 points — past
+/// the whole-tile threshold, so certificates are tried inside tiles too.
+/// The band's middle is out of every camera's reach, so `Empty`
+/// certificates fire there; outside it `Full` certificates fire, each
+/// through the field-of-view test. Flags equal core's, k = 1..3 counts
+/// equal `count_k_view_range`'s, and every sweep's stats are pinned.
 #[test]
 fn sparse_directional_grid_matches_exact_and_proves_empties() {
-    let net = dense_network(70, 0.09, PI);
+    let net = dense_network(600, 0.12, PI).filter(|c| !(0.25..0.75).contains(&c.position().x));
+    assert!(net.cameras().iter().all(|c| c.spec().angle_of_view() < TAU));
     let theta = EffectiveAngle::new(PI / 2.0).unwrap();
     let side = 144;
     let grid = UnitGrid::new(Torus::unit(), side);
     let (got, stats) = hier_flags(&net, &grid, theta, 0, grid.len());
-    assert_eq!(stats.points_proved + stats.points_visited, grid.len());
-    // Pinned, so that a change to the proofs shows: this fleet proves no
-    // rectangle, so every tile is a residual.
-    let pinned = ProverStats {
-        nodes: 181,
-        proved_full: 0,
-        proved_empty: 0,
-        points_proved: 0,
-        points_visited: 20736,
-        tiles_exact: 121,
-    };
-    assert_eq!(stats, pinned);
-    let mut want = vec![None; grid.len()];
-    sweep_flags_range(
-        &net,
-        &grid,
-        theta,
-        Angle::ZERO,
-        0,
-        grid.len(),
-        |idx, flags| {
-            want[idx] = Some(flags);
-        },
+    assert!(
+        stats.proved_empty > 0 && stats.proved_full > 0,
+        "the fleet must prove both certificates: {stats}"
     );
+    assert_eq!(stats.points_proved + stats.points_visited, grid.len());
+    // Pinned, so that a change that weakens or strengthens a proof shows.
+    let pinned = |nodes, proved_full, points_proved, points_visited| ProverStats {
+        nodes,
+        proved_full,
+        proved_empty: 16,
+        points_proved,
+        points_visited,
+        tiles_exact: 0,
+    };
+    assert_eq!(stats, pinned(850, 206, 9650, 11086));
+    let mut want = vec![None; grid.len()];
+    FlagBits::new(Angle::ZERO).sweep(&net, &grid, theta, 0, grid.len(), &mut |idx, flags| {
+        want[idx] = Some(flags);
+    });
     for (idx, flags) in got.iter().enumerate() {
         assert_eq!(*flags, want[idx].unwrap(), "idx {idx}");
+    }
+    let k_pinned = [
+        pinned(850, 206, 9650, 11086),
+        pinned(853, 19, 5584, 15152),
+        pinned(853, 0, 5184, 15552),
+    ];
+    for (k, want_stats) in (1..).zip(k_pinned) {
+        let (count, got_stats) = hier_k_count(&net, &grid, theta, k, 0, grid.len());
+        assert_eq!(
+            count,
+            count_k_view_range(&net, &grid, theta, k, 0, grid.len()),
+            "k={k}"
+        );
+        assert_eq!(got_stats, want_stats, "k={k}");
     }
 }
 
@@ -478,7 +503,7 @@ fn paper_mix_directional_grid_matches_exact_with_pinned_stats() {
         let (got, got_stats) = hier_flags(&net, &grid, theta, lo, hi);
         assert_eq!(got_stats, flag_stats, "flags {lo}..{hi}");
         let mut want = vec![None; hi - lo];
-        sweep_flags_range(&net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
+        FlagBits::new(Angle::ZERO).sweep(&net, &grid, theta, lo, hi, &mut |idx, flags| {
             want[idx - lo] = Some(flags);
         });
         for (off, flags) in got.iter().enumerate() {
@@ -489,7 +514,7 @@ fn paper_mix_directional_grid_matches_exact_with_pinned_stats() {
             "the strip must leave both verdicts in {lo}..{hi}"
         );
         for (k, want_stats) in (1..).zip(k_stats) {
-            let (count, got_stats) = count_k_view_range_hier(&net, &grid, theta, k, lo, hi);
+            let (count, got_stats) = hier_k_count(&net, &grid, theta, k, lo, hi);
             assert_eq!(
                 count,
                 count_k_view_range(&net, &grid, theta, k, lo, hi),
@@ -524,7 +549,7 @@ fn dense_kcount_matches_core_at_scale() {
     let side = 128;
     let grid = UnitGrid::new(Torus::unit(), side);
     for k in [1usize, 2, 3] {
-        let (got, _) = count_k_view_range_hier(&net, &grid, theta, k, 0, grid.len());
+        let (got, _) = hier_k_count(&net, &grid, theta, k, 0, grid.len());
         assert_eq!(
             got,
             count_k_view_range(&net, &grid, theta, k, 0, grid.len()),
@@ -533,10 +558,10 @@ fn dense_kcount_matches_core_at_scale() {
     }
     // Ranged sub-sweeps partition-sum to the full count.
     let third = grid.len() / 3;
-    let (c1, _) = count_k_view_range_hier(&net, &grid, theta, 1, 0, third);
-    let (c2, _) = count_k_view_range_hier(&net, &grid, theta, 1, third, 2 * third);
-    let (c3, _) = count_k_view_range_hier(&net, &grid, theta, 1, 2 * third, grid.len());
-    let (all, _) = count_k_view_range_hier(&net, &grid, theta, 1, 0, grid.len());
+    let (c1, _) = hier_k_count(&net, &grid, theta, 1, 0, third);
+    let (c2, _) = hier_k_count(&net, &grid, theta, 1, third, 2 * third);
+    let (c3, _) = hier_k_count(&net, &grid, theta, 1, 2 * third, grid.len());
+    let (all, _) = hier_k_count(&net, &grid, theta, 1, 0, grid.len());
     assert_eq!(c1 + c2 + c3, all);
 }
 
@@ -559,7 +584,7 @@ fn grid_point_carrying_two_cameras_counts_at_k2() {
     let theta = EffectiveAngle::new(PI / 4.0).unwrap();
     assert_eq!(view_multiplicity(&net, p, theta), 2);
     assert_eq!(count_k_view_range(&net, &grid, theta, 2, 0, grid.len()), 1);
-    let (got, stats) = count_k_view_range_hier(&net, &grid, theta, 2, 0, grid.len());
+    let (got, stats) = hier_k_count(&net, &grid, theta, 2, 0, grid.len());
     assert_eq!(got, 1, "{stats}");
     assert!(stats.nodes > 0, "the prover never ran");
 }
@@ -595,13 +620,14 @@ fn incremental_state_built_by_the_prover_matches_the_core_walk() {
     let theta = EffectiveAngle::new(PI / 3.0).unwrap();
     let side = 160;
     let mut nodes = 0;
+    let holds = FlagBits::new(Angle::ZERO);
     let mut cold =
         |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, PointFlags)| {
             nodes += Tier::Hier
-                .sweep_flags(net, grid, theta, Angle::ZERO, 0, grid.len(), emit)
+                .sweep(net, grid, theta, &holds, 0, grid.len(), emit)
                 .nodes;
         };
-    let mut state = IncrementalSweep::with_cold_sweep(&net, theta, Angle::ZERO, side, &mut cold);
+    let mut state = IncrementalSweep::with_cold_sweep(&net, theta, holds, side, &mut cold);
     let core = |net: &CameraNetwork| IncrementalSweep::new(net, theta, Angle::ZERO, side);
     assert_eq!(state.report(), core(&net).report());
     assert_eq!(state.mask(), core(&net).mask());

@@ -42,8 +42,8 @@ use fullview_core::canon::{network_fingerprint, profile_fingerprint, CanonicalHa
 use fullview_core::{
     barrier_from_mask, coverage_map_from_glyphs, dense_grid, hole_report_text, holes_from_mask,
     kfull_text, prob_point_full_view_poisson, prob_point_meets_necessary_poisson,
-    prob_point_meets_sufficient_poisson, EffectiveAngle, IncrementalSweep, KCountSweep, PointFlags,
-    SweepDelta,
+    prob_point_meets_sufficient_poisson, EffectiveAngle, FlagBits, IncrementalSweep, KBit,
+    KCountSweep, PointFlags, SweepDelta, WarmGrid,
 };
 use fullview_deploy::deploy_uniform;
 use fullview_geom::{Angle, Point, UnitGrid};
@@ -314,21 +314,18 @@ fn warm_sweep<'s>(
     theta: EffectiveAngle,
     side: usize,
 ) -> (&'s mut IncrementalSweep, SweepDelta) {
+    let holds = FlagBits::new(Angle::ZERO);
     let mut prover = ProverStats::default();
     let mut cold =
         |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, PointFlags)| {
             let stats = ctx
                 .tier
-                .sweep_flags(net, grid, theta, Angle::ZERO, 0, grid.len(), emit);
+                .sweep(net, grid, theta, &holds, 0, grid.len(), emit);
             prover.merge(&stats);
         };
     let (i, built) = sweeps.slot(sweep_key(theta, side, Holds::Flags), || {
-        Warm::Flags(IncrementalSweep::with_cold_sweep(
-            net,
-            theta,
-            Angle::ZERO,
-            side,
-            &mut cold,
+        Warm::Flags(WarmGrid::with_cold_sweep(
+            net, theta, holds, side, &mut cold,
         ))
     });
     let Warm::Flags(state) = &mut sweeps.slots[i].state else {
@@ -351,13 +348,18 @@ fn warm_k_count<'s>(
     k: usize,
     side: usize,
 ) -> &'s KCountSweep {
+    let holds = KBit::new(k);
     let mut prover = ProverStats::default();
     let mut cold = |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, bool)| {
-        let stats = ctx.tier.sweep_k(net, grid, theta, k, 0, grid.len(), emit);
+        let stats = ctx
+            .tier
+            .sweep(net, grid, theta, &holds, 0, grid.len(), emit);
         prover.merge(&stats);
     };
     let (i, built) = sweeps.slot(sweep_key(theta, side, Holds::K(k)), || {
-        Warm::K(KCountSweep::with_cold_sweep(net, theta, k, side, &mut cold))
+        Warm::K(WarmGrid::with_cold_sweep(
+            net, theta, holds, side, &mut cold,
+        ))
     });
     let Warm::K(state) = &mut sweeps.slots[i].state else {
         unreachable!("a k key holds a k-count state");

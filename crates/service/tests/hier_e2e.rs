@@ -206,8 +206,10 @@ fn hier_daemon_repairs_its_warm_sweeps_after_a_move() {
         "cells side=20 lo=37 hi=311",
         "kfull k=2 grid=16",
         "kcount k=1 grid=18 lo=5 hi=200",
+        // Every point holds at k = 0: the prover has nothing to prove.
+        "kfull k=0 grid=16",
         // At 45° this fleet's k answers are all 0; at 180° the move
-        // changes them.
+        // changes them (kept last: the check below reads it).
         "kfull k=2 grid=16 theta-deg=180",
     ];
 
@@ -245,4 +247,28 @@ fn hier_daemon_repairs_its_warm_sweeps_after_a_move() {
         cold_nodes,
         "a repair re-ran the prover"
     );
+
+    // A reseed replaces the fleet: every warm state, flags and k-count
+    // alike, rebuilds cold through the prover on its next read — the
+    // flags states first, then the k-count states.
+    for client in [&mut exact_client, &mut hier_client] {
+        client.request_ok("reseed seed=11").expect("reseed");
+    }
+    let mut nodes = cold_nodes;
+    for k_verbs in [false, true] {
+        for query in reads.iter().filter(|q| q.starts_with('k') == k_verbs) {
+            let want = exact_client.request_ok(query).expect(query);
+            let got = hier_client.request_ok(query).expect(query);
+            assert_eq!(got, want, "'{query}' bytes differ after the reseed");
+        }
+        let rebuilt = prover_nodes(&mut hier_client);
+        assert!(
+            rebuilt > nodes,
+            "rebuilding the {} states after the reseed never ran the prover",
+            if k_verbs { "k-count" } else { "flags" }
+        );
+        nodes = rebuilt;
+    }
+    let check = exact_client.request_ok("check").expect("check");
+    assert_ne!(check, after[0], "the reseed must change the fleet's check");
 }
