@@ -6,7 +6,10 @@
 //! instead of being decided from the directions the screen gathered.
 //! Every row asserts the mask-screened sweep bit-identical to the exact
 //! one before timing; the printed table feeds the EXPERIMENTS.md
-//! sector-mask appendix.
+//! sector-mask appendix. Built with debug assertions
+//! (`CARGO_PROFILE_BENCH_DEBUG_ASSERTIONS=true`, as CI runs it), the
+//! kernel also checks every sector it bins from a direction's estimate
+//! against the real direction.
 //!
 //! The tier speed floors live in `tier_gates.sh`, on the paper-regime
 //! benchmark's traced per-layer metrics; the tiled path's zero-allocation
@@ -42,7 +45,9 @@ fn main() {
         "\n| θ (rad) | suf sectors | screen rate | rescanned | exact ms | mask ms | speedup |"
     );
     println!("|---------|-------------|-------------|-----------|----------|---------|---------|");
-    for theta in [PI, PI / 2.0, PI / 4.0, PI / 8.0, PI / 16.0] {
+    // 0.5 rad leaves a ragged extra sector in both partitions (12 + 1
+    // sufficient, 6 + 1 necessary); every other row divides 2π evenly.
+    for theta in [PI, PI / 2.0, PI / 4.0, 0.5, PI / 8.0, PI / 16.0] {
         let theta = EffectiveAngle::new(theta).expect("valid θ");
         let mut cursor = net.tile_cursor();
         let mut ev = GridEvaluator::new(theta, Angle::ZERO);

@@ -38,7 +38,7 @@
 use crate::densegrid::{GridCoverageReport, GridEvaluator, PointFlags, FULL_VIEW_BIT};
 use crate::fullview::{CoverageView, PointAnalyzer};
 use crate::holes::FullViewMask;
-use crate::mask::{ScreenMode, SectorMaskKernel};
+use crate::mask::{ScreenMode, ScreenStats, SectorMaskKernel};
 use crate::render::{glyph_of, glyph_string};
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, SpatialGrid, Torus, UnitGrid};
@@ -1071,6 +1071,14 @@ impl<B: PointByte> WarmGrid<B> {
     #[must_use]
     pub fn grid_side(&self) -> usize {
         self.grid.side_count()
+    }
+
+    /// What the screen decided over every evaluation this state ran on
+    /// its own evaluator: its cold build and rebuilds, unless a cold sweep
+    /// answered them, and every dirty-tile repair.
+    #[must_use]
+    pub fn screen_stats(&self) -> ScreenStats {
+        self.evaluator.screen_stats()
     }
 
     /// Whether the state has no pending dirty tiles or rebuild.

@@ -33,11 +33,21 @@
 //!    is ORed into per-point `u64` occupancy masks for the §IV
 //!    (sufficient, width θ) and §III (necessary, width 2θ) partitions —
 //!    one word per point for up to 64 sectors, a small multi-word layout
-//!    beyond. Membership bits are set with the real [`Arc::contains`] on
-//!    the real [`Angle::from_vector`] direction, so a set bit means
-//!    exactly what the exact path would have computed; the wedge index
-//!    only *narrows which* sectors are tested (a proven 3-candidate
-//!    superset per partition).
+//!    beyond — or, in Depth mode, bumps strict per-sector depth counters.
+//!    The sector is found without trigonometry: an octant-reduced odd
+//!    polynomial estimates the direction to within `EST_ERR` (2.04e-4
+//!    rad), and an estimate farther than `BIN_BAND` (1.25e-3 rad) from
+//!    every edge of its main sector and of the extra sector names the
+//!    sectors directly. There the real direction is at least
+//!    `BIN_BAND − EST_ERR` from every edge, where the slack membership
+//!    ([`Arc::contains`], with `ANGLE_EPS`) and the strict one agree, so
+//!    one binning serves both modes. Inside the band the real
+//!    [`Angle::from_vector`] direction decides with the real
+//!    `Arc::contains` (or the strict test), the wedge index narrowing
+//!    which sectors are tested to a proven 3-candidate superset per
+//!    partition. Either way a set bit or a bumped counter is exactly what
+//!    the exact path would have computed; debug builds re-check every
+//!    binned direction against its real one.
 //!
 //! A point whose camera verdicts were all certain is **decided** when it
 //! has no covering camera (all five predicates false) or when its
@@ -53,14 +63,15 @@
 //!    sizes one flat buffer from those counts and recomputes the pending
 //!    points' viewed directions in a second factorized pass over the
 //!    candidates that reach the rectangle, on only the columns and rows
-//!    holding a pending point — the same deltas and the same
-//!    `Angle::from_vector` stage 1 evaluated, in the cursor's candidate
-//!    order — then sorts each point's slice exactly as the exact analyzer
-//!    sorts its own. The funnels decide the point from that list (gap
-//!    scan, necessary mask, arc-depth sweep) without a cursor rescan. The
-//!    buffer is capped at `GATHER_BUDGET` angles (64 Ki, 512 KiB); stage 1
-//!    does not keep every direction it computes, which at `paper_check`
-//!    density would be tens of MB per screened map.
+//!    holding a pending point — stage 1's deltas, now with the real
+//!    `Angle::from_vector` of each (stage 1 computed most only as
+//!    estimates), in the cursor's candidate order — then sorts each
+//!    point's slice exactly as the exact analyzer sorts its own. The
+//!    funnels decide the point from that list (gap scan, necessary mask,
+//!    arc-depth sweep) without a cursor rescan. The buffer is capped at
+//!    `GATHER_BUDGET` angles (64 Ki, 512 KiB); stage 1 does not keep
+//!    every direction it computes, which at `paper_check` density would
+//!    be tens of MB per screened map.
 //!
 //! Only the rest — boundary-band verdicts, colocated candidates, points of
 //! a rectangle that took the per-point camera fallback, and pending
@@ -75,7 +86,7 @@ use crate::numeric::tolerant_floor;
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Arc, Point, Torus, UnitGrid, ANGLE_EPS};
 use fullview_model::{Camera, TileCursor};
-use std::f64::consts::{PI, TAU};
+use std::f64::consts::{FRAC_PI_2, PI, TAU};
 use std::ops::Range;
 
 /// Most sectors a partition may have for the kernel to engage: 256 keeps
@@ -99,6 +110,56 @@ const D2_COLOCATED: f64 = 4e-18;
 /// band gets the same verdict from both, so certain kernel verdicts are
 /// bit-identical to the exact path.
 const ANG_BAND: f64 = 1e-12;
+
+/// Proven bound on how far [`direction_estimate`] can lie from the real
+/// [`Angle::from_vector`] direction, in radians: the polynomial's largest
+/// error on `[0, 1]` is 2.032e-4 (at `a = 1`), and the division, the
+/// polynomial's own rounding and the octant reflections add a few ulps of
+/// 2π (≲ 1e-15), as does the real direction's `atan2`.
+const EST_ERR: f64 = 2.04e-4;
+
+/// Half-width of the band around every sector edge inside which stage 1
+/// bins a viewed direction from its real [`Angle::from_vector`] instead of
+/// its estimate: `1.25e-3` rad, 6.1× [`EST_ERR`]. Outside the band the
+/// real direction lies more than `BIN_BAND − EST_ERR ≈ 1e-3` rad from
+/// every edge — far beyond `ANGLE_EPS` (1e-9) plus the ulps each sector's
+/// float start carries — so the slack membership (`Arc::contains`) and
+/// the strict one agree, and both name the estimate's main sector (or
+/// none, in the leftover wedge) plus at most the extra sector.
+const BIN_BAND: f64 = 1.25e-3;
+
+const _: () = assert!(
+    BIN_BAND >= 5.0 * EST_ERR,
+    "the band must dwarf the estimate's error"
+);
+
+/// Main-sector index of a direction in the partition's leftover wedge
+/// (it lies in no main sector).
+const NO_MAIN: usize = usize::MAX;
+
+/// Estimates the direction of the nonzero vector `(x, y)` — `atan2(y, x)`
+/// in `[0, 2π]` — to within [`EST_ERR`], without trigonometry: reduce to
+/// the first octant, apply the odd polynomial
+/// `a + a·s·(−0.327622764 + s·(0.15931422 − 0.0464964749·s))` (`s = a²`)
+/// for `atan(a)`, `a ∈ [0, 1]`, and reflect back.
+#[inline]
+fn direction_estimate(x: f64, y: f64) -> f64 {
+    let (ax, ay) = (x.abs(), y.abs());
+    let steep = ay > ax;
+    let a = if steep { ax / ay } else { ay / ax };
+    let s = a * a;
+    let mut r = a + a * s * (-0.327_622_764 + s * (0.159_314_22 - 0.046_496_474_9 * s));
+    if steep {
+        r = FRAC_PI_2 - r;
+    }
+    if x < 0.0 {
+        r = PI - r;
+    }
+    if y < 0.0 {
+        r = TAU - r;
+    }
+    r
+}
 
 /// Most viewed directions stage 2 gathers per screened rectangle: 64 Ki
 /// angles, 512 KiB. The buffer lives in the kernel's retained scratch
@@ -185,8 +246,12 @@ struct PartitionGeom {
     sectors: Vec<Arc>,
     /// Start line of main sector 0.
     start: Angle,
+    /// Width of every sector.
+    width: f64,
     /// `1 / width` of the main sectors.
     inv_width: f64,
+    /// Start of the extra sector, in radians (unused without one).
+    extra_start: f64,
     /// Number of equal-width main sectors.
     k_main: usize,
     /// Mask words per point (`⌈sectors.len() / 64⌉`).
@@ -210,7 +275,9 @@ impl PartitionGeom {
         }
         PartitionGeom {
             start: sectors[0].start(),
+            width,
             inv_width: 1.0 / width,
+            extra_start: sectors.get(k_main).map_or(0.0, |x| x.start().radians()),
             k_main,
             words,
             full,
@@ -250,7 +317,7 @@ impl PartitionGeom {
             let j = self.k_main;
             mask[j / 64] |= 1u64 << (j % 64);
         }
-        mask == self.full
+        self.is_full(mask)
     }
 
     /// Bumps `d`'s **strict**-membership depth counters (no `ANGLE_EPS`
@@ -283,6 +350,89 @@ impl PartitionGeom {
                 depths[j] += 1;
             }
         }
+    }
+
+    /// Where a direction whose estimate is `est` (radians in `[0, 2π]`,
+    /// within [`EST_ERR`] of the real direction) falls: its main sector
+    /// ([`NO_MAIN`] in the leftover wedge) and whether the extra sector
+    /// holds it, or `None` when the estimate lies within [`BIN_BAND`] of
+    /// an edge of either, where only the real direction can tell.
+    #[inline]
+    fn bin(&self, est: f64) -> Option<(usize, bool)> {
+        let mut rel = est - self.start.radians();
+        if rel < 0.0 {
+            rel += TAU;
+        }
+        let j = ((rel * self.inv_width) as usize).min(self.k_main);
+        let lo = j as f64 * self.width;
+        let hi = if j < self.k_main {
+            lo + self.width
+        } else {
+            TAU
+        };
+        if rel - lo <= BIN_BAND || hi - rel <= BIN_BAND {
+            return None;
+        }
+        let main = if j < self.k_main { j } else { NO_MAIN };
+        if self.sectors.len() == self.k_main {
+            return Some((main, false));
+        }
+        let mut rx = est - self.extra_start;
+        if rx < 0.0 {
+            rx += TAU;
+        }
+        if rx > BIN_BAND && rx < self.width - BIN_BAND {
+            Some((main, true))
+        } else if rx > self.width + BIN_BAND && rx < TAU - BIN_BAND {
+            Some((main, false))
+        } else {
+            None
+        }
+    }
+
+    /// Whether `bin` names exactly the sectors the real direction `d`
+    /// belongs to, under both the slack (`Arc::contains`) and the strict
+    /// membership — every bit binning sets or skips checked against the
+    /// real direction.
+    fn bin_matches(&self, d: Angle, (main, extra): (usize, bool)) -> bool {
+        (main == NO_MAIN || self.candidates(d).contains(&main))
+            && self.sectors.iter().enumerate().all(|(j, arc)| {
+                let held = if j < self.k_main { j == main } else { extra };
+                arc.contains(d) == held && (arc.start().ccw_delta(d) <= arc.width()) == held
+            })
+    }
+
+    /// ORs the sectors of `bin` into `mask`. Returns whether the mask is
+    /// now full.
+    #[inline]
+    fn set_bin(&self, (main, extra): (usize, bool), mask: &mut [u64]) -> bool {
+        if main != NO_MAIN {
+            mask[main / 64] |= 1u64 << (main % 64);
+        }
+        if extra {
+            let j = self.k_main;
+            mask[j / 64] |= 1u64 << (j % 64);
+        }
+        self.is_full(mask)
+    }
+
+    /// Bumps the depth counters of the sectors of `bin`, saturating at
+    /// `sat`.
+    #[inline]
+    fn bump_bin(&self, (main, extra): (usize, bool), depths: &mut [u8], sat: u8) {
+        if main != NO_MAIN && depths[main] < sat {
+            depths[main] += 1;
+        }
+        if extra && depths[self.k_main] < sat {
+            depths[self.k_main] += 1;
+        }
+    }
+
+    /// Whether `mask` has every sector bit set (an element loop, which
+    /// inlines where a slice comparison calls `bcmp`).
+    #[inline]
+    fn is_full(&self, mask: &[u64]) -> bool {
+        mask.iter().zip(&self.full).all(|(m, f)| m == f)
     }
 
     fn n_sectors(&self) -> usize {
@@ -424,6 +574,10 @@ pub struct SectorMaskKernel {
     gcols: Vec<usize>,
     grows: Vec<usize>,
     dirs: Vec<Angle>,
+    /// Viewed directions stage 1 binned from the real direction because
+    /// their estimate fell within `BIN_BAND` of a sector edge.
+    #[cfg(test)]
+    fallbacks: u64,
 }
 
 impl SectorMaskKernel {
@@ -467,6 +621,8 @@ impl SectorMaskKernel {
             gcols: Vec::new(),
             grows: Vec::new(),
             dirs: Vec::new(),
+            #[cfg(test)]
+            fallbacks: 0,
         })
     }
 
@@ -585,33 +741,70 @@ impl SectorMaskKernel {
                     if self.done[local] {
                         continue;
                     }
-                    // d² ≥ D2_COLOCATED proves from_vector is Some; the
-                    // unwrap-to-uncertain is belt-and-braces.
-                    let Some(rd) = Angle::from_vector(self.rdx[ci], self.rdy[rj]) else {
-                        self.uncertain[local] = true;
-                        continue;
-                    };
+                    let (rdx, rdy) = (self.rdx[ci], self.rdy[rj]);
+                    // Bin from the estimate; near a sector edge, from the
+                    // real direction. d² ≥ D2_COLOCATED proves from_vector
+                    // is Some; the unwrap-to-uncertain is belt-and-braces.
+                    let est = direction_estimate(rdx, rdy);
                     match mode {
                         ScreenMode::Report => {
                             let sw = self.suf.words;
                             let nw = self.nec.words;
-                            let sfull = self
-                                .suf
-                                .note_direction(rd, &mut self.suf_masks[local * sw..][..sw]);
-                            let nfull = self
-                                .nec
-                                .note_direction(rd, &mut self.nec_masks[local * nw..][..nw]);
+                            let suf_mask = &mut self.suf_masks[local * sw..][..sw];
+                            let nec_mask = &mut self.nec_masks[local * nw..][..nw];
+                            let (sfull, nfull) = match (self.suf.bin(est), self.nec.bin(est)) {
+                                (Some(sb), Some(nb)) => {
+                                    debug_assert!(
+                                        Angle::from_vector(rdx, rdy).is_some_and(|d| {
+                                            self.suf.bin_matches(d, sb)
+                                                && self.nec.bin_matches(d, nb)
+                                        }),
+                                        "binned ({rdx:e}, {rdy:e}) into the wrong sectors"
+                                    );
+                                    (
+                                        self.suf.set_bin(sb, suf_mask),
+                                        self.nec.set_bin(nb, nec_mask),
+                                    )
+                                }
+                                _ => {
+                                    #[cfg(test)]
+                                    {
+                                        self.fallbacks += 1;
+                                    }
+                                    let Some(rd) = Angle::from_vector(rdx, rdy) else {
+                                        self.uncertain[local] = true;
+                                        continue;
+                                    };
+                                    (
+                                        self.suf.note_direction(rd, suf_mask),
+                                        self.nec.note_direction(rd, nec_mask),
+                                    )
+                                }
+                            };
                             self.done[local] = sfull && nfull;
                         }
                         ScreenMode::Depth { k } => {
                             let ns = self.suf.n_sectors();
-                            self.suf.note_direction_strict(
-                                rd,
-                                &mut self.depths[local * ns..][..ns],
-                                k,
-                            );
-                            self.done[local] =
-                                self.depths[local * ns..][..ns].iter().all(|&d| d >= k);
+                            let depths = &mut self.depths[local * ns..][..ns];
+                            if let Some(sb) = self.suf.bin(est) {
+                                debug_assert!(
+                                    Angle::from_vector(rdx, rdy)
+                                        .is_some_and(|d| self.suf.bin_matches(d, sb)),
+                                    "binned ({rdx:e}, {rdy:e}) into the wrong sectors"
+                                );
+                                self.suf.bump_bin(sb, depths, k);
+                            } else {
+                                #[cfg(test)]
+                                {
+                                    self.fallbacks += 1;
+                                }
+                                let Some(rd) = Angle::from_vector(rdx, rdy) else {
+                                    self.uncertain[local] = true;
+                                    continue;
+                                };
+                                self.suf.note_direction_strict(rd, depths, k);
+                            }
+                            self.done[local] = depths.iter().all(|&d| d >= k);
                         }
                     }
                 }
@@ -683,8 +876,8 @@ impl SectorMaskKernel {
     /// funnels can decide them without rescanning the cursor. `cursor`
     /// must still be pinned as it was for [`screen_tile`](Self::screen_tile).
     ///
-    /// The directions are recomputed by stage 1's factorized pass — the
-    /// same deltas and the same `Angle::from_vector` — over the
+    /// The directions are computed by stage 1's factorized pass — the
+    /// same deltas, then the real `Angle::from_vector` of each — over the
     /// candidates that can reach the rectangle, in the cursor's snapshot
     /// order, but only on the columns and rows that hold a gathered point:
     /// each point's list, once sorted exactly as the exact analyzer sorts
@@ -1269,6 +1462,376 @@ mod tests {
             }
         }
         assert!(over_budget && any_gathered, "no tile exceeded the budget");
+    }
+
+    /// The angle of `(x, y)` as the exact path computes it.
+    fn real_direction(x: f64, y: f64) -> f64 {
+        Angle::from_vector(x, y).expect("nonzero vector").radians()
+    }
+
+    /// Circular distance between two radian values.
+    fn circular_gap(a: f64, b: f64) -> f64 {
+        let d = (a - b).abs() % TAU;
+        d.min(TAU - d)
+    }
+
+    /// The next float towards +∞ (either zero steps to the smallest
+    /// positive subnormal).
+    fn ulp_up(x: f64) -> f64 {
+        if x == 0.0 {
+            f64::from_bits(1)
+        } else if x > 0.0 {
+            f64::from_bits(x.to_bits() + 1)
+        } else {
+            f64::from_bits(x.to_bits() - 1)
+        }
+    }
+
+    fn ulp_down(x: f64) -> f64 {
+        -ulp_up(-x)
+    }
+
+    /// The estimate stays within `EST_ERR` of the real direction over 2²⁰
+    /// directions around the circle at three lengths, and at every octant
+    /// edge (axes and diagonals, signed zeros, a few ulps either side),
+    /// where the reduction switches branch.
+    #[test]
+    fn direction_estimate_is_within_its_error_bound() {
+        let n = 1usize << 20;
+        let mut worst = 0.0f64;
+        for i in 0..n {
+            let a = (i as f64 + 0.37) * TAU / n as f64;
+            let len = [1e-4, 0.3, 7.0][i % 3];
+            let (x, y) = (len * a.cos(), len * a.sin());
+            worst = worst.max(circular_gap(direction_estimate(x, y), real_direction(x, y)));
+        }
+        let near = |v: f64| {
+            let mut vs = vec![v, ulp_up(v), ulp_down(v)];
+            vs.extend([ulp_up(ulp_up(v)), ulp_down(ulp_down(v))]);
+            vs
+        };
+        let mut edges = 0usize;
+        for (x0, y0) in [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)] {
+            for (sx, sy) in [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)] {
+                for x in near(sx * x0) {
+                    for y in near(sy * y0) {
+                        if x == 0.0 && y == 0.0 {
+                            continue;
+                        }
+                        edges += 1;
+                        let gap = circular_gap(direction_estimate(x, y), real_direction(x, y));
+                        assert!(gap <= EST_ERR, "({x:e}, {y:e}) off by {gap:e}");
+                        worst = worst.max(gap);
+                    }
+                }
+            }
+        }
+        assert!(edges > 300);
+        assert!(worst <= EST_ERR, "worst error {worst:e}");
+        // The bound is tight: the polynomial's own error peaks at a = 1.
+        assert!(worst > 2.0e-4, "worst error {worst:e}");
+    }
+
+    /// The θ values the edge tests run at: exact divisions, a ragged extra
+    /// sector (0.5: 12 + 1 sufficient and 6 + 1 necessary sectors), 2π/7
+    /// a few ulps either side, necessary sectors π wide (π/2) and a whole
+    /// circle (π), and the kernel's finest partition (2π/256).
+    fn edge_thetas() -> Vec<f64> {
+        let seventh = TAU / 7.0;
+        let (mut below, mut above) = (seventh, seventh);
+        for _ in 0..3 {
+            (below, above) = (ulp_down(below), ulp_up(above));
+        }
+        vec![PI / 4.0, 0.5, below, above, PI / 2.0, PI, TAU / 256.0]
+    }
+
+    /// Every sector edge of a partition (each sector's start and end).
+    fn partition_edges(geom: &PartitionGeom) -> Vec<f64> {
+        geom.sectors
+            .iter()
+            .flat_map(|s| [s.start().radians(), s.end().radians()])
+            .collect()
+    }
+
+    /// Distance from direction `d` to the nearest of `edges`.
+    fn edge_distance(d: f64, edges: &[f64]) -> f64 {
+        edges
+            .iter()
+            .map(|&e| circular_gap(d, e))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// A camera position at distance ≈ `rho` from `p` whose viewed
+    /// direction from `p` (as the exact path computes it) is as close to
+    /// `target` as nudging its coordinates by up to 16 ulps reaches.
+    fn camera_towards(torus: &Torus, p: Point, target: f64, rho: f64) -> Point {
+        let miss = |c: Point| circular_gap(torus.direction(p, c).unwrap().radians(), target);
+        let nudge = |x: f64, k: i64| f64::from_bits(x.to_bits().wrapping_add_signed(k));
+        let mut best = torus.wrap(Point::new(
+            p.x + rho * target.cos(),
+            p.y + rho * target.sin(),
+        ));
+        for _ in 0..2 {
+            let base = best;
+            for k in -16..=16 {
+                for c in [
+                    Point::new(nudge(base.x, k), base.y),
+                    Point::new(base.x, nudge(base.y, k)),
+                ] {
+                    if torus.contains(c) && miss(c) < miss(best) {
+                        best = c;
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// The index cell owning grid column (or row) `c`.
+    fn cell_of(tiling: &GridTiling, c: usize) -> usize {
+        (0..tiling.cells_per_axis())
+            .find(|&cx| tiling.cell_axis_range(cx).contains(&c))
+            .expect("every column has a cell")
+    }
+
+    /// Stage 1 binning at every sector edge: one disc camera per grid
+    /// point, each viewing its point from a direction on a main or extra
+    /// sector edge of either partition, or ±1 ulp, ±`ANGLE_EPS`,
+    /// ±`BIN_BAND` or ±2·`BIN_BAND` from it, on a non-unit torus with a
+    /// start line other than 0. Each point is screened alone (a 1 × 1
+    /// rectangle) in Report and Depth modes: its masks and depths are the
+    /// exact `note_direction`s of the real direction, its verdict,
+    /// `nec_full`, `k_verdict` and gathered list are the exact analyzer's,
+    /// and the fallback counter moves exactly for the directions whose
+    /// estimate can reach the band.
+    #[test]
+    fn binning_at_sector_edges_matches_exact() {
+        let start = Angle::new(0.7);
+        let rho = 0.05;
+        let offsets = [
+            0.0,
+            1.0,
+            -1.0,
+            ANGLE_EPS,
+            -ANGLE_EPS,
+            BIN_BAND,
+            -BIN_BAND,
+            2.0 * BIN_BAND,
+            -2.0 * BIN_BAND,
+        ];
+        let mut analyzer = PointAnalyzer::new();
+        let (mut near_total, mut far_total) = (0usize, 0usize);
+        for t in edge_thetas() {
+            let th = theta(t);
+            let mut kernel = SectorMaskKernel::new(th, start).unwrap();
+            let suf_edges = partition_edges(&kernel.suf);
+            let nec_edges = partition_edges(&kernel.nec);
+            let mut all_edges = suf_edges.clone();
+            all_edges.extend(&nec_edges);
+            // (direction, whether it sits within ulps of an edge).
+            let mut targets = Vec::new();
+            for &e in &all_edges {
+                for o in offsets {
+                    let d = match o {
+                        1.0 => ulp_up(e),
+                        -1.0 => ulp_down(e),
+                        _ => e + o,
+                    };
+                    targets.push((d, o.abs() <= ANGLE_EPS || o.abs() == 1.0));
+                }
+            }
+            let g = (targets.len() as f64).sqrt().ceil() as usize;
+            let torus = Torus::with_side(0.25 * g as f64);
+            let grid = UnitGrid::new(torus, g);
+            let spec = SensorSpec::disc(1.2 * rho).unwrap();
+            let cams: Vec<Camera> = targets
+                .iter()
+                .enumerate()
+                .map(|(i, &(d, _))| {
+                    let pos = camera_towards(&torus, grid.point(i), d, rho);
+                    Camera::new(pos, Angle::ZERO, spec, GroupId(0))
+                })
+                .collect();
+            let net = CameraNetwork::new(torus, cams);
+            let tiling = GridTiling::new(net.index(), &grid);
+            let mut cursor = net.tile_cursor();
+            let suf = SectorPartition::sufficient(th, start);
+            let nec = SectorPartition::necessary(th, start);
+            for (i, &(_, on_edge)) in targets.iter().enumerate() {
+                let (c, r) = (i % g, i / g);
+                cursor.pin(cell_of(&tiling, c), cell_of(&tiling, r));
+                let p = grid.point(i);
+                let view = analyzer.analyze_point_with(&cursor, p);
+                assert_eq!(view.covering_cameras, 1, "θ={t} case {i}");
+                let d = view.viewed_directions[0];
+                let dirs = view.viewed_directions.to_vec();
+                let m_suf = edge_distance(d.radians(), &suf_edges);
+                let m_all = m_suf.min(edge_distance(d.radians(), &nec_edges));
+                if on_edge {
+                    assert!(m_all < 1e-8, "θ={t} case {i}: {m_all:e} from an edge");
+                }
+                let modes = [
+                    (ScreenMode::Report, m_all),
+                    (ScreenMode::Depth { k: 1 }, m_suf),
+                    (ScreenMode::Depth { k: 2 }, m_suf),
+                ];
+                for (mode, m) in modes {
+                    let before = kernel.fallbacks;
+                    kernel.screen_tile(&cursor, &grid, c..c + 1, r..r + 1, mode);
+                    let fell_back = kernel.fallbacks - before;
+                    if m < BIN_BAND - EST_ERR {
+                        assert_eq!(fell_back, 1, "θ={t} case {i} {mode:?}: {m:e} from an edge");
+                        near_total += 1;
+                    } else if m > BIN_BAND + EST_ERR {
+                        assert_eq!(fell_back, 0, "θ={t} case {i} {mode:?}: {m:e} from an edge");
+                        far_total += 1;
+                    }
+                    kernel.gather_directions(&cursor, 0, grid.len());
+                    let gathered = kernel.directions(0).map(<[Angle]>::to_vec);
+                    match mode {
+                        ScreenMode::Report => {
+                            let mut sm = vec![0u64; kernel.suf.words];
+                            let mut nm = vec![0u64; kernel.nec.words];
+                            kernel.suf.note_direction(d, &mut sm);
+                            kernel.nec.note_direction(d, &mut nm);
+                            assert_eq!(kernel.suf_masks, sm, "θ={t} case {i}");
+                            assert_eq!(kernel.nec_masks, nm, "θ={t} case {i}");
+                            let suf_full = suf.is_satisfied_by(&dirs, false);
+                            let nec_full = nec.is_satisfied_by(&dirs, false);
+                            assert_eq!(kernel.nec_full(0), nec_full, "θ={t} case {i}");
+                            match kernel.verdict(0) {
+                                PointVerdict::Decided {
+                                    count,
+                                    suf_full: s,
+                                    nec_full: n,
+                                } => {
+                                    assert_eq!((count, s, n), (1, suf_full, nec_full));
+                                    assert!(suf_full && gathered.is_none());
+                                }
+                                PointVerdict::Undecided => {
+                                    assert!(!suf_full, "θ={t} case {i}");
+                                    assert_eq!(gathered.as_deref(), Some(&dirs[..]));
+                                }
+                            }
+                        }
+                        ScreenMode::Depth { k } => {
+                            let mut depths = vec![0u8; kernel.suf.n_sectors()];
+                            kernel.suf.note_direction_strict(d, &mut depths, k);
+                            assert_eq!(kernel.depths, depths, "θ={t} case {i} k={k}");
+                            let exact = crate::kfullview::min_arc_depth(&dirs, th.radians());
+                            match kernel.k_verdict(0, k) {
+                                Some(met) => {
+                                    assert_eq!(met, exact >= usize::from(k), "θ={t} case {i}");
+                                }
+                                None => assert_eq!(gathered.as_deref(), Some(&dirs[..])),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            near_total > 100 && far_total > 100,
+            "{near_total} near, {far_total} far"
+        );
+    }
+
+    /// Whole-tile screens of points that each see a direction at every
+    /// sector edge (or every other edge) of both partitions, shifted by
+    /// one of the edge offsets: Report verdicts, counts and `nec_full`,
+    /// Depth `k_verdict`s and every gathered list equal the exact
+    /// analyzer's at each edge-test θ, on a non-unit torus with a start
+    /// line other than 0.
+    #[test]
+    fn edge_crowded_points_match_exact() {
+        let start = Angle::new(2.2);
+        let rho = 0.05;
+        let offsets = [
+            0.0,
+            ANGLE_EPS,
+            -ANGLE_EPS,
+            BIN_BAND,
+            -BIN_BAND,
+            2.0 * BIN_BAND,
+        ];
+        let mut analyzer = PointAnalyzer::new();
+        let (mut decided, mut gathered_lists) = (0usize, 0usize);
+        for t in edge_thetas() {
+            let th = theta(t);
+            let mut kernel = SectorMaskKernel::new(th, start).unwrap();
+            let mut edges = partition_edges(&kernel.suf);
+            edges.extend(partition_edges(&kernel.nec));
+            let g = 4;
+            let torus = Torus::with_side(0.25 * g as f64);
+            let grid = UnitGrid::new(torus, g);
+            let spec = SensorSpec::disc(1.2 * rho).unwrap();
+            let mut cams = Vec::new();
+            for (i, o) in offsets.into_iter().enumerate() {
+                for (stride, idx) in [(1, 2 * i), (2, 2 * i + 1)] {
+                    for &e in edges.iter().step_by(stride) {
+                        let pos = camera_towards(&torus, grid.point(idx), e + o, rho);
+                        cams.push(Camera::new(pos, Angle::ZERO, spec, GroupId(0)));
+                    }
+                }
+            }
+            let net = CameraNetwork::new(torus, cams);
+            let suf = SectorPartition::sufficient(th, start);
+            let nec = SectorPartition::necessary(th, start);
+            let modes = [
+                ScreenMode::Report,
+                ScreenMode::Depth { k: 1 },
+                ScreenMode::Depth { k: 2 },
+            ];
+            for mode in modes {
+                for_each_gathered_tile(
+                    &net,
+                    &grid,
+                    &mut kernel,
+                    mode,
+                    (0, grid.len()),
+                    |kernel, cursor, local, idx| {
+                        let view = analyzer.analyze_point_with(cursor, grid.point(idx));
+                        let dirs = view.viewed_directions;
+                        if let Some(list) = kernel.directions(local) {
+                            assert_eq!(list, dirs, "θ={t} idx {idx}");
+                            gathered_lists += 1;
+                        }
+                        match mode {
+                            ScreenMode::Report => match kernel.verdict(local) {
+                                PointVerdict::Decided {
+                                    count,
+                                    suf_full,
+                                    nec_full,
+                                } => {
+                                    decided += usize::from(count > 0);
+                                    assert_eq!(count as usize, view.covering_cameras);
+                                    assert_eq!(suf_full, suf.is_satisfied_by(dirs, false));
+                                    assert_eq!(nec_full, nec.is_satisfied_by(dirs, false));
+                                }
+                                PointVerdict::Undecided => {
+                                    assert!(kernel.directions(local).is_some(), "idx {idx}");
+                                    assert_eq!(
+                                        kernel.nec_full(local),
+                                        nec.is_satisfied_by(dirs, false)
+                                    );
+                                }
+                            },
+                            ScreenMode::Depth { k } => {
+                                let exact = crate::kfullview::min_arc_depth(dirs, th.radians());
+                                match kernel.k_verdict(local, k) {
+                                    Some(met) => assert_eq!(met, exact >= usize::from(k)),
+                                    None => assert!(kernel.directions(local).is_some()),
+                                }
+                            }
+                        }
+                    },
+                );
+            }
+        }
+        assert!(
+            decided > 0 && gathered_lists > 0,
+            "{decided} decided, {gathered_lists} gathered"
+        );
     }
 
     #[test]

@@ -80,11 +80,19 @@ impl Angle {
     /// ```
     #[must_use]
     pub fn from_vector(dx: f64, dy: f64) -> Option<Self> {
-        if dx.hypot(dy) < ANGLE_EPS {
-            None
-        } else {
-            Some(Angle::new(dy.atan2(dx)))
+        // `dx² + dy² ≥ 4e-18` proves `hypot ≥ 2e-9 > ANGLE_EPS` (the float
+        // sum is within ulps of the true one), so only shorter vectors and
+        // NaN pay for the `hypot`.
+        let d2 = dx * dx + dy * dy;
+        if (d2.is_nan() || d2 < 4e-18) && dx.hypot(dy) < ANGLE_EPS {
+            return None;
         }
+        let r = dy.atan2(dx);
+        assert!(r.is_finite(), "angle must be finite, got {r}");
+        // `atan2` lies in [−π, π], where `rem_euclid(TAU)` is this one
+        // compare-and-add (`−0.0` stays `−0.0`); a rounded TAU folds to 0.
+        let r = if r < 0.0 { r + TAU } else { r };
+        Some(Angle(if r >= TAU { 0.0 } else { r }))
     }
 
     /// The normalized value in radians, guaranteed to lie in `[0, 2π)`.

@@ -163,9 +163,28 @@ fn wrap_coord(x: f64, side: f64) -> f64 {
 }
 
 /// Wraps a coordinate difference into `[-side/2, side/2)`.
+///
+/// Bit-identical to `(d + side/2).rem_euclid(side) − side/2` (folding a
+/// rounded `side/2` to `−side/2`), but without the `fmod` whenever
+/// `v = d + side/2` lies in `(−side, 2·side)` — always for a difference of
+/// two coordinates already wrapped into `[0, side)`. There `v % side` is
+/// `v` itself on `(−side, side)`, and `v − side` on `[side, 2·side)`,
+/// which the subtraction computes exactly (Sterbenz); so one comparison
+/// and one add or subtract reproduce `rem_euclid`'s value, `−0.0`
+/// included.
 fn wrap_delta(d: f64, side: f64) -> f64 {
     let half = side / 2.0;
-    let w = (d + half).rem_euclid(side) - half;
+    let v = d + half;
+    let r = if v >= 0.0 && v < side {
+        v
+    } else if v < 0.0 && v > -side {
+        v + side
+    } else if v >= side && v < 2.0 * side {
+        v - side
+    } else {
+        v.rem_euclid(side)
+    };
+    let w = r - half;
     if w >= half {
         -half
     } else {

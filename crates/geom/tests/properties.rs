@@ -2,6 +2,7 @@
 
 use fullview_geom::{
     circular_distance, normalize_radians, Angle, Arc, ArcSet, Point, SpatialGrid, Torus, UnitGrid,
+    ANGLE_EPS,
 };
 use proptest::prelude::*;
 use std::f64::consts::{PI, TAU};
@@ -298,4 +299,179 @@ fn near_boundary(s: &ArcSet, p: Angle) -> bool {
         || s.gaps()
             .iter()
             .any(|g| g.start().distance(p) < 1e-6 || g.end().distance(p) < 1e-6)
+}
+
+// ---------- fmod-free and hypot-free fast paths ----------
+
+/// The `rem_euclid` form `Torus::wrap_coord_delta` replaced.
+fn wrap_delta_fmod(d: f64, side: f64) -> f64 {
+    let half = side / 2.0;
+    let w = (d + half).rem_euclid(side) - half;
+    if w >= half {
+        -half
+    } else {
+        w
+    }
+}
+
+/// The `hypot` + `rem_euclid` form `Angle::from_vector` replaced, as
+/// radian bits (`None` below `ANGLE_EPS`).
+fn from_vector_reference(dx: f64, dy: f64) -> Option<u64> {
+    if dx.hypot(dy) < ANGLE_EPS {
+        None
+    } else {
+        Some(normalize_radians(dy.atan2(dx)).to_bits())
+    }
+}
+
+fn from_vector_bits(dx: f64, dy: f64) -> Option<u64> {
+    Angle::from_vector(dx, dy).map(|a| a.radians().to_bits())
+}
+
+/// The next float towards +∞ (−0.0 and +0.0 both step to the smallest
+/// positive subnormal).
+fn ulp_up(x: f64) -> f64 {
+    if x == 0.0 {
+        f64::from_bits(1)
+    } else if x > 0.0 {
+        f64::from_bits(x.to_bits() + 1)
+    } else {
+        f64::from_bits(x.to_bits() - 1)
+    }
+}
+
+fn ulp_down(x: f64) -> f64 {
+    -ulp_up(-x)
+}
+
+/// Finite floats of every magnitude, subnormals and signed zeros included.
+fn any_finite() -> impl Strategy<Value = f64> {
+    (0u64..u64::MAX).prop_map(|bits| {
+        let x = f64::from_bits(bits);
+        if x.is_finite() {
+            x
+        } else {
+            0.0
+        }
+    })
+}
+
+/// The fast branches agree with `rem_euclid` bit for bit where they take
+/// over (`v = d + side/2` on `(−side, 2·side)`): at each edge of that
+/// range, one and two ulps either side, at the `±side/2` ties, at `±0.0`,
+/// far outside it, on unit and non-unit sides.
+#[test]
+fn wrap_delta_matches_fmod_at_range_edges() {
+    for side in [1.0, 0.3, 3.0, 7.25, 1e-3, 1e6] {
+        let torus = Torus::with_side(side);
+        let half = side / 2.0;
+        let mut ds = vec![0.0, -0.0, half, -half, side, -side, 1.5 * side, -1.5 * side];
+        ds.extend([2.0 * side, -2.0 * side, 2.5 * side, 1e3 * side, -1e3 * side]);
+        for edge in [-side, 0.0, side, 2.0 * side] {
+            let d = edge - half;
+            ds.extend([
+                d,
+                ulp_up(d),
+                ulp_down(d),
+                ulp_up(ulp_up(d)),
+                ulp_down(ulp_down(d)),
+            ]);
+        }
+        for d in ds {
+            assert_eq!(
+                torus.wrap_coord_delta(d).to_bits(),
+                wrap_delta_fmod(d, side).to_bits(),
+                "d={d:e} side={side}"
+            );
+        }
+    }
+    assert!(Torus::unit().wrap_coord_delta(f64::NAN).is_nan());
+}
+
+/// Signed zeros, infinities, subnormals, the colocation floor and vectors
+/// whose `hypot` sits within a few ulps of `ANGLE_EPS` (on an axis and on
+/// the diagonal) agree with the reference bit for bit, `None`-ness
+/// included.
+#[test]
+fn from_vector_matches_reference_at_edge_inputs() {
+    let near = |x: f64| {
+        (0..4u64).flat_map(move |k| {
+            let (up, down) = (
+                f64::from_bits(x.to_bits() + k),
+                f64::from_bits(x.to_bits() - k),
+            );
+            [up, down, -up, -down]
+        })
+    };
+    let sub = f64::from_bits(1);
+    let mut comps = vec![
+        0.0,
+        -0.0,
+        sub,
+        -sub,
+        f64::MIN_POSITIVE,
+        1.0,
+        -1.0,
+        2e-9,
+        -2e-9,
+    ];
+    comps.extend([f64::INFINITY, f64::NEG_INFINITY, f64::MAX, f64::MIN]);
+    comps.extend(near(ANGLE_EPS));
+    comps.extend(near(ANGLE_EPS / std::f64::consts::SQRT_2));
+    comps.extend(near(2e-9 / std::f64::consts::SQRT_2));
+    for &dx in &comps {
+        for &dy in &comps {
+            assert_eq!(
+                from_vector_bits(dx, dy),
+                from_vector_reference(dx, dy),
+                "({dx:e}, {dy:e})"
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "finite")]
+fn from_vector_of_nan_panics_like_the_reference() {
+    let _ = Angle::from_vector(f64::NAN, f64::INFINITY);
+}
+
+proptest! {
+    #[test]
+    fn wrap_delta_matches_fmod_on_coordinate_differences(
+        side in 1e-3..1e3f64,
+        a in 0.0..1.0f64,
+        b in 0.0..1.0f64,
+    ) {
+        // Two coordinates wrapped into [0, side): the fast branch always.
+        let torus = Torus::with_side(side);
+        let (x, y) = (torus.wrap(Point::new(a * side, 0.0)).x, torus.wrap(Point::new(b * side, 0.0)).x);
+        for d in [x - y, y - x] {
+            prop_assert_eq!(torus.wrap_coord_delta(d).to_bits(), wrap_delta_fmod(d, side).to_bits());
+        }
+    }
+
+    #[test]
+    fn wrap_delta_matches_fmod_anywhere(side in 1e-6..1e6f64, d in any_finite(), t in -3.0..3.0f64) {
+        let torus = Torus::with_side(side);
+        for d in [d, t * side, ulp_up(t * side), ulp_down(t * side)] {
+            prop_assert_eq!(torus.wrap_coord_delta(d).to_bits(), wrap_delta_fmod(d, side).to_bits());
+        }
+    }
+
+    #[test]
+    fn from_vector_matches_reference(
+        dx in any_finite(),
+        dy in any_finite(),
+        scale in -30.0..2.0f64,
+        a in 0.0..TAU,
+    ) {
+        prop_assert_eq!(from_vector_bits(dx, dy), from_vector_reference(dx, dy));
+        // Ordinary vectors, and lengths around ANGLE_EPS and the 2e-9 floor.
+        let len = 10f64.powf(scale);
+        for len in [len, ANGLE_EPS * (1.0 + len.min(1.0)), 2e-9 * (1.0 - 1e-3 * len.min(1.0))] {
+            let (x, y) = (len * a.cos(), len * a.sin());
+            prop_assert_eq!(from_vector_bits(x, y), from_vector_reference(x, y));
+        }
+    }
 }

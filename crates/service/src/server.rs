@@ -42,8 +42,8 @@ use fullview_core::canon::{network_fingerprint, profile_fingerprint, CanonicalHa
 use fullview_core::{
     barrier_from_mask, coverage_map_from_glyphs, dense_grid, hole_report_text, holes_from_mask,
     kfull_text, prob_point_full_view_poisson, prob_point_meets_necessary_poisson,
-    prob_point_meets_sufficient_poisson, EffectiveAngle, FlagBits, IncrementalSweep, KBit,
-    KCountSweep, PointFlags, SweepDelta, WarmGrid,
+    prob_point_meets_sufficient_poisson, ColdSweep, EffectiveAngle, FlagBits, IncrementalSweep,
+    KBit, KCountSweep, PointFlags, SweepDelta, WarmGrid,
 };
 use fullview_deploy::deploy_uniform;
 use fullview_geom::{Angle, Point, UnitGrid};
@@ -303,71 +303,77 @@ impl SweepRegistry {
     }
 }
 
-/// The warm flags state for `(theta, side)`, repaired against `net`.
-/// Cold builds — the first use, and the rebuild after `reseed`/`restore`
-/// — take their verdicts from the daemon's tier; dirty tiles are repaired
-/// through the core tile funnel.
+/// The warm flags state for `(theta, side)`, repaired against `net`, and
+/// the prover counters of its cold build. On `--hier` cold builds — the
+/// first use, and the rebuild after `reseed`/`restore` — take their
+/// verdicts from the prover; on the screened tier the state builds
+/// through its own walk on its own evaluator, with the same verdicts and
+/// no second evaluator's scratch. Dirty tiles are repaired through the
+/// core tile funnel.
 fn warm_sweep<'s>(
-    ctx: &ServerCtx,
+    tier: Tier,
     sweeps: &'s mut SweepRegistry,
     net: &CameraNetwork,
     theta: EffectiveAngle,
     side: usize,
-) -> (&'s mut IncrementalSweep, SweepDelta) {
+) -> (&'s mut IncrementalSweep, SweepDelta, ProverStats) {
     let holds = FlagBits::new(Angle::ZERO);
     let mut prover = ProverStats::default();
-    let mut cold =
+    let mut hier =
         |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, PointFlags)| {
-            let stats = ctx
-                .tier
-                .sweep(net, grid, theta, &holds, 0, grid.len(), emit);
-            prover.merge(&stats);
+            prover.merge(&Tier::Hier.sweep(net, grid, theta, &holds, 0, grid.len(), emit));
         };
+    let mut cold: Option<&mut ColdSweep<'_>> = (tier == Tier::Hier).then_some(&mut hier);
     let (i, built) = sweeps.slot(sweep_key(theta, side, Holds::Flags), || {
-        Warm::Flags(WarmGrid::with_cold_sweep(
-            net, theta, holds, side, &mut cold,
-        ))
+        Warm::Flags(match cold.as_deref_mut() {
+            Some(cold) => WarmGrid::with_cold_sweep(net, theta, holds, side, cold),
+            None => IncrementalSweep::new(net, theta, holds.start_line(), side),
+        })
     });
     let Warm::Flags(state) = &mut sweeps.slots[i].state else {
         unreachable!("a flags key holds a flags state");
     };
-    let delta = state.resweep_dirty_with(net, &mut cold);
+    let delta = match cold {
+        Some(cold) => state.resweep_dirty_with(net, cold),
+        None => state.resweep_dirty(net),
+    };
     sweeps.counters.note(built, &delta);
-    ctx.note_prover(prover);
-    (state, delta)
+    (state, delta, prover)
 }
 
-/// The warm k-count state for `(theta, side, k)`, repaired against `net`:
-/// cold builds through the daemon's tier, repairs through the core k
-/// funnel.
+/// The warm k-count state for `(theta, side, k)`, repaired against `net`,
+/// and the prover counters of its cold build: cold builds through the
+/// prover on `--hier`, else on the state's own evaluator; repairs through
+/// the core k funnel.
 fn warm_k_count<'s>(
-    ctx: &ServerCtx,
+    tier: Tier,
     sweeps: &'s mut SweepRegistry,
     net: &CameraNetwork,
     theta: EffectiveAngle,
     k: usize,
     side: usize,
-) -> &'s KCountSweep {
+) -> (&'s KCountSweep, ProverStats) {
     let holds = KBit::new(k);
     let mut prover = ProverStats::default();
-    let mut cold = |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, bool)| {
-        let stats = ctx
-            .tier
-            .sweep(net, grid, theta, &holds, 0, grid.len(), emit);
-        prover.merge(&stats);
+    let mut hier = |net: &CameraNetwork, grid: &UnitGrid, emit: &mut dyn FnMut(usize, bool)| {
+        prover.merge(&Tier::Hier.sweep(net, grid, theta, &holds, 0, grid.len(), emit));
     };
+    let mut cold: Option<&mut ColdSweep<'_, bool>> = (tier == Tier::Hier).then_some(&mut hier);
     let (i, built) = sweeps.slot(sweep_key(theta, side, Holds::K(k)), || {
-        Warm::K(WarmGrid::with_cold_sweep(
-            net, theta, holds, side, &mut cold,
-        ))
+        Warm::K(match cold.as_deref_mut() {
+            Some(cold) => WarmGrid::with_cold_sweep(net, theta, holds, side, cold),
+            None => KCountSweep::new(net, theta, k, side),
+        })
     });
     let Warm::K(state) = &mut sweeps.slots[i].state else {
         unreachable!("a k key holds a k-count state");
     };
-    let delta = state.resweep_dirty_with(net, &mut cold);
+    let delta = match cold {
+        Some(cold) => state.resweep_dirty_with(net, cold),
+        None => state.resweep_dirty(net),
+    };
     sweeps.counters.note(built, &delta);
-    ctx.note_prover(prover);
-    state
+    (state, prover)
 }
 
 /// Reads the warm flags state for `(theta, side)` under the sweeps lock.
@@ -379,7 +385,9 @@ fn read_flags<R>(
     read: impl FnOnce(&IncrementalSweep) -> R,
 ) -> R {
     let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-    read(warm_sweep(ctx, &mut sweeps, net, theta, side).0)
+    let (state, _, prover) = warm_sweep(ctx.tier, &mut sweeps, net, theta, side);
+    ctx.note_prover(prover);
+    read(state)
 }
 
 /// Reads the warm k-count state for `(theta, side, k)` under the sweeps
@@ -393,7 +401,9 @@ fn read_k_count<R>(
     read: impl FnOnce(&KCountSweep) -> R,
 ) -> R {
     let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-    read(warm_k_count(ctx, &mut sweeps, net, theta, k, side))
+    let (state, prover) = warm_k_count(ctx.tier, &mut sweeps, net, theta, k, side);
+    ctx.note_prover(prover);
+    read(state)
 }
 
 /// One `watch` subscriber: a cloned connection the hub writes delta
@@ -825,7 +835,8 @@ fn watch_frames(
     let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
     let mut frames = Vec::new();
     for (key, theta, grid) in watches.watched_configs() {
-        let (state, delta) = warm_sweep(ctx, &mut sweeps, &fleet.net, theta, grid);
+        let (state, delta, prover) = warm_sweep(ctx.tier, &mut sweeps, &fleet.net, theta, grid);
+        ctx.note_prover(prover);
         let fraction = state.report().full_view_fraction();
         let holes = holes_from_mask(*fleet.net.torus(), grid, state.mask())
             .holes
@@ -1062,7 +1073,8 @@ fn run_watch(ctx: &ServerCtx, params: &Params, stream: &TcpStream) -> Result<(),
     let (fraction, holes) = {
         let fleet = ctx.fleet.read().expect("fleet lock");
         let mut sweeps = ctx.sweeps.lock().expect("sweep lock");
-        let (state, _) = warm_sweep(ctx, &mut sweeps, &fleet.net, theta, grid);
+        let (state, _, prover) = warm_sweep(ctx.tier, &mut sweeps, &fleet.net, theta, grid);
+        ctx.note_prover(prover);
         let fraction = state.report().full_view_fraction();
         let holes = holes_from_mask(*fleet.net.torus(), grid, state.mask())
             .holes
@@ -1179,4 +1191,65 @@ fn render_stats(ctx: &ServerCtx) -> String {
         snap.samples
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fullview_core::use_tiled;
+    use fullview_geom::Torus;
+    use fullview_model::SensorSpec;
+
+    /// Points screened or decided exactly by a warm state's own evaluator.
+    fn own_evaluations<B: fullview_core::PointByte>(state: &WarmGrid<B>) -> u64 {
+        let stats = state.screen_stats();
+        stats.screened + stats.exact
+    }
+
+    /// On the screened tier a warm state cold-builds, and rebuilds after
+    /// an invalidation, through its own walk on its own evaluator — no
+    /// injected sweep with a second evaluator — so its own screen counts
+    /// every point of each build; on `--hier` the prover answers the cold
+    /// builds, with the same bytes.
+    #[test]
+    fn only_hier_injects_a_cold_sweep() {
+        let profile = NetworkProfile::homogeneous(
+            SensorSpec::new(0.15, 120f64.to_radians()).expect("valid spec"),
+        );
+        let mut rng = StdRng::seed_from_u64(7);
+        let net = deploy_uniform(Torus::unit(), &profile, 300, &mut rng).expect("fleet");
+        let theta = EffectiveAngle::new(std::f64::consts::FRAC_PI_4).expect("valid θ");
+        let side = 48;
+        let points = (side * side) as u64;
+        assert!(use_tiled(&net, &UnitGrid::new(*net.torus(), side)));
+
+        let mut screened = SweepRegistry::new();
+        let (state, delta, prover) = warm_sweep(Tier::Screened, &mut screened, &net, theta, side);
+        assert_eq!(
+            (own_evaluations(state), prover),
+            (points, ProverStats::default())
+        );
+        assert!(!delta.rebuilt);
+        screened.invalidate_all();
+        let (state, delta, _) = warm_sweep(Tier::Screened, &mut screened, &net, theta, side);
+        assert!(delta.rebuilt);
+        assert_eq!(own_evaluations(state), 2 * points);
+        let flags = state.glyphs(0, side * side);
+        let (k_state, prover) = warm_k_count(Tier::Screened, &mut screened, &net, theta, 2, side);
+        assert_eq!(
+            (own_evaluations(k_state), prover),
+            (points, ProverStats::default())
+        );
+        let k_count = k_state.count(0, side * side);
+
+        let mut hier = SweepRegistry::new();
+        let (state, _, prover) = warm_sweep(Tier::Hier, &mut hier, &net, theta, side);
+        assert_eq!(own_evaluations(state), 0);
+        assert!(prover.nodes > 0);
+        assert_eq!(state.glyphs(0, side * side), flags);
+        let (k_state, prover) = warm_k_count(Tier::Hier, &mut hier, &net, theta, 2, side);
+        assert_eq!(own_evaluations(k_state), 0);
+        assert!(prover.nodes > 0);
+        assert_eq!(k_state.count(0, side * side), k_count);
+    }
 }
