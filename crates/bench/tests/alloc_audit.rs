@@ -6,7 +6,7 @@
 //! and the tile cursor's candidate pin to the local camera density, a
 //! full tiled grid sweep must perform no heap allocation at all — the
 //! flags funnel and the k funnel alike — and so must a warm state's
-//! repair after a camera move. A warm state's full rebuild runs on its
+//! marking and repair of a camera move. A warm state's full rebuild runs on its
 //! own evaluator, so it allocates only the buffers a rebuild makes anew.
 
 use fullview_bench::bench_network;
@@ -120,10 +120,11 @@ fn warmed_tiled_sweep_allocates_nothing() {
     );
 
     // A warmed repair: each round moves one camera by 1e-4, marks its old
-    // and new sensing disks and resweeps the dirty tiles. The first two
-    // rounds grow the state's tile list and cursor buffers; the third is
-    // counted. The move flips no point, so the delta's flip lists (the
-    // repair's output, which grow with the change) stay empty too.
+    // and new sensing disks and resweeps the dirty rectangles. The first
+    // two rounds grow the state's cursor buffers; the third is counted,
+    // the marking included. The move flips no point, so the delta's flip
+    // lists (the repair's output, which grow with the change) stay empty
+    // too.
     let mut state = IncrementalSweep::new(&net, theta, Angle::ZERO, grid.side_count());
     let id = 17;
     let home = net.cameras()[id].position();
@@ -131,9 +132,9 @@ fn warmed_tiled_sweep_allocates_nothing() {
     let mut repair = |net: &mut CameraNetwork, to: Point| {
         let cam = net.cameras()[id];
         assert!(net.move_camera(id, to));
+        let before = allocations();
         state.mark_disk(cam.position(), cam.spec().radius());
         state.mark_disk(to, cam.spec().radius());
-        let before = allocations();
         let delta = state.resweep_dirty(net);
         (delta, allocations() - before)
     };
@@ -150,18 +151,18 @@ fn warmed_tiled_sweep_allocates_nothing() {
     );
     assert_eq!(
         allocated, 0,
-        "warm repair regressed: {allocated} allocations in a warmed move-and-repair"
+        "warm repair regressed: {allocated} allocations in a warmed mark-and-repair"
     );
 
     // A warmed rebuild: `invalidate` sends the next repair down the cold
     // path, which runs the walk on the state's own evaluator — its kernel
     // scratch already warm, no second evaluator built. The first two
     // rebuilds warm it; the third is counted. What is left are the
-    // buffers a rebuild makes anew, seven on this fixture: the state's
-    // tiling, its per-tile tallies, its dirty set and the cold sweep's
-    // column → cell map, then the walk's own tiling and its tile
-    // cursor's candidate and pinned-camera buffers (one each: every tile
-    // of this 3 × 3 index scans all 1000 cameras).
+    // buffers a rebuild makes anew, six on this fixture: the state's
+    // tiling and its dirty set's rectangles and tile bits, then the
+    // walk's own tiling and its tile cursor's candidate and
+    // pinned-camera buffers (one each: every tile of this 3 × 3 index
+    // scans all 1000 cameras).
     let mut rebuild = |net: &CameraNetwork| {
         state.invalidate();
         let before = allocations();
@@ -177,7 +178,7 @@ fn warmed_tiled_sweep_allocates_nothing() {
         "a rebuild over the same network must flip no point"
     );
     assert!(
-        allocated <= 7,
-        "warm rebuild regressed: {allocated} allocations in a warmed rebuild (at most 7)"
+        allocated <= 6,
+        "warm rebuild regressed: {allocated} allocations in a warmed rebuild (at most 6)"
     );
 }

@@ -135,6 +135,32 @@ impl GridTiling {
         self.starts[c]..self.starts[c + 1]
     }
 
+    /// Calls `f(c, lines)` for every index-cell coordinate `c` whose run
+    /// of grid lines meets one of `runs`, with that run's lines inside
+    /// the cell — in run order, cells ascending within a run. Columns and
+    /// rows alike: cells and grid are square.
+    pub(crate) fn for_each_cell_meeting(
+        &self,
+        runs: &[Range<usize>; 2],
+        mut f: impl FnMut(usize, Range<usize>),
+    ) {
+        for run in runs.iter().filter(|run| !run.is_empty()) {
+            // `starts[0] == 0`, so the first cell starting after
+            // `run.start` has a predecessor: the cell holding it.
+            let first = self.starts.partition_point(|&s| s <= run.start) - 1;
+            for c in first..self.cells {
+                let cell = self.cell_axis_range(c);
+                if cell.start >= run.end {
+                    break;
+                }
+                let lines = cell.start.max(run.start)..cell.end.min(run.end);
+                if !lines.is_empty() {
+                    f(c, lines);
+                }
+            }
+        }
+    }
+
     /// The index cell `(cx, cy)` of tile `t` (row-major tile ids).
     #[must_use]
     pub fn tile_cell(&self, t: usize) -> (usize, usize) {
@@ -312,6 +338,12 @@ impl<'a> SweepUnit<'a> {
         }
     }
 
+    /// The cursor a rectangle unit is pinned through, for a consumer that
+    /// evaluates a sub-rectangle of it; `None` for the whole-network unit.
+    pub(crate) fn cursor(&self) -> Option<&'a TileCursor<'a>> {
+        self.rect.as_ref().map(|&(cursor, ..)| cursor)
+    }
+
     /// The coordinates of grid index `idx` — computed only for the points
     /// a consumer analyses, since screened points never need them.
     pub(crate) fn point(&self, idx: usize) -> Point {
@@ -336,8 +368,9 @@ impl CoverageProvider for SweepUnit<'_> {
 /// or wholly outside `lo..hi`, pins `cursor` to the tile's cell, and
 /// hands `visit(t, unit)` the tile's rectangle as the unit of its
 /// in-range points. Its callers differ only in the ids they pass: the
-/// walk passes every tile, a repair its dirty tiles, a parallel worker
-/// the tiles it claims.
+/// walk passes every tile, a repair its dirty tiles (then evaluating
+/// only each tile's dirty rectangle on the pinned cursor), a parallel
+/// worker the tiles it claims.
 ///
 /// # Panics
 ///
@@ -519,102 +552,109 @@ pub(crate) fn sweep_grid_range<F>(
     });
 }
 
-/// A bitset over the tile ids of a [`GridTiling`] recording which tiles a
-/// mutation may have changed — the work list of the incremental resweep.
+/// The work list of the incremental resweep: per tile id of a
+/// [`GridTiling`], the rectangle of grid columns × rows inside the tile
+/// that a mutation may have changed, and a bitset of the tiles whose
+/// rectangle is non-empty.
 ///
-/// Marking is an *over-approximation*: re-evaluating a clean tile always
-/// reproduces its stored tallies (per-point analysis is history-free), so
-/// extra marks cost time, never correctness. Missing a mark is the only
-/// bug class, which is why disks are mapped to tiles with the same
-/// per-axis window arithmetic the [`SpatialGrid`] radius queries use.
+/// Marking is an *over-approximation*: re-evaluating a clean point always
+/// reproduces its stored byte (per-point analysis is history-free), so
+/// extra marks cost time, never correctness. Missing a point is the only
+/// bug class, which is why [`WarmGrid::mark_disk`] widens each disk's
+/// reach past every rounding of the exact path's coverage test. Marks into
+/// one tile before a repair merge into their bounding rectangle.
 #[derive(Debug, Clone)]
-pub struct DirtySet {
+pub(crate) struct DirtySet {
+    /// Per tile, its dirty columns `c0..c1` × rows `r0..r1` as
+    /// `[c0, c1, r0, r1]`; all zero while the tile is clean.
+    rects: Vec<[u32; 4]>,
+    /// Bit `t % 64` of word `t / 64` is set while tile `t` is dirty.
     words: Vec<u64>,
-    tiles: usize,
     marked: usize,
 }
 
 impl DirtySet {
     /// An all-clean set over `tiles` tile ids.
-    #[must_use]
-    pub fn new(tiles: usize) -> Self {
+    pub(crate) fn new(tiles: usize) -> Self {
         DirtySet {
-            words: vec![0u64; tiles.div_ceil(64)],
-            tiles,
+            rects: vec![[0; 4]; tiles],
+            words: vec![0; tiles.div_ceil(64)],
             marked: 0,
         }
     }
 
-    /// Number of tile ids the set ranges over.
-    #[must_use]
-    pub fn tile_count(&self) -> usize {
-        self.tiles
-    }
-
-    /// Marks tile `t` dirty; returns whether it was newly marked.
+    /// Widens tile `t`'s dirty rectangle to hold columns `cols` × rows
+    /// `rows`; an empty `cols` or `rows` marks nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `t >= tile_count()`.
-    pub fn mark(&mut self, t: usize) -> bool {
-        assert!(t < self.tiles, "tile {t} out of range ({})", self.tiles);
+    /// Panics if `t` is out of range or a grid line does not fit a `u32`.
+    pub(crate) fn mark(&mut self, t: usize, cols: Range<usize>, rows: Range<usize>) {
+        if cols.is_empty() || rows.is_empty() {
+            return;
+        }
+        let line = |i: usize| u32::try_from(i).expect("grid lines fit a u32");
+        let add = [
+            line(cols.start),
+            line(cols.end),
+            line(rows.start),
+            line(rows.end),
+        ];
         let (word, bit) = (t / 64, 1u64 << (t % 64));
+        let rect = &mut self.rects[t];
         if self.words[word] & bit == 0 {
             self.words[word] |= bit;
             self.marked += 1;
-            true
+            *rect = add;
         } else {
-            false
+            *rect = [
+                rect[0].min(add[0]),
+                rect[1].max(add[1]),
+                rect[2].min(add[2]),
+                rect[3].max(add[3]),
+            ];
         }
     }
 
-    /// Marks every tile dirty.
-    pub fn mark_all(&mut self) {
-        for (w, word) in self.words.iter_mut().enumerate() {
-            let bits_here = (self.tiles - w * 64).min(64);
-            *word = if bits_here == 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits_here) - 1
-            };
-        }
-        self.marked = self.tiles;
+    /// Tile `t`'s dirty columns and rows (both empty while it is clean).
+    pub(crate) fn rect(&self, t: usize) -> (Range<usize>, Range<usize>) {
+        let [c0, c1, r0, r1] = self.rects[t].map(|line| line as usize);
+        (c0..c1, r0..r1)
     }
 
-    /// Whether tile `t` is marked.
-    #[must_use]
-    pub fn is_marked(&self, t: usize) -> bool {
-        t < self.tiles && self.words[t / 64] & (1u64 << (t % 64)) != 0
-    }
-
-    /// Number of marked tiles.
-    #[must_use]
-    pub fn marked_count(&self) -> usize {
+    /// Number of dirty tiles.
+    pub(crate) fn marked_count(&self) -> usize {
         self.marked
     }
 
-    /// Whether no tile is marked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    /// Whether no tile is dirty.
+    pub(crate) fn is_empty(&self) -> bool {
         self.marked == 0
     }
 
-    /// Unmarks everything.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.marked = 0;
+    /// The dirty tile ids in ascending order.
+    pub(crate) fn marked(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let t = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    t
+                })
+            })
+        })
     }
 
-    /// Calls `f` with every marked tile id in ascending order.
-    pub fn for_each_marked<F: FnMut(usize)>(&self, mut f: F) {
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let t = w * 64 + bits.trailing_zeros() as usize;
-                f(t);
-                bits &= bits - 1;
+    /// Cleans every tile.
+    pub(crate) fn clear(&mut self) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            while *word != 0 {
+                self.rects[w * 64 + word.trailing_zeros() as usize] = [0; 4];
+                *word &= *word - 1;
             }
         }
+        self.marked = 0;
     }
 }
 
@@ -631,9 +671,13 @@ pub type ColdSweep<'s, V = PointFlags> =
 /// material of the service layer's `watch` delta frames.
 #[derive(Debug, Clone, Default)]
 pub struct SweepDelta<T = GridCoverageReport> {
-    /// Tiles re-evaluated by this repair.
+    /// Tiles whose dirty rectangle this repair re-evaluated — the tiles
+    /// holding a grid point a marked disk can reach; every tile on a
+    /// rebuild.
     pub tiles_resweeped: usize,
-    /// Grid points re-evaluated by this repair.
+    /// Grid points this repair re-evaluated: the points of the dirty
+    /// rectangles (a marked disk's bounding box, cut at tile edges and
+    /// merged per tile); every point on a rebuild.
     pub points_resweeped: usize,
     /// Grid indices whose kept bit turned on: full-view coverage for a
     /// flags state, multiplicity ≥ k for a k-count state.
@@ -665,21 +709,24 @@ impl<T> SweepDelta<T> {
 
 /// A kind of per-point verdict, and what a [`WarmGrid`] keeps of it in
 /// one byte per grid point: how the verdict packs into the byte and
-/// tallies per tile, and which core funnel evaluates it. [`FlagBits`]
-/// keeps the five [`PointFlags`], [`KBit`] whether the view multiplicity
-/// reaches `k`; the trait is sealed to those two, and its two impls are
-/// the only place core tells them apart. Every range sweep, rectangle
-/// and warm state runs through its provided methods.
+/// tallies, and which core funnel evaluates it. [`FlagBits`] keeps the
+/// five [`PointFlags`], [`KBit`] whether the view multiplicity reaches
+/// `k`; the trait is sealed to those two, and its two impls are the only
+/// place core tells them apart. Every range sweep, rectangle and warm
+/// state runs through its provided methods.
 pub trait PointByte: Clone + fmt::Debug + sealed::Sealed {
     /// One point's verdict, as the funnels and cold sweeps emit it.
     type Verdict: Copy;
-    /// The tally of a tile's (or the whole grid's) verdicts. Tallies are
-    /// plain integer sums, so a total patched tile by tile equals the
-    /// cold sum bit for bit.
+    /// The tally of a set of verdicts (the whole grid's, or a repair's
+    /// old and new ones). Tallies are plain integer sums, so a total
+    /// patched point by point equals the cold sum bit for bit.
     type Tally: Clone + fmt::Debug + Default + PartialEq;
 
     /// The stored byte of `verdict`.
     fn byte(verdict: Self::Verdict) -> u8;
+    /// The verdict a stored byte holds — the inverse of
+    /// [`byte`](Self::byte).
+    fn verdict(byte: u8) -> Self::Verdict;
     /// The bit of a stored byte whose flips a [`SweepDelta`] lists.
     fn is_set(byte: u8) -> bool;
     /// Folds one verdict into `tally`.
@@ -790,6 +837,10 @@ impl PointByte for FlagBits {
         flags.to_byte()
     }
 
+    fn verdict(byte: u8) -> PointFlags {
+        PointFlags::from_byte(byte)
+    }
+
     fn is_set(byte: u8) -> bool {
         byte & FULL_VIEW_BIT != 0
     }
@@ -850,6 +901,10 @@ impl PointByte for KBit {
         u8::from(met)
     }
 
+    fn verdict(byte: u8) -> bool {
+        byte != 0
+    }
+
     fn is_set(byte: u8) -> bool {
         byte != 0
     }
@@ -883,11 +938,21 @@ impl PointByte for KBit {
     }
 }
 
+/// Relative widening of a disk's reach in [`WarmGrid::mark_disk`], on the
+/// scale of torus side + radius + |centre|. Every rounding it must absorb
+/// — the exact coverage test's squares, its wrapped coordinate delta, the
+/// wrap of a stored position, the grid coordinates and the line bounds'
+/// own division — is a few ulps of that scale (~1e-15), so the slack has
+/// five orders of magnitude to spare, and it marks an extra grid line
+/// only when one lies within ~1e-9 of a disk's edge.
+const REACH_SLACK: f64 = 1e-9;
+
 /// An incrementally maintained dense-grid state: one byte per grid point
-/// (what `B` keeps), per-tile tallies and their running total, repaired
-/// tile by tile through a [`DirtySet`]. The daemon keeps one per
-/// (θ, side) for flags ([`IncrementalSweep`]) and one per (θ, side, k)
-/// for k-counts ([`KCountSweep`]), and every dense-grid verb reads one.
+/// (what `B` keeps) and the tally of all of them, repaired rectangle by
+/// rectangle through a dirty set that keeps, per tile, the grid columns ×
+/// rows a mutation may have changed. The daemon keeps one per (θ, side)
+/// for flags ([`IncrementalSweep`]) and one per (θ, side, k) for k-counts
+/// ([`KCountSweep`]), and every dense-grid verb reads one.
 ///
 /// # The dirty-tracking invariant
 ///
@@ -896,16 +961,20 @@ impl PointByte for KBit {
 /// that covers every mutation applied to the network since the last
 /// repair, [`resweep_dirty`](Self::resweep_dirty) leaves the bytes and the
 /// total **bit-identical** to a freshly built state over the same
-/// network. Two facts make this exact rather than approximate:
+/// network. Three facts make this exact rather than approximate:
 ///
-/// * a camera mutation can only change the analysis of points inside its
-///   old and new sensing disks, and a disk's grid points all live in the
-///   tiles [`mark_disk`](Self::mark_disk) marks (the same per-axis cell
-///   window arithmetic the spatial index's radius queries are
-///   brute-force-tested against);
-/// * per-point analysis is history-free and tallies are plain integer
-///   sums, so `total − old_tile + new_tile` equals the cold sum
-///   bit-for-bit.
+/// * a camera mutation can only change the analysis of the points its old
+///   or new sensing sector covers, and every covered point passes the
+///   exact path's `d² ≤ r²` on the wrapped coordinate deltas, hence lies
+///   within the radius of the camera's position on each axis up to a
+///   few ulps; [`mark_disk`](Self::mark_disk) marks every grid column and
+///   row within the radius widened far past those ulps, so the marked
+///   rectangles hold every point the camera covers before or after;
+/// * per-point analysis is history-free, so re-evaluating a point the
+///   mutation did not touch rewrites its byte unchanged;
+/// * tallies are plain integer sums, so `total − old + new` over the
+///   re-evaluated points, each old verdict decoded from its stored byte
+///   ([`PointByte::verdict`]), equals the cold sum bit for bit.
 ///
 /// `fail`/`move` mutations rebucket the spatial index in place without
 /// changing its cell geometry, so the tiling stays valid and repairs are
@@ -924,27 +993,23 @@ pub struct WarmGrid<B: PointByte> {
     torus: Torus,
     evaluator: GridEvaluator,
     bytes: Vec<u8>,
-    tile_tallies: Vec<B::Tally>,
     total: B::Tally,
     dirty: DirtySet,
-    /// Repair scratch: the dirty tiles, and the buffers of the tile
-    /// cursor that re-evaluates them, kept so a warmed repair allocates
-    /// nothing.
-    dirty_tiles: Vec<usize>,
+    /// The buffers of the tile cursor that repairs the dirty rectangles,
+    /// kept so a warmed repair allocates nothing.
     cursor_buffers: CursorBuffers,
     needs_rebuild: bool,
 }
 
-/// The warm flags state: every point's five [`PointFlags`] in one byte,
-/// per-tile [`GridCoverageReport`]s and their total. `check` reads the
-/// report, `holes`, `mask` and `barrier` the full-view
-/// [`mask`](WarmGrid::mask), `map` and `cells` the
-/// [`glyphs`](WarmGrid::glyphs).
+/// The warm flags state: every point's five [`PointFlags`] in one byte
+/// and their [`GridCoverageReport`]. `check` reads the report, `holes`,
+/// `mask` and `barrier` the full-view [`mask`](WarmGrid::mask), `map` and
+/// `cells` the [`glyphs`](WarmGrid::glyphs).
 pub type IncrementalSweep = WarmGrid<FlagBits>;
 
 /// The warm k-count state: whether each point's view multiplicity reaches
-/// `k`, one byte per point, and a count per tile. `kfull` and `kcount`
-/// read its [`count`](WarmGrid::count).
+/// `k`, one byte per point, and their count. `kfull` and `kcount` read
+/// its [`count`](WarmGrid::count).
 pub type KCountSweep = WarmGrid<KBit>;
 
 impl<B: PointByte> WarmGrid<B> {
@@ -971,10 +1036,8 @@ impl<B: PointByte> WarmGrid<B> {
             cell_len: index.cell_len(),
             torus,
             bytes: vec![0; grid.len()],
-            tile_tallies: vec![B::Tally::default(); tiling.tile_count()],
             total: B::Tally::default(),
             dirty: DirtySet::new(tiling.tile_count()),
-            dirty_tiles: Vec::new(),
             cursor_buffers: CursorBuffers::default(),
             grid,
             tiling,
@@ -1003,38 +1066,29 @@ impl<B: PointByte> WarmGrid<B> {
         Self::build(net, theta, holds, grid_side, Some(cold))
     }
 
-    /// Evaluates every point into the all-default per-tile tallies,
-    /// overwriting every byte — through `cold` when given, else through
-    /// the walk on the state's own evaluator; with `delta`, records the
-    /// flips against the bytes it overwrites.
+    /// Evaluates every point into a fresh total, overwriting every byte
+    /// — through `cold` when given, else through the walk on the state's
+    /// own evaluator; with `delta`, records the flips against the bytes
+    /// it overwrites.
     fn cold_sweep(
         &mut self,
         net: &CameraNetwork,
         cold: Option<&mut ColdSweep<'_, B::Verdict>>,
         mut delta: Option<&mut SweepDelta<B::Tally>>,
     ) {
-        // Disjoint borrows: the emit closure writes bytes and tallies
-        // while the walk reads the kind and runs the evaluator.
+        // Disjoint borrows: the emit closure writes bytes while the walk
+        // reads the kind and runs the evaluator.
         let WarmGrid {
             holds,
             grid,
-            tiling,
-            cells,
             evaluator,
             bytes,
-            tile_tallies,
             ..
         } = self;
-        let (cells, side) = (*cells, grid.side_count());
-        // Grid column (equally, row) → the index-cell coordinate owning it.
-        let mut cell_of = Vec::with_capacity(side);
-        for c in 0..cells {
-            cell_of.extend(tiling.cell_axis_range(c).map(|_| c));
-        }
+        let mut total = B::Tally::default();
         let mut emitted = 0usize;
         let mut emit = |idx: usize, verdict: B::Verdict| {
-            let t = cell_of[idx / side] * cells + cell_of[idx % side];
-            B::record(&mut tile_tallies[t], verdict);
+            B::record(&mut total, verdict);
             let byte = B::byte(verdict);
             if let Some(delta) = delta.as_deref_mut() {
                 delta.note(idx, B::is_set(bytes[idx]), B::is_set(byte));
@@ -1053,10 +1107,7 @@ impl<B: PointByte> WarmGrid<B> {
             grid.len(),
             "cold sweep must emit every grid index once"
         );
-        self.total = B::Tally::default();
-        for tally in &self.tile_tallies {
-            B::merge(&mut self.total, tally);
-        }
+        self.total = total;
         self.dirty.clear();
         self.needs_rebuild = false;
     }
@@ -1075,13 +1126,13 @@ impl<B: PointByte> WarmGrid<B> {
 
     /// What the screen decided over every evaluation this state ran on
     /// its own evaluator: its cold build and rebuilds, unless a cold sweep
-    /// answered them, and every dirty-tile repair.
+    /// answered them, and every dirty-rectangle repair.
     #[must_use]
     pub fn screen_stats(&self) -> ScreenStats {
         self.evaluator.screen_stats()
     }
 
-    /// Whether the state has no pending dirty tiles or rebuild.
+    /// Whether the state has no pending dirty rectangle or rebuild.
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.dirty.is_empty() && !self.needs_rebuild
@@ -1097,48 +1148,73 @@ impl<B: PointByte> WarmGrid<B> {
             && index.torus().side().to_bits() == self.torus.side().to_bits()
     }
 
-    /// Marks dirty every tile whose cell could contain a grid point
-    /// within `radius` of `center` — call once with the old disk and once
-    /// with the new disk of each mutated camera.
+    /// Marks dirty every grid point a sensing disk of `radius` around
+    /// `center` can reach — call once with the old disk and once with the
+    /// new disk of each mutated camera, `center` being its position as
+    /// the camera stores it ([`Camera::position`]).
     ///
-    /// Uses the same per-axis window bounds as the spatial index's radius
-    /// queries (`⌊(frac − r)/len⌋ ..= ⌊(frac + r)/len + ε⌋`), so the
-    /// marked window is a proven superset of the cells holding affected
-    /// points. A window spanning the whole axis degrades to
-    /// [`mark_all`](Self::mark_all).
+    /// The marked points are the disk's bounding box on the torus: the
+    /// grid columns and rows whose coordinate lies within the radius of
+    /// the wrapped centre, the radius widened by 1e-9 of torus side +
+    /// radius + |centre| past every rounding of the exact coverage test
+    /// — including that of a stored position outside the fundamental
+    /// domain, which the |centre| term scales with. Each tile the box
+    /// meets gets the box's part inside it; marks into one tile merge
+    /// into their bounding rectangle. A non-finite reach marks
+    /// everything.
     pub fn mark_disk(&mut self, center: Point, radius: f64) {
         if self.needs_rebuild {
             return;
         }
-        let p = self.torus.wrap(center);
-        let cells = self.cells;
-        let clamp = |coord: f64| ((coord / self.cell_len) as usize).min(cells - 1);
-        let (cx, cy) = (clamp(p.x), clamp(p.y));
-        let span = |frac: f64| -> (isize, isize) {
-            let lo = ((frac - radius) / self.cell_len).floor() as isize;
-            let hi = ((frac + radius) / self.cell_len + 1e-12).floor() as isize;
-            (lo, hi)
-        };
-        let (dx_lo, dx_hi) = span(p.x - cx as f64 * self.cell_len);
-        let (dy_lo, dy_hi) = span(p.y - cy as f64 * self.cell_len);
-        if (dx_hi - dx_lo + 1).max(dy_hi - dy_lo + 1) >= cells as isize {
+        let scale = self.torus.side() + radius.abs() + center.x.abs() + center.y.abs();
+        let reach = radius + REACH_SLACK * scale;
+        if !reach.is_finite() {
             self.mark_all();
             return;
         }
-        let n = cells as isize;
-        for dy in dy_lo..=dy_hi {
-            let by = (cy as isize + dy).rem_euclid(n) as usize;
-            for dx in dx_lo..=dx_hi {
-                let bx = (cx as isize + dx).rem_euclid(n) as usize;
-                self.dirty.mark(by * cells + bx);
-            }
+        let p = self.torus.wrap(center);
+        let (cols, rows) = (self.lines_within(p.x, reach), self.lines_within(p.y, reach));
+        let WarmGrid { tiling, dirty, .. } = self;
+        let cells = tiling.cells_per_axis();
+        tiling.for_each_cell_meeting(&rows, |cy, rows| {
+            tiling.for_each_cell_meeting(&cols, |cx, cols| {
+                dirty.mark(cy * cells + cx, cols, rows.clone());
+            });
+        });
+    }
+
+    /// The grid lines — columns, or equally rows — whose coordinate lies
+    /// within `reach` of the wrapped coordinate `w` around the torus, as
+    /// at most two runs (one wrapped across the seam, or the whole axis).
+    fn lines_within(&self, w: f64, reach: f64) -> [Range<usize>; 2] {
+        let (side, spacing) = (self.grid.side_count(), self.grid.spacing());
+        // Line i sits at (i + ½)·spacing; these bounds may leave 0..side
+        // and wrap.
+        let lo = ((w - reach) / spacing - 0.5).ceil();
+        let hi = ((w + reach) / spacing - 0.5).floor();
+        if hi - lo + 1.0 >= side as f64 {
+            return [0..side, 0..0];
+        }
+        if hi < lo {
+            return [0..0, 0..0];
+        }
+        let wrap = |line: f64| (line as isize).rem_euclid(side as isize) as usize;
+        let (first, last) = (wrap(lo), wrap(hi));
+        if first <= last {
+            [first..last + 1, 0..0]
+        } else {
+            [first..side, 0..last + 1]
         }
     }
 
-    /// Marks every tile dirty (a mutation with unknown extent).
+    /// Marks every point dirty (a mutation with unknown extent).
     pub fn mark_all(&mut self) {
-        if !self.needs_rebuild {
-            self.dirty.mark_all();
+        if self.needs_rebuild {
+            return;
+        }
+        for t in 0..self.tiling.tile_count() {
+            let (cols, rows) = (self.tiling.tile_col_range(t), self.tiling.tile_row_range(t));
+            self.dirty.mark(t, cols, rows);
         }
     }
 
@@ -1150,7 +1226,7 @@ impl<B: PointByte> WarmGrid<B> {
     }
 
     /// Repairs the state against the (already mutated) network:
-    /// re-evaluates exactly the dirty tiles through core's funnel and
+    /// re-evaluates exactly the dirty rectangles through core's funnel and
     /// patches the bytes and the total in place, returning what changed.
     /// Falls back to a full rebuild — the walk on the state's own
     /// evaluator — when the index geometry no longer matches the stored
@@ -1163,8 +1239,8 @@ impl<B: PointByte> WarmGrid<B> {
     }
 
     /// [`resweep_dirty`](Self::resweep_dirty) with a full rebuild's
-    /// verdicts taken from `cold`; dirty tiles are still repaired through
-    /// core's funnel.
+    /// verdicts taken from `cold`; dirty rectangles are still repaired
+    /// through core's funnel.
     pub fn resweep_dirty_with(
         &mut self,
         net: &CameraNetwork,
@@ -1174,7 +1250,7 @@ impl<B: PointByte> WarmGrid<B> {
     }
 
     /// The repair both entries run: a rebuild (through `cold` when given)
-    /// or a repair of the dirty tiles.
+    /// or a repair of the dirty rectangles.
     fn resweep(
         &mut self,
         net: &CameraNetwork,
@@ -1193,43 +1269,53 @@ impl<B: PointByte> WarmGrid<B> {
         delta
     }
 
-    /// Re-evaluates the dirty tiles, patching bytes, tallies and total.
+    /// Re-evaluates the dirty rectangles, patching bytes and the total:
+    /// the total loses the old verdict and gains the new one of every
+    /// point whose byte changed.
     fn repair(&mut self, net: &CameraNetwork, delta: &mut SweepDelta<B::Tally>) {
         if self.dirty.is_empty() {
             return;
         }
-        let mut dirty_tiles = std::mem::take(&mut self.dirty_tiles);
-        dirty_tiles.clear();
-        self.dirty.for_each_marked(|t| dirty_tiles.push(t));
-        self.dirty.clear();
         let mut cursor = net.tile_cursor_with(std::mem::take(&mut self.cursor_buffers));
-        let (grid, holds, evaluator) = (&self.grid, &self.holds, &mut self.evaluator);
-        let (bytes, tallies, total) = (&mut self.bytes, &mut self.tile_tallies, &mut self.total);
-        let tiles = dirty_tiles.iter().copied();
-        // The loop skips empty tiles, whose stored tally is already the
-        // default.
+        let WarmGrid {
+            holds,
+            grid,
+            tiling,
+            evaluator,
+            bytes,
+            total,
+            dirty,
+            ..
+        } = self;
+        let len = grid.len();
+        let (mut old, mut new) = (B::Tally::default(), B::Tally::default());
         walk_tiles(
             &mut cursor,
-            &self.tiling,
+            tiling,
             grid,
-            tiles,
+            dirty.marked(),
             0,
-            grid.len(),
+            len,
             |t, unit| {
-                let mut tally = B::Tally::default();
-                holds.evaluate_unit(evaluator, unit, &mut |idx, verdict| {
-                    let byte = B::byte(verdict);
-                    delta.note(idx, B::is_set(bytes[idx]), B::is_set(byte));
-                    bytes[idx] = byte;
-                    B::record(&mut tally, verdict);
-                });
-                B::merge(total, &tally);
-                B::subtract(total, &std::mem::replace(&mut tallies[t], tally));
+                let (cols, rows) = dirty.rect(t);
+                let cursor = unit.cursor().expect("the tile loop pins every tile");
+                let mut patch = |idx: usize, verdict: B::Verdict| {
+                    let (was, byte) = (bytes[idx], B::byte(verdict));
+                    delta.note(idx, B::is_set(was), B::is_set(byte));
+                    if was != byte {
+                        B::record(&mut old, B::verdict(was));
+                        B::record(&mut new, verdict);
+                        bytes[idx] = byte;
+                    }
+                };
+                holds.evaluate_rect(evaluator, cursor, grid, cols, rows, 0, len, &mut patch);
             },
         );
-        delta.tiles_resweeped = dirty_tiles.len();
+        B::merge(total, &new);
+        B::subtract(total, &old);
+        delta.tiles_resweeped = dirty.marked_count();
+        dirty.clear();
         self.cursor_buffers = cursor.into_buffers();
-        self.dirty_tiles = dirty_tiles;
     }
 
     /// Full rebuild: re-derives the tiling from the network's current
@@ -1246,7 +1332,6 @@ impl<B: PointByte> WarmGrid<B> {
         self.torus = *net.torus();
         self.grid = UnitGrid::new(self.torus, self.grid.side_count());
         self.tiling = GridTiling::new(index, &self.grid);
-        self.tile_tallies = vec![B::Tally::default(); self.tiling.tile_count()];
         self.dirty = DirtySet::new(self.tiling.tile_count());
         self.cold_sweep(net, cold, Some(delta));
         delta.rebuilt = true;
@@ -1532,25 +1617,88 @@ mod tests {
     fn dirty_set_marks_counts_and_iterates() {
         let mut d = DirtySet::new(130);
         assert!(d.is_empty());
-        assert!(d.mark(0));
-        assert!(d.mark(129));
-        assert!(d.mark(64));
-        assert!(!d.mark(64), "re-mark is not newly marked");
-        assert_eq!(d.marked_count(), 3);
-        assert!(d.is_marked(129) && !d.is_marked(1));
-        let mut seen = Vec::new();
-        d.for_each_marked(|t| seen.push(t));
-        assert_eq!(seen, vec![0, 64, 129], "ascending order");
-        d.mark_all();
-        assert_eq!(d.marked_count(), 130);
-        let mut n = 0;
-        d.for_each_marked(|t| {
-            assert!(t < 130);
-            n += 1;
-        });
-        assert_eq!(n, 130, "mark_all must not leak tail bits");
+        d.mark(129, 3..5, 7..9);
+        d.mark(0, 0..2, 0..1);
+        d.mark(64, 4..6, 2..3);
+        d.mark(64, 1..2, 5..8);
+        d.mark(1, 2..2, 0..4);
+        assert_eq!(d.marked_count(), 3, "an empty rectangle marks nothing");
+        assert_eq!(d.rect(64), (1..6, 2..8), "marks merge into their hull");
+        assert_eq!(d.rect(1), (0..0, 0..0));
+        assert_eq!(d.marked().collect::<Vec<_>>(), vec![0, 64, 129]);
         d.clear();
-        assert!(d.is_empty());
+        assert!(d.is_empty() && d.marked().next().is_none());
+        assert_eq!(d.rect(64), (0..0, 0..0));
+        d.mark(64, 9..10, 9..10);
+        assert_eq!(d.rect(64), (9..10, 9..10), "a cleaned tile starts afresh");
+    }
+
+    /// Every grid point a camera at `center` (as stored) covers passes the
+    /// exact test `d² ≤ r²` on the wrapped deltas; each must lie in its
+    /// tile's dirty rectangle after `mark_disk`, and every marked point
+    /// must lie in the disk's bounding box unless the box wraps around
+    /// the torus.
+    fn assert_disk_marks_cover(state: &mut IncrementalSweep, center: Point, r: f64) {
+        state.mark_disk(center, r);
+        let (torus, grid, cells) = (state.torus, &state.grid, state.cells);
+        let side = grid.side_count();
+        let cell_of = |line: usize| {
+            (0..cells)
+                .find(|&c| state.tiling.cell_axis_range(c).contains(&line))
+                .unwrap()
+        };
+        let mut inside = 0;
+        for idx in 0..grid.len() {
+            let p = grid.point(idx);
+            let (col, row) = (idx % side, idx / side);
+            let (cols, rows) = state.dirty.rect(cell_of(row) * cells + cell_of(col));
+            let marked = cols.contains(&col) && rows.contains(&row);
+            let (dx, dy) = torus.displacement(center, p);
+            if dx * dx + dy * dy <= r * r {
+                inside += 1;
+                assert!(marked, "{center} r={r}: reached point {idx} unmarked");
+            }
+            let slack = 1e-6 * (1.0 + center.x.abs() + center.y.abs());
+            // A box wrapping within a cell of itself meets that cell from
+            // both sides, and the cell's rectangle is their hull.
+            if marked && 2.0 * (r + state.cell_len) < torus.side() {
+                assert!(
+                    dx.abs() <= r + slack && dy.abs() <= r + slack,
+                    "{center} r={r}: point {idx} outside the bounding box marked"
+                );
+            }
+        }
+        assert!(inside > 0 || r < grid.spacing(), "{center} r={r}: no point");
+        state.dirty.clear();
+    }
+
+    #[test]
+    fn mark_disk_marks_every_reached_point_and_stays_in_the_box() {
+        let net = pseudo_random_net(90, 0.07);
+        let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        for side in [7usize, 24, 41] {
+            let mut state = IncrementalSweep::new(&net, theta, Angle::ZERO, side);
+            let (h, cell) = (state.grid.spacing(), state.cell_len);
+            let on_grid = |i: usize| (i as f64 + 0.5) * h;
+            let centers = [
+                Point::new(0.5, 0.5),
+                Point::new(0.0, below_one),
+                Point::new(below_one, 0.0),
+                Point::new(on_grid(3), on_grid(side - 1)),
+                Point::new(2.0 * cell, 3.0 * cell),
+                Point::new(on_grid(0) + 2.0 * h, on_grid(side / 2)),
+                // Stored positions outside the fundamental domain.
+                Point::new(1.0 + on_grid(2), -1.0 + 2.0 * cell),
+                Point::new(-0.25, 7.75),
+            ];
+            let radii = [0.3 * h, h, 2.0 * h, 3.0 * h, cell, 1.5 * cell, 0.49, 0.7];
+            for &center in &centers {
+                for &r in &radii {
+                    assert_disk_marks_cover(&mut state, center, r);
+                }
+            }
+        }
     }
 
     #[test]

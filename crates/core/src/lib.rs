@@ -95,7 +95,7 @@ pub use design::{
     max_cameras_below_necessary, min_cameras_for_guarantee, required_area_for_expected_fraction,
 };
 pub use engine::{
-    claim_units, sweep_grid, use_tiled, worker_count, ColdSweep, DirtySet, FlagBits, GridTiling,
+    claim_units, sweep_grid, use_tiled, worker_count, ColdSweep, FlagBits, GridTiling,
     IncrementalSweep, KBit, KCountSweep, PointByte, SweepDelta, WarmGrid,
 };
 pub use error::CoreError;

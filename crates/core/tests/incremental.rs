@@ -1,12 +1,15 @@
-//! Differential proptest harness for the incremental dirty-tile engine.
+//! Differential proptest harness for the incremental dirty-rectangle
+//! engine.
 //!
-//! Random interleavings of `fail`/`move`/`reseed` mutations and repair
-//! points drive a warm flags state ([`IncrementalSweep`]) and warm
-//! k-count states ([`KCountSweep`], k ∈ {1, 2, 3}) exactly as the
-//! service layer does. After every repair each state must answer
-//! **bit-identically** to the one-shot library calls over the mutated
-//! network — the report, the full-view mask, glyphs and k-counts over a
-//! random index range — the tentpole invariant of the engine. The
+//! Random interleavings of `fail`/`move`/`reseed` mutations — some moves
+//! snapped onto index-cell corners, grid points and the torus seam — and
+//! repair points drive a warm flags state ([`IncrementalSweep`]) and warm
+//! k-count states ([`KCountSweep`], k ∈ {1, 2, 3}) exactly as the service
+//! layer does, on fleets whose radii are arbitrary, a multiple of the
+//! grid spacing, or a whole index cell. After every repair each state
+//! must answer **bit-identically** to the one-shot library calls over the
+//! mutated network — the report, the full-view mask, glyphs and k-counts
+//! over a random index range — the tentpole invariant of the engine. The
 //! deterministic cases at the bottom pin interleavings that exercise each
 //! repair path (PR 1 triage pattern: pinned seeds outlive the runner).
 
@@ -32,6 +35,10 @@ enum Op {
     Fail(usize),
     /// Move the camera at `raw % len` to `(x, y)`.
     Move(usize, f64, f64),
+    /// Move the camera at `raw % len` onto a spot where a disk's box
+    /// bounds sit exactly on cell edges or grid lines: the one
+    /// [`snap_point`] picks from `(spot, a, b)`.
+    Snap(usize, usize, usize, usize),
     /// Replace the fleet with a fresh `n`-camera deployment from `seed` —
     /// the geometry-changing mutation the repair must detect.
     Reseed(u64, usize),
@@ -40,11 +47,11 @@ enum Op {
     Repair(usize, usize),
 }
 
-/// Weighted op mix (the vendored proptest has no `prop_oneof!`): 3/12
-/// fail, 4/12 move, 1/12 reseed, 4/12 repair.
+/// Weighted op mix (the vendored proptest has no `prop_oneof!`): 3/14
+/// fail, 4/14 move, 2/14 snap, 1/14 reseed, 4/14 repair.
 fn op_strategy() -> impl Strategy<Value = Op> {
     (
-        0..12u32,
+        0..14u32,
         0..1_000_000usize,
         0.0..1.0f64,
         0.0..1.0f64,
@@ -54,22 +61,81 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         .prop_map(|(kind, raw, x, y, seed, n)| match kind {
             0..=2 => Op::Fail(raw),
             3..=6 => Op::Move(raw, x, y),
-            7 => Op::Reseed(seed, n),
+            7..=8 => Op::Snap(raw, seed as usize, (x * 1e6) as usize, (y * 1e6) as usize),
+            9 => Op::Reseed(seed, n),
             _ => Op::Repair(raw, seed as usize),
         })
 }
 
-fn profile() -> NetworkProfile {
-    NetworkProfile::builder()
-        .group(SensorSpec::new(0.09, PI / 2.0).unwrap(), 0.6)
-        .group(SensorSpec::new(0.16, PI / 3.0).unwrap(), 0.4)
-        .build()
-        .unwrap()
+/// The radii a sequence's fleets carry.
+#[derive(Debug, Clone, Copy)]
+enum Radii {
+    /// 0.09 and 0.16, whatever the grid.
+    Mixed,
+    /// Two multiples of the grid spacing, near 0.1 and 0.16, so disk
+    /// edges pass through grid lines.
+    OnGrid,
+    /// 0.125 and 0.0625: the index has 8 cells of length 0.125, so the
+    /// wider group's radius equals the cell length.
+    CellWide,
 }
 
-fn deploy(seed: u64, n: usize) -> CameraNetwork {
+impl Radii {
+    fn of(raw: usize) -> Radii {
+        [Radii::Mixed, Radii::OnGrid, Radii::CellWide][raw % 3]
+    }
+
+    fn profile(self, grid_side: usize) -> NetworkProfile {
+        let spacing = UnitGrid::new(Torus::unit(), grid_side).spacing();
+        let on_grid = |m: usize| m.max(1) as f64 * spacing;
+        let (a, b) = match self {
+            Radii::Mixed => (0.09, 0.16),
+            Radii::OnGrid => (on_grid(grid_side / 10), on_grid(grid_side / 6)),
+            Radii::CellWide => (0.0625, 0.125),
+        };
+        NetworkProfile::builder()
+            .group(SensorSpec::new(a, PI / 2.0).unwrap(), 0.6)
+            .group(SensorSpec::new(b, PI / 3.0).unwrap(), 0.4)
+            .build()
+            .unwrap()
+    }
+}
+
+fn deploy(profile: &NetworkProfile, seed: u64, n: usize) -> CameraNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
-    deploy_uniform(Torus::unit(), &profile(), n, &mut rng).unwrap()
+    deploy_uniform(Torus::unit(), profile, n, &mut rng).unwrap()
+}
+
+/// The largest f64 below 1: the far side of the torus seam.
+const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
+
+/// Where a snapped move of a camera with sensing radius `radius` lands:
+/// `spot % 4` picks an index-cell corner, a grid point, a point on the
+/// torus seam (x = 0 or [`BELOW_ONE`], y on the seam, a grid line or a
+/// cell edge), or one radius east of a grid point (the disk's edge
+/// through it); `a` and `b` pick which.
+fn snap_point(
+    net: &CameraNetwork,
+    grid_side: usize,
+    spot: usize,
+    a: usize,
+    b: usize,
+    radius: f64,
+) -> Point {
+    let grid = UnitGrid::new(*net.torus(), grid_side);
+    let (cells, cell_len) = (net.index().cells_per_axis(), net.index().cell_len());
+    let line = |i: usize| grid.point(i % grid_side).x;
+    let edge = |i: usize| (i % cells) as f64 * cell_len;
+    match spot % 4 {
+        0 => Point::new(edge(a), edge(b)),
+        1 => Point::new(line(a), line(b)),
+        2 => {
+            let x = [0.0, BELOW_ONE][a % 2];
+            let y = [0.0, BELOW_ONE, line(b / 4), edge(b / 4)][b % 4];
+            Point::new(x, y)
+        }
+        _ => Point::new(line(a) + radius, line(b)),
+    }
 }
 
 /// The multiplicity thresholds every sequence drives a k-count state for.
@@ -122,7 +188,20 @@ fn assert_matches_library(
 /// service layer does, and checks them at every repair point and at the
 /// end.
 fn run_sequence(seed: u64, n0: usize, grid_side: usize, theta: EffectiveAngle, ops: &[Op]) {
-    let mut net = deploy(seed, n0);
+    run_sequence_with(Radii::Mixed, seed, n0, grid_side, theta, ops);
+}
+
+/// [`run_sequence`] on fleets of the given radii.
+fn run_sequence_with(
+    radii: Radii,
+    seed: u64,
+    n0: usize,
+    grid_side: usize,
+    theta: EffectiveAngle,
+    ops: &[Op],
+) {
+    let profile = radii.profile(grid_side);
+    let mut net = deploy(&profile, seed, n0);
     let mut flags = IncrementalSweep::new(&net, theta, Angle::ZERO, grid_side);
     let mut counts: Vec<KCountSweep> = KS
         .iter()
@@ -160,8 +239,20 @@ fn run_sequence(seed: u64, n0: usize, grid_side: usize, theta: EffectiveAngle, o
                 mark(&mut flags, &mut counts, cam.position(), cam.spec().radius());
                 mark(&mut flags, &mut counts, to, cam.spec().radius());
             }
+            Op::Snap(raw, spot, a, b) => {
+                if net.is_empty() {
+                    continue;
+                }
+                let id = raw % net.len();
+                let cam = net.cameras()[id];
+                let r = cam.spec().radius();
+                assert!(net.move_camera(id, snap_point(&net, grid_side, spot, a, b, r)));
+                let to = net.cameras()[id].position();
+                mark(&mut flags, &mut counts, cam.position(), r);
+                mark(&mut flags, &mut counts, to, r);
+            }
             Op::Reseed(s, n) => {
-                net = deploy(s, n);
+                net = deploy(&profile, s, n);
                 flags.invalidate();
                 counts.iter_mut().for_each(KCountSweep::invalidate);
             }
@@ -198,10 +289,11 @@ proptest! {
         n0 in 10..100usize,
         grid_side in 8..32usize,
         theta_frac in 0.15..0.95f64,
+        radii in 0..3usize,
         ops in prop::collection::vec(op_strategy(), 1..24),
     ) {
         let theta = EffectiveAngle::new(theta_frac * PI).unwrap();
-        run_sequence(seed, n0, grid_side, theta, &ops);
+        run_sequence_with(Radii::of(radii), seed, n0, grid_side, theta, &ops);
     }
 }
 
@@ -288,4 +380,97 @@ fn pinned_reseed_then_incremental_again() {
             Op::Repair(REPAIR_LO, REPAIR_HI),
         ],
     );
+}
+
+/// Snapped moves on radii that are multiples of the grid spacing: disk
+/// edges through grid lines, centres on grid points, cell corners and
+/// both sides of the seam. Three moves land in one tile before a single
+/// repair, so their rectangles merge.
+#[test]
+fn pinned_snapped_moves_on_grid_radii() {
+    let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+    run_sequence_with(
+        Radii::OnGrid,
+        5,
+        70,
+        30,
+        theta,
+        &[
+            Op::Snap(0, 1, 5, 9),
+            Op::Snap(1, 1, 6, 9),
+            Op::Snap(2, 3, 5, 8),
+            Op::Repair(REPAIR_LO, REPAIR_HI),
+            Op::Snap(3, 2, 0, 1),
+            Op::Snap(4, 2, 1, 0),
+            Op::Snap(5, 0, 2, 3),
+            Op::Repair(REPAIR_LO, REPAIR_HI),
+            Op::Snap(6, 2, 1, 6),
+            Op::Snap(7, 2, 0, 11),
+            Op::Snap(0, 3, 29, 29),
+            Op::Repair(REPAIR_LO, REPAIR_HI),
+        ],
+    );
+}
+
+/// Snapped moves on a fleet whose wider radius equals the index cell
+/// length, so a disk spans three cells per axis.
+#[test]
+fn pinned_snapped_moves_with_a_cell_wide_radius() {
+    let theta = EffectiveAngle::new(PI / 3.0).unwrap();
+    let ops: Vec<Op> = (0..12)
+        .flat_map(|i| {
+            let snap = Op::Snap(i * 7, i, i * 3, i * 5 + 1);
+            if i % 3 == 2 {
+                vec![snap, Op::Repair(REPAIR_LO, REPAIR_HI)]
+            } else {
+                vec![snap]
+            }
+        })
+        .collect();
+    run_sequence_with(Radii::CellWide, 13, 50, 24, theta, &ops);
+}
+
+/// One move re-evaluates at least the grid points inside its departure
+/// or arrival disk and at most those inside the two disks' bounding
+/// boxes — not the whole tiles the disks touch. The move is half the
+/// torus on each axis, so no tile holds part of both boxes.
+#[test]
+fn one_move_resweeps_only_the_disks_bounding_boxes() {
+    let mut net = deploy(&Radii::Mixed.profile(96), 17, 80);
+    let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+    let mut flags = IncrementalSweep::new(&net, theta, Angle::ZERO, 96);
+    let mut count = KCountSweep::new(&net, theta, 2, 96);
+    let id = 3;
+    let cam = net.cameras()[id];
+    let (from, r) = (cam.position(), cam.spec().radius());
+    assert!(net.move_camera(id, Point::new(from.x + 0.5, from.y + 0.5)));
+    let to = net.cameras()[id].position();
+    for at in [from, to] {
+        flags.mark_disk(at, r);
+        count.mark_disk(at, r);
+    }
+    let resweeped = [
+        flags.resweep_dirty(&net).points_resweeped,
+        count.resweep_dirty(&net).points_resweeped,
+    ];
+    let torus = *net.torus();
+    let grid = UnitGrid::new(torus, 96);
+    let (mut in_disks, mut in_boxes) = (0, 0);
+    for p in grid.iter() {
+        let near = |c: Point| {
+            let (dx, dy) = torus.displacement(c, p);
+            let in_box = dx.abs() <= r + 1e-6 && dy.abs() <= r + 1e-6;
+            (dx * dx + dy * dy <= r * r, in_box)
+        };
+        let ((disk_a, box_a), (disk_b, box_b)) = (near(from), near(to));
+        in_disks += usize::from(disk_a || disk_b);
+        in_boxes += usize::from(box_a || box_b);
+    }
+    for points in resweeped {
+        assert!(
+            in_disks <= points && points <= in_boxes,
+            "resweeped {points}, the disks hold {in_disks}, their boxes {in_boxes}"
+        );
+    }
+    assert_matches_library(&flags, &[count], &net, (0, grid.len()), "one move");
 }

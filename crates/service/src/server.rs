@@ -192,9 +192,9 @@ struct SweepSlot {
 struct SweepCounters {
     /// Cold builds and rebuilds.
     builds: u64,
-    /// Repairs that re-evaluated at least one tile.
+    /// Repairs that re-evaluated at least one tile's dirty rectangle.
     repairs: u64,
-    /// Points those repairs re-evaluated.
+    /// Points those repairs re-evaluated: the points of the rectangles.
     repaired_points: u64,
     /// Requests a clean state answered with no evaluation.
     reads: u64,
@@ -218,7 +218,7 @@ impl SweepCounters {
 }
 
 /// A small LRU pool of warm states, flags and k-counts alike. Mutations
-/// mark dirt into *every* slot (marking is cheap — a few tile bits);
+/// mark dirt into *every* slot (marking is cheap — a few tile rectangles);
 /// queries repair only the slot they hit.
 struct SweepRegistry {
     slots: Vec<SweepSlot>,
@@ -308,8 +308,8 @@ impl SweepRegistry {
 /// first use, and the rebuild after `reseed`/`restore` — take their
 /// verdicts from the prover; on the screened tier the state builds
 /// through its own walk on its own evaluator, with the same verdicts and
-/// no second evaluator's scratch. Dirty tiles are repaired through the
-/// core tile funnel.
+/// no second evaluator's scratch. Dirty rectangles are repaired through
+/// the core tile funnel.
 fn warm_sweep<'s>(
     tier: Tier,
     sweeps: &'s mut SweepRegistry,
