@@ -5,9 +5,11 @@
 //! After one warm-up sweep grows the [`GridEvaluator`]'s scratch buffers
 //! and the tile cursor's candidate pin to the local camera density, a
 //! full tiled grid sweep must perform no heap allocation at all — the
-//! flags funnel and the k funnel alike — and so must a warm state's
-//! marking and repair of a camera move. A warm state's full rebuild runs on its
-//! own evaluator, so it allocates only the buffers a rebuild makes anew.
+//! flags funnel and the k funnel alike — and so must a camera move
+//! itself (the spatial index re-buckets the one camera in place) and a
+//! warm state's marking and repair of it. A warm state's full rebuild
+//! runs on its own evaluator, so it allocates only the buffers a rebuild
+//! makes anew.
 
 use fullview_bench::bench_network;
 use fullview_core::{
@@ -119,20 +121,20 @@ fn warmed_tiled_sweep_allocates_nothing() {
         "k funnel regressed: {allocated} allocations in a warmed k = 2 sweep"
     );
 
-    // A warmed repair: each round moves one camera by 1e-4, marks its old
-    // and new sensing disks and resweeps the dirty rectangles. The first
-    // two rounds grow the state's cursor buffers; the third is counted,
-    // the marking included. The move flips no point, so the delta's flip
-    // lists (the repair's output, which grow with the change) stay empty
-    // too.
+    // A warmed move and repair: each round moves one camera by 1e-4,
+    // marks its old and new sensing disks and resweeps the dirty
+    // rectangles. The first two rounds grow the state's cursor buffers;
+    // the third is counted, `move_camera` and the marking included. The
+    // move flips no point, so the delta's flip lists (the repair's
+    // output, which grow with the change) stay empty too.
     let mut state = IncrementalSweep::new(&net, theta, Angle::ZERO, grid.side_count());
     let id = 17;
     let home = net.cameras()[id].position();
     let away = Point::new(home.x + 1e-4, home.y);
     let mut repair = |net: &mut CameraNetwork, to: Point| {
         let cam = net.cameras()[id];
-        assert!(net.move_camera(id, to));
         let before = allocations();
+        assert!(net.move_camera(id, to));
         state.mark_disk(cam.position(), cam.spec().radius());
         state.mark_disk(to, cam.spec().radius());
         let delta = state.resweep_dirty(net);
@@ -151,7 +153,7 @@ fn warmed_tiled_sweep_allocates_nothing() {
     );
     assert_eq!(
         allocated, 0,
-        "warm repair regressed: {allocated} allocations in a warmed mark-and-repair"
+        "warm move regressed: {allocated} allocations in a warmed move, mark and repair"
     );
 
     // A warmed rebuild: `invalidate` sends the next repair down the cold

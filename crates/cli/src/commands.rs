@@ -250,7 +250,10 @@ COMMANDS:
                      on a doubling cooldown capped at --backoff-cap-ms)
                     (--replicas K groups consecutive shards into replica
                      sets: reads balance across the least-loaded live
-                     replica, mutations broadcast to every shard)
+                     replica, and a forwarded read such as check prefers
+                     the one that answered it fewest mutations ago, whose
+                     warm state has the least to repair; mutations
+                     broadcast to every shard)
                     [--max-cells N]  coordinator-side grid budget: reject
                      oversized ranged queries before scattering them
              status [--addr 127.0.0.1:7412]

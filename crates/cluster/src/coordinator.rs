@@ -19,7 +19,10 @@
 //!   range bit-identical to the same slice of a full sweep, so the
 //!   merged answer is byte-identical to a single daemon's.
 //! * `check` / `prob` / `barrier` — forward: any shard answers the whole
-//!   query; the coordinator routes to the least-loaded live replica.
+//!   query; the coordinator routes to the least-loaded live replica,
+//!   preferring, among replicas equally loaded, the one whose last answer
+//!   to the same line is fewest broadcast mutations old (see
+//!   *Replication*).
 //! * `fail` / `move` / `reseed` — broadcast to every live shard, first
 //!   shard first (its rejection aborts the broadcast before divergence),
 //!   then the authority fingerprint and the snapshot are refreshed and
@@ -37,6 +40,18 @@
 //! requests, then fewest reads served, ties rotating), and when a whole
 //! group is down any live shard can stand in — every shard holds the
 //! full fleet, so any replica's answer is byte-identical.
+//!
+//! Forwarded reads use the same pick with one more term between the
+//! two: fewest broadcast mutations since the replica last answered the
+//! same forwarded line. A daemon answers a grid read from a warm state
+//! it repairs for every mutation since its last read, so under churn a
+//! `check` stays on the replica that repaired it last and each move's
+//! dirt is repaired once, not once per replica. The coordinator counts
+//! the mutations it broadcast and remembers, for a bounded set of recent
+//! lines, the count at which each shard last answered; a shard's marks
+//! are forgotten when it reconnects, since a restarted or resynced
+//! daemon rebuilds its warm states. With no mutations every replica
+//! ties on this term, and reads rotate as before.
 //!
 //! ## Failover
 //!
@@ -156,6 +171,58 @@ struct ShardLoad {
     served: std::sync::atomic::AtomicU64,
 }
 
+/// Recent forwarded lines [`ReadMarks`] remembers.
+const MARKED_LINES: usize = 64;
+
+/// How stale each replica's warm state is for a forwarded line, in
+/// broadcast mutations: the routing term between in-flight load and
+/// reads served.
+#[derive(Debug, Default)]
+struct ReadMarks {
+    /// Mutations [`broadcast_mutation`] has applied.
+    mutations: u64,
+    /// Recent forwarded lines, least recently answered first, each with
+    /// the mutation count at which each shard last answered it (`None`:
+    /// not since the coordinator started or the shard reconnected).
+    lines: Vec<(String, Vec<Option<u64>>)>,
+}
+
+impl ReadMarks {
+    /// Per shard (of `shards`), the mutations broadcast since it last
+    /// answered `line`. A shard with no mark counts every mutation, so
+    /// with none broadcast every shard reads 0.
+    fn dirt(&self, line: &str, shards: usize) -> Vec<u64> {
+        let marks = self.lines.iter().find(|(l, _)| l == line).map(|(_, m)| m);
+        (0..shards)
+            .map(|s| {
+                let mark = marks.and_then(|m| m[s]).unwrap_or(0);
+                self.mutations - mark
+            })
+            .collect()
+    }
+
+    /// Shard `shard` (of `shards`) answered `line` just now.
+    fn answered(&mut self, line: &str, shard: usize, shards: usize) {
+        let (line, mut marks) = match self.lines.iter().position(|(l, _)| l == line) {
+            Some(i) => self.lines.remove(i),
+            None => (line.to_string(), vec![None; shards]),
+        };
+        marks[shard] = Some(self.mutations);
+        if self.lines.len() == MARKED_LINES {
+            self.lines.remove(0);
+        }
+        self.lines.push((line, marks));
+    }
+
+    /// Shard `shard` reconnected: its warm states are not the ones its
+    /// marks describe.
+    fn forget(&mut self, shard: usize) {
+        for (_, marks) in &mut self.lines {
+            marks[shard] = None;
+        }
+    }
+}
+
 /// The canonical identity every serving shard must match, parsed from a
 /// daemon's `fingerprint` answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,6 +277,8 @@ struct ClusterCtx {
     authority: Mutex<Option<Authority>>,
     /// Rotation cursor breaking least-loaded ties between equal replicas.
     rr: AtomicUsize,
+    /// Mutation marks of recent forwarded lines, for routing.
+    marks: Mutex<ReadMarks>,
     metrics: Metrics,
 }
 
@@ -287,6 +356,7 @@ impl Coordinator {
             loads,
             authority: Mutex::new(None),
             rr: AtomicUsize::new(0),
+            marks: Mutex::new(ReadMarks::default()),
             // Every verb in the table: the daemon's plus its own `shards`.
             metrics: Metrics::with_endpoints(verbs::VERBS.iter().map(|v| v.name).collect()),
         });
@@ -405,6 +475,9 @@ fn ensure_shard(ctx: &ClusterCtx, i: usize) -> bool {
     if !fresh {
         return true; // validated when it connected
     }
+    // A fresh connection may be a restarted daemon, and a resync below
+    // rebuilds its warm states: either way its marks no longer hold.
+    ctx.marks.lock().expect("marks lock").forget(i);
     let authority = *ctx.authority.lock().expect("authority lock");
     let Some(auth) = authority else {
         return true; // startup establishes it; nothing to compare yet
@@ -448,22 +521,30 @@ fn live_shards(ctx: &ClusterCtx) -> Vec<usize> {
         .collect()
 }
 
-/// Picks the least-loaded shard among `candidates`: fewest in-flight
-/// requests first, fewest reads served as the tie-break, remaining ties
-/// broken by a rotating cursor so equal replicas alternate. `extra[s]`
-/// adds work assigned-but-not-yet-launched this round (the scatter
-/// assignment loop) to shard `s`'s score.
-fn pick_least_loaded(ctx: &ClusterCtx, candidates: &[usize], extra: &[usize]) -> Option<usize> {
+/// Picks the least-loaded shard among `candidates` by a score compared
+/// in order: fewest in-flight requests; then fewest broadcast mutations
+/// `dirt[s]` since shard `s` last answered the request (only forwarded
+/// reads pass it; a missing entry is 0); then fewest reads served.
+/// Remaining ties are broken by a rotating cursor so equal replicas
+/// alternate. `extra[s]` adds work assigned-but-not-yet-launched this
+/// round (the scatter assignment loop) to shard `s`'s load.
+fn pick_least_loaded(
+    ctx: &ClusterCtx,
+    candidates: &[usize],
+    extra: &[usize],
+    dirt: &[u64],
+) -> Option<usize> {
     if candidates.is_empty() {
         return None;
     }
     let rot = ctx.rr.fetch_add(1, Ordering::Relaxed) % candidates.len();
-    let mut best: Option<(usize, (usize, u64))> = None;
+    let mut best: Option<(usize, (usize, u64, u64))> = None;
     for k in 0..candidates.len() {
         let s = candidates[(rot + k) % candidates.len()];
         let pending = extra.get(s).copied().unwrap_or(0);
         let score = (
             ctx.loads[s].inflight.load(Ordering::Relaxed) + pending,
+            dirt.get(s).copied().unwrap_or(0),
             ctx.loads[s].served.load(Ordering::Relaxed) + pending as u64,
         );
         // Strictly-less keeps the first candidate in rotation order on a
@@ -623,7 +704,7 @@ fn scatter(
             } else {
                 &siblings
             };
-            let Some(s) = pick_least_loaded(ctx, candidates, &assigned) else {
+            let Some(s) = pick_least_loaded(ctx, candidates, &assigned, &[]) else {
                 continue;
             };
             assigned[s] += 1;
@@ -660,18 +741,25 @@ fn scatter(
         .ok_or_else(|| "no live shards (all replicas down or overloaded)".to_string())
 }
 
-/// Forwards a whole query to the least-loaded live shard, failing over
-/// across the remaining replicas within the round on transport errors.
-/// With a `deadline`, each attempt carries the remaining budget as
-/// `deadline_ms=` (the base `line` must not already contain one) and an
-/// exhausted budget sheds with a `deadline exceeded:` error.
+/// Forwards a whole query to the least-loaded live shard — among equally
+/// loaded replicas, the one whose last answer to `line` is fewest
+/// mutations old — failing over across the remaining replicas within the
+/// round on transport errors. With a `deadline`, each attempt carries the
+/// remaining budget as `deadline_ms=` (the base `line` must not already
+/// contain one) and an exhausted budget sheds with a `deadline exceeded:`
+/// error.
 fn forward_one(ctx: &ClusterCtx, line: &str, deadline: Option<Instant>) -> Result<String, String> {
     for round in 0..=ctx.cfg.retries {
         if round > 0 {
             std::thread::sleep(ctx.base());
         }
         let mut remaining = live_shards(ctx);
-        while let Some(shard_idx) = pick_least_loaded(ctx, &remaining, &[]) {
+        let dirt = ctx
+            .marks
+            .lock()
+            .expect("marks lock")
+            .dirt(line, ctx.shards.len());
+        while let Some(shard_idx) = pick_least_loaded(ctx, &remaining, &[], &dirt) {
             remaining.retain(|&s| s != shard_idx);
             let suffix = deadline_suffix(deadline, Instant::now())?;
             let rebuilt: String;
@@ -693,6 +781,11 @@ fn forward_one(ctx: &ClusterCtx, line: &str, deadline: Option<Instant>) -> Resul
             match outcome {
                 Ok(payload) => {
                     ctx.loads[shard_idx].served.fetch_add(1, Ordering::Relaxed);
+                    ctx.marks.lock().expect("marks lock").answered(
+                        line,
+                        shard_idx,
+                        ctx.shards.len(),
+                    );
                     return Ok(payload);
                 }
                 Err(ShardError::Server(m)) if is_overload(&m) => continue,
@@ -761,6 +854,7 @@ fn broadcast_mutation(ctx: &ClusterCtx, line: &str) -> Result<String, String> {
         }
     }
     let (first, payload) = applied_on.ok_or_else(|| "no live shards".to_string())?;
+    ctx.marks.lock().expect("marks lock").mutations += 1;
     refresh_authority_from(ctx, first)?;
     // Convergence check: every follower that applied the mutation must
     // now fingerprint-match the refreshed authority. A mismatch (e.g. a
@@ -1021,6 +1115,90 @@ mod tests {
         assert_eq!(group_of_shard(2, 3, 99), 0);
         assert_eq!(group_count_of(3, 0), 3);
         assert_eq!(group_count_of(0, 2), 0);
+    }
+
+    /// A context over `n` shards that are never connected, for routing.
+    fn routing_ctx(n: usize) -> ClusterCtx {
+        let cfg = ClusterConfig::new((1..=n).map(|p| format!("127.0.0.1:{p}")).collect());
+        ClusterCtx {
+            shards: cfg
+                .shard_addrs
+                .iter()
+                .map(|a| Mutex::new(ShardState::new(a.clone())))
+                .collect(),
+            loads: (0..n).map(|_| ShardLoad::default()).collect(),
+            authority: Mutex::new(None),
+            rr: AtomicUsize::new(0),
+            marks: Mutex::new(ReadMarks::default()),
+            metrics: Metrics::new(),
+            cfg,
+        }
+    }
+
+    #[test]
+    fn pick_scores_inflight_then_mutation_marks_then_reads_served() {
+        let ctx = routing_ctx(2);
+        let both = [0, 1];
+        let load = |s: usize, inflight: usize, served: u64| {
+            ctx.loads[s].inflight.store(inflight, Ordering::Relaxed);
+            ctx.loads[s].served.store(served, Ordering::Relaxed);
+        };
+        let pick = |extra: &[usize], dirt: &[u64]| pick_least_loaded(&ctx, &both, extra, dirt);
+        // In-flight load outranks staleness: a busy replica loses even
+        // when its warm state is the fresher one.
+        load(0, 1, 0);
+        load(1, 0, 50);
+        for _ in 0..4 {
+            assert_eq!(pick(&[], &[0, 9]), Some(1));
+        }
+        // Staleness outranks reads served.
+        load(0, 0, 50);
+        load(1, 0, 0);
+        for _ in 0..4 {
+            assert_eq!(pick(&[], &[1, 2]), Some(0));
+        }
+        // Equally stale: fewest reads served.
+        for _ in 0..4 {
+            assert_eq!(pick(&[], &[2, 2]), Some(1));
+        }
+        // Work assigned this round counts as in flight.
+        load(0, 0, 0);
+        assert_eq!(pick(&[1, 0], &[0, 5]), Some(1));
+        // A full tie rotates between the replicas.
+        let picks: Vec<usize> = (0..4).map(|_| pick(&[], &[]).unwrap()).collect();
+        assert!(picks.contains(&0) && picks.contains(&1), "{picks:?}");
+    }
+
+    #[test]
+    fn read_marks_count_mutations_since_each_shards_last_answer() {
+        let mut marks = ReadMarks::default();
+        // No mutation: every shard ties at 0, marked or not.
+        marks.answered("check", 0, 2);
+        assert_eq!(marks.dirt("check", 2), vec![0, 0]);
+        marks.mutations += 1;
+        assert_eq!(marks.dirt("check", 2), vec![1, 1]);
+        marks.answered("check", 1, 2);
+        marks.mutations += 2;
+        assert_eq!(marks.dirt("check", 2), vec![3, 2]);
+        // Lines are marked separately; an unmarked line ties.
+        assert_eq!(marks.dirt("prob density=100", 2), vec![3, 3]);
+        // A reconnected shard loses its marks.
+        marks.forget(1);
+        assert_eq!(marks.dirt("check", 2), vec![3, 3]);
+        // The set is bounded: the least recently answered line goes first,
+        // and answering a line again makes it the most recent.
+        marks.answered("check", 0, 2);
+        for i in 0..MARKED_LINES - 1 {
+            marks.answered(&format!("barrier grid={i}"), 0, 2);
+        }
+        marks.answered("check", 1, 2);
+        marks.answered("prob density=100", 0, 2);
+        assert_eq!(marks.lines.len(), MARKED_LINES);
+        assert_eq!(marks.dirt("check", 2), vec![0, 0], "check survived");
+        assert!(
+            marks.lines.iter().all(|(l, _)| l != "barrier grid=0"),
+            "the least recently answered line is forgotten"
+        );
     }
 
     #[test]

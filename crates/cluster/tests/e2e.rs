@@ -316,7 +316,9 @@ fn replicated_reads_spread_across_both_replicas_with_identical_bytes() {
             "{query} differs from the single daemon under replication"
         );
     }
-    // A few repeated fan-out reads so the rotation has room to balance.
+    // A few repeated forwarded reads so the rotation has room to balance:
+    // no mutation is broadcast, so both replicas tie on staleness and the
+    // pick falls through to reads served.
     for _ in 0..6 {
         client.request_ok("check").unwrap();
     }
@@ -338,6 +340,73 @@ fn replicated_reads_spread_across_both_replicas_with_identical_bytes() {
         assert!(line.contains("group=0"), "{line}");
         assert!(line.contains("state=up"), "{line}");
     }
+}
+
+#[test]
+fn forwarded_checks_stay_on_the_replica_that_repaired_them() {
+    // Under churn a forwarded `check` goes to the replica whose warm
+    // state already carries every earlier move, so across the cluster
+    // each move's dirt is repaired once — exactly as often as a lone
+    // daemon repairs it — and killing that replica still fails over to
+    // the same bytes.
+    let reference = daemon(SEED, N);
+    let mut ref_client = connect(reference.local_addr());
+    let (mut shards, addrs) = spawn_shards(2);
+    let mut cfg = fast_config(addrs, None);
+    cfg.replication = 2;
+    let coordinator = Coordinator::start(cfg).expect("coordinator");
+    let mut client = connect(coordinator.local_addr());
+
+    let moves = [
+        "move id=3 x=0.12 y=0.34",
+        "move id=17 x=0.81 y=0.27",
+        "move id=25 x=0.45 y=0.9",
+        "move id=8 x=0.66 y=0.58",
+        "move id=31 x=0.05 y=0.71",
+    ];
+    for mv in moves {
+        ref_client.request_ok(mv).expect(mv);
+        client.request_ok(mv).expect(mv);
+        let want = ref_client.request_ok("check").expect("check");
+        assert_eq!(
+            client.request_ok("check").expect("check"),
+            want,
+            "check after {mv}"
+        );
+    }
+
+    // Each daemon's own stats, read directly.
+    let own_stats = |addr| connect(addr).request_ok("stats").expect("stats");
+    let lone = own_stats(reference.local_addr());
+    let per_shard: Vec<String> = shards.iter().map(|s| own_stats(s.local_addr())).collect();
+    let repaired = |stats: &str| stats_field(stats, "sweeps:", "repaired_points");
+    assert!(repaired(&lone) > 0, "the moves must dirty the check grid");
+    let repaired_per_shard: Vec<u64> = per_shard.iter().map(|s| repaired(s)).collect();
+    assert_eq!(
+        repaired_per_shard.iter().sum::<u64>(),
+        repaired(&lone),
+        "each move's dirt is repaired once across the replicas: {repaired_per_shard:?}"
+    );
+    let checks: Vec<u64> = per_shard
+        .iter()
+        .map(|s| stats_field(s, "requests:", "check"))
+        .collect();
+    let home = checks
+        .iter()
+        .position(|&c| c > 0)
+        .expect("a replica answered check");
+    assert_eq!(checks[home], moves.len() as u64, "{checks:?}");
+
+    // Kill the home replica: the next check fails over, byte-identical.
+    drop(shards.remove(home));
+    let want = ref_client.request_ok("check").expect("check");
+    assert_eq!(
+        client.request_ok("check").expect("check after failover"),
+        want,
+        "failover check differs from the lone daemon"
+    );
+    let survivor = own_stats(shards[0].local_addr());
+    assert_eq!(stats_field(&survivor, "requests:", "check"), 1);
 }
 
 #[test]

@@ -14,8 +14,20 @@
 //! structural content of a deployment / profile, so a cache keyed on
 //! them is invalidated *by construction* when a camera fails, moves, or
 //! the fleet is reseeded.
+//!
+//! The network fingerprint is an *AdHash* (Bellare & Micciancio, "A New
+//! Paradigm for Collision-free Hashing: Incrementality at Reduced Cost",
+//! EUROCRYPT 1997): a header term over the torus side and the fleet size
+//! plus the wrapping sum of one [`CanonicalHasher`] term per
+//! `(index, camera)`. A sum is incremental: [`moved_fingerprint`] swaps
+//! one camera's term for its new one in O(1), and a move followed by its
+//! inverse restores the value exactly, so the daemon never rehashes the
+//! fleet for a `move`. The journal (`fullview wal v2`), the snapshot
+//! header (`fullview snapshot v2`) and the `fingerprint` verb carry this
+//! value; files written under the earlier single-stream FNV digest (v1)
+//! are refused by version.
 
-use fullview_model::{CameraNetwork, NetworkProfile};
+use fullview_model::{Camera, CameraNetwork, NetworkProfile};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -80,22 +92,49 @@ impl CanonicalHasher {
 }
 
 /// Digest of the full structural content of a deployed network: torus
-/// side plus, per camera, position, orientation, spec, and group. Any
-/// mutation that can change a coverage answer changes this fingerprint.
+/// side and fleet size, plus, per camera, its index, position,
+/// orientation, spec, and group. Any mutation that can change a coverage
+/// answer changes this fingerprint.
+///
+/// The value is the header term plus the wrapping sum of every camera's
+/// term (see the module docs), so it can be maintained across a `move`
+/// with [`moved_fingerprint`] instead of being recomputed.
 #[must_use]
 pub fn network_fingerprint(net: &CameraNetwork) -> u64 {
     let mut h = CanonicalHasher::new();
     h.write_str("network");
     h.write_f64(net.torus().side());
     h.write_usize(net.len());
-    for cam in net.cameras() {
-        h.write_f64(cam.position().x);
-        h.write_f64(cam.position().y);
-        h.write_f64(cam.orientation().radians());
-        h.write_f64(cam.spec().radius());
-        h.write_f64(cam.spec().angle_of_view());
-        h.write_usize(cam.group().0);
-    }
+    net.cameras()
+        .iter()
+        .enumerate()
+        .fold(h.finish(), |fp, (id, cam)| {
+            fp.wrapping_add(camera_term(id, cam))
+        })
+}
+
+/// The fingerprint of a network after its camera `id` changed from
+/// `before` to `after`, given the fingerprint `fp` before the change:
+/// one camera's term out, its new term in. Equal to
+/// [`network_fingerprint`] of the changed network whenever `fp` was that
+/// of the unchanged one.
+#[must_use]
+pub fn moved_fingerprint(fp: u64, id: usize, before: &Camera, after: &Camera) -> u64 {
+    fp.wrapping_sub(camera_term(id, before))
+        .wrapping_add(camera_term(id, after))
+}
+
+/// One camera's AdHash term: its index in the fleet, then every field a
+/// coverage answer reads.
+fn camera_term(id: usize, cam: &Camera) -> u64 {
+    let mut h = CanonicalHasher::new();
+    h.write_usize(id);
+    h.write_f64(cam.position().x);
+    h.write_f64(cam.position().y);
+    h.write_f64(cam.orientation().radians());
+    h.write_f64(cam.spec().radius());
+    h.write_f64(cam.spec().angle_of_view());
+    h.write_usize(cam.group().0);
     h.finish()
 }
 
@@ -122,6 +161,8 @@ mod tests {
     use fullview_geom::{Angle, Point, Torus};
     use fullview_model::{Camera, GroupId, SensorSpec};
     use std::f64::consts::PI;
+
+    const PINNED_SAMPLE_FP: u64 = 10_709_239_698_309_371_034;
 
     fn sample_net() -> CameraNetwork {
         let spec = SensorSpec::new(0.1, PI / 2.0).unwrap();
@@ -181,6 +222,35 @@ mod tests {
 
         let empty = CameraNetwork::new(Torus::unit(), Vec::new());
         assert_ne!(fp, network_fingerprint(&empty));
+
+        // Each camera's term carries its index: the same cameras in
+        // another order are another fleet.
+        let swapped = CameraNetwork::new(Torus::unit(), vec![net.cameras()[1], net.cameras()[0]]);
+        assert_ne!(fp, network_fingerprint(&swapped));
+    }
+
+    #[test]
+    fn moved_fingerprint_matches_a_fresh_digest_and_inverts() {
+        let net = sample_net();
+        let fp = network_fingerprint(&net);
+        let mut moved = net.clone();
+        assert!(moved.move_camera(1, Point::new(1.25, -0.5)));
+        let (before, after) = (net.cameras()[1], moved.cameras()[1]);
+        let kept = moved_fingerprint(fp, 1, &before, &after);
+        assert_eq!(kept, network_fingerprint(&moved));
+        assert_eq!(
+            moved_fingerprint(kept, 1, &after, &before),
+            fp,
+            "inverse move"
+        );
+    }
+
+    #[test]
+    fn network_fingerprint_value_is_pinned() {
+        // The value is stored in journals and snapshot headers and sent
+        // by the `fingerprint` verb: changing the digest is a format
+        // change (bump `WAL_MAGIC` and `SNAPSHOT_MAGIC` with it).
+        assert_eq!(network_fingerprint(&sample_net()), PINNED_SAMPLE_FP);
     }
 
     #[test]

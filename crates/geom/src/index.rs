@@ -77,13 +77,16 @@ impl SpatialGrid {
     }
 
     /// Re-indexes the grid over a new point set, keeping the torus and
-    /// cell geometry and reusing every bucket allocation.
+    /// cell geometry and reusing every bucket allocation. Each bucket
+    /// lists its points in ascending index order.
     ///
-    /// This is the cheap structural rebuild hook behind in-place network
-    /// mutations (camera failure / re-positioning): the cell size was
-    /// chosen for the *largest* sensing radius, and cells larger than
-    /// needed preserve the 3×3-neighbourhood query property, so removing
-    /// or moving points never requires re-sizing the grid.
+    /// This is the structural rebuild hook behind in-place camera
+    /// failures, which shift every later index: the cell size was chosen
+    /// for the *largest* sensing radius, and cells larger than needed
+    /// preserve the 3×3-neighbourhood query property, so removing points
+    /// never requires re-sizing the grid. A single moved point does not
+    /// need a rebuild: [`move_point`](Self::move_point) re-buckets it in
+    /// place and leaves the same buckets.
     ///
     /// # Panics
     ///
@@ -103,6 +106,37 @@ impl SpatialGrid {
             let (cx, cy) = bucket_of(p, self.cell_len, self.cells);
             self.buckets[cy * self.cells + cx].push(i as u32);
         }
+    }
+
+    /// Moves point `i` to `to` (wrapped into the fundamental domain) in
+    /// place, without touching any other point: a move within its bucket
+    /// only rewrites the stored point, and a move across buckets takes
+    /// the index out of one ascending bucket and inserts it into another
+    /// at its sorted position. The index is left exactly as
+    /// [`rebuild`](Self::rebuild) over the new positions would leave it,
+    /// so every candidate list keeps its order. Allocation-free unless
+    /// the destination bucket must grow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn move_point(&mut self, i: usize, to: Point) {
+        let to = self.torus.wrap(to);
+        let (ox, oy) = bucket_of(&self.points[i], self.cell_len, self.cells);
+        let (nx, ny) = bucket_of(&to, self.cell_len, self.cells);
+        self.points[i] = to;
+        if (ox, oy) == (nx, ny) {
+            return;
+        }
+        let id = i as u32;
+        let from = &mut self.buckets[oy * self.cells + ox];
+        let at = from
+            .binary_search(&id)
+            .expect("an indexed point is listed in its bucket");
+        from.remove(at);
+        let into = &mut self.buckets[ny * self.cells + nx];
+        let at = into.binary_search(&id).unwrap_or_else(|at| at);
+        into.insert(at, id);
     }
 
     /// Number of indexed points.
@@ -717,5 +751,61 @@ mod tests {
         assert!(idx.is_empty());
         idx.rebuild(&pts);
         assert_eq!(idx.len(), pts.len());
+
+        // In-place moves: after every move the index equals a rebuild over
+        // the same positions — the same stored points, and the same
+        // candidate lists in the same order for every cell and radius.
+        // Moves cycle through a target inside the point's own bucket,
+        // targets just past the x and the y seam (given unwrapped), and
+        // targets far outside the domain.
+        let mut rebuilt = SpatialGrid::build(t, &pts, 0.2);
+        let mut positions = pts.clone();
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut unit = move || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for step in 0..240 {
+            let i = (unit() * pts.len() as f64) as usize;
+            let at = idx.point(i);
+            let to = match step % 4 {
+                0 => {
+                    let (cx, cy) = idx.cell_of(at);
+                    let len = idx.cell_len();
+                    let to = Point::new(
+                        (cx as f64 + 0.999 * unit()) * len,
+                        (cy as f64 + 0.999 * unit()) * len,
+                    );
+                    assert_eq!(idx.cell_of(to), (cx, cy), "same-bucket target");
+                    to
+                }
+                1 => Point::new(-0.05 * unit(), at.y),
+                2 => Point::new(at.x, 1.0 + 0.05 * unit()),
+                _ => Point::new(unit() * 8.0 - 4.0, unit() * 8.0 - 4.0),
+            };
+            positions[i] = to;
+            idx.move_point(i, to);
+            rebuilt.rebuild(&positions);
+            for (j, p) in positions.iter().enumerate() {
+                let (a, b) = (idx.point(j), rebuilt.point(j));
+                assert_eq!(
+                    (a.x.to_bits(), a.y.to_bits()),
+                    (b.x.to_bits(), b.y.to_bits()),
+                    "point {j} ({p}) at step {step}"
+                );
+            }
+            for cx in 0..idx.cells_per_axis() {
+                for cy in 0..idx.cells_per_axis() {
+                    for r in [0.0, 0.1, 0.2, 0.35] {
+                        idx.tile_candidates(cx, cy, r, &mut got);
+                        rebuilt.tile_candidates(cx, cy, r, &mut want);
+                        assert_eq!(got, want, "cell ({cx}, {cy}) r={r} at step {step}");
+                    }
+                }
+            }
+        }
     }
 }

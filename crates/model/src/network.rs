@@ -185,26 +185,33 @@ impl CameraNetwork {
     }
 
     /// Moves the camera at `index` to `to` (wrapped into the torus
-    /// fundamental domain), keeping its orientation, spec, and group, and
-    /// re-indexes in place. Returns `false` if `index` is out of range.
+    /// fundamental domain), keeping its orientation, spec, and group.
+    /// Returns `false` if `index` is out of range.
+    ///
+    /// O(1) in the fleet size: the spatial index re-buckets just this
+    /// camera ([`SpatialGrid::move_point`]), leaving every candidate list
+    /// in the order a rebuild would give, and `max_radius` stands because
+    /// the camera keeps its radius.
     pub fn move_camera(&mut self, index: usize, to: Point) -> bool {
         let Some(cam) = self.cameras.get(index) else {
             return false;
         };
-        self.cameras[index] = Camera::new(
+        let moved = Camera::new(
             self.torus.wrap(to),
             cam.orientation(),
             *cam.spec(),
             cam.group(),
         );
-        self.refresh_index();
+        self.cameras[index] = moved;
+        self.index.move_point(index, moved.position());
         true
     }
 
-    /// Re-derives `max_radius` and re-buckets the spatial index after an
-    /// in-place mutation. The grid keeps its original cell size: removals
-    /// can only shrink the largest radius, so existing cells stay at
-    /// least as large as any query radius requires.
+    /// Re-derives `max_radius` and re-buckets the spatial index after a
+    /// removal, which shifts every later index. The grid keeps its
+    /// original cell size: removals can only shrink the largest radius,
+    /// so existing cells stay at least as large as any query radius
+    /// requires.
     fn refresh_index(&mut self) {
         self.max_radius = self
             .cameras

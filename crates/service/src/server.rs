@@ -906,15 +906,15 @@ fn journal(ctx: &ServerCtx, pre_fp: u64, op: WalOp) -> Result<(), String> {
 fn run_mutation(ctx: &ServerCtx, cause: &str, op: WalOp) -> Result<String, String> {
     let mut watches = ctx.watches.lock().expect("watch lock");
     let (summary, net_fp, frames) = {
-        let mut fleet = ctx.fleet.write().expect("fleet lock");
+        let mut guard = ctx.fleet.write().expect("fleet lock");
+        let fleet = &mut *guard;
         let prepared = wal::prepare_op(&fleet.profile, &fleet.net, &op)?;
         journal(ctx, fleet.net_fp, op)?;
         let departed = match op {
             WalOp::Fail { id } | WalOp::Move { id, .. } => Some(fleet.net.cameras()[id]),
             WalOp::Reseed { .. } => None,
         };
-        wal::commit_op(&mut fleet.net, prepared);
-        fleet.net_fp = network_fingerprint(&fleet.net);
+        fleet.net_fp = wal::commit_op(&mut fleet.net, fleet.net_fp, prepared);
         let net = &fleet.net;
         let summary = match op {
             WalOp::Fail { id } => format!("failed camera {id}; {} cameras remain", net.len()),
@@ -941,7 +941,7 @@ fn run_mutation(ctx: &ServerCtx, cause: &str, op: WalOp) -> Result<String, Strin
                 }
             }
         }
-        let frames = watch_frames(ctx, &mut watches, &fleet, cause);
+        let frames = watch_frames(ctx, &mut watches, fleet, cause);
         (summary, fleet.net_fp, frames)
     };
     let invalidated = ctx.cache.lock().expect("cache lock").note_mutation(net_fp);

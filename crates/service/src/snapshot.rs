@@ -4,15 +4,20 @@
 //! exactly as the snapshotted one did: the torus, the heterogeneous
 //! profile, and every deployed camera — all float fields in the exact
 //! `0x`-prefixed bit-pattern form of `model::io`, so a restored fleet is
-//! *bit-identical* and carries the same canonical FNV-1a fingerprints.
+//! *bit-identical* and carries the same canonical fingerprints.
 //! The fingerprints are written into the header and re-verified against
 //! the reparsed state on read, so a corrupted or hand-edited snapshot is
 //! rejected instead of silently serving wrong answers.
 //!
+//! v2 headers carry the additive (AdHash) network fingerprint of
+//! [`fullview_core::canon`]. A v1 snapshot, whose `net_fp` is the
+//! earlier single-stream digest, is refused by its version rather than
+//! reported as corrupted.
+//!
 //! Format (line-oriented UTF-8):
 //!
 //! ```text
-//! # fullview snapshot v1
+//! # fullview snapshot v2
 //! torus 0x3ff0000000000000
 //! net_fp 1234567890123456789
 //! profile_fp 9876543210987654321
@@ -41,7 +46,7 @@ use std::io;
 use std::path::Path;
 
 /// The first line of every snapshot file.
-pub const SNAPSHOT_MAGIC: &str = "# fullview snapshot v1";
+pub const SNAPSHOT_MAGIC: &str = "# fullview snapshot v2";
 
 /// A fleet state read back from disk, fingerprints verified.
 #[derive(Debug)]
@@ -100,11 +105,7 @@ pub fn write_snapshot(
 /// fields, unparseable sections, or a fingerprint mismatch (corruption).
 pub fn snapshot_from_text(text: &str) -> Result<Snapshot, String> {
     let mut lines = text.lines();
-    if lines.next() != Some(SNAPSHOT_MAGIC) {
-        return Err(format!(
-            "not a snapshot (want first line '{SNAPSHOT_MAGIC}')"
-        ));
-    }
+    check_magic(lines.next(), SNAPSHOT_MAGIC, "snapshot")?;
     let mut torus_side: Option<f64> = None;
     let mut want_net_fp: Option<u64> = None;
     let mut want_profile_fp: Option<u64> = None;
@@ -188,6 +189,26 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
     let text =
         fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     snapshot_from_text(&text)
+}
+
+/// Checks a file's first line against `magic`, `# fullview <format>
+/// v<N>`. The same format at another version is refused by name — the
+/// fingerprints it stores are not this build's — and anything else is not
+/// a `kind` file at all.
+pub(crate) fn check_magic(first_line: Option<&str>, magic: &str, kind: &str) -> Result<(), String> {
+    let first = first_line.unwrap_or_default();
+    if first == magic {
+        return Ok(());
+    }
+    let (format, current) = magic
+        .rsplit_once(' ')
+        .expect("a magic line ends in its version");
+    match first.strip_prefix(format).and_then(|v| v.strip_prefix(' ')) {
+        Some(version) if !version.is_empty() => Err(format!(
+            "{kind} format {version} is not supported: this build reads {current} only (fingerprints differ between versions)"
+        )),
+        _ => Err(format!("not a {kind} (want first line '{magic}')")),
+    }
 }
 
 /// Parses a float written as an exact `0x`-prefixed bit pattern.
@@ -277,17 +298,32 @@ mod tests {
         assert!(snapshot_from_text("")
             .unwrap_err()
             .contains("not a snapshot"));
-        assert!(snapshot_from_text("# fullview snapshot v1\nbogus\n")
+        assert!(snapshot_from_text(&format!("{SNAPSHOT_MAGIC}\nbogus\n"))
             .unwrap_err()
             .contains("malformed header"));
-        assert!(
-            snapshot_from_text("# fullview snapshot v1\ntorus 0x3ff0000000000000\n@end\n")
-                .unwrap_err()
-                .contains("missing 'net_fp'")
-        );
+        assert!(snapshot_from_text(&format!(
+            "{SNAPSHOT_MAGIC}\ntorus 0x3ff0000000000000\n@end\n"
+        ))
+        .unwrap_err()
+        .contains("missing 'net_fp'"));
         assert!(read_snapshot(Path::new("/nonexistent/nope.snap"))
             .unwrap_err()
             .contains("cannot read"));
+    }
+
+    #[test]
+    fn a_v1_snapshot_is_refused_by_version_not_as_corruption() {
+        let (profile, net) = fixture();
+        let text = snapshot_to_text(&profile, &net);
+        assert!(text.starts_with("# fullview snapshot v2\n"));
+        let v1 = text.replacen("# fullview snapshot v2", "# fullview snapshot v1", 1);
+        let err = snapshot_from_text(&v1).unwrap_err();
+        assert!(err.contains("snapshot format v1 is not supported"), "{err}");
+        assert!(err.contains("reads v2"), "{err}");
+        assert!(!err.contains("corrupted"), "{err}");
+        // Another file altogether is still "not a snapshot".
+        let err = snapshot_from_text("# fullview wal v2\n").unwrap_err();
+        assert!(err.contains("not a snapshot"), "{err}");
     }
 
     #[test]

@@ -11,9 +11,14 @@
 //! Format (line-oriented UTF-8):
 //!
 //! ```text
-//! # fullview wal v1
+//! # fullview wal v2
 //! <len> <fnv:016x> <payload>
 //! ```
+//!
+//! v2 records carry the additive network fingerprint of
+//! [`fullview_core::canon`]; a v1 journal (single-stream FNV
+//! fingerprints) is refused by version at startup, since its `pre=`
+//! values could never chain onto a v2 fingerprint.
 //!
 //! Each record line carries the payload's byte length and its FNV-1a
 //! checksum (the same pinned hash as the canonical fingerprints), so a
@@ -31,9 +36,14 @@
 //! applies the suffix whose chain links up, re-checking the fingerprint
 //! after every step. Float coordinates use the exact `0x` bit-pattern
 //! discipline of `model::io`, so replay is bit-identical.
+//!
+//! The live daemon and replay ([`apply_op`]) commit every op through
+//! one function, `commit_op`, which also maintains the fingerprint: a
+//! `move` swaps one camera's AdHash term in O(1); a `fail` (which shifts
+//! camera indices) and a `reseed` recompute it.
 
-use crate::snapshot::parse_exact_f64;
-use fullview_core::canon::{network_fingerprint, CanonicalHasher};
+use crate::snapshot::{check_magic, parse_exact_f64};
+use fullview_core::canon::{moved_fingerprint, network_fingerprint, CanonicalHasher};
 use fullview_deploy::deploy_uniform;
 use fullview_geom::Point;
 use fullview_model::{CameraNetwork, NetworkProfile};
@@ -44,7 +54,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// The first line of every journal file.
-pub const WAL_MAGIC: &str = "# fullview wal v1";
+pub const WAL_MAGIC: &str = "# fullview wal v2";
 
 /// The mutation a journal record re-applies on replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,6 +193,7 @@ pub fn scan_wal_text(text: &str) -> Result<WalScan, String> {
     if text.is_empty() {
         return Ok(scan);
     }
+    check_magic(text.lines().next(), WAL_MAGIC, "journal")?;
     let Some(rest) = text
         .strip_prefix(WAL_MAGIC)
         .and_then(|r| r.strip_prefix('\n'))
@@ -306,21 +317,33 @@ pub(crate) fn prepare_op(
 }
 
 /// The infallible half of [`apply_op`]: mutates `net` as prepared
-/// against it.
-pub(crate) fn commit_op(net: &mut CameraNetwork, prepared: Prepared) {
+/// against it and returns its fingerprint, given `net_fp`, the
+/// fingerprint before. A `move` updates it in O(1)
+/// ([`moved_fingerprint`]); a `fail` shifts every later camera's index,
+/// and a `reseed` replaces the fleet, so both recompute it.
+pub(crate) fn commit_op(net: &mut CameraNetwork, net_fp: u64, prepared: Prepared) -> u64 {
     match prepared {
         Prepared::Fail(id) => {
             net.remove_camera(id);
+            network_fingerprint(net)
         }
         Prepared::Move(id, to) => {
+            let before = net.cameras()[id];
             net.move_camera(id, to);
+            let net_fp = moved_fingerprint(net_fp, id, &before, &net.cameras()[id]);
+            debug_assert_eq!(net_fp, network_fingerprint(net), "maintained fingerprint");
+            net_fp
         }
-        Prepared::Reseed(fresh) => *net = fresh,
+        Prepared::Reseed(fresh) => {
+            *net = fresh;
+            network_fingerprint(net)
+        }
     }
 }
 
-/// Applies one journal op to a network: `prepare_op` then `commit_op`,
-/// the two halves a live mutation runs around its journal append.
+/// Applies one journal op to a network whose fingerprint is `net_fp`:
+/// `prepare_op` then `commit_op`, the two halves a live mutation runs
+/// around its journal append. Returns the fingerprint after the op.
 ///
 /// # Errors
 ///
@@ -329,11 +352,11 @@ pub(crate) fn commit_op(net: &mut CameraNetwork, prepared: Prepared) {
 pub fn apply_op(
     profile: &NetworkProfile,
     net: &mut CameraNetwork,
+    net_fp: u64,
     op: &WalOp,
-) -> Result<(), String> {
+) -> Result<u64, String> {
     let prepared = prepare_op(profile, net, op)?;
-    commit_op(net, prepared);
-    Ok(())
+    Ok(commit_op(net, net_fp, prepared))
 }
 
 /// What a replay did: how many records it applied and how many it
@@ -383,9 +406,8 @@ pub fn replay_onto(
                 rec.pre_fp
             ));
         }
-        apply_op(profile, net, &rec.op)
+        fp = apply_op(profile, net, fp, &rec.op)
             .map_err(|e| format!("journal replay failed at record {i}: {e}"))?;
-        fp = network_fingerprint(net);
         stats.applied += 1;
     }
     Ok(stats)
@@ -517,6 +539,7 @@ impl WalWriter {
 mod tests {
     use super::*;
     use fullview_model::SensorSpec;
+    use proptest::prelude::*;
     use std::f64::consts::PI;
 
     fn profile() -> NetworkProfile {
@@ -549,10 +572,10 @@ mod tests {
             },
         ];
         let mut records = Vec::new();
+        let mut pre_fp = network_fingerprint(&live);
         for op in ops {
-            let pre_fp = network_fingerprint(&live);
-            apply_op(&profile, &mut live, &op).unwrap();
             records.push(WalRecord { pre_fp, op });
+            pre_fp = apply_op(&profile, &mut live, pre_fp, &op).unwrap();
         }
         (records, live)
     }
@@ -626,6 +649,80 @@ mod tests {
     }
 
     #[test]
+    fn a_v1_journal_is_refused_by_version() {
+        let (records, _) = record_stream(&net(7, 10));
+        let text = text_of(&records);
+        assert!(text.starts_with("# fullview wal v2\n"));
+        let v1 = text.replacen("# fullview wal v2", "# fullview wal v1", 1);
+        let err = scan_wal_text(&v1).unwrap_err();
+        assert!(err.contains("journal format v1 is not supported"), "{err}");
+        assert!(err.contains("reads v2"), "{err}");
+        // A v1 magic line alone (an empty v1 journal) is refused too.
+        assert!(scan_wal_text("# fullview wal v1\n").is_err());
+        let err = scan_wal_text("# fullview snapshot v2\n").unwrap_err();
+        assert!(err.contains("not a journal"), "{err}");
+    }
+
+    /// One random op drawn from `(kind, pick, x, y)` against a fleet of
+    /// `len` cameras: mostly moves (targets reach past the seams), some
+    /// failures, an occasional reseed — and a reseed whenever the fleet
+    /// is empty.
+    fn op_from(len: usize, (kind, pick, x, y): (u8, f64, f64, f64)) -> WalOp {
+        let id = ((pick * len as f64) as usize).min(len.saturating_sub(1));
+        match kind {
+            _ if len == 0 || kind == 9 => WalOp::Reseed {
+                seed: (pick * 1e6) as u64,
+                n: 1 + (x.abs() * 6.0) as usize,
+            },
+            0..=5 => WalOp::Move { id, x, y },
+            _ => WalOp::Fail { id },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn maintained_fingerprint_tracks_every_op_and_replays(
+            draws in prop::collection::vec(
+                (0u8..10, 0.0..1.0f64, -1.5..2.5f64, -1.5..2.5f64),
+                1..40,
+            )
+        ) {
+            let profile = profile();
+            let base = net(3, 12);
+            let mut live = base.clone();
+            let mut fp = network_fingerprint(&live);
+            let mut records = Vec::new();
+            for draw in draws {
+                let op = op_from(live.len(), draw);
+                let prepared = prepare_op(&profile, &live, &op).unwrap();
+                let prior = match op {
+                    WalOp::Move { id, .. } => Some((id, live.cameras()[id].position(), fp)),
+                    _ => None,
+                };
+                records.push(WalRecord { pre_fp: fp, op });
+                fp = commit_op(&mut live, fp, prepared);
+                prop_assert_eq!(fp, network_fingerprint(&live), "after {:?}", op);
+                // The inverse move restores the prior value exactly.
+                if let Some((id, from, prior_fp)) = prior {
+                    let mut undone = live.clone();
+                    let back = WalOp::Move { id, x: from.x, y: from.y };
+                    let undone_fp = apply_op(&profile, &mut undone, fp, &back).unwrap();
+                    prop_assert_eq!(undone_fp, prior_fp, "undoing {:?}", op);
+                }
+            }
+            // Replaying the live journal, through its text, reaches the
+            // live value.
+            let scan = scan_wal_text(&text_of(&records)).unwrap();
+            let mut replayed = base.clone();
+            let stats = replay_onto(&profile, &mut replayed, &scan.records).unwrap();
+            prop_assert_eq!(stats.applied, records.len());
+            prop_assert_eq!(network_fingerprint(&replayed), fp);
+        }
+    }
+
+    #[test]
     fn replay_skips_records_already_folded_into_the_snapshot() {
         let base = net(7, 10);
         let (records, expected) = record_stream(&base);
@@ -633,7 +730,7 @@ mod tests {
         // (crash between snapshot rename and journal truncate).
         let mut snapshot_state = base.clone();
         for rec in &records[..2] {
-            apply_op(&profile(), &mut snapshot_state, &rec.op).unwrap();
+            apply_op(&profile(), &mut snapshot_state, rec.pre_fp, &rec.op).unwrap();
         }
         let stats = replay_onto(&profile(), &mut snapshot_state, &records).unwrap();
         assert_eq!(stats.skipped, 2);
@@ -672,7 +769,7 @@ mod tests {
             let err = prepare_op(&profile(), &base, &op).unwrap_err();
             assert!(err.contains(needle), "{op:?}: {err}");
             let mut live = base.clone();
-            assert!(apply_op(&profile(), &mut live, &op).is_err());
+            assert!(apply_op(&profile(), &mut live, fp, &op).is_err());
             assert_eq!(network_fingerprint(&live), fp, "{op:?} mutated the fleet");
         }
     }
