@@ -5,7 +5,8 @@
 //! After one warm-up sweep grows the [`GridEvaluator`]'s scratch buffers
 //! and the tile cursor's candidate pin to the local camera density, a
 //! full tiled grid sweep must perform no heap allocation at all — the
-//! flags funnel and the k funnel alike — and so must a camera move
+//! flags funnel and the k funnel alike — and so must a mask screen over
+//! a rectangle whose every point retires, in either mode, a camera move
 //! itself (the spatial index re-buckets the one camera in place) and a
 //! warm state's marking and repair of it. A warm state's full rebuild
 //! runs on its own evaluator, so it allocates only the buffers a rebuild
@@ -14,11 +15,13 @@
 use fullview_bench::bench_network;
 use fullview_core::{
     use_tiled, EffectiveAngle, GridEvaluator, GridTiling, IncrementalSweep, KBit, PointByte,
+    PointVerdict, ScreenMode, SectorMaskKernel,
 };
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
 use fullview_model::{CameraNetwork, TileCursor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::f64::consts::PI;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
@@ -120,6 +123,53 @@ fn warmed_tiled_sweep_allocates_nothing() {
         allocated, 0,
         "k funnel regressed: {allocated} allocations in a warmed k = 2 sweep"
     );
+
+    // Warmed screens over a rectangle whose every point retires: the
+    // kernel ends its candidate walk once none is left, in Report mode
+    // (both masks full and the count at ⌈π/θ⌉: a decided, fully covered
+    // point) and in Depth mode (every sector depth at k: a met k verdict).
+    // The rectangle is the first 4 × 4 block of a tile that retires.
+    let mut kernel = SectorMaskKernel::new(theta, Angle::ZERO).expect("supported θ");
+    let cap = theta.necessary_sector_count() as u32;
+    let depth = ScreenMode::Depth { k: 2 };
+    let blocks: Vec<(usize, Range<usize>, Range<usize>)> = (0..tiles)
+        .flat_map(|t| {
+            let (cols, rows) = (tiling.tile_col_range(t), tiling.tile_row_range(t));
+            let block = |r: Range<usize>| (r.start..r.end.saturating_sub(3)).step_by(4);
+            block(rows).flat_map(move |r| block(cols.clone()).map(move |c| (t, c..c + 4, r..r + 4)))
+        })
+        .collect();
+    let mut screen = |kernel: &mut SectorMaskKernel,
+                      (t, cols, rows): &(usize, Range<usize>, Range<usize>),
+                      mode| {
+        let (cx, cy) = tiling.tile_cell(*t);
+        cursor.pin(cx, cy);
+        let before = allocations();
+        kernel.screen_tile(&cursor, &grid, cols.clone(), rows.clone(), mode);
+        allocations() - before
+    };
+    let retired = blocks
+        .iter()
+        .find(|block| {
+            screen(&mut kernel, block, ScreenMode::Report);
+            let report = (0..16).all(|local| {
+                matches!(
+                    kernel.verdict(local),
+                    PointVerdict::Decided { count, suf_full: true, nec_full: true } if count >= cap
+                )
+            });
+            screen(&mut kernel, block, depth);
+            report && (0..16).all(|local| kernel.k_verdict(local, 2) == Some(true))
+        })
+        .expect("some block retires every point in both modes");
+    for mode in [ScreenMode::Report, depth] {
+        screen(&mut kernel, retired, mode);
+        let allocated = screen(&mut kernel, retired, mode);
+        assert_eq!(
+            allocated, 0,
+            "retiring screen regressed: {allocated} allocations in a warmed {mode:?} screen"
+        );
+    }
 
     // A warmed move and repair: each round moves one camera by 1e-4,
     // marks its old and new sensing disks and resweeps the dirty

@@ -11,7 +11,15 @@
 //! θ-sectors around a point contains a viewed direction, the point is
 //! full-view covered. Occupancy is just an OR of bits.
 //!
-//! The kernel therefore screens a whole rectangle of a tile at once:
+//! The kernel therefore screens a whole rectangle of a tile at once,
+//! visiting the pinned candidates in **golden-ratio order** — position
+//! `i·s mod m` for a stride `s` coprime to the snapshot length `m` and
+//! nearest `m/φ` — so consecutive visits come from far-apart cells and a
+//! point's masks fill early. Each candidate first meets a **rectangle
+//! reach prefilter**: when its wrapped gap to the rectangle's column (or
+//! row) extent, less a slack of `1e-9·side`, exceeds its radius, no point
+//! of the rectangle is in range and it is skipped before any per-column
+//! work. The rest go through:
 //!
 //! 1. **Factorized distance prefilter.** For one candidate camera and one
 //!    tile, the torus displacement factorizes per axis: wrap each grid
@@ -55,17 +63,32 @@
 //! ε-budget proof that the code-level predicates agree, not just the
 //! ideal geometry).
 //!
+//! **Retirement.** Each point carries one state byte. It is *active*
+//! until its answer is known; in Report mode a point whose masks are both
+//! full is `DONE` but stays active, counting towards the cap `⌈π/θ⌉`. A
+//! point retires `FINAL` once its masks are full and its count reaches
+//! the cap (Report) or every sector depth reaches `k` (Depth): all five
+//! flags, or the k verdict, are then true, and since every predicate is
+//! monotone in the covering set (a colocated camera only adds full view),
+//! no later camera — a band or colocated verdict included — can change
+//! them. A point retires `UNSURE` when a colocated candidate or a band
+//! verdict reaches it before it is final. Retired points are skipped for
+//! the remaining candidates, and the candidate walk ends once every point
+//! of the rectangle has retired. So a decided point's count is exact
+//! below the cap and at least the cap otherwise — the flags compare it
+//! with nothing but 1 and the cap.
+//!
 //! 4. **Gathered directions (stage 2).** A certain point the masks leave
 //!    undecided — covered, but in the necessary-but-not-sufficient
-//!    indeterminate band — was never marked done, so stage 1 gave every
-//!    one of its camera pairs a certain verdict and counted its covering
-//!    cameras. `SectorMaskKernel::gather_directions`
+//!    indeterminate band — stayed active, so stage 1 walked every
+//!    candidate, gave every one of its camera pairs a certain verdict and
+//!    counted its covering cameras. `SectorMaskKernel::gather_directions`
 //!    sizes one flat buffer from those counts and recomputes the pending
 //!    points' viewed directions in a second factorized pass over the
 //!    candidates that reach the rectangle, on only the columns and rows
 //!    holding a pending point — stage 1's deltas, now with the real
 //!    `Angle::from_vector` of each (stage 1 computed most only as
-//!    estimates), in the cursor's candidate order — then sorts each
+//!    estimates), in the cursor's snapshot order — then sorts each
 //!    point's slice exactly as the exact analyzer sorts its own. The
 //!    funnels decide the point from that list (gap scan, necessary mask,
 //!    arc-depth sweep) without a cursor rescan. The buffer is capped at
@@ -73,9 +96,9 @@
 //!    every direction it computes, which at `paper_check` density would
 //!    be tens of MB per screened map.
 //!
-//! Only the rest — boundary-band verdicts, colocated candidates, points of
-//! a rectangle that took the per-point camera fallback, and pending
-//! points past the budget — is rescanned through the cursor by the exact
+//! Only the rest — `UNSURE` points (boundary-band verdicts, colocated
+//! candidates) and pending points past the budget — is rescanned through
+//! the cursor by the exact
 //! sort+gap analyzer, which remains the single source of truth. The
 //! differential tests in `densegrid.rs`, `engine.rs`,
 //! `tests/properties.rs` and `tests/mask_properties.rs` pin the
@@ -100,7 +123,7 @@ const MAX_SECTORS: usize = 256;
 /// `hypot(dx, dy) < ANGLE_EPS = 1e-9`, i.e. only when `d² < 1e-18`;
 /// requiring `d² ≥ 4e-18` (hypot ≥ 2e-9, which is monotone and exact to
 /// ulps) proves `from_vector` is `Some` for both the forward and the
-/// reversed displacement. Below the floor the point is marked uncertain.
+/// reversed displacement. Below the floor the point retires `UNSURE`.
 const D2_COLOCATED: f64 = 4e-18;
 
 /// Relative half-width of the uncertainty band around the angular
@@ -171,6 +194,53 @@ const GATHER_BUDGET: usize = 1 << 16;
 /// `slot` entry of a point stage 2 did not gather.
 const NOT_GATHERED: u32 = u32::MAX;
 
+/// Screen state of a point stage 1 still walks candidates over.
+const ACTIVE: u8 = 0;
+/// Report mode: both masks are full, and the covering count, still short
+/// of the cap `⌈π/θ⌉`, is still being counted.
+const DONE: u8 = 1;
+/// Retired with its verdict: in Report mode both masks full and the count
+/// at the cap, in Depth mode every sector depth at `k`. States from here
+/// on are retired.
+const FINAL: u8 = 2;
+/// Retired undecided: a colocated candidate or an angular verdict inside
+/// the band reached the point before it was final; the exact analyzer
+/// rescans it.
+const UNSURE: u8 = 3;
+
+/// Slack of the rectangle reach prefilter, relative to the torus side:
+/// far above the few ulps by which a wrapped delta and the rectangle's
+/// extent can each be off, so the prefilter drops only candidates the
+/// factorized distance test would drop at every point.
+const REACH_SLACK: f64 = 1e-9;
+
+/// The positions `0..m` in golden-ratio order: `i·s mod m` for `i` in
+/// `0..m`, where `s` is the stride coprime to `m` nearest `m/φ` — a
+/// permutation whose consecutive visits land far apart in the snapshot,
+/// so a point's masks fill from many directions early.
+fn golden_order(m: usize) -> impl Iterator<Item = usize> {
+    fn gcd(mut a: usize, mut b: usize) -> usize {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+    let target = (m as f64 * 0.618_033_988_749_895).round() as usize;
+    let stride = (0..m)
+        .flat_map(|d| [target + d, target.wrapping_sub(d)])
+        .find(|&s| s >= 1 && s < m && gcd(s, m) == 1)
+        .unwrap_or(1);
+    let mut next = 0usize;
+    (0..m).map(move |_| {
+        let at = next;
+        next += stride;
+        if next >= m {
+            next -= m;
+        }
+        at
+    })
+}
+
 /// Stage-1 verdict for one screened point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PointVerdict {
@@ -180,8 +250,11 @@ pub enum PointVerdict {
     Undecided,
     /// Every camera verdict was certain and the masks decide the point.
     Decided {
-        /// Exact covering-camera count (equals the exact path's
-        /// `covering_cameras`).
+        /// Covering-camera count: the exact path's `covering_cameras`
+        /// below `⌈π/θ⌉`, and at least `⌈π/θ⌉` (not necessarily exact)
+        /// otherwise — stage 1 stops counting a point once its masks are
+        /// full and its count reaches the flags' k-coverage threshold, the
+        /// only value the count is compared with besides 1.
         count: u32,
         /// Whether every §IV θ-sector holds a viewed direction
         /// (⇒ full-view covered; `false` here only with `count == 0`).
@@ -215,8 +288,8 @@ pub struct ScreenStats {
     /// either from stage 2's gathered directions or by a rescan.
     pub exact: u64,
     /// The subset of `exact` rescanned through the cursor (boundary-band
-    /// or colocated pairs, per-point camera fallbacks, past the gather
-    /// budget) instead of decided from gathered directions.
+    /// or colocated pairs, past the gather budget) instead of decided from
+    /// gathered directions.
     pub rescanned: u64,
 }
 
@@ -549,8 +622,8 @@ pub struct SectorMaskKernel {
     fdy2: Vec<f64>,
     rdy: Vec<f64>,
     counts: Vec<u32>,
-    uncertain: Vec<bool>,
-    done: Vec<bool>,
+    /// Per-point screen state: `ACTIVE`, `DONE`, `FINAL` or `UNSURE`.
+    state: Vec<u8>,
     suf_masks: Vec<u64>,
     nec_masks: Vec<u64>,
     depths: Vec<u8>,
@@ -559,13 +632,13 @@ pub struct SectorMaskKernel {
     /// The rectangle's first column and row and the grid's side, to map
     /// a point's local position to its grid index.
     origin: (usize, usize, usize),
+    /// The flags' k-coverage threshold `⌈π/θ⌉`: a Report-mode point
+    /// whose masks are full retires once its count reaches it.
+    cap: u32,
     /// The candidates that can reach the rectangle, as positions in the
     /// cursor's snapshot, with their angular classes — stage 2 re-walks
-    /// only these.
+    /// only these, in snapshot order.
     live: Vec<(u32, CamClass)>,
-    /// Whether some candidate took the per-point camera fallback; stage 2
-    /// then leaves every pending point to the cursor.
-    fallback: bool,
     // Stage-2 scratch: each gathered point's end offset into `dirs`
     // (`NOT_GATHERED` otherwise; empty when nothing was gathered), the
     // local columns and rows holding a gathered point (ascending) and the
@@ -607,16 +680,16 @@ impl SectorMaskKernel {
             fdy2: Vec::new(),
             rdy: Vec::new(),
             counts: Vec::new(),
-            uncertain: Vec::new(),
-            done: Vec::new(),
+            state: Vec::new(),
             suf_masks: Vec::new(),
             nec_masks: Vec::new(),
             depths: Vec::new(),
             points: 0,
             mode: ScreenMode::Report,
             origin: (0, 0, 0),
+            cap: u32::try_from(theta.necessary_sector_count())
+                .expect("a supported θ has at most 128 necessary sectors"),
             live: Vec::new(),
-            fallback: false,
             slot: Vec::new(),
             gcols: Vec::new(),
             grows: Vec::new(),
@@ -632,6 +705,10 @@ impl SectorMaskKernel {
     /// [`k_verdict`](Self::k_verdict) answer per point, indexed rows
     /// outer, columns inner; no point has gathered directions until the
     /// crate's stage 2 gathers them.
+    ///
+    /// The candidates are visited in golden-ratio order, and the walk ends
+    /// once every point of the rectangle has retired (the module doc's
+    /// retirement).
     ///
     /// # Panics
     ///
@@ -657,7 +734,6 @@ impl SectorMaskKernel {
         let (c0, r0) = (cols.start, rows.start);
         self.origin = (c0, r0, side);
         self.live.clear();
-        self.fallback = false;
         self.slot.clear();
 
         // Column x / row y coordinates, bit-identical to grid.point():
@@ -669,42 +745,52 @@ impl SectorMaskKernel {
 
         self.counts.clear();
         self.counts.resize(n, 0);
-        self.uncertain.clear();
-        self.uncertain.resize(n, false);
-        self.done.clear();
-        self.done.resize(n, false);
-        let sat = match mode {
+        self.state.clear();
+        self.state.resize(n, ACTIVE);
+        match mode {
             ScreenMode::Report => {
                 self.suf_masks.clear();
                 self.suf_masks.resize(n * self.suf.words, 0);
                 self.nec_masks.clear();
                 self.nec_masks.resize(n * self.nec.words, 0);
-                0u8
             }
-            ScreenMode::Depth { k } => {
+            ScreenMode::Depth { .. } => {
                 self.depths.clear();
                 self.depths.resize(n * self.suf.n_sectors(), 0);
-                k
             }
-        };
+        }
+        // Points not yet retired: the candidate walk ends when none is left.
+        let mut active = n;
 
         let net = cursor.network();
         let torus = *net.torus();
         let cameras = net.cameras();
-        for (at, pc) in cursor.pinned_candidates().iter().enumerate() {
-            let cam = &cameras[pc.index()];
+        let pinned = cursor.pinned_candidates();
+        // The rectangle's extent per axis (centre, half-width) and the
+        // reach prefilter's slack.
+        let extent = |v: &[f64]| (0.5 * (v[0] + v[v.len() - 1]), 0.5 * (v[v.len() - 1] - v[0]));
+        let ((x_mid, x_half), (y_mid, y_half)) = (extent(&self.xs), extent(&self.ys));
+        let slack = REACH_SLACK * torus.side();
+        for at in golden_order(pinned.len()) {
+            if active == 0 {
+                break;
+            }
+            let pc = &pinned[at];
             let pos = pc.position();
-            let cpos = cam.position();
-            if cpos.x.to_bits() != pos.x.to_bits() || cpos.y.to_bits() != pos.y.to_bits() {
-                // The pinned snapshot position (from the spatial index)
-                // is not bit-equal to the camera's own — the factorized
-                // prefilter would not reproduce `Sector::contains`'
-                // displacement. Rare; replicate the cursor per point.
-                self.fallback = true;
-                self.exact_camera(&torus, pc.position(), pc.radius_sq(), cam, ncols, sat);
+            let r2 = pc.radius_sq();
+            // A camera whose gap to the rectangle's extent on either axis,
+            // less the slack, exceeds its radius reaches no point of it.
+            let gx = (torus.wrap_coord_delta(pos.x - x_mid).abs() - x_half - slack).max(0.0);
+            let gy = (torus.wrap_coord_delta(pos.y - y_mid).abs() - y_half - slack).max(0.0);
+            if gx * gx > r2 || gy * gy > r2 {
                 continue;
             }
-            let r2 = pc.radius_sq();
+            let cam = &cameras[pc.index()];
+            debug_assert!(
+                cam.position().x.to_bits() == pos.x.to_bits()
+                    && cam.position().y.to_bits() == pos.y.to_bits(),
+                "the index holds the camera's own position"
+            );
             let (min_fdx2, min_fdy2) = self.factor_deltas(&torus, pos, 0..ncols, 0..nrows);
             if min_fdx2 + min_fdy2 > r2 {
                 continue;
@@ -724,27 +810,35 @@ impl SectorMaskKernel {
                     }
                     let local = base + ci;
                     if d2 < D2_COLOCATED {
-                        self.uncertain[local] = true;
+                        active -= self.unsure(local);
                         continue;
                     }
                     let covered = match angular_verdict(&cc, self.fdx[ci], self.fdy[rj], d2) {
                         Some(c) => c,
                         None => {
-                            self.uncertain[local] = true;
+                            active -= self.unsure(local);
                             continue;
                         }
                     };
                     if !covered {
                         continue;
                     }
+                    let state = self.state[local];
+                    if state >= FINAL {
+                        continue;
+                    }
                     self.counts[local] += 1;
-                    if self.done[local] {
+                    if state == DONE {
+                        if self.counts[local] >= self.cap {
+                            self.state[local] = FINAL;
+                            active -= 1;
+                        }
                         continue;
                     }
                     let (rdx, rdy) = (self.rdx[ci], self.rdy[rj]);
                     // Bin from the estimate; near a sector edge, from the
                     // real direction. d² ≥ D2_COLOCATED proves from_vector
-                    // is Some; the unwrap-to-uncertain is belt-and-braces.
+                    // is Some; the unwrap-to-unsure is belt-and-braces.
                     let est = direction_estimate(rdx, rdy);
                     match mode {
                         ScreenMode::Report => {
@@ -772,7 +866,8 @@ impl SectorMaskKernel {
                                         self.fallbacks += 1;
                                     }
                                     let Some(rd) = Angle::from_vector(rdx, rdy) else {
-                                        self.uncertain[local] = true;
+                                        self.state[local] = UNSURE;
+                                        active -= 1;
                                         continue;
                                     };
                                     (
@@ -781,7 +876,14 @@ impl SectorMaskKernel {
                                     )
                                 }
                             };
-                            self.done[local] = sfull && nfull;
+                            if sfull && nfull {
+                                if self.counts[local] >= self.cap {
+                                    self.state[local] = FINAL;
+                                    active -= 1;
+                                } else {
+                                    self.state[local] = DONE;
+                                }
+                            }
                         }
                         ScreenMode::Depth { k } => {
                             let ns = self.suf.n_sectors();
@@ -799,17 +901,35 @@ impl SectorMaskKernel {
                                     self.fallbacks += 1;
                                 }
                                 let Some(rd) = Angle::from_vector(rdx, rdy) else {
-                                    self.uncertain[local] = true;
+                                    self.state[local] = UNSURE;
+                                    active -= 1;
                                     continue;
                                 };
                                 self.suf.note_direction_strict(rd, depths, k);
                             }
-                            self.done[local] = depths.iter().all(|&d| d >= k);
+                            if depths.iter().all(|&d| d >= k) {
+                                self.state[local] = FINAL;
+                                active -= 1;
+                            }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Retires rectangle-local point `local` as `UNSURE` unless it has
+    /// retired already; returns the number of points it retired (0 or 1).
+    /// A `FINAL` point stays final: every flag and k verdict it holds is
+    /// monotone in the covering set, so no further camera can change it.
+    #[inline]
+    fn unsure(&mut self, local: usize) -> usize {
+        let state = &mut self.state[local];
+        if *state >= FINAL {
+            return 0;
+        }
+        *state = UNSURE;
+        1
     }
 
     /// Fills the displacements of the rectangle's local columns `cols` and
@@ -852,9 +972,10 @@ impl SectorMaskKernel {
 
     /// Whether rectangle-local point `local` had only certain camera
     /// verdicts and the masks cannot decide it — the points whose every
-    /// viewed direction stage 1 has computed (none was ever `done`).
+    /// viewed direction stage 1 has computed (they stayed `ACTIVE`, so
+    /// none was skipped and the walk saw every candidate).
     fn indeterminate(&self, local: usize) -> bool {
-        if self.uncertain[local] {
+        if self.state[local] != ACTIVE {
             return false;
         }
         match self.mode {
@@ -863,11 +984,8 @@ impl SectorMaskKernel {
                 self.counts[local] > 0
                     && &self.suf_masks[local * sw..][..sw] != self.suf.full.as_slice()
             }
-            ScreenMode::Depth { k } => {
-                let ns = self.suf.n_sectors();
-                self.counts[local] >= u32::from(k)
-                    && !self.depths[local * ns..][..ns].iter().all(|&d| d >= k)
-            }
+            // An active point's depths are not all at `k`.
+            ScreenMode::Depth { k } => self.counts[local] >= u32::from(k),
         }
     }
 
@@ -879,18 +997,14 @@ impl SectorMaskKernel {
     /// The directions are computed by stage 1's factorized pass — the
     /// same deltas, then the real `Angle::from_vector` of each — over the
     /// candidates that can reach the rectangle, in the cursor's snapshot
-    /// order, but only on the columns and rows that hold a gathered point:
-    /// each point's list, once sorted exactly as the exact analyzer sorts
-    /// its own, is bit for bit that analyzer's `viewed_directions`. A
-    /// point is gathered when its directions still fit `GATHER_BUDGET`
-    /// after those gathered before it; the rest, and every point of a
-    /// rectangle where a candidate took the per-point camera fallback,
-    /// stay undecided.
+    /// order (stage 1 visited them in golden-ratio order; `live` is sorted
+    /// back first), but only on the columns and rows that hold a gathered
+    /// point: each point's list, once sorted exactly as the exact analyzer
+    /// sorts its own, is bit for bit that analyzer's `viewed_directions`.
+    /// A point is gathered when its directions still fit `GATHER_BUDGET`
+    /// after those gathered before it; the rest stay undecided.
     pub(crate) fn gather_directions(&mut self, cursor: &TileCursor<'_>, lo: usize, hi: usize) {
         self.slot.clear();
-        if self.fallback {
-            return;
-        }
         let (c0, r0, side) = self.origin;
         let (ncols, nrows) = (self.xs.len(), self.ys.len());
         let mut total = 0usize;
@@ -916,6 +1030,7 @@ impl SectorMaskKernel {
         if self.slot.is_empty() {
             return;
         }
+        self.live.sort_unstable_by_key(|&(at, _)| at);
         // The columns and rows holding a gathered point.
         let slot = &self.slot;
         self.gcols.clear();
@@ -942,6 +1057,10 @@ impl SectorMaskKernel {
         let (gcols, grows) = (
             std::mem::take(&mut self.gcols),
             std::mem::take(&mut self.grows),
+        );
+        debug_assert!(
+            self.live.windows(2).all(|w| w[0].0 < w[1].0),
+            "stage 2 walks the live candidates in snapshot order"
         );
         for li in 0..self.live.len() {
             let (at, cc) = self.live[li];
@@ -1007,61 +1126,6 @@ impl SectorMaskKernel {
         Some(&self.dirs[end - self.counts[local] as usize..end])
     }
 
-    /// Per-candidate fallback when the pinned position is not bit-equal
-    /// to the camera's: replicate the cursor's per-point semantics
-    /// (prefilter on the pinned position, exact `covers`, direction from
-    /// the camera's own position) for this one camera.
-    fn exact_camera(
-        &mut self,
-        torus: &Torus,
-        pin_pos: Point,
-        radius_sq: f64,
-        cam: &Camera,
-        ncols: usize,
-        sat: u8,
-    ) {
-        for (rj, &y) in self.ys.iter().enumerate() {
-            for (ci, &x) in self.xs.iter().enumerate() {
-                let p = Point::new(x, y);
-                if torus.distance_squared(pin_pos, p) > radius_sq || !cam.covers(torus, p) {
-                    continue;
-                }
-                let local = rj * ncols + ci;
-                self.counts[local] += 1;
-                let Some(rd) = cam.viewed_direction(torus, p) else {
-                    self.uncertain[local] = true;
-                    continue;
-                };
-                if self.done[local] {
-                    continue;
-                }
-                match self.mode {
-                    ScreenMode::Report => {
-                        let sw = self.suf.words;
-                        let nw = self.nec.words;
-                        let sfull = self
-                            .suf
-                            .note_direction(rd, &mut self.suf_masks[local * sw..][..sw]);
-                        let nfull = self
-                            .nec
-                            .note_direction(rd, &mut self.nec_masks[local * nw..][..nw]);
-                        self.done[local] = sfull && nfull;
-                    }
-                    ScreenMode::Depth { k: _ } => {
-                        let ns = self.suf.n_sectors();
-                        self.suf.note_direction_strict(
-                            rd,
-                            &mut self.depths[local * ns..][..ns],
-                            sat,
-                        );
-                        self.done[local] =
-                            self.depths[local * ns..][..ns].iter().all(|&d| d >= sat);
-                    }
-                }
-            }
-        }
-    }
-
     /// The stage-1 verdict for rectangle-local point `local` after a
     /// [`ScreenMode::Report`] screen.
     ///
@@ -1076,7 +1140,7 @@ impl SectorMaskKernel {
             "point {local} not in the screened rectangle"
         );
         assert_eq!(self.mode, ScreenMode::Report, "screened in Depth mode");
-        if self.uncertain[local] {
+        if self.state[local] == UNSURE {
             return PointVerdict::Undecided;
         }
         let count = self.counts[local];
@@ -1123,7 +1187,7 @@ impl SectorMaskKernel {
             "point {local} not in the screened rectangle"
         );
         assert_eq!(self.mode, ScreenMode::Depth { k }, "mode/k mismatch");
-        if self.uncertain[local] {
+        if self.state[local] == UNSURE {
             return None;
         }
         if self.counts[local] < u32::from(k) {
@@ -1146,6 +1210,7 @@ mod tests {
     use crate::engine::GridTiling;
     use crate::fullview::PointAnalyzer;
     use fullview_model::{CameraNetwork, GroupId, SensorSpec};
+    use proptest::prelude::*;
 
     fn theta(t: f64) -> EffectiveAngle {
         EffectiveAngle::new(t).unwrap()
@@ -1176,6 +1241,18 @@ mod tests {
         assert!(SectorMaskKernel::supported(theta(TAU / 256.0)));
         assert!(!SectorMaskKernel::supported(theta(TAU / 257.0)));
         assert!(SectorMaskKernel::new(theta(TAU / 300.0), Angle::ZERO).is_none());
+    }
+
+    /// A decided point's count against the exact covering count: equal
+    /// below the cap `⌈π/θ⌉`, at least the cap otherwise (a retired point
+    /// stops counting), so the flags the count decides — covered and
+    /// k-covered — are the exact analyzer's.
+    fn assert_count_contract(count: u32, covering: usize, th: EffectiveAngle, idx: usize) {
+        let cap = th.necessary_sector_count();
+        let count = count as usize;
+        assert_eq!(count.min(cap), covering.min(cap), "idx {idx} count");
+        assert_eq!(count >= 1, covering >= 1, "idx {idx} covered");
+        assert_eq!(count >= cap, covering >= cap, "idx {idx} k-covered");
     }
 
     /// Every certain verdict must agree with the exact analyzer; this is
@@ -1216,7 +1293,7 @@ mod tests {
                     } = kernel.verdict(local)
                     {
                         decided += 1;
-                        assert_eq!(count as usize, view.covering_cameras, "idx {idx}");
+                        assert_count_contract(count, view.covering_cameras, th, idx);
                         assert_eq!(
                             suf_full,
                             suf.is_satisfied_by(view.viewed_directions, view.has_colocated_camera),
@@ -1804,7 +1881,7 @@ mod tests {
                                     nec_full,
                                 } => {
                                     decided += usize::from(count > 0);
-                                    assert_eq!(count as usize, view.covering_cameras);
+                                    assert_count_contract(count, view.covering_cameras, th, idx);
                                     assert_eq!(suf_full, suf.is_satisfied_by(dirs, false));
                                     assert_eq!(nec_full, nec.is_satisfied_by(dirs, false));
                                 }
@@ -1831,6 +1908,226 @@ mod tests {
         assert!(
             decided > 0 && gathered_lists > 0,
             "{decided} decided, {gathered_lists} gathered"
+        );
+    }
+
+    /// One retirement case: a fleet on a small grid, θ and the start line.
+    #[derive(Debug, Clone)]
+    struct RetireCase {
+        net: CameraNetwork,
+        side: usize,
+        th: EffectiveAngle,
+        start: Angle,
+    }
+
+    /// Fleets on a `side`² unit-torus grid that retire points early and
+    /// late: generic directional cameras, wide discs that fill masks and
+    /// counts, cameras colocated with a grid point, and cameras whose
+    /// field-of-view edge (or sensing circle) passes through a grid
+    /// point, so some verdicts fall inside the band. θ runs from π (cap 1)
+    /// to π/8, a ragged 0.5 and 2π/7 a few ulps either side included.
+    fn retire_case_strategy() -> impl Strategy<Value = RetireCase> {
+        let draw = (
+            0usize..8,
+            0.0..1.0f64,
+            0.0..1.0f64,
+            0.0..1.0f64,
+            0.0..1.0f64,
+        );
+        (
+            4usize..11,
+            prop::collection::vec(draw, 1..48),
+            (0usize..7, -3i64..=3),
+            0.0..TAU,
+        )
+            .prop_map(|(side, draws, (t_sel, ulps), start)| {
+                let torus = Torus::unit();
+                let grid = UnitGrid::new(torus, side);
+                let spec = |r: f64, phi: f64| SensorSpec::new(r, phi).unwrap();
+                let cams = draws
+                    .into_iter()
+                    .map(|(sel, u1, u2, u3, u4)| {
+                        let p = grid.point(((u1 * grid.len() as f64) as usize).min(grid.len() - 1));
+                        let away = |rho: f64| {
+                            let a = u3 * TAU;
+                            torus.wrap(Point::new(p.x + rho * a.cos(), p.y + rho * a.sin()))
+                        };
+                        let (pos, facing, sp) = match sel {
+                            0..=2 => (
+                                Point::new(u1, u2),
+                                u3 * TAU,
+                                spec(0.1 + 0.3 * u4, PI / 3.0 + u4 * (TAU - PI / 3.0)),
+                            ),
+                            3 | 4 => (Point::new(u1, u2), 0.0, spec(0.15 + 0.3 * u4, TAU)),
+                            5 => (p, u3 * TAU, spec(0.05 + 0.25 * u4, PI / 2.0)),
+                            6 => {
+                                // The point on the field-of-view edge.
+                                let phi = PI / 4.0 + u4 * PI;
+                                let pos = away(0.05 + 0.2 * u2);
+                                let to_p = torus.direction(pos, p).unwrap().radians();
+                                let edge = if u4 < 0.5 { 0.5 * phi } else { -0.5 * phi };
+                                (pos, to_p + edge, spec(0.3, phi))
+                            }
+                            _ => {
+                                // The point on the sensing circle.
+                                let r = 0.1 + 0.2 * u2;
+                                (away(r), 0.0, spec(r, TAU))
+                            }
+                        };
+                        Camera::new(pos, Angle::new(facing), sp, GroupId(0))
+                    })
+                    .collect();
+                let seventh = (TAU / 7.0) * (1.0 + ulps as f64 * 1e-16);
+                let t = [PI, PI / 2.0, PI / 3.0, PI / 4.0, 0.5, seventh, PI / 8.0][t_sel];
+                RetireCase {
+                    net: CameraNetwork::new(torus, cams),
+                    side,
+                    th: theta(t),
+                    start: Angle::new(start),
+                }
+            })
+    }
+
+    /// Screens every tile of `case` in Report mode and Depth mode for
+    /// k = 1..=3 and checks every point against the exact analyzer: a
+    /// decided point — retired `FINAL` or not — gives the exact flags and
+    /// k verdicts, an undecided one is either retired `UNSURE` (the
+    /// funnels rescan it) or has the exact viewed directions gathered.
+    /// Returns how many checks met a `FINAL` point, a decided unretired
+    /// point, an `UNSURE` one, a gathered one, and a `FINAL` point that a
+    /// colocated camera also reaches.
+    fn check_retirement(case: &RetireCase) -> Result<[usize; 5], TestCaseError> {
+        let RetireCase {
+            net,
+            side,
+            th,
+            start,
+        } = case;
+        let grid = UnitGrid::new(*net.torus(), *side);
+        let tiling = GridTiling::new(net.index(), &grid);
+        let mut cursor = net.tile_cursor();
+        let mut kernel = SectorMaskKernel::new(*th, *start).unwrap();
+        let mut exact = crate::GridEvaluator::new_exact(*th, *start);
+        let mut analyzer = PointAnalyzer::new();
+        let cap = th.necessary_sector_count();
+        let mut seen = [0usize; 5];
+        let modes = [
+            ScreenMode::Report,
+            ScreenMode::Depth { k: 1 },
+            ScreenMode::Depth { k: 2 },
+            ScreenMode::Depth { k: 3 },
+        ];
+        for t in 0..tiling.tile_count() {
+            if tiling.tile_point_count(t) == 0 {
+                continue;
+            }
+            let (cx, cy) = tiling.tile_cell(t);
+            cursor.pin(cx, cy);
+            for mode in modes {
+                let (cols, rows) = (tiling.tile_col_range(t), tiling.tile_row_range(t));
+                kernel.screen_tile(&cursor, &grid, cols, rows, mode);
+                kernel.gather_directions(&cursor, 0, grid.len());
+                let mut points = Vec::new();
+                let mut local = 0usize;
+                tiling.for_each_point_in_tile(t, |idx| {
+                    points.push((local, idx));
+                    local += 1;
+                });
+                for (local, idx) in points {
+                    let p = grid.point(idx);
+                    let view = analyzer.analyze_point_with(net, p);
+                    let dirs = view.viewed_directions.to_vec();
+                    let colocated = view.covering_cameras - dirs.len();
+                    let state = kernel.state[local];
+                    let decided = match mode {
+                        ScreenMode::Report => match kernel.verdict(local) {
+                            PointVerdict::Decided {
+                                count,
+                                suf_full,
+                                nec_full,
+                            } => {
+                                let flags = crate::PointFlags {
+                                    covered: count >= 1,
+                                    k_covered: count as usize >= cap,
+                                    necessary: nec_full,
+                                    full_view: suf_full,
+                                    sufficient: suf_full,
+                                };
+                                prop_assert_eq!(
+                                    flags,
+                                    exact.point_flags_with(net, p),
+                                    "idx {}",
+                                    idx
+                                );
+                                true
+                            }
+                            PointVerdict::Undecided => false,
+                        },
+                        ScreenMode::Depth { k } => match kernel.k_verdict(local, k) {
+                            Some(met) => {
+                                let multiplicity =
+                                    crate::kfullview::min_arc_depth(&dirs, th.radians())
+                                        + colocated;
+                                prop_assert_eq!(
+                                    met,
+                                    multiplicity >= usize::from(k),
+                                    "idx {} k={}",
+                                    idx,
+                                    k
+                                );
+                                true
+                            }
+                            None => false,
+                        },
+                    };
+                    if decided {
+                        prop_assert!(state != UNSURE, "idx {} decided while unsure", idx);
+                        let slot = if state == FINAL { 0 } else { 1 };
+                        seen[slot] += 1;
+                        seen[4] += usize::from(state == FINAL && colocated > 0);
+                    } else if state == UNSURE {
+                        seen[2] += 1;
+                    } else {
+                        let gathered = kernel.directions(local);
+                        prop_assert_eq!(gathered, Some(&dirs[..]), "idx {} gathered", idx);
+                        seen[3] += 1;
+                    }
+                }
+            }
+        }
+        Ok(seen)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Retired and unretired points alike give the exact analyzer's
+        /// flags and k verdicts, in both modes.
+        #[test]
+        fn retired_points_keep_the_exact_verdicts(case in retire_case_strategy()) {
+            check_retirement(&case)?;
+        }
+    }
+
+    /// The retirement property is not vacuous: over its cases, points
+    /// retire `FINAL` (some also reached by a colocated camera, which no
+    /// longer reopens them), stay decided without retiring, retire
+    /// `UNSURE`, and are gathered.
+    #[test]
+    fn retirement_cases_reach_every_state() {
+        let mut rng = TestRng::for_test("retired_points_keep_the_exact_verdicts");
+        let strategy = retire_case_strategy();
+        let mut seen = [0usize; 5];
+        for _ in 0..64 {
+            let case = strategy.generate(&mut rng);
+            let got = check_retirement(&case).unwrap();
+            for (total, n) in seen.iter_mut().zip(got) {
+                *total += n;
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "final, decided, unsure, gathered, final+colocated: {seen:?}"
         );
     }
 

@@ -35,8 +35,15 @@
 //! it bounds the x axis first and drops the camera when `dmin_x²`
 //! alone exceeds `(r + band)²`; then the y axis, and the full
 //! `dmin² > (r + band)²`. A camera still in play is kept for the
-//! children. Only a kept camera with `dmax² < (r − band)²` pays for its
-//! direction cone, and only then for the field-of-view test. Each
+//! children. Only a kept camera with `dmax² < (r − band)²` may be a
+//! witness. Before its direction cone (four `atan2`s) it takes a facing
+//! pre-test: when the direction from the camera to one rectangle corner,
+//! `d`, has `u·d < (cos(φ/2) − 1e-9)·|d|` (`u` the orientation), that
+//! corner lies outside the field of view with margin, so the cone, which
+//! holds the corner's direction, cannot pass the field-of-view test — the
+//! camera is no witness, exactly as `cone` and that test would find, at
+//! the cost of a dot product and a square root. A camera that passes pays
+//! for its cone and the field-of-view test. Each
 //! witness is added to the sink's proof, and the scan stops the moment
 //! that proof closes ([`Proof`]): every certificate condition is
 //! monotone in the witness set, so a partial set that proves the node
@@ -69,7 +76,7 @@
 //! combined answer is bit-identical to the kind's core
 //! [`sweep`](PointByte::sweep) by construction.
 
-use crate::bounds::{axis_bound, cone, dist_band, Rect, ANG_BAND};
+use crate::bounds::{axis_bound, cone, dist_band, AxisBound, Rect, ANG_BAND};
 use fullview_core::{
     use_tiled, EffectiveAngle, FlagBits, GridEvaluator, GridTiling, KBit, PointByte, PointFlags,
     SectorPartition,
@@ -260,6 +267,12 @@ fn halves(r: &Range<usize>) -> impl Iterator<Item = Range<usize>> {
         .filter(|h| !h.is_empty())
 }
 
+/// Margin of the facing pre-test, in the cosine: far above the rounding
+/// of a dot product and a norm (~1e-16), and its angle (≥ ~1e-9 rad) far
+/// below `ANG_BAND`, so a camera it rules out is one whose cone the
+/// field-of-view test would reject.
+const FACING_MARGIN: f64 = 1e-9;
+
 /// Per-camera geometry snapshot: what the candidate scan compares,
 /// computed once per prover.
 struct CamInfo {
@@ -271,13 +284,36 @@ struct CamInfo {
     /// `dmax` is below this reaches every point of the rectangle.
     sure_sq: f64,
     orientation: Angle,
+    /// The orientation's unit vector.
+    facing: (f64, f64),
     /// Whether the field of view is the whole circle.
     omni: bool,
     /// Half the angle of view, `φ/2`.
     half_aov: f64,
+    /// `cos(φ/2) − FACING_MARGIN`: a direction `d` with `u·d` below this
+    /// times `|d|` lies outside the field of view with margin.
+    cos_away: f64,
 }
 
 impl CamInfo {
+    /// Whether the camera surely faces away from the rectangle whose axis
+    /// bounds are `x` and `y`: the direction from the camera to the corner
+    /// whose displacement is `(x.cont.0, y.cont.0)` lies outside the field
+    /// of view with margin. The rectangle's cone holds that corner's
+    /// viewed direction, so the cone cannot fit the field of view and the
+    /// camera is no witness — the verdict [`cone`] and [`sees`](Self::sees)
+    /// reach, without their four `atan2`s. `false` on a seam straddle,
+    /// where there is no cone at all.
+    fn faces_away(&self, x: &AxisBound, y: &AxisBound) -> bool {
+        let (Some((dx, _)), Some((dy, _))) = (x.cont, y.cont) else {
+            return false;
+        };
+        // The displacement is camera − corner, so the direction from the
+        // camera to the corner is its negation.
+        let (ux, uy) = self.facing;
+        !self.omni && -(ux * dx + uy * dy) < self.cos_away * (dx * dx + dy * dy).sqrt()
+    }
+
     /// Whether the cone `(center, half)` of viewed directions fits the
     /// field of view with margin: the camera then faces every rectangle
     /// point.
@@ -436,8 +472,10 @@ impl<'a> Prover<'a> {
                         -1.0
                     },
                     orientation: c.orientation(),
+                    facing: c.orientation().unit_vector(),
                     omni: aov >= TAU - ANGLE_EPS,
                     half_aov: 0.5 * aov,
+                    cos_away: (0.5 * aov).cos() - FACING_MARGIN,
                 }
             })
             .collect();
@@ -531,7 +569,7 @@ impl<'a> Prover<'a> {
                 // Surely out of range for every rectangle point.
                 continue;
             }
-            let witness = if x.hi_sq() + y.hi_sq() < cam.sure_sq {
+            let witness = if x.hi_sq() + y.hi_sq() < cam.sure_sq && !cam.faces_away(&x, &y) {
                 cone(&x, &y).filter(|&c| cam.sees(c))
             } else {
                 None
@@ -854,7 +892,9 @@ mod tests {
     }
 
     /// Builds one camera from raw draws against `rect`: placed on a ring
-    /// around it or anywhere, facing it or anywhere, with φ = 2π,
+    /// around it or anywhere, facing it, anywhere, or a rectangle corner
+    /// from just past (or just inside) a field-of-view edge — 1e-9 to
+    /// 1e-6 rad off it, around the facing pre-test's margin — with φ = 2π,
     /// φ = π ± 1e-7, a sliver or a generic angle, and a radius drawn
     /// absolutely or a few bands either side of the rectangle's `dmax` or
     /// `dmin` (never within rounding of a band edge, where `hypot` and
@@ -868,19 +908,36 @@ mod tests {
         let (place_sel, d, ang, jitter) = place;
         let (phi_sel, u_phi, r_sel, u_r) = view;
         let (cx, cy) = (0.5 * (rect.x0 + rect.x1), 0.5 * (rect.y0 + rect.y1));
-        let (pos, facing) = match place_sel {
-            0 | 1 => {
-                let d = 0.01 + 0.34 * d;
-                let pos = torus.wrap(Point::new(cx + d * ang.cos(), cy + d * ang.sin()));
-                (pos, ang + PI + (jitter - 0.5) * 0.6)
-            }
-            _ => (Point::new(d, jitter), ang),
-        };
         let phi = match phi_sel {
             0 => TAU,
             1 => PI - 1e-7 + u_phi * 2e-7,
             2 => 0.05 + u_phi * 0.25,
             _ => 0.1 + u_phi * (TAU - 0.1),
+        };
+        let ring = |d: f64| torus.wrap(Point::new(cx + d * ang.cos(), cy + d * ang.sin()));
+        let (pos, facing) = match place_sel {
+            0 | 1 => (ring(0.01 + 0.34 * d), ang + PI + (jitter - 0.5) * 0.6),
+            2 => (Point::new(d, jitter), ang),
+            _ => {
+                let pos = ring(0.01 + 0.34 * d);
+                // `jitter` picks the corner, which side of the edge and
+                // which edge, then the offset, log-uniform in [1e-9, 1e-6].
+                let pick = (jitter * 16.0) as usize;
+                let corners = [
+                    (rect.x0, rect.y0),
+                    (rect.x1, rect.y0),
+                    (rect.x1, rect.y1),
+                    (rect.x0, rect.y1),
+                ];
+                let (qx, qy) = corners[pick % 4];
+                let off = 10f64.powf(-9.0 + 3.0 * (jitter * 16.0).fract());
+                let off = if pick & 4 == 0 { off } else { -off };
+                let edge = if pick & 8 == 0 { 1.0 } else { -1.0 };
+                let to_corner = torus
+                    .direction(pos, Point::new(qx, qy))
+                    .map_or(0.0, Angle::radians);
+                (pos, to_corner + edge * (0.5 * phi + off))
+            }
         };
         let bx = axis_bound(&torus, pos.x, rect.x0, rect.x1);
         let by = axis_bound(&torus, pos.y, rect.y0, rect.y1);
@@ -899,7 +956,7 @@ mod tests {
 
     fn case_strategy() -> impl Strategy<Value = Case> {
         let draws = (
-            (0usize..3, 0.0..1.0f64, 0.0..TAU, 0.0..1.0f64),
+            (0usize..4, 0.0..1.0f64, 0.0..TAU, 0.0..1.0f64),
             (0usize..4, 0.0..1.0f64, 0usize..6, 0.0..1.0f64),
         );
         (

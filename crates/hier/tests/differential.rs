@@ -105,11 +105,10 @@ fn dense_network(n: usize, radius: f64, aov: f64) -> CameraNetwork {
 
 /// The §VI reference mix (50 % φ = π, 30 % φ = π/2, 20 % φ = π/4, the
 /// larger sensing areas on the wider angles) scaled to Theorem 2's
-/// sufficient CSA at θ = π/4 for `n` cameras, on the golden-ratio
+/// sufficient CSA at `theta` for `n` cameras, on the golden-ratio
 /// scatter: a directional fleet whose `Full` certificates must pass the
 /// field-of-view (`aov_ok`) test.
-fn paper_mix_network(n: usize) -> CameraNetwork {
-    let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+fn paper_mix_network(n: usize, theta: EffectiveAngle) -> CameraNetwork {
     let profile = NetworkProfile::builder()
         .group(SensorSpec::with_sensing_area(1.2, PI).unwrap(), 0.5)
         .group(SensorSpec::with_sensing_area(1.0, PI / 2.0).unwrap(), 0.3)
@@ -465,8 +464,8 @@ fn sparse_directional_grid_matches_exact_and_proves_empties() {
 /// so a change that weakens or strengthens a proof shows up here.
 #[test]
 fn paper_mix_directional_grid_matches_exact_with_pinned_stats() {
-    let net = paper_mix_network(600);
     let theta = EffectiveAngle::new(PI / 4.0).unwrap();
+    let net = paper_mix_network(600, theta);
     let grid = UnitGrid::new(Torus::unit(), 96);
     let len = grid.len();
     let stats = |nodes, proved_full, points_proved, points_visited| ProverStats {
@@ -522,6 +521,48 @@ fn paper_mix_directional_grid_matches_exact_with_pinned_stats() {
             );
             assert_eq!(got_stats, want_stats, "k={k} {lo}..{hi}");
         }
+    }
+}
+
+/// The paper mix at Theorem 2's CSA for θ = π/8, where the prover
+/// certifies least and most of the grid reaches core's screen through
+/// residual rectangles: flags and k = 1..3 counts equal core's, and every
+/// sweep's prover stats are pinned.
+#[test]
+fn paper_mix_at_an_eighth_of_pi_matches_exact_with_pinned_stats() {
+    let theta = EffectiveAngle::new(PI / 8.0).unwrap();
+    let net = paper_mix_network(600, theta);
+    let grid = UnitGrid::new(Torus::unit(), 96);
+    let len = grid.len();
+    let (got, flag_stats) = hier_flags(&net, &grid, theta, 0, len);
+    let mut want = vec![None; len];
+    FlagBits::new(Angle::ZERO).sweep(&net, &grid, theta, 0, len, &mut |idx, flags| {
+        want[idx] = Some(flags);
+    });
+    for (idx, flags) in got.iter().enumerate() {
+        assert_eq!(Some(*flags), want[idx], "idx {idx}");
+    }
+    // Pinned, so that a change that weakens or strengthens a proof shows;
+    // the certificate scan's facing pre-test skips only cones that could
+    // not make a witness, so it moves none of them.
+    let stats = |proved_full, points_proved, points_visited| ProverStats {
+        nodes: 341,
+        proved_full,
+        proved_empty: 0,
+        points_proved,
+        points_visited,
+        tiles_exact: 0,
+    };
+    assert_eq!(flag_stats, stats(19, 684, 8532), "flags");
+    let k_stats = [stats(19, 684, 8532), stats(0, 0, 9216), stats(0, 0, 9216)];
+    for (k, want_stats) in (1..).zip(k_stats) {
+        let (count, got_stats) = hier_k_count(&net, &grid, theta, k, 0, len);
+        assert_eq!(
+            count,
+            count_k_view_range(&net, &grid, theta, k, 0, len),
+            "k={k}"
+        );
+        assert_eq!(got_stats, want_stats, "k={k}");
     }
 }
 

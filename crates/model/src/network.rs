@@ -51,9 +51,19 @@ pub struct CameraNetwork {
 
 impl CameraNetwork {
     /// Builds a network from deployed cameras, wrapping camera positions
-    /// into the torus fundamental domain and indexing them.
+    /// into the torus fundamental domain and indexing them: a camera's
+    /// [`position`](Camera::position) and the index's copy of it are the
+    /// same bits.
     #[must_use]
-    pub fn new(torus: Torus, cameras: Vec<Camera>) -> Self {
+    pub fn new(torus: Torus, mut cameras: Vec<Camera>) -> Self {
+        for c in &mut cameras {
+            *c = Camera::new(
+                torus.wrap(c.position()),
+                c.orientation(),
+                *c.spec(),
+                c.group(),
+            );
+        }
         let max_radius = cameras
             .iter()
             .map(|c| c.spec().radius())
@@ -261,6 +271,27 @@ mod tests {
         assert_eq!(net.coverage_count(Point::new(0.5, 0.5)), 0);
         assert!(net.viewed_directions(Point::new(0.5, 0.5)).is_empty());
         assert_eq!(net.max_radius(), 0.0);
+    }
+
+    #[test]
+    fn new_wraps_positions_into_the_domain() {
+        let net = CameraNetwork::new(
+            Torus::unit(),
+            vec![
+                cam_at(1.25, -0.25, 0.0, 0.1, PI),
+                cam_at(0.5, 0.25, 0.0, 0.1, PI),
+            ],
+        );
+        for (i, cam) in net.cameras().iter().enumerate() {
+            let (p, q) = (cam.position(), net.index().point(i));
+            assert!(net.torus().contains(p), "camera {i} at {p}");
+            assert_eq!(
+                (p.x.to_bits(), p.y.to_bits()),
+                (q.x.to_bits(), q.y.to_bits())
+            );
+        }
+        assert_eq!(net.cameras()[0].position(), Point::new(0.25, 0.75));
+        assert_eq!(net.cameras()[1].position(), Point::new(0.5, 0.25));
     }
 
     #[test]
